@@ -14,11 +14,9 @@ from .errors import (
 )
 from .model import (
     ControlDecision,
-    CostLedger,
     GraphSpec,
     PlantState,
     Trajectory,
-    accumulate_cost,
     aggregate_delays,
     plant_step,
     stage_cost,
@@ -33,7 +31,7 @@ from .ledger import (
     validate_horizon,
 )
 from .synthesis import ControllerParams, NodeParams, synthesize
-from .controller import SweepState, ZeroWindows, control_step
+from .controller import SweepState, control_step
 from .simulate import SimulationResult, closed_loop
 from .oracle import (
     AugmentedSystem,

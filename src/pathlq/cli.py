@@ -11,11 +11,12 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import SpecError
+from .errors import HorizonViolationError, SpecError
 from .harness import audit_message_log, run_closed_loop
 from .ledger import DisturbancePlan
 from .model import GraphSpec, validate_spec
@@ -62,13 +63,22 @@ def config_plan(cfg: dict) -> DisturbancePlan:
         for fld in ("node", "start_time", "end_time", "amount_per_step"):
             if fld not in rec:
                 raise ConfigError(f"disturbances[{i}]: missing field {fld!r}")
+        start, end = int(rec["start_time"]), int(rec["end_time"])
+        if not 0 <= start <= end:
+            raise ConfigError(
+                f"disturbances[{i}]: need 0 <= start_time <= end_time, got "
+                f"{start} and {end}"
+            )
     return DisturbancePlan.from_records(records)
 
 
-def _initial_conditions(cfg: dict, spec: GraphSpec):
-    z0 = cfg.get("initial_z")
-    pipes0 = cfg.get("initial_pipelines")
-    return z0, pipes0
+def load_run(cfg: dict):
+    """(spec, plan, steps, params, z0, pipelines0) of a closed-loop config."""
+    spec = config_spec(cfg)
+    plan = config_plan(cfg)
+    steps = int(cfg.get("run_length", spec.sigma_total + spec.horizon + 60))
+    params = synthesize(spec)
+    return spec, plan, steps, params, cfg.get("initial_z"), cfg.get("initial_pipelines")
 
 
 def write_trajectory_csv(path: Path, traj, seed=None) -> None:
@@ -97,11 +107,7 @@ def cmd_synth(args, cfg: dict, out: Path) -> int:
 
 
 def cmd_simulate(args, cfg: dict, out: Path) -> int:
-    spec = config_spec(cfg)
-    plan = config_plan(cfg)
-    steps = int(cfg.get("run_length", spec.sigma_total + spec.horizon + 60))
-    params = synthesize(spec)
-    z0, pipes0 = _initial_conditions(cfg, spec)
+    spec, plan, steps, params, z0, pipes0 = load_run(cfg)
     res = closed_loop(
         spec, params, plan, steps, z0, pipes0, blind=args.no_feedforward
     )
@@ -120,17 +126,14 @@ def cmd_simulate(args, cfg: dict, out: Path) -> int:
 
 
 def cmd_compare_ff(args, cfg: dict, out: Path) -> int:
-    spec = config_spec(cfg)
-    plan = config_plan(cfg)
-    steps = int(cfg.get("run_length", spec.sigma_total + spec.horizon + 60))
-    params = synthesize(spec)
-    z0, pipes0 = _initial_conditions(cfg, spec)
+    spec, plan, steps, params, z0, pipes0 = load_run(cfg)
     with_ff = closed_loop(spec, params, plan, steps, z0, pipes0)
     # Baseline: a zero-length announcement horizon (only the current step's
     # disturbance is ever known).
-    spec0 = GraphSpec(n=spec.n, tau=spec.tau, q=spec.q, r=spec.r, horizon=0)
-    params0 = synthesize(spec0)
-    without = closed_loop(spec0, params0, plan, steps, z0, pipes0, announce=0)
+    spec0 = replace(spec, horizon=0)
+    without = closed_loop(
+        spec0, synthesize(spec0), plan, steps, z0, pipes0, announce=0
+    )
     summary = {
         "seed": cfg.get("seed"),
         "steps": steps,
@@ -148,19 +151,17 @@ def cmd_compare_ff(args, cfg: dict, out: Path) -> int:
 
 
 def cmd_sweep_horizon(args, cfg: dict, out: Path) -> int:
-    spec = config_spec(cfg)
-    plan = config_plan(cfg)
-    steps = int(cfg.get("run_length", spec.sigma_total + spec.horizon + 60))
-    z0, pipes0 = _initial_conditions(cfg, spec)
+    spec, plan, steps, _params, z0, pipes0 = load_run(cfg)
     grid = cfg.get("horizon_grid")
     if grid is None:
         grid = list(range(0, spec.sigma_total + 1))
     grid = sorted(set(int(h) for h in grid) | {0, spec.sigma_total})
     rows = []
     for h in grid:
-        spec_h = GraphSpec(n=spec.n, tau=spec.tau, q=spec.q, r=spec.r, horizon=h)
-        params_h = synthesize(spec_h)
-        res = closed_loop(spec_h, params_h, plan, steps, z0, pipes0, announce=h)
+        spec_h = replace(spec, horizon=h)
+        res = closed_loop(
+            spec_h, synthesize(spec_h), plan, steps, z0, pipes0, announce=h
+        )
         rows.append((h, res.total_cost))
     with open(out / "horizon_sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -194,11 +195,7 @@ def cmd_verify(args, cfg: dict | None, out: Path) -> int:
 
 
 def cmd_distributed(args, cfg: dict, out: Path) -> int:
-    spec = config_spec(cfg)
-    plan = config_plan(cfg)
-    steps = int(cfg.get("run_length", spec.sigma_total + spec.horizon + 20))
-    params = synthesize(spec)
-    z0, pipes0 = _initial_conditions(cfg, spec)
+    spec, plan, steps, params, z0, pipes0 = load_run(cfg)
     rng = np.random.default_rng(args.seed if args.seed is not None else cfg.get("seed", 0))
     decisions, log, total = run_closed_loop(
         spec, params, plan, steps, z0, pipes0, rng=rng
@@ -257,7 +254,11 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
         "distributed": cmd_distributed,
     }
-    return handlers[args.command](args, cfg, out)
+    try:
+        return handlers[args.command](args, cfg, out)
+    except (ConfigError, SpecError, HorizonViolationError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ledger import ShiftedWindows
-from .model import ControlDecision, GraphSpec, PlantState
+from .model import ControlDecision, PlantState
 from .synthesis import ControllerParams, NodeParams
 
 
@@ -165,16 +165,3 @@ def control_step(
     decision = compute_actions(state, windows, d_now, delta, mu, params)
     return decision, SweepState(Phi=Phi, delta=delta, pi=pi, mu=mu)
 
-
-class ZeroWindows:
-    """Stand-in windows for a controller that ignores the disturbance plan."""
-
-    def __init__(self, spec: GraphSpec):
-        self.spec = spec
-        self.now = 0
-
-    def slice(self, node: int, length: int) -> np.ndarray:
-        return np.zeros(length)
-
-    def get(self, node: int, t: int) -> float:
-        return 0.0

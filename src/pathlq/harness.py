@@ -29,14 +29,9 @@ from .controller import (
     local_production,
 )
 from .errors import RoundAbortError
-from .ledger import (
-    DisturbancePlan,
-    LedgerMessage,
-    advance_time,
-    apply_plan_updates,
-    init_shifted_sums,
-)
-from .model import ControlDecision, GraphSpec, PlantState, plant_step, stage_cost
+from .ledger import DisturbancePlan, LedgerMessage
+from .model import ControlDecision, GraphSpec
+from .simulate import closed_loop
 from .synthesis import ControllerParams, NodeParams
 
 
@@ -244,11 +239,35 @@ def audit_message_log(log: MessageLog, spec: GraphSpec) -> AuditReport:
     return AuditReport(ok=not violations, violations=violations)
 
 
-def _ledger_to_messages(msgs: list[LedgerMessage], rnd: int) -> list[Message]:
-    return [
-        Message(round=rnd, src=m.src, dst=m.dst, kind=m.kind, value=m.value)
-        for m in msgs
-    ]
+@dataclass
+class MessagePassing:
+    """closed_loop executor: every step is one message-passing round.
+
+    Logs the sweep messages of each round and the window-maintenance
+    messages the loop hands over, each under the round it precedes.
+    """
+
+    network: Network
+    log: MessageLog = field(default_factory=MessageLog)
+    rng: np.random.Generator | None = None
+
+    def decide(self, state, windows, d_now, params) -> ControlDecision:
+        n = self.network.n
+        meas = []
+        for k in range(n):
+            uvals = state.pipelines[k] if k < n - 1 else np.zeros(params.tau_eff[k])
+            meas.append(
+                (state.z[k], uvals, windows.slice(k + 1, params.tau_eff[k]), d_now[k])
+            )
+        decision, _ = run_control_round(self.network, meas, log=self.log, rng=self.rng)
+        return decision
+
+    def ledger(self, messages: list[LedgerMessage]) -> None:
+        rnd = self.network.round
+        for m in messages:
+            self.log.append(
+                Message(round=rnd, src=m.src, dst=m.dst, kind=m.kind, value=m.value)
+            )
 
 
 def run_closed_loop(
@@ -260,29 +279,10 @@ def run_closed_loop(
     pipelines0=None,
     rng: np.random.Generator | None = None,
 ) -> tuple[list[ControlDecision], MessageLog, float]:
-    """Full message-passing closed loop, logging sweep and ledger traffic."""
-    network = Network(spec, params)
-    state = PlantState.initial(spec, z0, pipelines0)
-    windows = init_shifted_sums(plan, spec, now=0)
-    log = MessageLog()
-    total = 0.0
-    decisions = []
-    for t in range(steps):
-        meas = []
-        for k in range(spec.n):
-            uvals = (
-                state.pipelines[k]
-                if k < spec.n - 1
-                else np.zeros(params.tau_eff[k])
-            )
-            meas.append(
-                (state.z[k], uvals, windows.slice(k + 1, params.tau_eff[k]),
-                 plan.get(k + 1, t))
-            )
-        decision, _ = run_control_round(network, meas, log=log, rng=rng)
-        decisions.append(decision)
-        total += stage_cost(spec, state.z, decision.v)
-        state = plant_step(state, decision, plan.d_now(spec, t), spec)
-        for m in _ledger_to_messages(advance_time(windows, plan), network.round):
-            log.append(m)
-    return decisions, log, total
+    """Full-plan closed loop by message passing, logging all traffic.
+
+    Other announcement modes: closed_loop(..., executor=MessagePassing(...)).
+    """
+    executor = MessagePassing(Network(spec, params), rng=rng)
+    res = closed_loop(spec, params, plan, steps, z0, pipelines0, executor=executor)
+    return res.decisions, executor.log, res.total_cost

@@ -45,9 +45,6 @@ class DisturbancePlan:
     def d_now(self, spec: GraphSpec, t: int) -> np.ndarray:
         return np.array([self.get(i, t) for i in range(1, spec.n + 1)])
 
-    def copy(self) -> "DisturbancePlan":
-        return DisturbancePlan(dict(self.entries))
-
 
 def validate_horizon(plan: DisturbancePlan, spec: GraphSpec, now: int = 0) -> None:
     """Check every nonzero entry against the planning-horizon bound.

@@ -24,7 +24,7 @@ def aggregate_delays(tau: Sequence[int]) -> list[int]:
     """
     sigma = [0]
     for k, t in enumerate(tau):
-        if int(t) != t or t < 1:
+        if not float(t).is_integer() or t < 1:
             raise SpecError(f"edge delay tau_{k + 1} = {t} must be an integer >= 1")
         sigma.append(sigma[-1] + int(t))
     return sigma
@@ -53,7 +53,7 @@ def validate_spec(raw: Mapping) -> GraphSpec:
     """Build a GraphSpec from a raw mapping, checking every invariant."""
     try:
         n = int(raw["n"])
-        tau = [int(t) for t in raw["tau"]]
+        tau = [float(t) for t in raw["tau"]]
         q = [float(x) for x in raw["q"]]
         r = [float(x) for x in raw["r"]]
         horizon = int(raw["horizon"])
@@ -72,7 +72,10 @@ def validate_spec(raw: Mapping) -> GraphSpec:
                 raise SpecError(f"{name}_{i + 1} = {x} must be strictly positive")
     if horizon < 0:
         raise SpecError(f"horizon H = {horizon} must be >= 0")
-    return GraphSpec(n=n, tau=tuple(tau), q=tuple(q), r=tuple(r), horizon=horizon)
+    aggregate_delays(tau)
+    return GraphSpec(
+        n=n, tau=tuple(int(t) for t in tau), q=tuple(q), r=tuple(r), horizon=horizon
+    )
 
 
 @dataclass(frozen=True)
@@ -139,28 +142,6 @@ def plant_step(
         np.concatenate([state.pipelines[e][1:], [u[e]]]) for e in range(n - 1)
     )
     return PlantState(t=state.t + 1, z=z_next, pipelines=pipes_next)
-
-
-@dataclass
-class CostLedger:
-    """Running quadratic cost: sum over time of q_i z_i^2 + r_i v_i^2."""
-
-    accumulated: float = 0.0
-    per_step: list = field(default_factory=list)
-
-    def add(self, spec: GraphSpec, z: np.ndarray, v: np.ndarray) -> float:
-        step = float(np.dot(spec.q, np.square(z)) + np.dot(spec.r, np.square(v)))
-        self.accumulated += step
-        self.per_step.append(step)
-        return step
-
-
-def accumulate_cost(
-    ledger: CostLedger, spec: GraphSpec, state: PlantState, action: ControlDecision
-) -> CostLedger:
-    """Add the current step's stage cost to the ledger and return it."""
-    ledger.add(spec, state.z, action.v)
-    return ledger
 
 
 def stage_cost(spec: GraphSpec, z: np.ndarray, v: np.ndarray) -> float:

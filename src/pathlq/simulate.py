@@ -1,26 +1,29 @@
 """Closed-loop simulation of the structured controller.
 
-Supports three disturbance-information modes:
-  * full plan known from the start,
-  * receding-horizon announcement (entries become known a fixed number
-    of steps ahead and are folded in through incremental ledger updates),
-  * blind (the controller never sees the plan; the plant still does).
+One loop serves every disturbance-information mode.  The plant sees the
+whole plan; the controller learns it through an announcement schedule:
+  * full plan (announce=None): every entry is known at t = 0,
+  * receding horizon (announce=h): d_i[s] becomes known at max(s - h, 0),
+  * blind: nothing is ever announced.
+Entries known at t = 0 build the initial windows; later ones enter the
+ledger incrementally.  An executor computes each step's decision.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .controller import ZeroWindows, control_step
+from .controller import control_step
+from .errors import SpecError
 from .ledger import (
     DisturbancePlan,
-    ShiftedWindows,
+    LedgerMessage,
     advance_time,
     apply_plan_updates,
     init_shifted_sums,
-    validate_horizon,
 )
 from .model import (
     ControlDecision,
@@ -40,6 +43,40 @@ class SimulationResult:
     decisions: list[ControlDecision]
 
 
+class Sequential:
+    """The default executor: both sweeps in one process.
+
+    An executor decides each step from the plant state, the windows and
+    the known current disturbance, and is handed every message of the
+    window-maintenance protocol, in order.
+    """
+
+    def decide(self, state, windows, d_now, params) -> ControlDecision:
+        return control_step(state, windows, d_now, params)[0]
+
+    def ledger(self, messages: list[LedgerMessage]) -> None:
+        """Nothing is exchanged in one process; drop them."""
+
+
+def _announcement_schedule(spec, plan, announce, blind) -> dict[int, dict]:
+    """Announcement time -> {(node, s): amount} of the entries known then.
+
+    Every entry is checked, even when blind.  Entries before t = 0 can
+    never matter to the run and are left out.
+    """
+    schedule: dict[int, dict] = {}
+    for (node, s), value in plan.entries.items():
+        if not 1 <= node <= spec.n:
+            raise SpecError(f"disturbance at node {node}: nodes are 1..{spec.n}")
+        if not math.isfinite(value):
+            raise SpecError(f"disturbance at node {node}, time {s} is {value}")
+        if blind or s < 0:
+            continue
+        at = 0 if announce is None else max(s - announce, 0)
+        schedule.setdefault(at, {})[(node, s)] = value
+    return schedule
+
+
 def closed_loop(
     spec: GraphSpec,
     params: ControllerParams,
@@ -49,35 +86,28 @@ def closed_loop(
     pipelines0=None,
     announce: int | None = None,
     blind: bool = False,
+    executor=None,
 ) -> SimulationResult:
     """Run the two-sweep controller for `steps` steps.
 
     With announce=None the whole plan is known at time zero (it must then
     satisfy the horizon bound outright).  With announce=h, entry d_i[s]
     becomes known at time s - h and enters the ledger incrementally.
+    With blind=True the controller never learns the plan.  `executor`
+    (default Sequential()) computes each step's decision.
     """
+    if announce is not None and announce > spec.horizon:
+        raise ValueError(
+            f"announcement horizon {announce} exceeds the synthesis "
+            f"horizon H = {spec.horizon}"
+        )
+    if executor is None:
+        executor = Sequential()
+    schedule = _announcement_schedule(spec, plan, announce, blind)
+    known = DisturbancePlan(schedule.pop(0, {}))
+    windows = init_shifted_sums(known, spec, now=0)
     state = PlantState.initial(spec, z0, pipelines0)
     n = spec.n
-
-    if blind:
-        windows = ZeroWindows(spec)
-        known = DisturbancePlan()
-    elif announce is None:
-        validate_horizon(plan, spec, now=0)
-        known = plan.copy()
-        windows = init_shifted_sums(known, spec, now=0)
-    else:
-        if announce > spec.horizon:
-            raise ValueError(
-                f"announcement horizon {announce} exceeds the synthesis "
-                f"horizon H = {spec.horizon}"
-            )
-        known = DisturbancePlan()
-        initial = {
-            (i, s): val for (i, s), val in plan.entries.items() if 0 <= s <= announce
-        }
-        windows = init_shifted_sums(known, spec, now=0)
-        apply_plan_updates(windows, known, initial)
 
     z_hist = np.zeros((steps + 1, n))
     u_hist = np.zeros((steps, max(n - 1, 0)))
@@ -89,17 +119,10 @@ def closed_loop(
     decisions = []
 
     for t in range(steps):
-        if not blind and announce is not None and t > 0:
-            fresh = {
-                (i, s): val
-                for (i, s), val in plan.entries.items()
-                if s == t + announce
-            }
-            apply_plan_updates(windows, known, fresh)
-
+        if t in schedule:
+            executor.ledger(apply_plan_updates(windows, known, schedule.pop(t)))
         d_true = plan.d_now(spec, t)
-        d_seen = known.d_now(spec, t) if not blind else np.zeros(n)
-        decision, _ = control_step(state, windows, d_seen, params)
+        decision = executor.decide(state, windows, known.d_now(spec, t), params)
         costs[t] = stage_cost(spec, state.z, decision.v)
         u_hist[t] = decision.u
         v_hist[t] = decision.v
@@ -108,10 +131,7 @@ def closed_loop(
 
         state = plant_step(state, decision, d_true, spec)
         z_hist[t + 1] = state.z
-        if not blind:
-            advance_time(windows, known)
-        else:
-            windows.now += 1
+        executor.ledger(advance_time(windows, known))
 
     traj = Trajectory(
         spec=spec,

@@ -21,12 +21,6 @@ import numpy as np
 
 from .model import GraphSpec
 
-# The product upper limit inside phi_i(Delta): "delta" uses prod_{j=2}^{Delta},
-# which is the variant consistent with the table sizes and confirmed against
-# the dense oracle; "delta+1" uses prod_{j=2}^{Delta+1} capped at the table
-# end, kept only for the differential experiment that froze the default.
-PHI_VARIANT_DEFAULT = "delta"
-
 
 @dataclass(frozen=True)
 class NodeParams:
@@ -66,7 +60,8 @@ class ControllerParams:
     phi: tuple[np.ndarray, ...]
     a: np.ndarray
     c: np.ndarray
-    phi_variant: str
+    q: np.ndarray  # level weights, for the local output formulas
+    r: np.ndarray  # production weights, likewise
 
     def node_slice(self, k: int) -> NodeParams:
         """Local parameters for node k+1 (everything its unit may hold)."""
@@ -74,8 +69,8 @@ class ControllerParams:
             index=k + 1,
             tau_eff=self.tau_eff[k],
             gamma=float(self.gamma[k]),
-            q=float(self._q[k]),
-            r=float(self._r[k]),
+            q=float(self.q[k]),
+            r=float(self.r[k]),
             x1=float(self.X[k][0]),
             p_tau_1=float(self.P[k][self.tau_eff[k] - 1, 0]),
             b=float(self.b[k]) if k < self.n - 1 else 0.0,
@@ -85,10 +80,6 @@ class ControllerParams:
             phi=self.phi[k],
             gprod=self.gprod[k],
         )
-
-    # q and r are carried along for the local output formulas.
-    _q: np.ndarray = None
-    _r: np.ndarray = None
 
 
 def sweep_gamma_rho(q, r) -> tuple[np.ndarray, np.ndarray]:
@@ -168,8 +159,7 @@ def sweep_X_g_b_P(spec: GraphSpec, gamma, rho, x_terminal: float):
 
 
 def sweep_h_and_finalize(
-    spec: GraphSpec, tau_eff, gamma, rho, X, g_cross, gprod, b, P,
-    phi_variant: str = PHI_VARIANT_DEFAULT,
+    spec: GraphSpec, tau_eff, gamma, rho, X, g_cross, gprod, b, P
 ):
     """Third sweep and the final per-node parameters h, phi, a, c."""
     n = spec.n
@@ -187,16 +177,12 @@ def sweep_h_and_finalize(
         h_prev = h[k]  # h_{i-1} for node i = k+1
         pk = P[k]
         phik = np.full(te + 1, np.nan)
+        # The product inside phi_i(Delta) runs over j = 2..Delta, which fits
+        # the table sizes and is the form confirmed against the dense oracle.
         for dlt in range(1, te + 1):
-            if phi_variant == "delta":
-                lim = dlt
-            elif phi_variant == "delta+1":
-                lim = min(dlt + 1, te)
-            else:
-                raise ValueError(f"unknown phi variant {phi_variant!r}")
             phik[dlt] = 1.0 - pk[te - 1, dlt - 1] - (
                 1.0 - pk[te - 1, 0]
-            ) * h_prev * gprod[k][lim]
+            ) * h_prev * gprod[k][dlt]
         phi.append(phik)
         x1 = X[k][0]
         a[k] = x1 / spec.r[k] + gamma[k] / spec.q[k] * (1.0 - x1 / rho[k])
@@ -207,13 +193,13 @@ def sweep_h_and_finalize(
     return h, tuple(phi), a, c
 
 
-def synthesize(spec: GraphSpec, phi_variant: str = PHI_VARIANT_DEFAULT) -> ControllerParams:
+def synthesize(spec: GraphSpec) -> ControllerParams:
     """Run all three sweeps and finalize every controller parameter."""
     gamma, rho = sweep_gamma_rho(spec.q, spec.r)
     x_term = terminal_riccati(gamma[-1], rho[-1])
     X, g, g_cross, gprod, b, P, tau_eff = sweep_X_g_b_P(spec, gamma, rho, x_term)
     h, phi, a, c = sweep_h_and_finalize(
-        spec, tau_eff, gamma, rho, X, g_cross, gprod, b, P, phi_variant
+        spec, tau_eff, gamma, rho, X, g_cross, gprod, b, P
     )
     return ControllerParams(
         n=spec.n,
@@ -231,9 +217,8 @@ def synthesize(spec: GraphSpec, phi_variant: str = PHI_VARIANT_DEFAULT) -> Contr
         phi=phi,
         a=a,
         c=c,
-        phi_variant=phi_variant,
-        _q=np.asarray(spec.q, dtype=float),
-        _r=np.asarray(spec.r, dtype=float),
+        q=np.asarray(spec.q, dtype=float),
+        r=np.asarray(spec.r, dtype=float),
     )
 
 
@@ -242,7 +227,6 @@ def params_to_document(params: ControllerParams) -> str:
     doc = {
         "n": params.n,
         "horizon": params.horizon,
-        "phi_variant": params.phi_variant,
         "nodes": [],
     }
     for k in range(params.n):

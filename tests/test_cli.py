@@ -2,11 +2,14 @@
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
 from pathlq.cli import ConfigError, load_config, main
 
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 BASE_CONFIG = {
     "schema_version": 1,
@@ -55,6 +58,36 @@ class TestConfig:
         path.write_text(json.dumps(cfg))
         with pytest.raises(ConfigError, match="schema_version"):
             load_config(str(path))
+
+    @pytest.mark.parametrize("change, message", [
+        ({"disturbances": [
+            {"node": 2, "start_time": 5, "end_time": 4, "amount_per_step": -0.3}
+        ]}, "start_time <= end_time"),
+        ({"disturbances": [
+            {"node": 2, "start_time": -1, "end_time": 4, "amount_per_step": -0.3}
+        ]}, "0 <= start_time"),
+        ({"disturbances": [
+            {"node": 0, "start_time": 2, "end_time": 4, "amount_per_step": -0.3}
+        ]}, "node 0"),
+        ({"disturbances": [
+            {"node": 4, "start_time": 2, "end_time": 4, "amount_per_step": -0.3}
+        ]}, "node 4"),
+        ({"disturbances": [
+            {"node": 2, "start_time": 2, "end_time": 4, "amount_per_step": float("nan")}
+        ]}, "nan"),
+        ({"disturbances": [
+            {"node": 1, "start_time": 40, "end_time": 40, "amount_per_step": 1.0}
+        ]}, "horizon bound"),
+        ({"tau": [2.7, 1]}, "tau_1 = 2.7"),
+    ], ids=["start-after-end", "negative-start", "node-0", "node-past-n",
+            "nan-amount", "past-horizon", "fractional-tau"])
+    def test_malformed_input_rejected(self, change, message, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(dict(BASE_CONFIG, **change)))
+        rc = main(["simulate", "--config", str(path), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -147,3 +180,37 @@ class TestOtherCommands:
         assert rows and all(
             abs(int(r["from"]) - int(r["to"])) == 1 for r in rows
         )
+
+
+class TestDemoConfigs:
+    """Outputs of the demo configs, compared with those recorded before the
+    closed-loop modes and the harness loop were merged into one driver."""
+
+    @pytest.mark.parametrize("config, argv, output, key, expected", [
+        ("feedforward_demo", ["simulate"], "summary.json", "total_cost",
+         "0.1567095489949083"),
+        ("feedforward_demo", ["simulate", "--no-feedforward"], "summary.json",
+         "total_cost", "0.9434526222761717"),
+        ("feedforward_demo", ["compare-ff"], "compare_ff.json",
+         "cost_no_feedforward", "0.32569576949106577"),
+        ("horizon_sweep_demo", ["simulate"], "summary.json", "total_cost",
+         "1.4007534756518263"),
+        ("horizon_sweep_demo", ["simulate", "--no-feedforward"], "summary.json",
+         "total_cost", "2.391562431931868"),
+    ])
+    def test_costs(self, config, argv, output, key, expected, tmp_path):
+        rc = main([*argv, "--config", str(CONFIG_DIR / f"{config}.json"),
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        assert repr(json.loads((tmp_path / output).read_text())[key]) == expected
+
+    @pytest.mark.parametrize("config, messages", [
+        ("feedforward_demo", 720),
+        ("horizon_sweep_demo", 3240),
+    ])
+    def test_distributed_message_count(self, config, messages, tmp_path):
+        rc = main(["distributed", "--config", str(CONFIG_DIR / f"{config}.json"),
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        with open(tmp_path / "messages.csv") as fh:
+            assert len(list(csv.DictReader(fh))) == messages

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pathlq.controller import (
-    ZeroWindows,
     combine_mu,
     compute_actions,
     control_step,
@@ -14,7 +13,8 @@ from pathlq.controller import (
 )
 from pathlq.errors import LedgerRangeError
 from pathlq.ledger import DisturbancePlan, init_shifted_sums
-from pathlq.model import GraphSpec, PlantState, plant_step
+from pathlq.model import GraphSpec, PlantState
+from pathlq.simulate import closed_loop
 from pathlq.synthesis import synthesize
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0  # 0.618...
@@ -154,13 +154,11 @@ def test_short_window_raises():
 
 
 def test_blind_controller_regulates_initial_imbalance():
-    # With no disturbances, ZeroWindows and real windows agree, and the
-    # closed loop drives the levels toward zero.
+    # A controller that never sees the plan still drives the levels toward
+    # zero when there are no disturbances.
     spec = _spec(3, [1, 2], horizon=2)
     params = synthesize(spec)
-    windows = ZeroWindows(spec)
-    state = PlantState.initial(spec, z0=[2.0, -1.0, 0.5])
-    for _ in range(60):
-        decision, _ = control_step(state, windows, np.zeros(3), params)
-        state = plant_step(state, decision, np.zeros(3), spec)
-    assert np.max(np.abs(state.z)) < 1e-8
+    res = closed_loop(
+        spec, params, DisturbancePlan(), 60, z0=[2.0, -1.0, 0.5], blind=True
+    )
+    assert np.max(np.abs(res.trajectory.z[-1])) < 1e-8

@@ -7,6 +7,7 @@ from pathlq.errors import RoundAbortError
 from pathlq.harness import (
     Message,
     MessageLog,
+    MessagePassing,
     Network,
     audit_message_log,
     run_closed_loop,
@@ -100,6 +101,41 @@ def test_harness_matches_sequential_bitwise():
     assert total == seq.total_cost
     report = audit_message_log(log, spec)
     assert report.ok, report.violations
+
+
+@pytest.mark.parametrize("mode", [{"announce": 2}, {"blind": True}])
+def test_harness_matches_sequential_in_every_mode(mode):
+    rng = np.random.default_rng(18)
+    spec = _spec(4, [2, 3, 1], horizon=3, q=(1.0, 0.4, 2.0, 1.1))
+    params = synthesize(spec)
+    plan = DisturbancePlan({(2, 1): -0.6, (4, 6): 0.9, (1, 3): 0.2, (3, 9): 0.5})
+    z0 = rng.normal(size=4)
+    pipes = [rng.normal(size=t) for t in spec.tau]
+    steps = 25
+
+    seq = closed_loop(spec, params, plan, steps, z0, pipes, **mode)
+    executor = MessagePassing(Network(spec, params), rng=np.random.default_rng(99))
+    dist = closed_loop(spec, params, plan, steps, z0, pipes, executor=executor, **mode)
+    for a, b in zip(seq.decisions, dist.decisions):
+        assert np.array_equal(a.u, b.u)  # bitwise
+        assert np.array_equal(a.v, b.v)
+    assert dist.total_cost == seq.total_cost
+    report = audit_message_log(executor.log, spec)
+    assert report.ok, report.violations
+
+
+def test_announcements_are_logged_as_upstream_updates():
+    spec = _spec(3, [1, 2], horizon=2)
+    params = synthesize(spec)
+    # Announced two steps ahead, at t = 3 and t = 4.
+    plan = DisturbancePlan({(1, 5): 0.4, (2, 6): -1.0})
+    executor = MessagePassing(Network(spec, params))
+    closed_loop(spec, params, plan, 8, announce=2, executor=executor)
+    updates = executor.log.of_kind("D-update")
+    assert [(m.round, m.src, m.dst) for m in updates] == [
+        (3, 1, 2), (3, 2, 3), (4, 2, 3),
+    ]
+    assert audit_message_log(executor.log, spec).ok
 
 
 def test_ledger_traffic_is_logged():
