@@ -42,6 +42,11 @@ class Message:
     dst: int
     kind: str  # "delta" | "mu" | "D-shift" | "D-update"
     value: float
+    time: int | None = None  # shifted time of a ledger payload
+
+
+# dst - src of each kind: delta and the ledger traffic go upstream, mu downstream.
+DIRECTION = {"delta": 1, "mu": -1, "D-shift": 1, "D-update": 1}
 
 
 @dataclass
@@ -214,27 +219,27 @@ class AuditReport:
 
 
 def audit_message_log(log: MessageLog, spec: GraphSpec) -> AuditReport:
-    """Check neighbor-only links and sweep causality on a message log."""
+    """Check links, directions and chain causality on a message log.
+
+    Every message goes to a neighbor inside 1..n, in its kind's direction.
+    A chain is the messages of one kind in one round (and, for the ledger,
+    about one shifted time); in it, a node's message must come after the
+    one it received.
+    """
     violations = []
-    for m in log.records:
-        if abs(m.src - m.dst) != 1:
-            violations.append(f"non-neighbor message {m.src} -> {m.dst} ({m.kind})")
-    sweep = [m for m in log.records if m.kind in ("delta", "mu")]
     by_round: dict[int, list[Message]] = {}
-    for m in sweep:
+    for m in log.records:
+        if abs(m.src - m.dst) != 1 or not 1 <= min(m.src, m.dst) < spec.n:
+            violations.append(f"non-neighbor message {m.src} -> {m.dst} ({m.kind})")
+        elif m.dst - m.src != DIRECTION.get(m.kind):
+            violations.append(f"{m.kind} sent the wrong way, {m.src} -> {m.dst}")
         by_round.setdefault(m.round, []).append(m)
     for rnd, msgs in by_round.items():
-        delta_pos = {m.src: i for i, m in enumerate(msgs) if m.kind == "delta"}
-        mu_pos = {m.src: i for i, m in enumerate(msgs) if m.kind == "mu"}
-        for src, pos in delta_pos.items():
-            if src >= 2 and delta_pos.get(src - 1, -1) > pos:
+        received = {(m.kind, m.time, m.dst): pos for pos, m in enumerate(msgs)}
+        for pos, m in enumerate(msgs):
+            if received.get((m.kind, m.time, m.src), -1) > pos:
                 violations.append(
-                    f"round {rnd}: delta from {src} before delta from {src - 1}"
-                )
-        for src, pos in mu_pos.items():
-            if src <= spec.n - 1 and mu_pos.get(src + 1, -1) > pos:
-                violations.append(
-                    f"round {rnd}: mu from {src} before mu from {src + 1}"
+                    f"round {rnd}: {m.kind} from {m.src} before {m.kind} to {m.src}"
                 )
     return AuditReport(ok=not violations, violations=violations)
 
@@ -265,9 +270,7 @@ class MessagePassing:
     def ledger(self, messages: list[LedgerMessage]) -> None:
         rnd = self.network.round
         for m in messages:
-            self.log.append(
-                Message(round=rnd, src=m.src, dst=m.dst, kind=m.kind, value=m.value)
-            )
+            self.log.append(Message(rnd, m.src, m.dst, m.kind, m.value, m.time))
 
 
 def run_closed_loop(

@@ -1,13 +1,14 @@
 """Planned-disturbance schedule and the per-node shifted-sum windows.
 
-Each node i consumes the aggregates D_i[t] = sum_{j<=i} d_j[t - sigma_j].
-The ledger stores, per node, the window of D_i values for shifted times
-now + sigma_i .. now + sigma_N + H, and maintains it incrementally as
-time advances and as new disturbances are announced.
+Each node i consumes the aggregates D_i[t] = sum_{j<=i} d_j[t - sigma_j]
+over its window of shifted times now + sigma_i .. now + sigma_N + H,
+kept up to date as time advances and new disturbances are announced.
 
-Every stored entry is always the plain ascending-node sum over the
-current plan, evaluated in a fixed order, so windows agree bitwise with
-a from-scratch recomputation after any interleaving of operations.
+Every entry is formed as D_i[s] = D_{i-1}[s] + d_i[s - sigma_i] from
+D_0 = 0.0: the fixed ascending-node sum, so windows agree bitwise with a
+from-scratch recomputation after any interleaving of operations.  Node i
+needs only its own forecast and node i-1's value, so the window-shift
+(D-shift) and update (D-update) messages both go upstream, i -> i+1.
 """
 
 from __future__ import annotations
@@ -34,9 +35,7 @@ class DisturbancePlan:
         for rec in records:
             node = int(rec["node"])
             for t in range(int(rec["start_time"]), int(rec["end_time"]) + 1):
-                plan.entries[(node, t)] = plan.entries.get((node, t), 0.0) + float(
-                    rec["amount_per_step"]
-                )
+                plan.entries[(node, t)] = plan.get(node, t) + float(rec["amount_per_step"])
         return plan
 
     def get(self, node: int, t: int) -> float:
@@ -74,7 +73,7 @@ def _shifted_sum(plan: DisturbancePlan, spec: GraphSpec, i: int, t: int) -> floa
 class LedgerMessage:
     """One neighbor-to-neighbor message of the window-maintenance protocol."""
 
-    kind: str  # "D-shift" (downstream) or "D-update" (upstream)
+    kind: str  # "D-shift" or "D-update", both upstream (src i -> dst i+1)
     src: int
     dst: int
     time: int  # the shifted time the payload refers to
@@ -82,46 +81,36 @@ class LedgerMessage:
 
 
 class ShiftedWindows:
-    """Per-node windows of D_i values anchored at the current time."""
+    """Per-node windows of D_i values anchored at the current time.
+
+    Row k of one (N, sigma_N + H + 1) array holds D_{k+1} at shifted
+    times now + column; node k+1's window is the row from column sigma_k.
+    """
 
     def __init__(self, spec: GraphSpec, plan: DisturbancePlan, now: int = 0):
         validate_horizon(plan, spec, now)
         self.spec = spec
         self.now = now
-        self._win: list[np.ndarray] = []
-        for k in range(spec.n):
-            lo, hi = self._bounds(k, now)
-            self._win.append(
-                np.array(
-                    [_shifted_sum(plan, spec, k + 1, t) for t in range(lo, hi + 1)]
-                )
-            )
-
-    def _bounds(self, k: int, now: int) -> tuple[int, int]:
-        return now + self.spec.sigma[k], now + self.spec.sigma_total + self.spec.horizon
-
-    def get(self, node: int, t: int) -> float:
-        """D_node[t]; raises if t is outside the stored window."""
-        k = node - 1
-        lo, hi = self._bounds(k, self.now)
-        if not (lo <= t <= hi):
-            raise LedgerRangeError(
-                f"D_{node}[{t}] outside window [{lo}, {hi}] at time {self.now}"
-            )
-        return float(self._win[k][t - lo])
+        width = spec.sigma_total + spec.horizon + 1
+        # d_node by shifted time under a D_0 = 0.0 row: a lone -0.0 sums to 0.0.
+        aligned = np.zeros((spec.n + 1, width))
+        for (node, t), value in plan.entries.items():
+            if 1 <= node <= spec.n and 0 <= t - now < width - spec.sigma[node - 1]:
+                aligned[node, t - now + spec.sigma[node - 1]] = value
+        self._D = np.cumsum(aligned, axis=0)[1:]
 
     def slice(self, node: int, length: int) -> np.ndarray:
         """The first `length` entries D_node[now + sigma_node + 0..length-1]."""
-        k = node - 1
-        if length > len(self._win[k]):
+        lo = self.spec.sigma[node - 1]
+        held = self._D.shape[1] - lo
+        if length > held:
             raise LedgerRangeError(
-                f"window of node {node} holds {len(self._win[k])} entries, "
-                f"{length} requested"
+                f"window of node {node} holds {held} entries, {length} requested"
             )
-        return self._win[k][:length]
+        return self._D[node - 1, lo : lo + length]
 
     def as_arrays(self) -> list[np.ndarray]:
-        return [w.copy() for w in self._win]
+        return [row[lo:].copy() for row, lo in zip(self._D, self.spec.sigma)]
 
 
 def init_shifted_sums(
@@ -131,39 +120,25 @@ def init_shifted_sums(
     return ShiftedWindows(spec, plan, now)
 
 
-def advance_time(
-    windows: ShiftedWindows, plan: DisturbancePlan
-) -> list[LedgerMessage]:
+def advance_time(windows: ShiftedWindows, plan: DisturbancePlan) -> list[LedgerMessage]:
     """Shift every window one step forward in time.
 
-    Each node's expiring head becomes the downstream neighbor's newest
-    usable entry (one downstream message per edge, sent even when zero);
-    the last node extends its tail from the plan.  Returns the messages.
+    Each node forms its new tail, at shifted time now + sigma_N + H, from
+    the tail of node i-1 (one upstream message per edge, sent even when
+    zero) plus its own entry at its horizon bound.  Returns the messages.
     """
     spec = windows.spec
-    t0 = windows.now
+    D = windows._D
+    flat = D.reshape(-1)  # a view: D is C-contiguous
+    flat[:-1] = flat[1:]  # one move shifts every row; last columns are set below
+    windows.now += 1
+    st = windows.now + spec.sigma_total + spec.horizon
     messages = []
-    for node in range(spec.n, 1, -1):
-        k = node - 1
-        # Protocol identity: D_{i-1}[t0 + sigma_i] = D_i[t0 + sigma_i] - d_i[t0].
-        # The payload is realized as the canonical ascending sum so that
-        # stored windows stay bitwise-reproducible.
-        t_head = t0 + spec.sigma[k]
-        messages.append(
-            LedgerMessage(
-                kind="D-shift",
-                src=node,
-                dst=node - 1,
-                time=t_head,
-                value=_shifted_sum(plan, spec, node - 1, t_head),
-            )
-        )
-    new_now = t0 + 1
+    tail = 0.0
     for k in range(spec.n):
-        lo, hi = windows._bounds(k, new_now)
-        tail = _shifted_sum(plan, spec, k + 1, hi)
-        windows._win[k] = np.concatenate([windows._win[k][1:], [tail]])
-    windows.now = new_now
+        tail = D[k, -1] = tail + plan.get(k + 1, st - spec.sigma[k])
+        if k + 1 < spec.n:
+            messages.append(LedgerMessage("D-shift", k + 1, k + 2, st, float(tail)))
     return messages
 
 
@@ -175,47 +150,27 @@ def apply_plan_updates(
     """Incorporate newly announced disturbance entries.
 
     `changes` maps (node, absolute time) to the new d value.  Entries must
-    lie at or after the current time and inside the horizon bound.  Only
-    the affected shifted times are recomputed; the upstream messages the
-    protocol would send are returned (none if nothing changed).
+    lie at or after the current time and inside the horizon bound.  Each
+    changed shifted time is formed again from its lowest changed node
+    upward, one addition per hop; returns the upstream messages.
     """
     spec = windows.spec
     now = windows.now
-    if not changes:
-        return []
-    for (node, t), _value in sorted(changes.items()):
+    origin: dict[int, int] = {}  # shifted time -> lowest changed node
+    for node, t in sorted(changes):
         if t < now:
             raise HorizonViolationError(node, t, now)
-        bound = now + spec.horizon + spec.sigma_total - spec.sigma[node - 1]
-        if t > bound and changes[(node, t)] != 0.0:
-            raise HorizonViolationError(node, t, bound)
-    for (node, t), value in changes.items():
-        plan.entries[(node, t)] = value
-
-    # Shifted times whose aggregate changed, per originating node.
-    affected: set[int] = set()
-    origin: dict[int, int] = {}
-    for (node, t) in changes:
-        st = t + spec.sigma[node - 1]
-        affected.add(st)
-        origin[st] = min(origin.get(st, node), node)
-
+        origin.setdefault(t + spec.sigma[node - 1], node)
+    validate_horizon(DisturbancePlan(dict(changes)), spec, now)
+    plan.entries.update(changes)
+    D = windows._D
     messages = []
-    for st in sorted(affected):
-        for node in range(origin[st], spec.n + 1):
-            k = node - 1
-            lo, hi = windows._bounds(k, now)
-            if not (lo <= st <= hi):
+    for st in sorted(origin):
+        c = st - now
+        for k in range(origin[st] - 1, spec.n):
+            if not spec.sigma[k] <= c < D.shape[1]:
                 break  # out of range for this and every node further up
-            windows._win[k][st - lo] = _shifted_sum(plan, spec, node, st)
-            if node < spec.n:
-                messages.append(
-                    LedgerMessage(
-                        kind="D-update",
-                        src=node,
-                        dst=node + 1,
-                        time=st,
-                        value=float(windows._win[k][st - lo]),
-                    )
-                )
+            D[k, c] = (D[k - 1, c] if k else 0.0) + plan.get(k + 1, st - spec.sigma[k])
+            if k + 1 < spec.n:
+                messages.append(LedgerMessage("D-update", k + 1, k + 2, st, float(D[k, c])))
     return messages

@@ -52,13 +52,17 @@ class GraphSpec:
 def validate_spec(raw: Mapping) -> GraphSpec:
     """Build a GraphSpec from a raw mapping, checking every invariant."""
     try:
-        n = int(raw["n"])
+        n = float(raw["n"])
         tau = [float(t) for t in raw["tau"]]
         q = [float(x) for x in raw["q"]]
         r = [float(x) for x in raw["r"]]
-        horizon = int(raw["horizon"])
+        horizon = float(raw["horizon"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecError(f"malformed spec: {exc}") from exc
+    for name, x in (("n", n), ("horizon", horizon)):
+        if not x.is_integer():
+            raise SpecError(f"{name} = {x} must be a whole number")
+    n, horizon = int(n), int(horizon)
 
     if n < 1:
         raise SpecError(f"node count n = {n} must be >= 1")

@@ -111,14 +111,13 @@ def stationary_riccati(
         AP = A.T @ P
         P_next = Q + AP @ A - (A.T @ PB) @ K
         P_next = 0.5 * (P_next + P_next.T)
-        if np.max(np.abs(P_next - P)) <= tol * max(1.0, np.max(np.abs(P_next))):
-            P = P_next
-            break
+        update = np.max(np.abs(P_next - P))
         P = P_next
+        if update <= tol * max(1.0, np.max(np.abs(P))):
+            break
     else:
         raise RuntimeError(
-            f"Riccati iteration did not converge; last update "
-            f"{np.max(np.abs(P_next - P)):.3e}"
+            f"Riccati iteration did not converge; last update {update:.3e}"
         )
     resid = np.max(np.abs(
         Q + A.T @ P @ A

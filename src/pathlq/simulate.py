@@ -96,10 +96,9 @@ def closed_loop(
     With blind=True the controller never learns the plan.  `executor`
     (default Sequential()) computes each step's decision.
     """
-    if announce is not None and announce > spec.horizon:
+    if announce is not None and not 0 <= announce <= spec.horizon:
         raise ValueError(
-            f"announcement horizon {announce} exceeds the synthesis "
-            f"horizon H = {spec.horizon}"
+            f"announcement horizon {announce} must lie in 0..H = {spec.horizon}"
         )
     if executor is None:
         executor = Sequential()

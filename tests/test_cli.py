@@ -79,8 +79,11 @@ class TestConfig:
             {"node": 1, "start_time": 40, "end_time": 40, "amount_per_step": 1.0}
         ]}, "horizon bound"),
         ({"tau": [2.7, 1]}, "tau_1 = 2.7"),
+        ({"n": 5.5}, "n = 5.5"),
+        ({"horizon": 15.7}, "horizon = 15.7"),
     ], ids=["start-after-end", "negative-start", "node-0", "node-past-n",
-            "nan-amount", "past-horizon", "fractional-tau"])
+            "nan-amount", "past-horizon", "fractional-tau", "fractional-n",
+            "fractional-horizon"])
     def test_malformed_input_rejected(self, change, message, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(dict(BASE_CONFIG, **change)))

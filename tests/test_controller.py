@@ -153,6 +153,15 @@ def test_short_window_raises():
         control_step(state, windows, np.zeros(2), params)
 
 
+@pytest.mark.parametrize("announce", [-1, 3])
+def test_announcement_horizon_outside_0_to_H_rejected(announce):
+    spec = _spec(2, [1], horizon=2)
+    params = synthesize(spec)
+    plan = DisturbancePlan({(1, 3): 1.0})
+    with pytest.raises(ValueError, match=f"announcement horizon {announce}"):
+        closed_loop(spec, params, plan, 6, announce=announce)
+
+
 def test_blind_controller_regulates_initial_imbalance():
     # A controller that never sees the plan still drives the levels toward
     # zero when there are no disturbances.

@@ -143,10 +143,40 @@ def test_ledger_traffic_is_logged():
     params = synthesize(spec)
     plan = DisturbancePlan({(3, 1): -1.0})
     _, log, _ = run_closed_loop(spec, params, plan, steps=4)
+    # One upstream window-shift message per edge per step, node 1 first,
+    # logged under the round it precedes and carrying the new tail's
+    # shifted time r + sigma_N + H.
     shifts = log.of_kind("D-shift")
-    # One downstream window-shift message per edge per step.
-    assert len(shifts) == 4 * (spec.n - 1)
-    assert all(m.dst == m.src - 1 for m in shifts)
+    assert [(m.round, m.src, m.dst, m.time) for m in shifts] == [
+        (r, src, src + 1, r + 3 + 1) for r in range(1, 5) for src in (1, 2)
+    ]
+    assert all(m.dst == m.src + 1 for m in log.of_kind("D-shift", "D-update"))
+    assert audit_message_log(log, spec).ok
+
+
+def test_audit_flags_downstream_ledger_message():
+    spec = _spec(3, [1, 2], horizon=1)
+    params = synthesize(spec)
+    _, log, _ = run_closed_loop(spec, params, DisturbancePlan(), steps=2)
+    log.append(Message(round=2, src=3, dst=2, kind="D-shift", value=0.0, time=6))
+    report = audit_message_log(log, spec)
+    assert not report.ok
+    assert "D-shift sent the wrong way, 3 -> 2" in report.violations
+
+
+@pytest.mark.parametrize("kind", ["D-shift", "D-update"])
+def test_audit_flags_out_of_order_ledger_chain(kind):
+    spec = _spec(3, [1, 1], horizon=0)
+    # Node 2 forwards before it has node 1's value for the same time.
+    log = MessageLog()
+    log.append(Message(round=0, src=2, dst=3, kind=kind, value=0.0, time=5))
+    log.append(Message(round=0, src=1, dst=2, kind=kind, value=0.0, time=5))
+    report = audit_message_log(log, spec)
+    assert report.violations == [f"round 0: {kind} from 2 before {kind} to 2"]
+    # About two different shifted times, the same order is two chains.
+    other = MessageLog(log.records[:1])
+    other.append(Message(round=0, src=1, dst=2, kind=kind, value=0.0, time=4))
+    assert audit_message_log(other, spec).ok
 
 
 def test_audit_flags_non_neighbor_message():

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathlq.errors import HorizonViolationError, LedgerRangeError
 from pathlq.ledger import (
     DisturbancePlan,
+    _shifted_sum,
     advance_time,
     apply_plan_updates,
     init_shifted_sums,
@@ -23,6 +26,22 @@ def _spec(n, tau, horizon, q=None, r=None):
 def _recompute(windows, plan):
     fresh = init_shifted_sums(plan, windows.spec, now=windows.now)
     return fresh.as_arrays()
+
+
+def _entry(windows, node, t):
+    """D_node[t], read from node's window."""
+    return windows.as_arrays()[node - 1][t - windows.now - windows.spec.sigma[node - 1]]
+
+
+def _assert_definition(windows, plan):
+    """Every window equals _shifted_sum over the plan, byte for byte."""
+    spec = windows.spec
+    last = windows.now + spec.sigma_total + spec.horizon
+    for k, got in enumerate(windows.as_arrays()):
+        times = range(windows.now + spec.sigma[k], last + 1)
+        want = np.array([_shifted_sum(plan, spec, k + 1, t) for t in times])
+        assert got.tobytes() == want.tobytes()
+        assert windows.slice(k + 1, len(got)).tobytes() == want.tobytes()
 
 
 class TestPlan:
@@ -85,30 +104,32 @@ class TestInitWindows:
         plan = DisturbancePlan({(1, 1): 0.5, (2, 1): -1.0, (3, 0): 2.0})
         windows = init_shifted_sums(plan, spec)
         # D_1[t] = d_1[t].
-        assert windows.get(1, 1) == 0.5
+        assert _entry(windows, 1, 1) == 0.5
         # D_2[3] = d_1[3] + d_2[1].
-        assert windows.get(2, 3) == -1.0
+        assert _entry(windows, 2, 3) == -1.0
         # D_3[4] = d_1[4] + d_2[2] + d_3[0].
-        assert windows.get(3, 4) == 2.0
+        assert _entry(windows, 3, 4) == 2.0
         # D_3[5] = d_1[5] + d_2[3] + d_3[1] = 0.
-        assert windows.get(3, 5) == 0.0
+        assert _entry(windows, 3, 5) == 0.0
 
     def test_out_of_window_access_raises(self):
+        # sigma = [0, 2]: node 1 holds shifted times 0..3, node 2 holds 2..3.
         spec = _spec(2, [2], horizon=1)
         windows = init_shifted_sums(DisturbancePlan(), spec)
+        assert len(windows.slice(1, 4)) == 4
+        assert len(windows.slice(2, 2)) == 2
         with pytest.raises(LedgerRangeError):
-            windows.get(1, -1)
-        with pytest.raises(LedgerRangeError):
-            windows.get(2, 4)
+            windows.slice(1, 5)
         with pytest.raises(LedgerRangeError):
             windows.slice(2, 3)
 
 
 class TestAdvance:
     def test_shift_identity_two_edges(self):
-        # tau = [2, 2]: the value node 2 hands to node 1 at time t0 refers
-        # to shifted time t0 + sigma_2 and satisfies
-        # D_1[t0 + 2] = D_2[t0 + 2] - d_2[t0].
+        # tau = [2, 2], sigma = [0, 2, 4], H = 5: after the step to t = 1
+        # every window gains shifted time 1 + 4 + 5 = 10.  Node i forms it
+        # from node i-1's tail plus its own entry at its horizon bound,
+        # d_i[10 - sigma_i], and sends the result upstream.
         spec = _spec(3, [2, 2], horizon=5)
         plan = DisturbancePlan.from_records(
             [
@@ -117,20 +138,29 @@ class TestAdvance:
             ]
         )
         windows = init_shifted_sums(plan, spec)
-        t0 = windows.now
-        d2_before = windows.get(2, t0 + 2)
+        # Entries at the horizon bounds of t = 1, known once time advances.
+        plan.entries.update({(1, 10): 0.1, (2, 8): 0.2, (3, 6): -0.7})
         msgs = advance_time(windows, plan)
-        msg = next(m for m in msgs if m.src == 2)
-        assert msg.dst == 1 and msg.time == t0 + 2
-        assert np.isclose(msg.value, d2_before - plan.get(2, t0))
+        assert [(m.kind, m.src, m.dst, m.time) for m in msgs] == [
+            ("D-shift", 1, 2, 10),
+            ("D-shift", 2, 3, 10),
+        ]
+        tails = [w[-1] for w in windows.as_arrays()]
+        received = [0.0] + [m.value for m in msgs]
+        for node in (1, 2, 3):
+            own = plan.get(node, 10 - spec.sigma[node - 1])
+            assert tails[node - 1] == received[node - 1] + own
+            assert tails[node - 1] == _shifted_sum(plan, spec, node, 10)
+        assert [m.value for m in msgs] == tails[:2]
+        assert tails[2] == (0.1 + 0.2) + -0.7
 
     def test_one_message_per_edge_even_when_zero(self):
         spec = _spec(4, [1, 2, 3], horizon=2)
         windows = init_shifted_sums(DisturbancePlan(), spec)
         msgs = advance_time(windows, DisturbancePlan())
-        assert len(msgs) == spec.n - 1
-        assert all(m.value == 0.0 for m in msgs)
-        assert sorted((m.src, m.dst) for m in msgs) == [(2, 1), (3, 2), (4, 3)]
+        assert [(m.src, m.dst) for m in msgs] == [(1, 2), (2, 3), (3, 4)]
+        assert all(m.kind == "D-shift" and m.dst == m.src + 1 for m in msgs)
+        assert all(m.value == 0.0 and m.time == 1 + 6 + 2 for m in msgs)
 
     def test_bitwise_match_after_many_steps(self):
         rng = np.random.default_rng(7)
@@ -156,8 +186,8 @@ class TestUpdates:
         msgs = apply_plan_updates(windows, plan, {(1, 3): -0.7})
         # d_1[3] affects D_i[3] for every node whose window covers t = 3,
         # i.e. nodes 1 and 2 (node 3's window starts at sigma_3 = 4).
-        assert windows.get(1, 3) == -0.7
-        assert windows.get(2, 3) == -0.7
+        assert _entry(windows, 1, 3) == -0.7
+        assert _entry(windows, 2, 3) == -0.7
         assert [(m.src, m.dst, m.time) for m in msgs] == [(1, 2, 3), (2, 3, 3)]
 
     def test_update_bitwise_vs_recompute(self):
@@ -185,10 +215,12 @@ class TestUpdates:
         spec = _spec(2, [1], horizon=3)
         plan = DisturbancePlan()
         windows = init_shifted_sums(plan, spec)
-        advance_time(windows, plan)
-        advance_time(windows, plan)
-        with pytest.raises(HorizonViolationError):
-            apply_plan_updates(windows, plan, {(1, 1): 1.0})
+        for _ in range(4):
+            advance_time(windows, plan)
+        with pytest.raises(
+            HorizonViolationError, match="time 3 is before the current time 4"
+        ):
+            apply_plan_updates(windows, plan, {(1, 3): 1.0})
 
     def test_too_far_ahead_rejected(self):
         spec = _spec(2, [1], horizon=3)
@@ -205,3 +237,41 @@ class TestUpdates:
         assert apply_plan_updates(windows, plan, {}) == []
         for got, want in zip(windows.as_arrays(), before):
             assert np.array_equal(got, want)
+
+
+AMOUNTS = st.one_of(
+    st.sampled_from([0.0, -0.0]), st.floats(-1e8, 1e8, allow_subnormal=True)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_windows_equal_the_definition_bitwise(data):
+    # Random sizes and random interleavings of time advances and plan
+    # updates, with -0.0 amounts, entries before the current time and
+    # zero entries past the horizon bound.
+    n = data.draw(st.integers(1, 8), label="n")
+    tau = data.draw(st.lists(st.integers(1, 5), min_size=n - 1, max_size=n - 1))
+    spec = _spec(n, tau, horizon=data.draw(st.integers(0, 8), label="H"))
+
+    def draw_entry(now, earliest):
+        node = data.draw(st.integers(1, n))
+        bound = now + spec.horizon + spec.sigma_total - spec.sigma[node - 1]
+        t = data.draw(st.integers(earliest, bound + 3))
+        amount = data.draw(AMOUNTS if t <= bound else st.sampled_from([0.0, -0.0]))
+        return (node, t), amount
+
+    now = data.draw(st.integers(0, 3), label="now")
+    plan = DisturbancePlan(
+        dict(draw_entry(now, now - 2) for _ in range(data.draw(st.integers(0, 12))))
+    )
+    windows = init_shifted_sums(plan, spec, now=now)
+    _assert_definition(windows, plan)
+    for advance in data.draw(st.lists(st.booleans(), max_size=25), label="ops"):
+        if advance:
+            advance_time(windows, plan)
+        else:
+            size = data.draw(st.integers(1, 4))
+            changes = dict(draw_entry(windows.now, windows.now) for _ in range(size))
+            apply_plan_updates(windows, plan, changes)
+        _assert_definition(windows, plan)

@@ -82,6 +82,12 @@ class TestStationary:
         flow_rows = K[: spec.n - 1]
         assert np.max(np.abs(flow_rows)) > 1e-6
 
+    def test_non_convergence_reports_the_last_update(self):
+        system = build_augmented_system(_spec(2, [1], horizon=0))
+        with pytest.raises(RuntimeError, match="last update") as info:
+            stationary_riccati(system, max_iter=1)
+        assert float(str(info.value).rsplit(" ", 1)[-1]) > 0.0
+
     def test_closed_loop_is_stable(self):
         rng = np.random.default_rng(9)
         spec = _spec(3, [3, 2], horizon=0, q=(2.0, 0.5, 1.0))
