@@ -5,9 +5,10 @@ and a downstream sweep aggregates the mu values (node N to 1); the two
 sweeps are independent and may run in either order.  Afterwards every
 node computes its flow and production from purely local quantities.
 
-The per-node kernels below are also used verbatim by the distributed
-harness, so sequential and message-passing execution produce bit-equal
-decisions.
+The per-node kernels below are what each unit of the distributed harness
+runs.  The sequential sweeps apply the same formulas to all nodes at once
+over the packed parameter tables, in the same order of operations, so
+sequential and message-passing execution produce bit-equal decisions.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ def local_phi(p: NodeParams, z_k: float, uvals: np.ndarray, dwin: np.ndarray) ->
 
 
 def combine_delta(p: NodeParams, phi_val: float, delta_prev: float) -> float:
-    return phi_val + (1.0 - p.p_tau_1) * delta_prev
+    return phi_val + p.one_minus_p_tau_1 * delta_prev
 
 
 def local_pi(p: NodeParams, z_k: float, uvals: np.ndarray, dwin: np.ndarray) -> float:
@@ -68,7 +69,7 @@ def local_flow(
 ) -> float:
     """u_{i-1}[t], the flow node i releases downstream (nodes i >= 2)."""
     return (
-        (1.0 - p.gamma / p.q) * (z_k + u_oldest + d_head)
+        p.one_minus_gamma_q * (z_k + u_oldest + d_head)
         - p.a * delta_prev
         + p.c * mu_k
         + d_k
@@ -78,54 +79,60 @@ def local_flow(
 
 def local_production(p: NodeParams, delta_prev: float, mu_k: float) -> float:
     """v_i[t] = -(X_i(1)/r_i) (delta_{i-1} + (1 - h_{i-1}) mu_i)."""
-    return -(p.x1 / p.r) * (delta_prev + (1.0 - p.h_prev) * mu_k)
+    return -p.x1_over_r * (delta_prev + p.one_minus_h_prev * mu_k)
 
 
-# --- sequential sweeps ------------------------------------------------------
+# --- sequential sweeps over the packed tables -------------------------------
 
-def _node_inputs(state: PlantState, params: ControllerParams, k: int):
-    """(uvals, ) the in-transit flows node k+1 sees, oldest first."""
-    if k < params.n - 1:
-        return state.pipelines[k]
-    return np.zeros(params.tau_eff[k])  # last node: no incoming edge
+def _inputs(state: PlantState, windows: ShiftedWindows, cols: np.ndarray):
+    """(in-transit flows, window entries) at the columns of
+    ControllerParams.delay_cols: node i's u_i[t-(tau_i-D)] (0.0 for the last
+    node, which has no incoming edge) and D_i[t+sigma_i+D]."""
+    # The last node's columns lie past the pipelines: clipped, they read the
+    # buffer's closing 0.0.
+    return state.flows.take(cols, mode="clip"), windows.gather(cols)
 
 
-def _window_slices(windows, params: ControllerParams) -> list[np.ndarray]:
-    return [windows.slice(k + 1, params.tau_eff[k]) for k in range(params.n)]
+def _left_folds(params: ControllerParams, head: np.ndarray, terms: np.ndarray):
+    """head_k + terms[k, 0] + ... + terms[k, tau_eff_k - 1] for every node k.
+
+    Accumulating along the delay axis adds strictly left to right, the
+    scalar kernels' order; entries past a node's end are never read.
+    """
+    acc = np.empty(params.phi.shape)
+    acc[:, 0] = head
+    acc[:, 1:] = terms
+    return np.add.accumulate(acc, axis=1).take(params.fold_end)
 
 
 def upstream_sweep(
     state: PlantState, windows: ShiftedWindows, params: ControllerParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """delta (and Phi) values, node 1 up to node N."""
-    n = params.n
-    dwin = _window_slices(windows, params)
-    Phi = np.empty(n)
-    delta = np.empty(n)
+    flows, dwin = _inputs(state, windows, params.delay_cols)
+    phi = params.phi
+    Phi = _left_folds(params, phi[:, 1] * state.z, phi[:, 1:] * (flows + dwin))
+    delta = []
     prev = 0.0
-    for k in range(n):
-        p = params.node_slice(k)
-        Phi[k] = local_phi(p, state.z[k], _node_inputs(state, params, k), dwin[k])
-        delta[k] = combine_delta(p, Phi[k], prev)
-        prev = delta[k]
-    return delta, Phi
+    for phi_k, w_k in zip(Phi.tolist(), params.one_minus_p_tau_1.tolist()):
+        prev = phi_k + w_k * prev
+        delta.append(prev)
+    return np.array(delta), Phi
 
 
 def downstream_sweep(
     state: PlantState, windows: ShiftedWindows, params: ControllerParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """mu (and pi) values, node N down to node 1."""
-    n = params.n
-    dwin = _window_slices(windows, params)
-    pi = np.empty(n)
-    mu = np.empty(n)
+    flows, dwin = _inputs(state, windows, params.delay_cols)
+    pi = _left_folds(params, state.z, (flows + dwin) * params.gprod[:, 1:])
+    mu = []
     nxt = 0.0
-    for k in range(n - 1, -1, -1):
-        p = params.node_slice(k)
-        pi[k] = local_pi(p, state.z[k], _node_inputs(state, params, k), dwin[k])
-        mu[k] = combine_mu(p, pi[k], nxt)
-        nxt = mu[k]
-    return mu, pi
+    # Node N's b is 0.0, as in its NodeParams.
+    for pi_k, b_k in zip(pi.tolist()[::-1], [0.0] + params.b.tolist()[::-1]):
+        nxt = pi_k + b_k * nxt
+        mu.append(nxt)
+    return np.array(mu[::-1]), pi
 
 
 def compute_actions(
@@ -137,19 +144,17 @@ def compute_actions(
     params: ControllerParams,
 ) -> ControlDecision:
     """Local output formulas once both sweeps have completed."""
-    n = params.n
-    dwin = _window_slices(windows, params)
-    u = np.zeros(max(n - 1, 0))
-    v = np.empty(n)
-    for k in range(n):
-        p = params.node_slice(k)
-        delta_prev = delta[k - 1] if k > 0 else 0.0
-        if k > 0:
-            uvals = _node_inputs(state, params, k)
-            u[k - 1] = local_flow(
-                p, state.z[k], uvals[0], dwin[k][0], delta_prev, mu[k], d_now[k]
-            )
-        v[k] = local_production(p, delta_prev, mu[k])
+    heads = _inputs(state, windows, params.delay_cols[:, :1])
+    u_oldest, d_head = (x[1:, 0] for x in heads)  # nodes 2..N
+    delta_prev = np.concatenate(([0.0], delta[:-1]))
+    v = -params.x1_over_r * (delta_prev + params.one_minus_h_prev * mu)
+    u = (
+        params.one_minus_gamma_q[1:] * (state.z[1:] + u_oldest + d_head)
+        - params.a[1:] * delta[:-1]
+        + params.c[1:] * mu[1:]
+        + d_now[1:]
+        - d_head
+    )
     return ControlDecision(u=u, v=v)
 
 
@@ -164,4 +169,3 @@ def control_step(
     mu, pi = downstream_sweep(state, windows, params)
     decision = compute_actions(state, windows, d_now, delta, mu, params)
     return decision, SweepState(Phi=Phi, delta=delta, pi=pi, mu=mu)
-

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import HorizonViolationError, LedgerRangeError
+from .errors import HorizonViolationError, LedgerRangeError, SpecError
 from .model import GraphSpec
 
 
@@ -46,12 +46,15 @@ class DisturbancePlan:
 
 
 def validate_horizon(plan: DisturbancePlan, spec: GraphSpec, now: int = 0) -> None:
-    """Check every nonzero entry against the planning-horizon bound.
+    """Check every entry's node, and every nonzero entry against the
+    planning-horizon bound.
 
     Relative to the reference time `now`, node i may only carry planned
     disturbances up to H + (sigma_N - sigma_i) steps ahead.
     """
     for (node, t), value in sorted(plan.entries.items()):
+        if not 1 <= node <= spec.n:
+            raise SpecError(f"disturbance at node {node}: nodes are 1..{spec.n}")
         if value == 0.0:
             continue
         bound = now + spec.horizon + spec.sigma_total - spec.sigma[node - 1]
@@ -95,9 +98,10 @@ class ShiftedWindows:
         # d_node by shifted time under a D_0 = 0.0 row: a lone -0.0 sums to 0.0.
         aligned = np.zeros((spec.n + 1, width))
         for (node, t), value in plan.entries.items():
-            if 1 <= node <= spec.n and 0 <= t - now < width - spec.sigma[node - 1]:
+            if 0 <= t - now < width - spec.sigma[node - 1]:
                 aligned[node, t - now + spec.sigma[node - 1]] = value
         self._D = np.cumsum(aligned, axis=0)[1:]
+        self._rows = np.arange(spec.n)[:, None]
 
     def slice(self, node: int, length: int) -> np.ndarray:
         """The first `length` entries D_node[now + sigma_node + 0..length-1]."""
@@ -108,6 +112,18 @@ class ShiftedWindows:
                 f"window of node {node} holds {held} entries, {length} requested"
             )
         return self._D[node - 1, lo : lo + length]
+
+    def gather(self, cols: np.ndarray) -> np.ndarray:
+        """Entries of every node's row in one index: out[k, j] is
+        D_{k+1}[now + cols[k, j]]; node k+1's window starts at column
+        sigma_{k+1}."""
+        try:
+            return self._D[self._rows, cols]
+        except IndexError:
+            raise LedgerRangeError(
+                f"windows end at column {self._D.shape[1] - 1}, "
+                f"column {cols.max()} requested"
+            ) from None
 
     def as_arrays(self) -> list[np.ndarray]:
         return [row[lo:].copy() for row, lo in zip(self._D, self.spec.sigma)]
@@ -156,12 +172,12 @@ def apply_plan_updates(
     """
     spec = windows.spec
     now = windows.now
+    validate_horizon(DisturbancePlan(dict(changes)), spec, now)
     origin: dict[int, int] = {}  # shifted time -> lowest changed node
     for node, t in sorted(changes):
         if t < now:
             raise HorizonViolationError(node, t, now)
         origin.setdefault(t + spec.sigma[node - 1], node)
-    validate_horizon(DisturbancePlan(dict(changes)), spec, now)
     plan.entries.update(changes)
     D = windows._D
     messages = []

@@ -8,6 +8,7 @@ injections (d).  Levels z and all flows are deviations from equilibrium.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -82,17 +83,39 @@ def validate_spec(raw: Mapping) -> GraphSpec:
     )
 
 
-@dataclass(frozen=True)
 class PlantState:
     """Node levels plus per-edge in-transit buffers at absolute time t.
 
     pipelines[e] holds the flows already sent on edge e+1 but not yet
     arrived, oldest first: pipelines[e][k] = u_{e+1}[t - tau_{e+1} + k].
+    All pipelines live back to back in one buffer, `flows`, edge e+1's
+    from offset sigma_{e+1}, so one move shifts them all; `pipelines`
+    are views into it.  The buffer ends with one 0.0, the flow in transit
+    to node N, which has no incoming edge.
     """
 
-    t: int
-    z: np.ndarray
-    pipelines: tuple[np.ndarray, ...]
+    def __init__(self, t: int, z: np.ndarray, pipelines: Sequence[np.ndarray]):
+        lengths = np.array([len(p) for p in pipelines], dtype=int)
+        flows = np.concatenate([*pipelines, [0.0]], dtype=float)
+        ends = np.cumsum(lengths)
+        self._init(t, z, flows, ends - lengths, ends - 1)
+
+    def _init(self, t, z, flows, first, last) -> None:
+        self.t = t
+        self.z = z
+        self.flows = flows
+        self._first = first  # each pipeline's first (oldest) slot in flows
+        self._last = last  # and its last (newest) one
+
+    def successor(self, z: np.ndarray, flows: np.ndarray) -> "PlantState":
+        """The state one step later, with these levels and flows, same edges."""
+        nxt = PlantState.__new__(PlantState)
+        nxt._init(self.t + 1, z, flows, self._first, self._last)
+        return nxt
+
+    @functools.cached_property
+    def pipelines(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.flows[a : b + 1] for a, b in zip(self._first, self._last))
 
     @staticmethod
     def initial(spec: GraphSpec, z0=None, pipelines0=None) -> "PlantState":
@@ -102,7 +125,7 @@ class PlantState:
         if pipelines0 is None:
             pipes = tuple(np.zeros(t) for t in spec.tau)
         else:
-            pipes = tuple(np.asarray(p, dtype=float).copy() for p in pipelines0)
+            pipes = tuple(np.asarray(p, dtype=float) for p in pipelines0)
             if len(pipes) != spec.n - 1 or any(
                 p.shape != (t,) for p, t in zip(pipes, spec.tau)
             ):
@@ -136,16 +159,17 @@ def plant_step(
             f"action/disturbance shapes {u.shape}, {v.shape}, {d.shape} do not "
             f"match n = {n}"
         )
+    old = state.flows
     arrivals = np.zeros(n)
-    for e in range(n - 1):
-        arrivals[e] = state.pipelines[e][0]  # u_{e+1}[t - tau_{e+1}]
+    arrivals[:-1] = old[state._first]  # u_{e+1}[t - tau_{e+1}]
     departures = np.zeros(n)
     departures[1:] = u  # node i loses u_{i-1}[t]
     z_next = state.z + arrivals - departures + v + d
-    pipes_next = tuple(
-        np.concatenate([state.pipelines[e][1:], [u[e]]]) for e in range(n - 1)
-    )
-    return PlantState(t=state.t + 1, z=z_next, pipelines=pipes_next)
+    flows = np.empty_like(old)
+    flows[:-1] = old[1:]  # every pipeline one slot older; newest slots set next
+    flows[state._last] = u
+    flows[-1] = 0.0
+    return state.successor(z_next, flows)
 
 
 def stage_cost(spec: GraphSpec, z: np.ndarray, v: np.ndarray) -> float:

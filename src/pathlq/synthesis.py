@@ -28,22 +28,26 @@ class NodeParams:
 
     index: int  # 1-based node index
     tau_eff: int
-    gamma: float
-    q: float
-    r: float
-    x1: float  # X_i(1)
-    p_tau_1: float  # P_i(tau_i, 1)
+    one_minus_p_tau_1: float  # 1 - P_i(tau_i, 1)
     b: float  # 0.0 for the last node (never used there)
-    h_prev: float  # h_{i-1}
     a: float
     c: float
+    one_minus_gamma_q: float  # 1 - gamma_i / q_i
+    x1_over_r: float  # X_i(1) / r_i
+    one_minus_h_prev: float  # 1 - h_{i-1}
     phi: np.ndarray  # phi[Delta] for Delta = 1..tau_eff (index 0 unused)
     gprod: np.ndarray  # gprod[m] = prod_{j=2}^{m} g_i(j), m = 1..tau_eff
 
 
 @dataclass(frozen=True)
 class ControllerParams:
-    """All synthesized parameters, indexed per node."""
+    """All synthesized parameters, indexed per node.
+
+    The per-delay tables phi and gprod are packed into one (N, W) array
+    each, W = max(tau_eff) + 1: row k holds node k+1's entries 1..tau_eff
+    and NaN elsewhere.  Every per-node scalar of the online law is one
+    length-N array, so the sequential controller reads all nodes at once.
+    """
 
     n: int
     horizon: int
@@ -53,30 +57,35 @@ class ControllerParams:
     X: tuple[np.ndarray, ...]  # X[k][j-1]; last node has H+2 entries
     g: tuple[np.ndarray, ...]  # g[k][j] for j = 2..tau_eff (indices 0,1 unused)
     g_cross: np.ndarray  # g_cross[k] = g_{i+1}(1) stored at node i = k+1 < N
-    gprod: tuple[np.ndarray, ...]
+    gprod: np.ndarray  # (N, W)
     b: np.ndarray  # b_i for i = 1..N-1
     P: tuple[np.ndarray, ...]  # P[k][l-1, m-1], shape (tau_eff, tau_eff)
     h: np.ndarray  # h[i] = h_i for i = 0..N-1, h[0] = 0
-    phi: tuple[np.ndarray, ...]
+    phi: np.ndarray  # (N, W)
     a: np.ndarray
     c: np.ndarray
-    q: np.ndarray  # level weights, for the local output formulas
-    r: np.ndarray  # production weights, likewise
+    one_minus_p_tau_1: np.ndarray
+    one_minus_gamma_q: np.ndarray
+    x1_over_r: np.ndarray
+    one_minus_h_prev: np.ndarray
+    # Column of node k+1's delay slot D = 0..W-2 in the layout that the
+    # plant's flow buffer and the ledger's window rows share: sigma_{k+1} + D,
+    # repeating the node's last slot past its tau_eff.
+    delay_cols: np.ndarray  # (N, W-1)
+    fold_end: np.ndarray  # k * W + tau_eff[k]: where node k's left fold ends
 
     def node_slice(self, k: int) -> NodeParams:
         """Local parameters for node k+1 (everything its unit may hold)."""
         return NodeParams(
             index=k + 1,
             tau_eff=self.tau_eff[k],
-            gamma=float(self.gamma[k]),
-            q=float(self.q[k]),
-            r=float(self.r[k]),
-            x1=float(self.X[k][0]),
-            p_tau_1=float(self.P[k][self.tau_eff[k] - 1, 0]),
+            one_minus_p_tau_1=float(self.one_minus_p_tau_1[k]),
             b=float(self.b[k]) if k < self.n - 1 else 0.0,
-            h_prev=float(self.h[k]),
             a=float(self.a[k]),
             c=float(self.c[k]),
+            one_minus_gamma_q=float(self.one_minus_gamma_q[k]),
+            x1_over_r=float(self.x1_over_r[k]),
+            one_minus_h_prev=float(self.one_minus_h_prev[k]),
             phi=self.phi[k],
             gprod=self.gprod[k],
         )
@@ -111,10 +120,11 @@ def sweep_X_g_b_P(spec: GraphSpec, gamma, rho, x_terminal: float):
     tau_eff = list(spec.tau) + [spec.horizon + 1]
     X: list[np.ndarray] = [None] * n
     g: list[np.ndarray] = [None] * n
-    gprod: list[np.ndarray] = [None] * n
+    gprod = np.full((n, max(tau_eff) + 1), np.nan)
     P: list[np.ndarray] = [None] * n
     g_cross = np.zeros(max(n - 1, 0))
     b = np.zeros(max(n - 1, 0))
+    one_minus_p_tau_1 = np.empty(n)
 
     for k in range(n - 1, -1, -1):
         te = tau_eff[k]
@@ -135,11 +145,10 @@ def sweep_X_g_b_P(spec: GraphSpec, gamma, rho, x_terminal: float):
         if k < n - 1:
             g_cross[k] = X[k + 1][0] / (X[k + 1][0] + gamma[k])
 
-        gp = np.full(te + 1, np.nan)
+        gp = gprod[k]
         gp[1] = 1.0
         for m in range(2, te + 1):
             gp[m] = gp[m - 1] * gk[m]
-        gprod[k] = gp
         if k < n - 1:
             b[k] = g_cross[k] * gp[te]
 
@@ -154,53 +163,79 @@ def sweep_X_g_b_P(spec: GraphSpec, gamma, rho, x_terminal: float):
                 else:
                     pk[l - 1, m - 1] = (1.0 - wl) * pk[l - 2, m - 1] + wl
         P[k] = pk
+        one_minus_p_tau_1[k] = 1.0 - pk[te - 1, 0]
 
-    return tuple(X), tuple(g), g_cross, tuple(gprod), b, tuple(P), tuple(tau_eff)
+    return (
+        tuple(X), tuple(g), g_cross, gprod, b, tuple(P), one_minus_p_tau_1,
+        tuple(tau_eff),
+    )
 
 
 def sweep_h_and_finalize(
-    spec: GraphSpec, tau_eff, gamma, rho, X, g_cross, gprod, b, P
+    spec: GraphSpec, tau_eff, gamma, rho, X, g_cross, gprod, b, P, one_minus_p_tau_1
 ):
-    """Third sweep and the final per-node parameters h, phi, a, c."""
+    """Third sweep and the final per-node parameters h, phi, a, c and the
+    coefficients of the local output formulas."""
     n = spec.n
     h = np.zeros(n)  # h[i] = h_i, i = 0..N-1; h_0 = 0
     for i in range(1, n):
         k = i - 1
         te = tau_eff[k]
-        h[i] = (1.0 - P[k][te - 1, 0]) * b[k] * h[i - 1] + P[k][te - 1, te - 1] * g_cross[k]
+        h[i] = (
+            one_minus_p_tau_1[k] * b[k] * h[i - 1] + P[k][te - 1, te - 1] * g_cross[k]
+        )
 
-    phi: list[np.ndarray] = []
+    phi = np.full(gprod.shape, np.nan)
     a = np.empty(n)
     c = np.empty(n)
+    one_minus_gamma_q = np.empty(n)
+    x1_over_r = np.empty(n)
+    one_minus_h_prev = np.empty(n)
     for k in range(n):
         te = tau_eff[k]
         h_prev = h[k]  # h_{i-1} for node i = k+1
         pk = P[k]
-        phik = np.full(te + 1, np.nan)
         # The product inside phi_i(Delta) runs over j = 2..Delta, which fits
         # the table sizes and is the form confirmed against the dense oracle.
         for dlt in range(1, te + 1):
-            phik[dlt] = 1.0 - pk[te - 1, dlt - 1] - (
-                1.0 - pk[te - 1, 0]
-            ) * h_prev * gprod[k][dlt]
-        phi.append(phik)
+            phi[k, dlt] = 1.0 - pk[te - 1, dlt - 1] - (
+                one_minus_p_tau_1[k] * h_prev * gprod[k, dlt]
+            )
         x1 = X[k][0]
-        a[k] = x1 / spec.r[k] + gamma[k] / spec.q[k] * (1.0 - x1 / rho[k])
+        gamma_q = gamma[k] / spec.q[k]
+        one_minus_gamma_q[k] = 1.0 - gamma_q
+        x1_over_r[k] = x1 / spec.r[k]
+        one_minus_h_prev[k] = 1.0 - h_prev
+        a[k] = x1_over_r[k] + gamma_q * (1.0 - x1 / rho[k])
         c[k] = (
-            -(x1 / spec.r[k] - gamma[k] * x1 / (spec.q[k] * rho[k])) * (1.0 - h_prev)
-            + gamma[k] / spec.q[k] * h_prev
+            -(x1_over_r[k] - gamma[k] * x1 / (spec.q[k] * rho[k])) * one_minus_h_prev[k]
+            + gamma_q * h_prev
         )
-    return h, tuple(phi), a, c
+    return h, phi, a, c, one_minus_gamma_q, x1_over_r, one_minus_h_prev
+
+
+def _delay_layout(tau_eff: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """delay_cols and fold_end of ControllerParams for these delays."""
+    te = np.array(tau_eff)
+    width = int(te.max()) + 1
+    sigma = np.concatenate(([0], np.cumsum(te[:-1])))
+    delay_cols = sigma[:, None] + np.minimum(np.arange(width - 1), te[:, None] - 1)
+    return delay_cols, np.arange(len(te)) * width + te
 
 
 def synthesize(spec: GraphSpec) -> ControllerParams:
     """Run all three sweeps and finalize every controller parameter."""
     gamma, rho = sweep_gamma_rho(spec.q, spec.r)
     x_term = terminal_riccati(gamma[-1], rho[-1])
-    X, g, g_cross, gprod, b, P, tau_eff = sweep_X_g_b_P(spec, gamma, rho, x_term)
-    h, phi, a, c = sweep_h_and_finalize(
-        spec, tau_eff, gamma, rho, X, g_cross, gprod, b, P
+    X, g, g_cross, gprod, b, P, one_minus_p_tau_1, tau_eff = sweep_X_g_b_P(
+        spec, gamma, rho, x_term
     )
+    h, phi, a, c, one_minus_gamma_q, x1_over_r, one_minus_h_prev = (
+        sweep_h_and_finalize(
+            spec, tau_eff, gamma, rho, X, g_cross, gprod, b, P, one_minus_p_tau_1
+        )
+    )
+    delay_cols, fold_end = _delay_layout(tau_eff)
     return ControllerParams(
         n=spec.n,
         horizon=spec.horizon,
@@ -217,8 +252,12 @@ def synthesize(spec: GraphSpec) -> ControllerParams:
         phi=phi,
         a=a,
         c=c,
-        q=np.asarray(spec.q, dtype=float),
-        r=np.asarray(spec.r, dtype=float),
+        one_minus_p_tau_1=one_minus_p_tau_1,
+        one_minus_gamma_q=one_minus_gamma_q,
+        x1_over_r=x1_over_r,
+        one_minus_h_prev=one_minus_h_prev,
+        delay_cols=delay_cols,
+        fold_end=fold_end,
     )
 
 

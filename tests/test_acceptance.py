@@ -240,7 +240,7 @@ def test_acceptance_6_window_maintenance_exactness(report):
         events += 1
         fresh = init_shifted_sums(plan, spec, now=windows.now)
         for got, want in zip(windows.as_arrays(), fresh.as_arrays()):
-            exact &= bool(np.array_equal(got, want))
+            exact &= got.tobytes() == want.tobytes()
     report(
         f"ACCEPTANCE 6 {'PASS' if exact else 'FAIL'}: incremental window "
         f"maintenance — {events} interleaved events, bitwise equal to "
@@ -267,8 +267,8 @@ def test_acceptance_7_distributed_fidelity(report):
             rng=np.random.default_rng(idx),
         )
         for a, b in zip(seq.decisions, dist):
-            bitwise &= bool(np.array_equal(a.u, b.u))
-            bitwise &= bool(np.array_equal(a.v, b.v))
+            bitwise &= a.u.tobytes() == b.u.tobytes()
+            bitwise &= a.v.tobytes() == b.v.tobytes()
         audits &= audit_message_log(log, spec).ok
         sweep = log.of_kind("delta", "mu")
         per_round: dict[int, int] = {}
@@ -289,8 +289,8 @@ def test_acceptance_7_distributed_fidelity(report):
     ]
     for other in runs[1:]:
         for a, b in zip(runs[0], other):
-            bitwise &= bool(np.array_equal(a.u, b.u))
-            bitwise &= bool(np.array_equal(a.v, b.v))
+            bitwise &= a.u.tobytes() == b.u.tobytes()
+            bitwise &= a.v.tobytes() == b.v.tobytes()
 
     ok = bitwise and audits and counts
     report(

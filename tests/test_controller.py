@@ -2,17 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathlq.controller import (
+    combine_delta,
     combine_mu,
     compute_actions,
     control_step,
     downstream_sweep,
+    local_flow,
+    local_phi,
     local_pi,
+    local_production,
     upstream_sweep,
 )
 from pathlq.errors import LedgerRangeError
-from pathlq.ledger import DisturbancePlan, init_shifted_sums
+from pathlq.ledger import DisturbancePlan, advance_time, init_shifted_sums
 from pathlq.model import GraphSpec, PlantState
 from pathlq.simulate import closed_loop
 from pathlq.synthesis import synthesize
@@ -171,3 +177,78 @@ def test_blind_controller_regulates_initial_imbalance():
         spec, params, DisturbancePlan(), 60, z0=[2.0, -1.0, 0.5], blind=True
     )
     assert np.max(np.abs(res.trajectory.z[-1])) < 1e-8
+
+
+def _per_node_step(state, windows, d_now, params):
+    """control_step's outputs from the per-node kernels, one node at a time,
+    as the message-passing harness computes them."""
+    n = params.n
+    nodes = [params.node_slice(k) for k in range(n)]
+    uvals = [
+        state.pipelines[k] if k < n - 1 else np.zeros(params.tau_eff[k])
+        for k in range(n)
+    ]
+    dwin = [windows.slice(k + 1, params.tau_eff[k]) for k in range(n)]
+    z = [float(x) for x in state.z]
+    Phi = [local_phi(p, z[k], uvals[k], dwin[k]) for k, p in enumerate(nodes)]
+    pi = [local_pi(p, z[k], uvals[k], dwin[k]) for k, p in enumerate(nodes)]
+    delta, prev = [], 0.0
+    for k in range(n):
+        prev = combine_delta(nodes[k], Phi[k], prev)
+        delta.append(prev)
+    mu, nxt = [0.0] * n, 0.0
+    for k in range(n - 1, -1, -1):
+        nxt = mu[k] = combine_mu(nodes[k], pi[k], nxt)
+    delta_prev = [0.0] + delta[:-1]
+    u = [
+        local_flow(
+            nodes[k], z[k], float(uvals[k][0]), float(dwin[k][0]),
+            delta_prev[k], mu[k], float(d_now[k]),
+        )
+        for k in range(1, n)
+    ]
+    v = [local_production(p, delta_prev[k], mu[k]) for k, p in enumerate(nodes)]
+    return [np.array(x, dtype=float) for x in (u, v, Phi, delta, pi, mu)]
+
+
+def _drawn_values(data, size):
+    """size floats, each 0.0, -0.0 or a generic value with all its bits set
+    by a seeded generator, so that reordering any sum shows in the result."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    out = rng.standard_normal(size) * 10.0 ** rng.integers(-3, 4, size)
+    kinds = data.draw(st.lists(st.sampled_from("00-xxx"), min_size=size, max_size=size))
+    out[[k == "0" for k in kinds]] = 0.0
+    out[[k == "-" for k in kinds]] = -0.0
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_packed_step_equals_the_per_node_kernels_bitwise(data):
+    n = data.draw(st.integers(1, 8), label="n")
+    tau = data.draw(st.lists(st.integers(1, 5), min_size=n - 1, max_size=n - 1))
+    weights = st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)
+    spec = _spec(
+        n, tau, data.draw(st.integers(0, 8), label="H"),
+        q=data.draw(weights), r=data.draw(weights),
+    )
+    params = synthesize(spec)
+    values = lambda size: _drawn_values(data, size)
+    state = PlantState(
+        t=0, z=values(n), pipelines=tuple(values(t) for t in spec.tau)
+    )
+    plan = DisturbancePlan()
+    for amount in values(data.draw(st.integers(0, 12))):
+        node = data.draw(st.integers(1, n))
+        bound = spec.horizon + spec.sigma_total - spec.sigma[node - 1]
+        plan.entries[(node, data.draw(st.integers(0, bound)))] = float(amount)
+    windows = init_shifted_sums(plan, spec)
+    for _ in range(data.draw(st.integers(0, 3))):
+        advance_time(windows, plan)
+    d_now = values(n)
+
+    decision, sweeps = control_step(state, windows, d_now, params)
+    got = [decision.u, decision.v, sweeps.Phi, sweeps.delta, sweeps.pi, sweeps.mu]
+    want = _per_node_step(state, windows, d_now, params)
+    for name, g, w in zip(["u", "v", "Phi", "delta", "pi", "mu"], got, want):
+        assert g.tobytes() == w.tobytes(), name

@@ -77,8 +77,8 @@ def test_schedule_randomization_does_not_change_decisions():
     base, _ = _round_once(spec, z0=[1.0, -0.5, 2.0, 0.1, -1.2])
     for seed in range(10):
         other, log = _round_once(spec, seed=seed, z0=[1.0, -0.5, 2.0, 0.1, -1.2])
-        assert np.array_equal(base.u, other.u)
-        assert np.array_equal(base.v, other.v)
+        assert base.u.tobytes() == other.u.tobytes()
+        assert base.v.tobytes() == other.v.tobytes()
         assert audit_message_log(log, spec).ok
 
 
@@ -96,8 +96,8 @@ def test_harness_matches_sequential_bitwise():
         spec, params, plan, steps, z0, pipes, rng=np.random.default_rng(99)
     )
     for a, b in zip(seq.decisions, dist):
-        assert np.array_equal(a.u, b.u)  # bitwise
-        assert np.array_equal(a.v, b.v)
+        assert a.u.tobytes() == b.u.tobytes()
+        assert a.v.tobytes() == b.v.tobytes()
     assert total == seq.total_cost
     report = audit_message_log(log, spec)
     assert report.ok, report.violations
@@ -117,8 +117,8 @@ def test_harness_matches_sequential_in_every_mode(mode):
     executor = MessagePassing(Network(spec, params), rng=np.random.default_rng(99))
     dist = closed_loop(spec, params, plan, steps, z0, pipes, executor=executor, **mode)
     for a, b in zip(seq.decisions, dist.decisions):
-        assert np.array_equal(a.u, b.u)  # bitwise
-        assert np.array_equal(a.v, b.v)
+        assert a.u.tobytes() == b.u.tobytes()
+        assert a.v.tobytes() == b.v.tobytes()
     assert dist.total_cost == seq.total_cost
     report = audit_message_log(executor.log, spec)
     assert report.ok, report.violations

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathlq.errors import HorizonViolationError, LedgerRangeError
+from pathlq.errors import HorizonViolationError, LedgerRangeError, SpecError
 from pathlq.ledger import (
     DisturbancePlan,
     _shifted_sum,
@@ -237,6 +237,23 @@ class TestUpdates:
         assert apply_plan_updates(windows, plan, {}) == []
         for got, want in zip(windows.as_arrays(), before):
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("node", [0, 3])
+@pytest.mark.parametrize("call", ["init", "update"])
+def test_node_outside_1_to_n_rejected(call, node):
+    spec = _spec(2, [1], horizon=2)
+    plan = DisturbancePlan()
+    windows = init_shifted_sums(plan, spec)
+    before = windows.as_arrays()
+    with pytest.raises(SpecError, match=f"node {node}: nodes are 1..2"):
+        if call == "init":
+            init_shifted_sums(DisturbancePlan({(node, 1): 1.0}), spec)
+        else:
+            apply_plan_updates(windows, plan, {(node, 1): 1.0})
+    assert plan.entries == {}
+    for got, want in zip(windows.as_arrays(), before):
+        assert got.tobytes() == want.tobytes()
 
 
 AMOUNTS = st.one_of(

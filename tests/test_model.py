@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathlq import (
     ControlDecision,
@@ -152,3 +154,40 @@ class TestStageCost:
         for _ in range(20):
             z, v = rng.standard_normal(spec.n), rng.standard_normal(spec.n)
             assert stage_cost(spec, z, v) >= 0.0
+
+
+def _concatenate_step(state, action, d):
+    """The plant step edge by edge: (z, pipelines) one step later."""
+    n = len(state.z)
+    arrivals = np.zeros(n)
+    arrivals[:-1] = [p[0] for p in state.pipelines]
+    departures = np.zeros(n)
+    departures[1:] = action.u
+    z = state.z + arrivals - departures + action.v + d
+    pipes = [np.concatenate([p[1:], [u]]) for p, u in zip(state.pipelines, action.u)]
+    return z, pipes
+
+
+VALUES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_flat_shift_equals_the_per_edge_formula_bitwise(data):
+    n = data.draw(st.integers(1, 8), label="n")
+    tau = data.draw(st.lists(st.integers(1, 5), min_size=n - 1, max_size=n - 1))
+    spec = GraphSpec(n=n, tau=tuple(tau), q=(1.0,) * n, r=(1.0,) * n, horizon=0)
+    values = lambda size: np.array(
+        data.draw(st.lists(VALUES, min_size=size, max_size=size)), dtype=float
+    )
+    state = PlantState(t=0, z=values(n), pipelines=tuple(values(t) for t in tau))
+    for step in range(data.draw(st.integers(1, 6), label="steps")):
+        action = ControlDecision(u=values(n - 1), v=values(n))
+        d = values(n)
+        z, pipes = _concatenate_step(state, action, d)
+        state = plant_step(state, action, d, spec)
+        assert state.t == step + 1
+        assert state.z.tobytes() == z.tobytes()
+        assert len(state.pipelines) == n - 1
+        for got, want in zip(state.pipelines, pipes):
+            assert got.tobytes() == want.tobytes()
