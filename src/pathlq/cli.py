@@ -57,18 +57,41 @@ def config_spec(cfg: dict) -> GraphSpec:
         raise ConfigError(f"invalid spec: {exc}") from exc
 
 
+def _whole(value, what: str) -> int:
+    """`value` as an int, if it is a whole number; ConfigError otherwise."""
+    try:
+        whole = float(value).is_integer()
+    except (TypeError, ValueError):
+        whole = False
+    if not whole:
+        raise ConfigError(f"{what} = {value!r} must be a whole number")
+    return int(float(value))
+
+
 def config_plan(cfg: dict) -> DisturbancePlan:
-    records = cfg.get("disturbances", [])
-    for i, rec in enumerate(records):
+    records = []
+    for i, rec in enumerate(cfg.get("disturbances", [])):
         for fld in ("node", "start_time", "end_time", "amount_per_step"):
             if fld not in rec:
                 raise ConfigError(f"disturbances[{i}]: missing field {fld!r}")
-        start, end = int(rec["start_time"]), int(rec["end_time"])
+        node, start, end = (
+            _whole(rec[fld], f"disturbances[{i}]: {fld}")
+            for fld in ("node", "start_time", "end_time")
+        )
         if not 0 <= start <= end:
             raise ConfigError(
                 f"disturbances[{i}]: need 0 <= start_time <= end_time, got "
                 f"{start} and {end}"
             )
+        try:
+            amount = float(rec["amount_per_step"])
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"disturbances[{i}]: amount_per_step = "
+                f"{rec['amount_per_step']!r} is not a number"
+            ) from None
+        records.append({"node": node, "start_time": start, "end_time": end,
+                        "amount_per_step": amount})
     return DisturbancePlan.from_records(records)
 
 
@@ -76,7 +99,10 @@ def load_run(cfg: dict):
     """(spec, plan, steps, params, z0, pipelines0) of a closed-loop config."""
     spec = config_spec(cfg)
     plan = config_plan(cfg)
-    steps = int(cfg.get("run_length", spec.sigma_total + spec.horizon + 60))
+    steps = _whole(cfg.get("run_length", spec.sigma_total + spec.horizon + 60),
+                   "run_length")
+    if steps < 0:
+        raise ConfigError(f"run_length = {steps} must be >= 0")
     params = synthesize(spec)
     return spec, plan, steps, params, cfg.get("initial_z"), cfg.get("initial_pipelines")
 

@@ -4,8 +4,8 @@ Each node is an isolated unit holding only its own parameter slice,
 its own measurements, and two neighbor links.  A control round runs the
 upstream (delta) and downstream (mu) chains concurrently under a
 randomized scheduler; decisions must be independent of the interleaving
-and bit-identical to the sequential controller, which uses the same
-per-node kernels.
+and bit-identical to the sequential controller, which applies the same
+formulas to all nodes at once over packed parameter tables.
 
 This is an in-process simulation with explicit queues, not network I/O:
 isolation and neighbor-only communication are enforced by construction
@@ -40,13 +40,13 @@ class Message:
     round: int
     src: int
     dst: int
-    kind: str  # "delta" | "mu" | "D-shift" | "D-update"
+    kind: str  # "delta" | "mu" | "D-update"
     value: float
     time: int | None = None  # shifted time of a ledger payload
 
 
 # dst - src of each kind: delta and the ledger traffic go upstream, mu downstream.
-DIRECTION = {"delta": 1, "mu": -1, "D-shift": 1, "D-update": 1}
+DIRECTION = {"delta": 1, "mu": -1, "D-update": 1}
 
 
 @dataclass
@@ -231,7 +231,9 @@ def audit_message_log(log: MessageLog, spec: GraphSpec) -> AuditReport:
     for m in log.records:
         if abs(m.src - m.dst) != 1 or not 1 <= min(m.src, m.dst) < spec.n:
             violations.append(f"non-neighbor message {m.src} -> {m.dst} ({m.kind})")
-        elif m.dst - m.src != DIRECTION.get(m.kind):
+        elif m.kind not in DIRECTION:
+            violations.append(f"unknown kind {m.kind}, {m.src} -> {m.dst}")
+        elif m.dst - m.src != DIRECTION[m.kind]:
             violations.append(f"{m.kind} sent the wrong way, {m.src} -> {m.dst}")
         by_round.setdefault(m.round, []).append(m)
     for rnd, msgs in by_round.items():
@@ -248,8 +250,8 @@ def audit_message_log(log: MessageLog, spec: GraphSpec) -> AuditReport:
 class MessagePassing:
     """closed_loop executor: every step is one message-passing round.
 
-    Logs the sweep messages of each round and the window-maintenance
-    messages the loop hands over, each under the round it precedes.
+    Logs the sweep messages of each round and the D-update messages the
+    loop hands over, each under the round it precedes.
     """
 
     network: Network
@@ -270,7 +272,7 @@ class MessagePassing:
     def ledger(self, messages: list[LedgerMessage]) -> None:
         rnd = self.network.round
         for m in messages:
-            self.log.append(Message(rnd, m.src, m.dst, m.kind, m.value, m.time))
+            self.log.append(Message(rnd, m.src, m.dst, "D-update", m.value, m.time))
 
 
 def run_closed_loop(

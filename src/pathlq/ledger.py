@@ -7,8 +7,9 @@ kept up to date as time advances and new disturbances are announced.
 Every entry is formed as D_i[s] = D_{i-1}[s] + d_i[s - sigma_i] from
 D_0 = 0.0: the fixed ascending-node sum, so windows agree bitwise with a
 from-scratch recomputation after any interleaving of operations.  Node i
-needs only its own forecast and node i-1's value, so the window-shift
-(D-shift) and update (D-update) messages both go upstream, i -> i+1.
+needs only its own forecast and node i-1's value, so an announced entry
+travels upstream, i -> i+1, one D-update message per hop.  A time
+advance brings in only zero entries and sends nothing.
 """
 
 from __future__ import annotations
@@ -74,9 +75,8 @@ def _shifted_sum(plan: DisturbancePlan, spec: GraphSpec, i: int, t: int) -> floa
 
 @dataclass
 class LedgerMessage:
-    """One neighbor-to-neighbor message of the window-maintenance protocol."""
+    """One D-update message, upstream from node src = i to dst = i+1."""
 
-    kind: str  # "D-shift" or "D-update", both upstream (src i -> dst i+1)
     src: int
     dst: int
     time: int  # the shifted time the payload refers to
@@ -136,26 +136,15 @@ def init_shifted_sums(
     return ShiftedWindows(spec, plan, now)
 
 
-def advance_time(windows: ShiftedWindows, plan: DisturbancePlan) -> list[LedgerMessage]:
-    """Shift every window one step forward in time.
-
-    Each node forms its new tail, at shifted time now + sigma_N + H, from
-    the tail of node i-1 (one upstream message per edge, sent even when
-    zero) plus its own entry at its horizon bound.  Returns the messages.
-    """
-    spec = windows.spec
-    D = windows._D
-    flat = D.reshape(-1)  # a view: D is C-contiguous
-    flat[:-1] = flat[1:]  # one move shifts every row; last columns are set below
+def advance_time(windows: ShiftedWindows) -> list[LedgerMessage]:
+    """Shift every window one step forward in time; returns no messages."""
+    flat = windows._D.reshape(-1)  # a view: D is C-contiguous
+    flat[:-1] = flat[1:]  # one move shifts every row
+    # The new tail's entries lie past every bound validate_horizon checked
+    # (at set-up and in apply_plan_updates), so are zero: D_0 + (+-0.0) = +0.0.
+    windows._D[:, -1] = 0.0
     windows.now += 1
-    st = windows.now + spec.sigma_total + spec.horizon
-    messages = []
-    tail = 0.0
-    for k in range(spec.n):
-        tail = D[k, -1] = tail + plan.get(k + 1, st - spec.sigma[k])
-        if k + 1 < spec.n:
-            messages.append(LedgerMessage("D-shift", k + 1, k + 2, st, float(tail)))
-    return messages
+    return []
 
 
 def apply_plan_updates(
@@ -188,5 +177,5 @@ def apply_plan_updates(
                 break  # out of range for this and every node further up
             D[k, c] = (D[k - 1, c] if k else 0.0) + plan.get(k + 1, st - spec.sigma[k])
             if k + 1 < spec.n:
-                messages.append(LedgerMessage("D-update", k + 1, k + 2, st, float(D[k, c])))
+                messages.append(LedgerMessage(k + 1, k + 2, st, float(D[k, c])))
     return messages

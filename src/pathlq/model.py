@@ -122,6 +122,8 @@ class PlantState:
         z = np.zeros(spec.n) if z0 is None else np.asarray(z0, dtype=float).copy()
         if z.shape != (spec.n,):
             raise SpecError(f"initial z has shape {z.shape}, expected ({spec.n},)")
+        if not np.isfinite(z).all():
+            raise SpecError("initial z has a non-finite entry")
         if pipelines0 is None:
             pipes = tuple(np.zeros(t) for t in spec.tau)
         else:
@@ -130,6 +132,8 @@ class PlantState:
                 p.shape != (t,) for p, t in zip(pipes, spec.tau)
             ):
                 raise SpecError("initial pipelines do not match edge delays")
+            if not all(np.isfinite(p).all() for p in pipes):
+                raise SpecError("initial pipelines have a non-finite entry")
         return PlantState(t=0, z=z, pipelines=pipes)
 
 

@@ -47,8 +47,8 @@ class Sequential:
     """The default executor: both sweeps in one process.
 
     An executor decides each step from the plant state, the windows and
-    the known current disturbance, and is handed every message of the
-    window-maintenance protocol, in order.
+    the known current disturbance, and is handed every ledger message, in
+    order.
     """
 
     def decide(self, state, windows, d_now, params) -> ControlDecision:
@@ -58,11 +58,12 @@ class Sequential:
         """Nothing is exchanged in one process; drop them."""
 
 
-def _announcement_schedule(spec, plan, announce, blind) -> dict[int, dict]:
+def _announcement_schedule(spec, plan, announce, blind, d_hist) -> dict[int, dict]:
     """Announcement time -> {(node, s): amount} of the entries known then.
 
-    Every entry is checked, even when blind.  Entries before t = 0 can
-    never matter to the run and are left out.
+    Every entry is checked, even when blind, and each one inside the run
+    is written into d_hist, the plant's disturbance table.  Entries
+    before t = 0 can never matter to the run and are left out.
     """
     schedule: dict[int, dict] = {}
     for (node, s), value in plan.entries.items():
@@ -70,6 +71,8 @@ def _announcement_schedule(spec, plan, announce, blind) -> dict[int, dict]:
             raise SpecError(f"disturbance at node {node}: nodes are 1..{spec.n}")
         if not math.isfinite(value):
             raise SpecError(f"disturbance at node {node}, time {s} is {value}")
+        if 0 <= s < len(d_hist):
+            d_hist[s, node - 1] = value
         if blind or s < 0:
             continue
         at = 0 if announce is None else max(s - announce, 0)
@@ -102,16 +105,17 @@ def closed_loop(
         )
     if executor is None:
         executor = Sequential()
-    schedule = _announcement_schedule(spec, plan, announce, blind)
+    n = spec.n
+    d_hist = np.zeros((steps, n))
+    schedule = _announcement_schedule(spec, plan, announce, blind, d_hist)
     known = DisturbancePlan(schedule.pop(0, {}))
     windows = init_shifted_sums(known, spec, now=0)
     state = PlantState.initial(spec, z0, pipelines0)
-    n = spec.n
+    d_blind = np.zeros(n)
 
     z_hist = np.zeros((steps + 1, n))
     u_hist = np.zeros((steps, max(n - 1, 0)))
     v_hist = np.zeros((steps, n))
-    d_hist = np.zeros((steps, n))
     costs = np.zeros(steps)
     z_hist[0] = state.z
     init_pipes = tuple(p.copy() for p in state.pipelines)
@@ -120,17 +124,18 @@ def closed_loop(
     for t in range(steps):
         if t in schedule:
             executor.ledger(apply_plan_updates(windows, known, schedule.pop(t)))
-        d_true = plan.d_now(spec, t)
-        decision = executor.decide(state, windows, known.d_now(spec, t), params)
+        # Entry d_i[s] is announced at max(s - h, 0) <= s: unless blind,
+        # the controller knows the plant's whole row d[t].
+        d_known = d_blind if blind else d_hist[t]
+        decision = executor.decide(state, windows, d_known, params)
         costs[t] = stage_cost(spec, state.z, decision.v)
         u_hist[t] = decision.u
         v_hist[t] = decision.v
-        d_hist[t] = d_true
         decisions.append(decision)
 
-        state = plant_step(state, decision, d_true, spec)
+        state = plant_step(state, decision, d_hist[t], spec)
         z_hist[t + 1] = state.z
-        executor.ledger(advance_time(windows, known))
+        executor.ledger(advance_time(windows))
 
     traj = Trajectory(
         spec=spec,

@@ -226,7 +226,7 @@ def test_acceptance_6_window_maintenance_exactness(report):
     exact = True
     for _ in range(1000):
         if rng.random() < 0.4:
-            advance_time(windows, plan)
+            advance_time(windows)
         else:
             node = int(rng.integers(1, spec.n + 1))
             bound = (

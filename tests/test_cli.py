@@ -81,9 +81,28 @@ class TestConfig:
         ({"tau": [2.7, 1]}, "tau_1 = 2.7"),
         ({"n": 5.5}, "n = 5.5"),
         ({"horizon": 15.7}, "horizon = 15.7"),
+        ({"disturbances": [
+            {"node": 2.5, "start_time": 2, "end_time": 4, "amount_per_step": -0.3}
+        ]}, "node = 2.5"),
+        ({"disturbances": [
+            {"node": 2, "start_time": 2.5, "end_time": 4, "amount_per_step": -0.3}
+        ]}, "start_time = 2.5"),
+        ({"disturbances": [
+            {"node": 2, "start_time": 2, "end_time": 4.9, "amount_per_step": -0.3}
+        ]}, "end_time = 4.9"),
+        ({"disturbances": [
+            {"node": 2, "start_time": 2, "end_time": 4, "amount_per_step": "abc"}
+        ]}, "amount_per_step = 'abc'"),
+        ({"run_length": 10.7}, "run_length = 10.7"),
+        ({"run_length": -3}, "run_length = -3"),
+        ({"initial_z": [1.0, float("nan"), 0.25]}, "initial z has a non-finite"),
+        ({"initial_pipelines": [[0.0, float("nan")], [0.0]]},
+         "initial pipelines have a non-finite"),
     ], ids=["start-after-end", "negative-start", "node-0", "node-past-n",
             "nan-amount", "past-horizon", "fractional-tau", "fractional-n",
-            "fractional-horizon"])
+            "fractional-horizon", "fractional-node", "fractional-start",
+            "fractional-end", "non-numeric-amount", "fractional-run-length",
+            "negative-run-length", "nan-initial-z", "nan-initial-pipelines"])
     def test_malformed_input_rejected(self, change, message, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(dict(BASE_CONFIG, **change)))
@@ -208,12 +227,22 @@ class TestDemoConfigs:
         assert repr(json.loads((tmp_path / output).read_text())[key]) == expected
 
     @pytest.mark.parametrize("config, messages", [
-        ("feedforward_demo", 720),
-        ("horizon_sweep_demo", 3240),
+        ("feedforward_demo", 480),
+        ("horizon_sweep_demo", 2160),
     ])
     def test_distributed_message_count(self, config, messages, tmp_path):
-        rc = main(["distributed", "--config", str(CONFIG_DIR / f"{config}.json"),
-                   "--out", str(tmp_path)])
+        # Full plan: the windows are built at t = 0 and time advances send
+        # nothing, so every message is a sweep message, N-1 of each kind
+        # per round.
+        path = CONFIG_DIR / f"{config}.json"
+        rc = main(["distributed", "--config", str(path), "--out", str(tmp_path)])
         assert rc == 0
         with open(tmp_path / "messages.csv") as fh:
-            assert len(list(csv.DictReader(fh))) == messages
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == messages
+        cfg = json.loads(path.read_text())
+        per_kind = (cfg["n"] - 1) * cfg["run_length"]
+        kinds = {}
+        for r in rows:
+            kinds[r["kind"]] = kinds.get(r["kind"], 0) + 1
+        assert kinds == {"delta": per_kind, "mu": per_kind}

@@ -20,7 +20,7 @@ from pathlq.controller import (
 from pathlq.errors import LedgerRangeError
 from pathlq.ledger import DisturbancePlan, advance_time, init_shifted_sums
 from pathlq.model import GraphSpec, PlantState
-from pathlq.simulate import closed_loop
+from pathlq.simulate import Sequential, closed_loop
 from pathlq.synthesis import synthesize
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0  # 0.618...
@@ -179,6 +179,39 @@ def test_blind_controller_regulates_initial_imbalance():
     assert np.max(np.abs(res.trajectory.z[-1])) < 1e-8
 
 
+class _Recording(Sequential):
+    """The default executor, keeping a copy of each step's known d."""
+
+    def __init__(self):
+        self.seen = []
+
+    def decide(self, state, windows, d_now, params):
+        self.seen.append(np.array(d_now))
+        return super().decide(state, windows, d_now, params)
+
+
+@pytest.mark.parametrize("mode", [{}, {"announce": 2}, {"blind": True}],
+                         ids=["full-plan", "announce", "blind"])
+def test_known_disturbance_is_the_plan_row_bitwise(mode):
+    # Every entry is known by its own time unless blind, so the executor
+    # gets plan.d_now(t) (zeros when blind) and the plant gets plan.d_now(t).
+    spec = _spec(3, [1, 2], horizon=2)
+    params = synthesize(spec)
+    plan = DisturbancePlan({
+        (1, 0): 0.3, (2, 2): -0.0, (3, 2): -1.5, (1, 4): 0.25,
+        (2, -1): 0.7, (1, 5): 2.0, (3, 9): 0.0,
+    })
+    steps = 5
+    executor = _Recording()
+    res = closed_loop(spec, params, plan, steps, executor=executor, **mode)
+    assert len(executor.seen) == steps
+    for t, got in enumerate(executor.seen):
+        true = plan.d_now(spec, t)
+        want = np.zeros(spec.n) if mode.get("blind") else true
+        assert got.tobytes() == want.tobytes()
+        assert res.trajectory.d[t].tobytes() == true.tobytes()
+
+
 def _per_node_step(state, windows, d_now, params):
     """control_step's outputs from the per-node kernels, one node at a time,
     as the message-passing harness computes them."""
@@ -244,7 +277,7 @@ def test_packed_step_equals_the_per_node_kernels_bitwise(data):
         plan.entries[(node, data.draw(st.integers(0, bound)))] = float(amount)
     windows = init_shifted_sums(plan, spec)
     for _ in range(data.draw(st.integers(0, 3))):
-        advance_time(windows, plan)
+        advance_time(windows)
     d_now = values(n)
 
     decision, sweeps = control_step(state, windows, d_now, params)

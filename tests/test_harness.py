@@ -141,30 +141,38 @@ def test_announcements_are_logged_as_upstream_updates():
 def test_ledger_traffic_is_logged():
     spec = _spec(3, [1, 2], horizon=1)
     params = synthesize(spec)
-    plan = DisturbancePlan({(3, 1): -1.0})
-    _, log, _ = run_closed_loop(spec, params, plan, steps=4)
-    # One upstream window-shift message per edge per step, node 1 first,
-    # logged under the round it precedes and carrying the new tail's
-    # shifted time r + sigma_N + H.
-    shifts = log.of_kind("D-shift")
-    assert [(m.round, m.src, m.dst, m.time) for m in shifts] == [
-        (r, src, src + 1, r + 3 + 1) for r in range(1, 5) for src in (1, 2)
+    # d_3[1] is known at t = 0 and enters the initial windows; d_1[5] is
+    # announced at t = 4 and travels upstream, logged under round 4.
+    plan = DisturbancePlan({(3, 1): -1.0, (1, 5): 0.5})
+    executor = MessagePassing(Network(spec, params))
+    closed_loop(spec, params, plan, 6, announce=1, executor=executor)
+    # Time advances send nothing: the ledger traffic is D-updates only.
+    ledger = [m for m in executor.log.records if m.kind not in ("delta", "mu")]
+    assert [(m.kind, m.round, m.src, m.dst, m.time) for m in ledger] == [
+        ("D-update", 4, 1, 2, 5), ("D-update", 4, 2, 3, 5),
     ]
-    assert all(m.dst == m.src + 1 for m in log.of_kind("D-shift", "D-update"))
-    assert audit_message_log(log, spec).ok
+    assert len(executor.log.records) == 2 * (spec.n - 1) * 6 + len(ledger)
+    assert audit_message_log(executor.log, spec).ok
 
 
 def test_audit_flags_downstream_ledger_message():
     spec = _spec(3, [1, 2], horizon=1)
     params = synthesize(spec)
     _, log, _ = run_closed_loop(spec, params, DisturbancePlan(), steps=2)
-    log.append(Message(round=2, src=3, dst=2, kind="D-shift", value=0.0, time=6))
+    log.append(Message(round=2, src=3, dst=2, kind="D-update", value=0.0, time=6))
     report = audit_message_log(log, spec)
     assert not report.ok
-    assert "D-shift sent the wrong way, 3 -> 2" in report.violations
+    assert "D-update sent the wrong way, 3 -> 2" in report.violations
 
 
-@pytest.mark.parametrize("kind", ["D-shift", "D-update"])
+def test_audit_flags_unknown_kind():
+    spec = _spec(3, [1, 2], horizon=1)
+    log = MessageLog([Message(round=0, src=1, dst=2, kind="D-shift", value=0.0, time=3)])
+    report = audit_message_log(log, spec)
+    assert report.violations == ["unknown kind D-shift, 1 -> 2"]
+
+
+@pytest.mark.parametrize("kind", ["D-update"])
 def test_audit_flags_out_of_order_ledger_chain(kind):
     spec = _spec(3, [1, 1], horizon=0)
     # Node 2 forwards before it has node 1's value for the same time.

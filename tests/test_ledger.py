@@ -127,9 +127,9 @@ class TestInitWindows:
 class TestAdvance:
     def test_shift_identity_two_edges(self):
         # tau = [2, 2], sigma = [0, 2, 4], H = 5: after the step to t = 1
-        # every window gains shifted time 1 + 4 + 5 = 10.  Node i forms it
-        # from node i-1's tail plus its own entry at its horizon bound,
-        # d_i[10 - sigma_i], and sends the result upstream.
+        # every window gains shifted time 1 + 4 + 5 = 10, where node i's
+        # own entry d_i[10 - sigma_i] lies one step past its bound at t = 0
+        # and so is zero.  The new tails are +0.0, with no message sent.
         spec = _spec(3, [2, 2], horizon=5)
         plan = DisturbancePlan.from_records(
             [
@@ -137,30 +137,25 @@ class TestAdvance:
                 {"node": 1, "start_time": 2, "end_time": 2, "amount_per_step": 1.1},
             ]
         )
+        # Nonzero entries at the bounds of t = 0, -0.0 one step past them.
+        plan.entries.update({(1, 9): 0.1, (2, 7): 0.2, (3, 5): -0.7})
+        plan.entries.update({(1, 10): -0.0, (2, 8): -0.0, (3, 6): -0.0})
         windows = init_shifted_sums(plan, spec)
-        # Entries at the horizon bounds of t = 1, known once time advances.
-        plan.entries.update({(1, 10): 0.1, (2, 8): 0.2, (3, 6): -0.7})
-        msgs = advance_time(windows, plan)
-        assert [(m.kind, m.src, m.dst, m.time) for m in msgs] == [
-            ("D-shift", 1, 2, 10),
-            ("D-shift", 2, 3, 10),
-        ]
-        tails = [w[-1] for w in windows.as_arrays()]
-        received = [0.0] + [m.value for m in msgs]
-        for node in (1, 2, 3):
-            own = plan.get(node, 10 - spec.sigma[node - 1])
-            assert tails[node - 1] == received[node - 1] + own
-            assert tails[node - 1] == _shifted_sum(plan, spec, node, 10)
-        assert [m.value for m in msgs] == tails[:2]
-        assert tails[2] == (0.1 + 0.2) + -0.7
+        assert advance_time(windows) == []
+        zero = np.float64(0.0).tobytes()
+        for node, window in enumerate(windows.as_arrays(), start=1):
+            assert window[-1].tobytes() == zero
+            assert np.float64(_shifted_sum(plan, spec, node, 10)).tobytes() == zero
+        assert _entry(windows, 3, 9) == (0.1 + 0.2) + -0.7
+        _assert_definition(windows, plan)
 
-    def test_one_message_per_edge_even_when_zero(self):
+    def test_no_message_and_zero_tail_on_an_empty_plan(self):
         spec = _spec(4, [1, 2, 3], horizon=2)
         windows = init_shifted_sums(DisturbancePlan(), spec)
-        msgs = advance_time(windows, DisturbancePlan())
-        assert [(m.src, m.dst) for m in msgs] == [(1, 2), (2, 3), (3, 4)]
-        assert all(m.kind == "D-shift" and m.dst == m.src + 1 for m in msgs)
-        assert all(m.value == 0.0 and m.time == 1 + 6 + 2 for m in msgs)
+        assert advance_time(windows) == []
+        assert windows.now == 1
+        zero = np.float64(0.0).tobytes()
+        assert all(w[-1].tobytes() == zero for w in windows.as_arrays())
 
     def test_bitwise_match_after_many_steps(self):
         rng = np.random.default_rng(7)
@@ -173,7 +168,7 @@ class TestAdvance:
         validate_horizon(plan, spec)
         windows = init_shifted_sums(plan, spec)
         for _ in range(12):
-            advance_time(windows, plan)
+            advance_time(windows)
             for got, want in zip(windows.as_arrays(), _recompute(windows, plan)):
                 assert np.array_equal(got, want)  # bitwise
 
@@ -197,7 +192,7 @@ class TestUpdates:
         windows = init_shifted_sums(plan, spec)
         for _ in range(40):
             if rng.random() < 0.5:
-                advance_time(windows, plan)
+                advance_time(windows)
             else:
                 node = int(rng.integers(1, 5))
                 bound = (
@@ -216,7 +211,7 @@ class TestUpdates:
         plan = DisturbancePlan()
         windows = init_shifted_sums(plan, spec)
         for _ in range(4):
-            advance_time(windows, plan)
+            advance_time(windows)
         with pytest.raises(
             HorizonViolationError, match="time 3 is before the current time 4"
         ):
@@ -286,7 +281,7 @@ def test_windows_equal_the_definition_bitwise(data):
     _assert_definition(windows, plan)
     for advance in data.draw(st.lists(st.booleans(), max_size=25), label="ops"):
         if advance:
-            advance_time(windows, plan)
+            advance_time(windows)
         else:
             size = data.draw(st.integers(1, 4))
             changes = dict(draw_entry(windows.now, windows.now) for _ in range(size))
