@@ -181,7 +181,12 @@ def cmd_sweep_horizon(args, cfg: dict, out: Path) -> int:
     grid = cfg.get("horizon_grid")
     if grid is None:
         grid = list(range(0, spec.sigma_total + 1))
-    grid = sorted(set(int(h) for h in grid) | {0, spec.sigma_total})
+    if not isinstance(grid, list):
+        raise ConfigError(f"horizon_grid = {grid!r} must be a list")
+    grid = [_whole(h, f"horizon_grid[{i}]") for i, h in enumerate(grid)]
+    if any(h < 0 for h in grid):
+        raise ConfigError(f"horizon_grid = {grid} must hold horizons >= 0")
+    grid = sorted(set(grid) | {0, spec.sigma_total})
     rows = []
     for h in grid:
         spec_h = replace(spec, horizon=h)
@@ -201,7 +206,9 @@ def cmd_sweep_horizon(args, cfg: dict, out: Path) -> int:
 
 def cmd_verify(args, cfg: dict | None, out: Path) -> int:
     seed = args.seed if args.seed is not None else 0
-    count = int(cfg.get("verify_instances", 100)) if cfg else 100
+    count = _whole(cfg.get("verify_instances", 100), "verify_instances") if cfg else 100
+    if count < 1:
+        raise ConfigError(f"verify_instances = {count} must be >= 1")
     report = run_differential_suite(n_instances=count, seed=seed)
     with open(out / "verify.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -14,6 +14,7 @@ and audited through the message log.
 
 from __future__ import annotations
 
+import bisect
 import csv
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -128,7 +129,7 @@ class Network:
     def _check_link(self, src: int, dst: int) -> None:
         if abs(src - dst) != 1:
             raise RoundAbortError(f"non-neighbor send {src} -> {dst}")
-        if frozenset((src, dst)) in self.failed_links:
+        if self.failed_links and frozenset((src, dst)) in self.failed_links:
             raise RoundAbortError(f"link {src} <-> {dst} is down; round aborted")
 
 
@@ -141,9 +142,16 @@ def run_control_round(
     """One sample period: both sweeps, then local outputs.
 
     `measurements` supplies per node (z_i, in-transit flows oldest first,
-    shifted-disturbance slice, current local disturbance).  The scheduler
-    interleaves all ready tasks in random order when an rng is given;
-    decisions do not depend on the interleaving.
+    shifted-disturbance slice, current local disturbance).  Decisions do
+    not depend on the interleaving of the two chains.
+
+    The ready list `slots` is sorted: slot 2k is node k+1's phi -> delta
+    chain and slot 2k+1 its pi -> mu chain (node-major, phi/delta first),
+    present while that chain has a task whose inputs have all arrived.
+    Each task runs `slots[rng.integers(len(slots))]`, or `slots[0]`
+    without an rng, then removes and inserts at most one slot each, so
+    a round is 4N tasks and O(N) work, and one rng stream always gives
+    the same schedule and message log.
     """
     if log is None:
         log = MessageLog()
@@ -153,6 +161,7 @@ def run_control_round(
     for node, (z, uvals, dwin, d) in zip(nodes, measurements):
         node.reset(z, uvals, dwin, d)
     nodes[-1].mu_next = 0.0
+    slots = list(range(2 * n))
 
     def send(src: int, dst: int, kind: str, value: float) -> None:
         network._check_link(src, dst)
@@ -160,44 +169,33 @@ def run_control_round(
         node = nodes[dst - 1]
         if kind == "delta":
             node.delta_prev = value
+            if node.phi_val is not None:
+                bisect.insort(slots, 2 * dst - 2)
         else:
             node.mu_next = value
+            if node.pi_val is not None:
+                bisect.insort(slots, 2 * dst - 1)
 
-    # Task list: every local computation and every send, each enabled by
-    # its data dependencies only.  The two chains share nothing.
-    def ready():
-        tasks = []
-        for k, node in enumerate(nodes):
-            if node.phi_val is None:
-                tasks.append(("phi", k))
-            elif node.delta is None and node.delta_prev is not None:
-                tasks.append(("delta", k))
-            if node.pi_val is None:
-                tasks.append(("pi", k))
-            elif node.mu is None and node.mu_next is not None:
-                tasks.append(("mu", k))
-        return tasks
-
-    while True:
-        tasks = ready()
-        if not tasks:
-            break
-        if rng is not None:
-            task = tasks[int(rng.integers(len(tasks)))]
-        else:
-            task = tasks[0]
-        kind, k = task
+    while slots:
+        i = int(rng.integers(len(slots))) if rng is not None else 0
+        k, mu_chain = divmod(slots[i], 2)
         node = nodes[k]
-        if kind == "phi":
+        if not mu_chain and node.phi_val is None:
             node.phi_val = local_phi(node.params, node.z, node.uvals, node.dwin)
-        elif kind == "pi":
-            node.pi_val = local_pi(node.params, node.z, node.uvals, node.dwin)
-        elif kind == "delta":
+            if node.delta_prev is None:
+                del slots[i]
+        elif not mu_chain:
             node.delta = combine_delta(node.params, node.phi_val, node.delta_prev)
+            del slots[i]
             if k + 1 < n:
                 send(k + 1, k + 2, "delta", node.delta)
-        elif kind == "mu":
+        elif node.pi_val is None:
+            node.pi_val = local_pi(node.params, node.z, node.uvals, node.dwin)
+            if node.mu_next is None:
+                del slots[i]
+        else:
             node.mu = combine_mu(node.params, node.pi_val, node.mu_next)
+            del slots[i]
             if k > 0:
                 send(k + 1, k, "mu", node.mu)
 

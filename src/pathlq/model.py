@@ -119,21 +119,22 @@ class PlantState:
 
     @staticmethod
     def initial(spec: GraphSpec, z0=None, pipelines0=None) -> "PlantState":
-        z = np.zeros(spec.n) if z0 is None else np.asarray(z0, dtype=float).copy()
+        try:
+            z = np.zeros(spec.n) if z0 is None else np.array(z0, dtype=float)
+            pipes = (tuple(np.zeros(t) for t in spec.tau) if pipelines0 is None
+                     else tuple(np.asarray(p, dtype=float) for p in pipelines0))
+        except (TypeError, ValueError) as exc:
+            raise SpecError(f"initial state is not numeric: {exc}") from None
         if z.shape != (spec.n,):
             raise SpecError(f"initial z has shape {z.shape}, expected ({spec.n},)")
         if not np.isfinite(z).all():
             raise SpecError("initial z has a non-finite entry")
-        if pipelines0 is None:
-            pipes = tuple(np.zeros(t) for t in spec.tau)
-        else:
-            pipes = tuple(np.asarray(p, dtype=float) for p in pipelines0)
-            if len(pipes) != spec.n - 1 or any(
-                p.shape != (t,) for p, t in zip(pipes, spec.tau)
-            ):
-                raise SpecError("initial pipelines do not match edge delays")
-            if not all(np.isfinite(p).all() for p in pipes):
-                raise SpecError("initial pipelines have a non-finite entry")
+        if len(pipes) != spec.n - 1 or any(
+            p.shape != (t,) for p, t in zip(pipes, spec.tau)
+        ):
+            raise SpecError("initial pipelines do not match edge delays")
+        if not all(np.isfinite(p).all() for p in pipes):
+            raise SpecError("initial pipelines have a non-finite entry")
         return PlantState(t=0, z=z, pipelines=pipes)
 
 

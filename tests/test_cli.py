@@ -1,6 +1,7 @@
 """Tests for the command-line entry point."""
 
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -59,54 +60,66 @@ class TestConfig:
         with pytest.raises(ConfigError, match="schema_version"):
             load_config(str(path))
 
-    @pytest.mark.parametrize("change, message", [
-        ({"disturbances": [
+    @pytest.mark.parametrize("command, change, message", [
+        ("simulate", {"disturbances": [
             {"node": 2, "start_time": 5, "end_time": 4, "amount_per_step": -0.3}
         ]}, "start_time <= end_time"),
-        ({"disturbances": [
+        ("simulate", {"disturbances": [
             {"node": 2, "start_time": -1, "end_time": 4, "amount_per_step": -0.3}
         ]}, "0 <= start_time"),
-        ({"disturbances": [
+        ("simulate", {"disturbances": [
             {"node": 0, "start_time": 2, "end_time": 4, "amount_per_step": -0.3}
         ]}, "node 0"),
-        ({"disturbances": [
+        ("simulate", {"disturbances": [
             {"node": 4, "start_time": 2, "end_time": 4, "amount_per_step": -0.3}
         ]}, "node 4"),
-        ({"disturbances": [
+        ("simulate", {"disturbances": [
             {"node": 2, "start_time": 2, "end_time": 4, "amount_per_step": float("nan")}
         ]}, "nan"),
-        ({"disturbances": [
+        ("simulate", {"disturbances": [
             {"node": 1, "start_time": 40, "end_time": 40, "amount_per_step": 1.0}
         ]}, "horizon bound"),
-        ({"tau": [2.7, 1]}, "tau_1 = 2.7"),
-        ({"n": 5.5}, "n = 5.5"),
-        ({"horizon": 15.7}, "horizon = 15.7"),
-        ({"disturbances": [
+        ("simulate", {"tau": [2.7, 1]}, "tau_1 = 2.7"),
+        ("simulate", {"n": 5.5}, "n = 5.5"),
+        ("simulate", {"horizon": 15.7}, "horizon = 15.7"),
+        ("simulate", {"disturbances": [
             {"node": 2.5, "start_time": 2, "end_time": 4, "amount_per_step": -0.3}
         ]}, "node = 2.5"),
-        ({"disturbances": [
+        ("simulate", {"disturbances": [
             {"node": 2, "start_time": 2.5, "end_time": 4, "amount_per_step": -0.3}
         ]}, "start_time = 2.5"),
-        ({"disturbances": [
+        ("simulate", {"disturbances": [
             {"node": 2, "start_time": 2, "end_time": 4.9, "amount_per_step": -0.3}
         ]}, "end_time = 4.9"),
-        ({"disturbances": [
+        ("simulate", {"disturbances": [
             {"node": 2, "start_time": 2, "end_time": 4, "amount_per_step": "abc"}
         ]}, "amount_per_step = 'abc'"),
-        ({"run_length": 10.7}, "run_length = 10.7"),
-        ({"run_length": -3}, "run_length = -3"),
-        ({"initial_z": [1.0, float("nan"), 0.25]}, "initial z has a non-finite"),
-        ({"initial_pipelines": [[0.0, float("nan")], [0.0]]},
+        ("simulate", {"run_length": 10.7}, "run_length = 10.7"),
+        ("simulate", {"run_length": -3}, "run_length = -3"),
+        ("simulate", {"initial_z": [1.0, float("nan"), 0.25]},
+         "initial z has a non-finite"),
+        ("simulate", {"initial_pipelines": [[0.0, float("nan")], [0.0]]},
          "initial pipelines have a non-finite"),
+        ("simulate", {"initial_z": ["abc", 0, 0.25]}, "initial state is not numeric"),
+        ("simulate", {"initial_pipelines": [["x", 0.0], [0.0]]},
+         "initial state is not numeric"),
+        ("sweep-horizon", {"horizon_grid": [2.5, 7.9]}, "horizon_grid[0] = 2.5"),
+        ("sweep-horizon", {"horizon_grid": [-3]}, "horizon_grid = [-3]"),
+        ("verify", {"verify_instances": 3.7}, "verify_instances = 3.7"),
+        ("verify", {"verify_instances": -2}, "verify_instances = -2"),
     ], ids=["start-after-end", "negative-start", "node-0", "node-past-n",
             "nan-amount", "past-horizon", "fractional-tau", "fractional-n",
             "fractional-horizon", "fractional-node", "fractional-start",
             "fractional-end", "non-numeric-amount", "fractional-run-length",
-            "negative-run-length", "nan-initial-z", "nan-initial-pipelines"])
-    def test_malformed_input_rejected(self, change, message, tmp_path, capsys):
+            "negative-run-length", "nan-initial-z", "nan-initial-pipelines",
+            "non-numeric-initial-z", "non-numeric-initial-pipelines",
+            "fractional-horizon-grid", "negative-horizon-grid",
+            "fractional-verify-instances", "negative-verify-instances"])
+    def test_malformed_input_rejected(self, command, change, message, tmp_path,
+                                      capsys):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(dict(BASE_CONFIG, **change)))
-        rc = main(["simulate", "--config", str(path), "--out", str(tmp_path)])
+        rc = main([command, "--config", str(path), "--out", str(tmp_path)])
         assert rc == 2
         err = capsys.readouterr().err
         assert "config error" in err and message in err
@@ -246,3 +259,22 @@ class TestDemoConfigs:
         for r in rows:
             kinds[r["kind"]] = kinds.get(r["kind"], 0) + 1
         assert kinds == {"delta": per_kind, "mu": per_kind}
+
+    @pytest.mark.parametrize("config, seed, digest", [
+        ("feedforward_demo", 0,
+         "595b0ef1c15bfb82f107d4adab6a330a8a141f7345a0ebab0985416460020512"),
+        ("feedforward_demo", 3,
+         "8b4012bf5f9a32d933af729df360d0e9010e7ea40d17349387598a1efc70b5b9"),
+        ("horizon_sweep_demo", 0,
+         "61e5df3976cef59ac271fa4e463c249de1d939f13dd8c369aca1b50ce4eb4ea0"),
+        ("horizon_sweep_demo", 3,
+         "66d371230d25c427e612f8d4be7ec03d9a9c3ed35ac939064cee1acf5dbc2e01"),
+    ])
+    def test_distributed_message_log_bytes(self, config, seed, digest, tmp_path):
+        # The whole log, schedule order included: a --seed names one
+        # scheduler draw sequence, so the file must not change.
+        rc = main(["distributed", "--config", str(CONFIG_DIR / f"{config}.json"),
+                   "--out", str(tmp_path), "--seed", str(seed)])
+        assert rc == 0
+        data = (tmp_path / "messages.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest

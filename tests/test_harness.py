@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pathlq.controller import combine_delta, combine_mu, local_phi, local_pi
 from pathlq.errors import RoundAbortError
 from pathlq.harness import (
     Message,
@@ -14,7 +15,7 @@ from pathlq.harness import (
     run_control_round,
 )
 from pathlq.ledger import DisturbancePlan, init_shifted_sums
-from pathlq.model import GraphSpec, PlantState
+from pathlq.model import ControlDecision, GraphSpec, PlantState
 from pathlq.simulate import closed_loop
 from pathlq.synthesis import synthesize
 
@@ -234,3 +235,123 @@ def test_log_csv_round_trip(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "round,from,to,kind,value"
     assert len(lines) == 1 + len(log.records)
+
+
+# --- the scheduler's draw sequence ---------------------------------------------
+
+class RecordingRng:
+    """A seeded Generator that records the bound of every `integers` draw."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.bounds = []
+
+    def integers(self, high):
+        self.bounds.append(high)
+        return self.rng.integers(high)
+
+
+def reference_round(network, measurements, log, rng):
+    """A control round whose scheduler rebuilds the whole ready list with an
+    O(N) scan before every task, in node-major, phi/delta-first order."""
+    nodes, n, rnd = network.nodes, network.n, network.round
+    for node, (z, uvals, dwin, d) in zip(nodes, measurements):
+        node.reset(z, uvals, dwin, d)
+    nodes[-1].mu_next = 0.0
+
+    def send(src, dst, kind, value):
+        network._check_link(src, dst)
+        log.append(Message(round=rnd, src=src, dst=dst, kind=kind, value=value))
+        if kind == "delta":
+            nodes[dst - 1].delta_prev = value
+        else:
+            nodes[dst - 1].mu_next = value
+
+    def ready():
+        tasks = []
+        for k, node in enumerate(nodes):
+            if node.phi_val is None:
+                tasks.append(("phi", k))
+            elif node.delta is None and node.delta_prev is not None:
+                tasks.append(("delta", k))
+            if node.pi_val is None:
+                tasks.append(("pi", k))
+            elif node.mu is None and node.mu_next is not None:
+                tasks.append(("mu", k))
+        return tasks
+
+    while tasks := ready():
+        kind, k = tasks[int(rng.integers(len(tasks)))] if rng is not None else tasks[0]
+        node = nodes[k]
+        if kind == "phi":
+            node.phi_val = local_phi(node.params, node.z, node.uvals, node.dwin)
+        elif kind == "pi":
+            node.pi_val = local_pi(node.params, node.z, node.uvals, node.dwin)
+        elif kind == "delta":
+            node.delta = combine_delta(node.params, node.phi_val, node.delta_prev)
+            if k + 1 < n:
+                send(k + 1, k + 2, "delta", node.delta)
+        else:
+            node.mu = combine_mu(node.params, node.pi_val, node.mu_next)
+            if k > 0:
+                send(k + 1, k, "mu", node.mu)
+    u = np.zeros(max(n - 1, 0))
+    v = np.empty(n)
+    for k, node in enumerate(nodes):
+        flow, v[k] = node.outputs()
+        if flow is not None:
+            u[k - 1] = flow
+    network.round += 1
+    return ControlDecision(u=u, v=v), log
+
+
+def _random_round_inputs(n, seed):
+    """A spec with mixed delays and weights, and random measurements."""
+    rng = np.random.default_rng(seed)
+    spec = _spec(n, rng.integers(1, 5, n - 1), horizon=int(rng.integers(0, 4)),
+                 q=rng.uniform(0.2, 5.0, n), r=rng.uniform(0.2, 5.0, n))
+    params = synthesize(spec)
+    meas = [
+        (rng.normal(), rng.normal(size=t), rng.normal(size=t), rng.normal())
+        for t in params.tau_eff
+    ]
+    return spec, params, meas
+
+
+def _records(log):
+    return [(m.round, m.src, m.dst, m.kind, repr(m.value)) for m in log.records]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_ready_list_replays_the_reference_scheduler(n):
+    spec, params, meas = _random_round_inputs(n, seed=100 + n)
+    for seed in [None, 0, 1, 2, 3, 4]:
+        runs = []
+        for round_fn in (run_control_round, reference_round):
+            rng = RecordingRng(seed) if seed is not None else None
+            network, log = Network(spec, params), MessageLog()
+            # Three rounds: the rng stream and the round counter carry over.
+            decisions = [round_fn(network, meas, log, rng)[0] for _ in range(3)]
+            runs.append((decisions, _records(log), rng and rng.bounds))
+        (new, new_log, new_bounds), (ref, ref_log, ref_bounds) = runs
+        for a, b in zip(new, ref, strict=True):
+            assert a.u.tobytes() == b.u.tobytes()
+            assert a.v.tobytes() == b.v.tobytes()
+        assert new_log == ref_log and len(new_log) == 3 * 2 * (n - 1)
+        assert new_bounds == ref_bounds
+        if seed is not None:
+            assert len(new_bounds) == 3 * 4 * n  # 4n draws per round
+
+
+def test_downed_link_aborts_after_the_same_records():
+    spec, params, meas = _random_round_inputs(7, seed=7)
+    for seed in range(6):
+        outcomes = []
+        for round_fn in (run_control_round, reference_round):
+            network = Network(spec, params)
+            network.fail_link(4, 5)
+            rng, log = RecordingRng(seed), MessageLog()
+            with pytest.raises(RoundAbortError, match="is down") as exc:
+                round_fn(network, meas, log, rng)
+            outcomes.append((str(exc.value), _records(log), rng.bounds))
+        assert outcomes[0] == outcomes[1]
