@@ -47,6 +47,8 @@ def load_config(path: str) -> dict:
     for fld in ("n", "tau", "q", "r", "horizon"):
         if fld not in cfg:
             raise ConfigError(f"{path}: missing required field {fld!r}")
+    if "seed" in cfg:
+        cfg["seed"] = _seed(cfg["seed"], f"{path}: seed")
     return cfg
 
 
@@ -66,6 +68,14 @@ def _whole(value, what: str) -> int:
     if not whole:
         raise ConfigError(f"{what} = {value!r} must be a whole number")
     return int(float(value))
+
+
+def _seed(value, what: str) -> int:
+    """`value` as a scheduler or suite seed: a whole number >= 0."""
+    seed = _whole(value, what)
+    if seed < 0:
+        raise ConfigError(f"{what} = {seed} must be >= 0")
+    return seed
 
 
 def config_plan(cfg: dict) -> DisturbancePlan:
@@ -229,7 +239,7 @@ def cmd_verify(args, cfg: dict | None, out: Path) -> int:
 
 def cmd_distributed(args, cfg: dict, out: Path) -> int:
     spec, plan, steps, params, z0, pipes0 = load_run(cfg)
-    rng = np.random.default_rng(args.seed if args.seed is not None else cfg.get("seed", 0))
+    rng = np.random.default_rng(cfg.get("seed", 0))  # main puts --seed here
     decisions, log, total = run_closed_loop(
         spec, params, plan, steps, z0, pipes0, rng=rng
     )
@@ -263,21 +273,10 @@ def main(argv=None) -> int:
     parser.add_argument("--tee-summary", action="store_true")
     args = parser.parse_args(argv)
 
+    if args.command != "verify" and not args.config:
+        parser.error(f"{args.command} requires --config")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cfg = None
-    if args.command != "verify" or args.config:
-        if not args.config:
-            parser.error(f"{args.command} requires --config")
-        try:
-            cfg = load_config(args.config)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        if args.horizon is not None:
-            cfg["horizon"] = args.horizon
-        if args.seed is not None:
-            cfg["seed"] = args.seed
 
     handlers = {
         "synth": cmd_synth,
@@ -288,6 +287,15 @@ def main(argv=None) -> int:
         "distributed": cmd_distributed,
     }
     try:
+        if args.seed is not None:
+            _seed(args.seed, "--seed")
+        cfg = None
+        if args.config:
+            cfg = load_config(args.config)
+            if args.horizon is not None:
+                cfg["horizon"] = args.horizon
+            if args.seed is not None:
+                cfg["seed"] = args.seed
         return handlers[args.command](args, cfg, out)
     except (ConfigError, SpecError, HorizonViolationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

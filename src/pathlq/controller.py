@@ -84,76 +84,68 @@ def local_production(p: NodeParams, delta_prev: float, mu_k: float) -> float:
 
 # --- sequential sweeps over the packed tables -------------------------------
 
-def _inputs(state: PlantState, windows: ShiftedWindows, cols: np.ndarray):
-    """(in-transit flows, window entries) at the columns of
-    ControllerParams.delay_cols: node i's u_i[t-(tau_i-D)] (0.0 for the last
-    node, which has no incoming edge) and D_i[t+sigma_i+D]."""
-    # The last node's columns lie past the pipelines: clipped, they read the
-    # buffer's closing 0.0.
-    return state.flows.take(cols, mode="clip"), windows.gather(cols)
+def _local_folds(
+    params: ControllerParams, z: np.ndarray, inflow: np.ndarray, d_last: np.ndarray
+) -> np.ndarray:
+    """(Phi, pi) of every node, as rows of one (2, N) array.
 
-
-def _left_folds(params: ControllerParams, head: np.ndarray, terms: np.ndarray):
-    """head_k + terms[k, 0] + ... + terms[k, tau_eff_k - 1] for every node k.
-
-    Accumulating along the delay axis adds strictly left to right, the
-    scalar kernels' order; entries past a node's end are never read.
+    inflow[k, D] is node k+1's u_i[t-(tau_i-D)] + D_i[t+sigma_i+D] at
+    ControllerParams.delay_cols; d_last is node N's window over the whole
+    horizon.  Accumulating along the delay axis adds strictly left to right,
+    the scalar kernels' order; entries past a node's end are never read.
     """
-    acc = np.empty(params.phi.shape)
-    acc[:, 0] = head
-    acc[:, 1:] = terms
-    return np.add.accumulate(acc, axis=1).take(params.fold_end)
+    x = np.concatenate((z[:, None], inflow), axis=1)
+    folds = np.add.accumulate(params.coef * x, axis=2)
+    folds = folds.reshape(2, -1).take(params.fold_end, axis=1)
+    # Node N has no incoming edge: its flow terms are the kernels' 0.0, which
+    # also turns a -0.0 window entry into 0.0 as they do.
+    x_last = np.concatenate(([z[-1]], 0.0 + d_last))
+    folds[:, -1] = np.add.accumulate(params.coef_last * x_last, axis=1)[:, -1]
+    return folds
 
 
-def upstream_sweep(
-    state: PlantState, windows: ShiftedWindows, params: ControllerParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """delta (and Phi) values, node 1 up to node N."""
-    flows, dwin = _inputs(state, windows, params.delay_cols)
-    phi = params.phi
-    Phi = _left_folds(params, phi[:, 1] * state.z, phi[:, 1:] * (flows + dwin))
-    delta = []
+def upstream_sweep(Phi: np.ndarray, params: ControllerParams) -> np.ndarray:
+    """delta values, node 1 up to node N."""
     prev = 0.0
-    for phi_k, w_k in zip(Phi.tolist(), params.one_minus_p_tau_1.tolist()):
-        prev = phi_k + w_k * prev
-        delta.append(prev)
-    return np.array(delta), Phi
+    return np.array([
+        prev := phi_k + w_k * prev
+        for phi_k, w_k in zip(Phi.tolist(), params.one_minus_p_tau_1.tolist())
+    ])
 
 
-def downstream_sweep(
-    state: PlantState, windows: ShiftedWindows, params: ControllerParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """mu (and pi) values, node N down to node 1."""
-    flows, dwin = _inputs(state, windows, params.delay_cols)
-    pi = _left_folds(params, state.z, (flows + dwin) * params.gprod[:, 1:])
-    mu = []
+def downstream_sweep(pi: np.ndarray, params: ControllerParams) -> np.ndarray:
+    """mu values, node N down to node 1."""
     nxt = 0.0
     # Node N's b is 0.0, as in its NodeParams.
-    for pi_k, b_k in zip(pi.tolist()[::-1], [0.0] + params.b.tolist()[::-1]):
-        nxt = pi_k + b_k * nxt
-        mu.append(nxt)
-    return np.array(mu[::-1]), pi
+    mu = [
+        nxt := pi_k + b_k * nxt
+        for pi_k, b_k in zip(pi.tolist()[::-1], [0.0] + params.b.tolist()[::-1])
+    ]
+    return np.array(mu[::-1])
 
 
 def compute_actions(
-    state: PlantState,
-    windows: ShiftedWindows,
+    z: np.ndarray,
+    u_oldest: np.ndarray,
+    d_head: np.ndarray,
     d_now: np.ndarray,
     delta: np.ndarray,
     mu: np.ndarray,
     params: ControllerParams,
 ) -> ControlDecision:
-    """Local output formulas once both sweeps have completed."""
-    heads = _inputs(state, windows, params.delay_cols[:, :1])
-    u_oldest, d_head = (x[1:, 0] for x in heads)  # nodes 2..N
+    """Local output formulas once both sweeps have completed.
+
+    u_oldest and d_head are every node's delay slot 0 (column 0 of
+    delay_cols): u_i[t-tau_i] and D_i[t+sigma_i].
+    """
     delta_prev = np.concatenate(([0.0], delta[:-1]))
     v = -params.x1_over_r * (delta_prev + params.one_minus_h_prev * mu)
     u = (
-        params.one_minus_gamma_q[1:] * (state.z[1:] + u_oldest + d_head)
+        params.one_minus_gamma_q[1:] * (z[1:] + u_oldest[1:] + d_head[1:])
         - params.a[1:] * delta[:-1]
         + params.c[1:] * mu[1:]
         + d_now[1:]
-        - d_head
+        - d_head[1:]
     )
     return ControlDecision(u=u, v=v)
 
@@ -164,8 +156,17 @@ def control_step(
     d_now: np.ndarray,
     params: ControllerParams,
 ) -> tuple[ControlDecision, SweepState]:
-    """Both sweeps followed by the local output formulas."""
-    delta, Phi = upstream_sweep(state, windows, params)
-    mu, pi = downstream_sweep(state, windows, params)
-    decision = compute_actions(state, windows, d_now, delta, mu, params)
+    """One gather of the step's inputs, both sweeps, then the local outputs."""
+    cols = params.delay_cols
+    # The last node's columns lie past the pipelines: clipped, they read the
+    # buffer's closing 0.0.
+    flows = state.flows.take(cols, mode="clip")
+    dwin = windows.gather(cols)
+    d_last = windows.slice(params.n, params.horizon + 1)
+    Phi, pi = _local_folds(params, state.z, flows + dwin, d_last)
+    delta = upstream_sweep(Phi, params)
+    mu = downstream_sweep(pi, params)
+    decision = compute_actions(
+        state.z, flows[:, 0], dwin[:, 0], d_now, delta, mu, params
+    )
     return decision, SweepState(Phi=Phi, delta=delta, pi=pi, mu=mu)

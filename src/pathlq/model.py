@@ -41,9 +41,17 @@ class GraphSpec:
     r: tuple[float, ...]
     horizon: int
     sigma: tuple[int, ...] = field(init=False)
+    # q and r as arrays, converted once per spec for stage_cost.  Set here,
+    # not on first use: an attribute added to an instance later slows every
+    # attribute lookup on it.
+    weights: tuple[np.ndarray, np.ndarray] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "sigma", tuple(aggregate_delays(self.tau)))
+        weights = np.array(self.q, dtype=float), np.array(self.r, dtype=float)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def sigma_total(self) -> int:
@@ -178,7 +186,8 @@ def plant_step(
 
 
 def stage_cost(spec: GraphSpec, z: np.ndarray, v: np.ndarray) -> float:
-    return float(np.dot(spec.q, np.square(z)) + np.dot(spec.r, np.square(v)))
+    q, r = spec.weights
+    return float(np.dot(q, np.square(z)) + np.dot(r, np.square(v)))
 
 
 @dataclass

@@ -35,18 +35,24 @@ class NodeParams:
     one_minus_gamma_q: float  # 1 - gamma_i / q_i
     x1_over_r: float  # X_i(1) / r_i
     one_minus_h_prev: float  # 1 - h_{i-1}
-    phi: np.ndarray  # phi[Delta] for Delta = 1..tau_eff (index 0 unused)
-    gprod: np.ndarray  # gprod[m] = prod_{j=2}^{m} g_i(j), m = 1..tau_eff
+    phi: np.ndarray  # phi[Delta] for Delta = 1..tau_eff; phi[0] = phi[1]
+    gprod: np.ndarray  # gprod[m] = prod_{j=2}^{m} g_i(j) for m >= 1; gprod[0] = 1
 
 
 @dataclass(frozen=True)
 class ControllerParams:
     """All synthesized parameters, indexed per node.
 
-    The per-delay tables phi and gprod are packed into one (N, W) array
-    each, W = max(tau_eff) + 1: row k holds node k+1's entries 1..tau_eff
-    and NaN elsewhere.  Every per-node scalar of the online law is one
-    length-N array, so the sequential controller reads all nodes at once.
+    A node's phi and gprod rows are the coefficients of its two local
+    folds: Phi_i = sum_j phi_i[j] x_i[j] and pi_i = sum_j gprod_i[j] x_i[j],
+    with x_i[0] = z_i and x_i[D+1] the node's inflow in delay slot D, so
+    index 0 holds the coefficient of z (phi_i(1) and 1.0).  The rows of
+    nodes 1..N-1 are packed into coef, (2, N, W) with W = max(tau) + 1:
+    coef[0, k] is node k+1's phi row and coef[1, k] its gprod row, NaN past
+    tau_eff.  Node N's rows span the horizon, H + 2 entries, so they are
+    kept apart in coef_last and its packed rows are NaN.  Every per-node
+    scalar of the online law is one length-N array, so the sequential
+    controller reads all nodes at once.
     """
 
     n: int
@@ -57,11 +63,11 @@ class ControllerParams:
     X: tuple[np.ndarray, ...]  # X[k][j-1]; last node has H+2 entries
     g: tuple[np.ndarray, ...]  # g[k][j] for j = 2..tau_eff (indices 0,1 unused)
     g_cross: np.ndarray  # g_cross[k] = g_{i+1}(1) stored at node i = k+1 < N
-    gprod: np.ndarray  # (N, W)
     b: np.ndarray  # b_i for i = 1..N-1
     P: tuple[np.ndarray, ...]  # P[k][l-1, m-1], shape (tau_eff, tau_eff)
     h: np.ndarray  # h[i] = h_i for i = 0..N-1, h[0] = 0
-    phi: np.ndarray  # (N, W)
+    coef: np.ndarray  # (2, N, W): phi and gprod rows of nodes 1..N-1
+    coef_last: np.ndarray  # (2, H+2): node N's phi and gprod rows
     a: np.ndarray
     c: np.ndarray
     one_minus_p_tau_1: np.ndarray
@@ -70,12 +76,14 @@ class ControllerParams:
     one_minus_h_prev: np.ndarray
     # Column of node k+1's delay slot D = 0..W-2 in the layout that the
     # plant's flow buffer and the ledger's window rows share: sigma_{k+1} + D,
-    # repeating the node's last slot past its tau_eff.
+    # repeating the node's last slot past its tau_eff.  Node N's row holds
+    # only its first W-1 slots; its column 0 is the head that its outputs read.
     delay_cols: np.ndarray  # (N, W-1)
-    fold_end: np.ndarray  # k * W + tau_eff[k]: where node k's left fold ends
+    fold_end: np.ndarray  # k * W + min(tau_eff[k], W-1): where node k's fold ends
 
     def node_slice(self, k: int) -> NodeParams:
         """Local parameters for node k+1 (everything its unit may hold)."""
+        coef = self.coef_last if k == self.n - 1 else self.coef[:, k]
         return NodeParams(
             index=k + 1,
             tau_eff=self.tau_eff[k],
@@ -86,8 +94,8 @@ class ControllerParams:
             one_minus_gamma_q=float(self.one_minus_gamma_q[k]),
             x1_over_r=float(self.x1_over_r[k]),
             one_minus_h_prev=float(self.one_minus_h_prev[k]),
-            phi=self.phi[k],
-            gprod=self.gprod[k],
+            phi=coef[0],
+            gprod=coef[1],
         )
 
 
@@ -114,13 +122,14 @@ def _riccati_step(x: float, gamma: float, rho: float) -> float:
     return rho * (x + gamma) / (x + gamma + rho)
 
 
-def sweep_X_g_b_P(spec: GraphSpec, gamma, rho, x_terminal: float):
-    """Second sweep, node N down to node 1: X, g, b and P tables."""
+def sweep_X_g_b_P(spec: GraphSpec, tau_eff, gamma, rho, x_terminal: float, rows):
+    """Second sweep, node N down to node 1: X, g, b and P tables.
+
+    Fills row 1 of each node's rows[k], its gprod row.
+    """
     n = spec.n
-    tau_eff = list(spec.tau) + [spec.horizon + 1]
     X: list[np.ndarray] = [None] * n
     g: list[np.ndarray] = [None] * n
-    gprod = np.full((n, max(tau_eff) + 1), np.nan)
     P: list[np.ndarray] = [None] * n
     g_cross = np.zeros(max(n - 1, 0))
     b = np.zeros(max(n - 1, 0))
@@ -145,8 +154,8 @@ def sweep_X_g_b_P(spec: GraphSpec, gamma, rho, x_terminal: float):
         if k < n - 1:
             g_cross[k] = X[k + 1][0] / (X[k + 1][0] + gamma[k])
 
-        gp = gprod[k]
-        gp[1] = 1.0
+        gp = rows[k][1]
+        gp[0] = gp[1] = 1.0
         for m in range(2, te + 1):
             gp[m] = gp[m - 1] * gk[m]
         if k < n - 1:
@@ -165,17 +174,17 @@ def sweep_X_g_b_P(spec: GraphSpec, gamma, rho, x_terminal: float):
         P[k] = pk
         one_minus_p_tau_1[k] = 1.0 - pk[te - 1, 0]
 
-    return (
-        tuple(X), tuple(g), g_cross, gprod, b, tuple(P), one_minus_p_tau_1,
-        tuple(tau_eff),
-    )
+    return tuple(X), tuple(g), g_cross, b, tuple(P), one_minus_p_tau_1
 
 
 def sweep_h_and_finalize(
-    spec: GraphSpec, tau_eff, gamma, rho, X, g_cross, gprod, b, P, one_minus_p_tau_1
+    spec: GraphSpec, tau_eff, gamma, rho, X, g_cross, rows, b, P, one_minus_p_tau_1
 ):
     """Third sweep and the final per-node parameters h, phi, a, c and the
-    coefficients of the local output formulas."""
+    coefficients of the local output formulas.
+
+    Reads each node's gprod row, rows[k][1], and fills its phi row, rows[k][0].
+    """
     n = spec.n
     h = np.zeros(n)  # h[i] = h_i, i = 0..N-1; h_0 = 0
     for i in range(1, n):
@@ -185,7 +194,6 @@ def sweep_h_and_finalize(
             one_minus_p_tau_1[k] * b[k] * h[i - 1] + P[k][te - 1, te - 1] * g_cross[k]
         )
 
-    phi = np.full(gprod.shape, np.nan)
     a = np.empty(n)
     c = np.empty(n)
     one_minus_gamma_q = np.empty(n)
@@ -195,12 +203,14 @@ def sweep_h_and_finalize(
         te = tau_eff[k]
         h_prev = h[k]  # h_{i-1} for node i = k+1
         pk = P[k]
+        phk, gpk = rows[k][0], rows[k][1]
         # The product inside phi_i(Delta) runs over j = 2..Delta, which fits
         # the table sizes and is the form confirmed against the dense oracle.
         for dlt in range(1, te + 1):
-            phi[k, dlt] = 1.0 - pk[te - 1, dlt - 1] - (
-                one_minus_p_tau_1[k] * h_prev * gprod[k, dlt]
+            phk[dlt] = 1.0 - pk[te - 1, dlt - 1] - (
+                one_minus_p_tau_1[k] * h_prev * gpk[dlt]
             )
+        phk[0] = phk[1]
         x1 = X[k][0]
         gamma_q = gamma[k] / spec.q[k]
         one_minus_gamma_q[k] = 1.0 - gamma_q
@@ -211,31 +221,36 @@ def sweep_h_and_finalize(
             -(x1_over_r[k] - gamma[k] * x1 / (spec.q[k] * rho[k])) * one_minus_h_prev[k]
             + gamma_q * h_prev
         )
-    return h, phi, a, c, one_minus_gamma_q, x1_over_r, one_minus_h_prev
+    return h, a, c, one_minus_gamma_q, x1_over_r, one_minus_h_prev
 
 
-def _delay_layout(tau_eff: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """delay_cols and fold_end of ControllerParams for these delays."""
+def _delay_layout(tau_eff: tuple[int, ...]):
+    """coef and coef_last, all NaN, delay_cols and fold_end of
+    ControllerParams for these delays."""
     te = np.array(tau_eff)
-    width = int(te.max()) + 1
+    width = int(te[:-1].max(initial=1)) + 1  # max tau + 1, at least 2
     sigma = np.concatenate(([0], np.cumsum(te[:-1])))
     delay_cols = sigma[:, None] + np.minimum(np.arange(width - 1), te[:, None] - 1)
-    return delay_cols, np.arange(len(te)) * width + te
+    fold_end = np.arange(len(te)) * width + np.minimum(te, width - 1)
+    coef = np.full((2, len(te), width), np.nan)
+    return coef, np.full((2, tau_eff[-1] + 1), np.nan), delay_cols, fold_end
 
 
 def synthesize(spec: GraphSpec) -> ControllerParams:
     """Run all three sweeps and finalize every controller parameter."""
+    tau_eff = (*spec.tau, spec.horizon + 1)
+    coef, coef_last, delay_cols, fold_end = _delay_layout(tau_eff)
+    # Node k+1's (phi, gprod) rows, views that the sweeps fill; node N's
+    # packed rows stay NaN.
+    rows = [*coef.swapaxes(0, 1)[:-1], coef_last]
     gamma, rho = sweep_gamma_rho(spec.q, spec.r)
     x_term = terminal_riccati(gamma[-1], rho[-1])
-    X, g, g_cross, gprod, b, P, one_minus_p_tau_1, tau_eff = sweep_X_g_b_P(
-        spec, gamma, rho, x_term
+    X, g, g_cross, b, P, one_minus_p_tau_1 = sweep_X_g_b_P(
+        spec, tau_eff, gamma, rho, x_term, rows
     )
-    h, phi, a, c, one_minus_gamma_q, x1_over_r, one_minus_h_prev = (
-        sweep_h_and_finalize(
-            spec, tau_eff, gamma, rho, X, g_cross, gprod, b, P, one_minus_p_tau_1
-        )
+    h, a, c, one_minus_gamma_q, x1_over_r, one_minus_h_prev = sweep_h_and_finalize(
+        spec, tau_eff, gamma, rho, X, g_cross, rows, b, P, one_minus_p_tau_1
     )
-    delay_cols, fold_end = _delay_layout(tau_eff)
     return ControllerParams(
         n=spec.n,
         horizon=spec.horizon,
@@ -245,11 +260,11 @@ def synthesize(spec: GraphSpec) -> ControllerParams:
         X=X,
         g=g,
         g_cross=g_cross,
-        gprod=gprod,
         b=b,
         P=P,
         h=h,
-        phi=phi,
+        coef=coef,
+        coef_last=coef_last,
         a=a,
         c=c,
         one_minus_p_tau_1=one_minus_p_tau_1,
@@ -270,6 +285,7 @@ def params_to_document(params: ControllerParams) -> str:
     }
     for k in range(params.n):
         te = params.tau_eff[k]
+        phi = params.node_slice(k).phi
         node = {
             "node": k + 1,
             "tau_eff": te,
@@ -282,7 +298,7 @@ def params_to_document(params: ControllerParams) -> str:
                 for l in range(1, te + 1)
                 for m in range(1, te + 1)
             },
-            "phi": {str(d): params.phi[k][d] for d in range(1, te + 1)},
+            "phi": {str(d): phi[d] for d in range(1, te + 1)},
             "a": params.a[k],
             "c": params.c[k],
             "h_prev": params.h[k],

@@ -107,6 +107,9 @@ class TestConfig:
         ("sweep-horizon", {"horizon_grid": [-3]}, "horizon_grid = [-3]"),
         ("verify", {"verify_instances": 3.7}, "verify_instances = 3.7"),
         ("verify", {"verify_instances": -2}, "verify_instances = -2"),
+        ("distributed", {"seed": -1}, "seed = -1"),
+        ("distributed", {"seed": 2.5}, "seed = 2.5"),
+        ("distributed", {"seed": "abc"}, "seed = 'abc'"),
     ], ids=["start-after-end", "negative-start", "node-0", "node-past-n",
             "nan-amount", "past-horizon", "fractional-tau", "fractional-n",
             "fractional-horizon", "fractional-node", "fractional-start",
@@ -114,7 +117,8 @@ class TestConfig:
             "negative-run-length", "nan-initial-z", "nan-initial-pipelines",
             "non-numeric-initial-z", "non-numeric-initial-pipelines",
             "fractional-horizon-grid", "negative-horizon-grid",
-            "fractional-verify-instances", "negative-verify-instances"])
+            "fractional-verify-instances", "negative-verify-instances",
+            "negative-seed", "fractional-seed", "non-numeric-seed"])
     def test_malformed_input_rejected(self, command, change, message, tmp_path,
                                       capsys):
         path = tmp_path / "c.json"
@@ -123,6 +127,16 @@ class TestConfig:
         assert rc == 2
         err = capsys.readouterr().err
         assert "config error" in err and message in err
+
+    @pytest.mark.parametrize("command, with_config", [
+        ("verify", False), ("verify", True), ("distributed", True),
+    ])
+    def test_negative_seed_flag_rejected(self, command, with_config, config_path,
+                                         tmp_path, capsys):
+        config = ["--config", config_path] if with_config else []
+        rc = main([command, *config, "--out", str(tmp_path), "--seed", "-1"])
+        assert rc == 2
+        assert "config error: --seed = -1 must be >= 0" in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -277,4 +291,19 @@ class TestDemoConfigs:
                    "--out", str(tmp_path), "--seed", str(seed)])
         assert rc == 0
         data = (tmp_path / "messages.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    @pytest.mark.parametrize("config, digest", [
+        ("feedforward_demo",
+         "a6b59519d5adc7f6d0db23a353361a0647ff20b7598523a681efb680f253c817"),
+        ("horizon_sweep_demo",
+         "c61e18a6a147a704e3c78a581a24de7c5f9393dcbeb5b4273e29a27ee8f6a059"),
+    ])
+    def test_synth_params_bytes(self, config, digest, tmp_path):
+        # Every synthesized coefficient, as written: a change to how the
+        # tables are stored must not change a digit.
+        rc = main(["synth", "--config", str(CONFIG_DIR / f"{config}.json"),
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        data = (tmp_path / "params.json").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest

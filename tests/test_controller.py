@@ -113,17 +113,25 @@ def test_sweeps_are_order_independent():
         pipelines0=[rng.normal(size=t) for t in spec.tau],
     )
     d0 = plan.d_now(spec, 0)
+    decision, sweeps = control_step(state, windows, d0, params)
+    heads = (
+        state.z,
+        state.flows.take(params.delay_cols[:, 0], mode="clip"),
+        windows.gather(params.delay_cols[:, :1])[:, 0],
+        d0,
+    )
 
-    delta, _ = upstream_sweep(state, windows, params)
-    mu, _ = downstream_sweep(state, windows, params)
-    first = compute_actions(state, windows, d0, delta, mu, params)
+    delta = upstream_sweep(sweeps.Phi, params)
+    mu = downstream_sweep(sweeps.pi, params)
+    first = compute_actions(*heads, delta, mu, params)
 
-    mu2, _ = downstream_sweep(state, windows, params)
-    delta2, _ = upstream_sweep(state, windows, params)
-    second = compute_actions(state, windows, d0, delta2, mu2, params)
+    mu2 = downstream_sweep(sweeps.pi, params)
+    delta2 = upstream_sweep(sweeps.Phi, params)
+    second = compute_actions(*heads, delta2, mu2, params)
 
-    assert np.array_equal(first.u, second.u)
-    assert np.array_equal(first.v, second.v)
+    for got in (first, second):
+        assert got.u.tobytes() == decision.u.tobytes()
+        assert got.v.tobytes() == decision.v.tobytes()
 
 
 def test_policy_is_time_invariant():
@@ -255,16 +263,11 @@ def _drawn_values(data, size):
     return out
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_packed_step_equals_the_per_node_kernels_bitwise(data):
-    n = data.draw(st.integers(1, 8), label="n")
-    tau = data.draw(st.lists(st.integers(1, 5), min_size=n - 1, max_size=n - 1))
+def _check_packed_step(data, n, tau, horizon):
+    """control_step against the per-node kernels, bitwise, on drawn weights,
+    state, plan, time offset and current disturbance."""
     weights = st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)
-    spec = _spec(
-        n, tau, data.draw(st.integers(0, 8), label="H"),
-        q=data.draw(weights), r=data.draw(weights),
-    )
+    spec = _spec(n, tau, horizon, q=data.draw(weights), r=data.draw(weights))
     params = synthesize(spec)
     values = lambda size: _drawn_values(data, size)
     state = PlantState(
@@ -285,3 +288,32 @@ def test_packed_step_equals_the_per_node_kernels_bitwise(data):
     want = _per_node_step(state, windows, d_now, params)
     for name, g, w in zip(["u", "v", "Phi", "delta", "pi", "mu"], got, want):
         assert g.tobytes() == w.tobytes(), name
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_packed_step_equals_the_per_node_kernels_bitwise(data):
+    # H up to 30, far past max(tau) = 5: node N's own fold is wider than
+    # the packed tables.
+    n = data.draw(st.integers(1, 8), label="n")
+    tau = data.draw(st.lists(st.integers(1, 5), min_size=n - 1, max_size=n - 1))
+    _check_packed_step(data, n, tau, data.draw(st.integers(0, 30), label="H"))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_packed_step_is_bitwise_when_node_n_is_narrower_than_the_table(data):
+    # H = 0 with some tau = 5: node N's single slot sits in a 6-wide table.
+    n = data.draw(st.integers(2, 8), label="n")
+    tau = data.draw(st.lists(st.integers(1, 5), min_size=n - 1, max_size=n - 1))
+    tau[data.draw(st.integers(0, n - 2))] = 5
+    _check_packed_step(data, n, tau, 0)
+
+
+@pytest.mark.parametrize("horizon", [0, 100])
+def test_packed_tables_are_as_wide_as_the_longest_edge_delay(horizon):
+    spec = _spec(4, [2, 5, 3], horizon)
+    params = synthesize(spec)
+    assert params.coef.shape == (2, 4, 5 + 1)
+    assert params.delay_cols.shape == (4, 5)
+    assert params.coef_last.shape == (2, horizon + 2)

@@ -147,7 +147,8 @@ class TestSynthesize:
         p2 = synthesize(inst.spec)
         assert np.array_equal(p1.gamma, p2.gamma)
         assert all(np.array_equal(a, b) for a, b in zip(p1.X, p2.X))
-        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(p1.phi, p2.phi))
+        for name in ("coef", "coef_last"):
+            assert np.array_equal(getattr(p1, name), getattr(p2, name), equal_nan=True)
         assert np.array_equal(p1.h, p2.h)
 
     def test_serialization_roundtrip_keys(self, five_node_spec):
@@ -161,3 +162,34 @@ class TestSynthesize:
         node1 = doc["nodes"][0]
         assert node1["tau_eff"] == 3
         assert "3" in node1["X"] and "2,1" in node1["P"]
+
+
+def _reference_rows(params, k):
+    """Node k+1's gprod and phi entries 1..tau_eff, recomputed one scalar at
+    a time from its g, P and h values in synthesis's order of operations."""
+    te = params.tau_eff[k]
+    gprod = [1.0]
+    for m in range(2, te + 1):
+        gprod.append(gprod[-1] * params.g[k][m])
+    phi = [
+        1.0 - params.P[k][te - 1, d - 1]
+        - (params.one_minus_p_tau_1[k] * params.h[k] * gprod[d - 1])
+        for d in range(1, te + 1)
+    ]
+    return np.array(gprod), np.array(phi)
+
+
+@pytest.mark.parametrize("tau, horizon", [
+    ((3, 2, 5, 4), 6), ((5,), 0), ((1, 1, 1), 30), ((2, 5, 1, 3, 4), 100), ((), 7),
+], ids=["demo", "H0-tau5", "H30-tau1", "H100", "single-node"])
+def test_node_slice_rows_match_a_scalar_reference(tau, horizon, rng):
+    n = len(tau) + 1
+    spec = GraphSpec(n=n, tau=tau, q=tuple(rng.uniform(0.1, 10, n)),
+                     r=tuple(rng.uniform(0.1, 10, n)), horizon=horizon)
+    params = synthesize(spec)
+    for k in range(n):
+        node = params.node_slice(k)
+        te = node.tau_eff
+        gprod, phi = _reference_rows(params, k)
+        assert node.gprod[1 : te + 1].tobytes() == gprod.tobytes(), k
+        assert node.phi[1 : te + 1].tobytes() == phi.tobytes(), k
