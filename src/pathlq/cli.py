@@ -215,7 +215,7 @@ def cmd_sweep_horizon(args, cfg: dict, out: Path) -> int:
 
 
 def cmd_verify(args, cfg: dict | None, out: Path) -> int:
-    seed = args.seed if args.seed is not None else 0
+    seed = (cfg or {}).get("seed", args.seed or 0)  # main puts --seed in cfg
     count = _whole(cfg.get("verify_instances", 100), "verify_instances") if cfg else 100
     if count < 1:
         raise ConfigError(f"verify_instances = {count} must be >= 1")

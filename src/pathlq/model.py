@@ -210,25 +210,3 @@ class Trajectory:
     @property
     def steps(self) -> int:
         return self.u.shape[0]
-
-    def flow(self, edge: int, t: int) -> float:
-        """u_edge[t], reaching into the initial pipeline for t < 0."""
-        tau = self.spec.tau[edge - 1]
-        if t >= 0:
-            return float(self.u[t, edge - 1])
-        if t >= -tau:
-            return float(self.init_pipelines[edge - 1][tau + t])
-        return 0.0
-
-    def total_cost(self) -> float:
-        return float(self.step_costs.sum())
-
-    def final_plant_state(self) -> PlantState:
-        """The plant state at the end of the run, pipelines included."""
-        T = self.steps
-        pipes = tuple(
-            np.array([self.flow(e + 1, T - self.spec.tau[e] + k)
-                      for k in range(self.spec.tau[e])])
-            for e in range(self.spec.n - 1)
-        )
-        return PlantState(t=T, z=self.z[T].copy(), pipelines=pipes)

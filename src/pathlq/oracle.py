@@ -8,7 +8,8 @@ stationary cost-to-go as terminal weight so the truncation is exact
 whenever the disturbances have died out by the end of the horizon.
 
 Also provides the shifted-sum diagnostics used by the certification
-tests: the aggregates S_k, V_k, m_k and the two cost decompositions.
+tests: the aggregates S_k, V_k, m_k, as arrays indexed [k, t], and the
+two cost decompositions.
 """
 
 from __future__ import annotations
@@ -22,9 +23,6 @@ import scipy.linalg
 from .errors import InvalidHorizonError
 from .ledger import DisturbancePlan
 from .model import GraphSpec, PlantState, Trajectory
-
-DEFAULT_SETTLING_MARGIN = 60
-
 
 @dataclass(frozen=True)
 class AugmentedSystem:
@@ -177,7 +175,6 @@ def solve_finite_horizon(
         x_free[t + 1] = A @ x_free[t] + E @ d_mat[t]
 
     # Input-to-state map: x_t = x_free[t] + sum_{s<t} A^{t-1-s} B u_s.
-    # G[t] stacks the blocks A^{t-1-s} B for s = 0..T-1 (zero for s >= t).
     Apow_B = np.zeros((T, dim, m))  # Apow_B[j] = A^j B
     Apow_B[0] = B
     for j in range(1, T):
@@ -185,22 +182,19 @@ def solve_finite_horizon(
 
     # Weighted rows: sqrt(q) on level coordinates for t = 1..T-1, plus a
     # Cholesky factor of the terminal weight for t = T.  Everything else
-    # in the state cost is zero, so those rows are dropped.
+    # in the state cost is zero, so those rows are dropped.  Row block t,
+    # column block s holds A^{t-1-s} B (zero for s >= t): one strided copy
+    # per column block.
     n = spec.n
-    sq = np.sqrt(np.asarray(spec.q, float))
+    sq = np.sqrt(spec.weights[0])
     L_term = np.linalg.cholesky(P_terminal)  # P is PD for these plants
-    n_rows = (T - 1) * n + dim
-    W_G = np.zeros((n_rows, T * m))
-    w_free = np.zeros(n_rows)
-    for t in range(1, T):
-        rows = slice((t - 1) * n, t * n)
-        for s in range(t):
-            W_G[rows, s * m : (s + 1) * m] = sq[:, None] * Apow_B[t - 1 - s][:n, :]
-        w_free[rows] = sq * x_free[t][:n]
-    rows = slice((T - 1) * n, n_rows)
-    for s in range(T):
-        W_G[rows, s * m : (s + 1) * m] = L_term.T @ Apow_B[T - 1 - s]
-    w_free[rows] = L_term.T @ x_free[T]
+    W_G = np.zeros(((T - 1) * n + dim, T * m))
+    blocks = W_G[: (T - 1) * n].reshape(T - 1, n, T, m)
+    level = sq[:, None] * Apow_B[:, :n]
+    for s in range(T - 1):
+        blocks[s:, :, s] = level[: T - 1 - s]
+    W_G[(T - 1) * n :] = np.hstack(L_term.T @ Apow_B[::-1])
+    w_free = np.concatenate([(sq * x_free[1:T, :n]).ravel(), L_term.T @ x_free[T]])
 
     H = W_G.T @ W_G
     H[np.arange(T * m), np.arange(T * m)] += np.tile(np.diag(system.R), T)
@@ -241,12 +235,12 @@ def gain_closed_loop(
 
 @dataclass
 class ShiftedAggregates:
-    """S_k, V_k and m_k over a trajectory (1-based k, absolute t)."""
+    """S_k, V_k, m_k as (N+1, T+1) arrays [k, t]; NaN in row 0 and out of range."""
 
     spec: GraphSpec
-    S: dict[tuple[int, int], float]
-    V: dict[tuple[int, int], float]
-    m: dict[tuple[int, int], float]
+    S: np.ndarray
+    V: np.ndarray
+    m: np.ndarray
 
 
 def shifted_aggregates(traj: Trajectory, spec: GraphSpec) -> ShiftedAggregates:
@@ -254,30 +248,31 @@ def shifted_aggregates(traj: Trajectory, spec: GraphSpec) -> ShiftedAggregates:
 
     S is defined for t in [sigma_k, T], V for t in [sigma_k, T - 1 + sigma_1]
     (each term needs v_i[t - sigma_i] within the run), m for t in [0, T].
+    m_k[t] adds, node by node for i <= k, z_i[t] and then the flows
+    u_i[t-1], .., u_i[t-tau_i] still in transit on edge i.
     """
-    T = traj.steps
-    S: dict[tuple[int, int], float] = {}
-    V: dict[tuple[int, int], float] = {}
-    mm: dict[tuple[int, int], float] = {}
-    for k in range(1, spec.n + 1):
-        sig_k = spec.sigma[k - 1]
-        for t in range(sig_k, T + 1):
-            S[(k, t)] = float(
-                sum(traj.z[t - spec.sigma[i - 1], i - 1] for i in range(1, k + 1))
-            )
-        for t in range(sig_k, T):
-            V[(k, t)] = float(
-                sum(traj.v[t - spec.sigma[i - 1], i - 1] for i in range(1, k + 1))
-            )
-        for t in range(0, T + 1):
-            total = 0.0
-            for i in range(1, k + 1):
-                total += traj.z[t, i - 1]
-                if i < spec.n:
-                    for delta in range(1, spec.tau[i - 1] + 1):
-                        total += traj.flow(i, t - delta)
-            mm[(k, t)] = total
-    return ShiftedAggregates(spec=spec, S=S, V=V, m=mm)
+    n, T, lead = spec.n, traj.steps, spec.sigma_total
+    # Every signal at times -sigma_N..T, NaN where the run has no value:
+    # levels, productions, then flows, reaching into the initial pipelines.
+    hist = np.full((lead + T + 1, 3 * n - 1), np.nan)
+    hist[lead:, :n] = traj.z
+    hist[lead:-1, n:] = np.hstack([traj.v, traj.u])
+    for e, pipe in enumerate(traj.init_pipelines):
+        hist[lead - len(pipe) : lead, 2 * n + e] = pipe
+    # One term row per (lag, column): S's, V's, then m's in the order they add.
+    lag, col = [*spec.sigma, *spec.sigma], [*range(2 * n)]
+    widths = [1 + tau for tau in (*spec.tau, 0)]
+    for i, width in enumerate(widths):
+        lag += range(width)
+        col += [i] + [2 * n + i] * (width - 1)
+    rows = lead + np.arange(T + 1) - np.array(lag)[:, None]
+    terms = hist[rows, np.array(col)[:, None]]
+
+    S, V, m = np.full((3, n + 1, T + 1), np.nan)
+    S[1:] = np.cumsum(terms[:n], axis=0)
+    V[1:] = np.cumsum(terms[n : 2 * n], axis=0)
+    m[1:] = np.cumsum(terms[2 * n :], axis=0)[np.cumsum(widths) - 1]
+    return ShiftedAggregates(spec=spec, S=S, V=V, m=m)
 
 
 @dataclass
@@ -313,23 +308,19 @@ def check_cost_decomposition(
     """
     agg = shifted_aggregates(traj, spec)
     T = traj.steps
-    n = spec.n
+    q, r = spec.weights
 
-    level_lhs = float(sum(np.dot(spec.q, traj.z[t] ** 2) for t in range(T + 1)))
-    level_rhs = float(np.dot(spec.q, traj.z[0] ** 2))
-    for i in range(1, n):
-        for t in range(spec.sigma[i - 1] + 1, spec.sigma[i] + 1):
-            level_rhs += gamma[i - 1] * agg.S[(i, t)] ** 2
-    for t in range(spec.sigma[n - 1] + 1, T + 1):
-        level_rhs += gamma[n - 1] * agg.S[(n, t)] ** 2
+    # Aggregate k owns the level times sigma_k < t <= sigma_{k+1} and the
+    # production times sigma_k <= t < sigma_{k+1}, where sigma_{N+1} = inf.
+    level_lhs = float(np.sum(traj.z**2 @ q))
+    t = np.arange(1, T + 1)
+    k = np.searchsorted(spec.sigma, t)
+    level_rhs = float(q @ traj.z[0] ** 2 + gamma[k - 1] @ agg.S[k, t] ** 2)
 
-    prod_lhs = float(sum(np.dot(spec.r, traj.v[t] ** 2) for t in range(T)))
-    prod_rhs = 0.0
-    for i in range(1, n):
-        for t in range(spec.sigma[i - 1], spec.sigma[i]):
-            prod_rhs += rho[i - 1] * agg.V[(i, t)] ** 2
-    for t in range(spec.sigma[n - 1], T):
-        prod_rhs += rho[n - 1] * agg.V[(n, t)] ** 2
+    prod_lhs = float(np.sum(traj.v**2 @ r))
+    t = np.arange(T)
+    k = np.searchsorted(spec.sigma, t, side="right")
+    prod_rhs = float(rho[k - 1] @ agg.V[k, t] ** 2)
 
     # Geometric tail estimate: the closed loop decays linearly, so the
     # omitted terms are bounded by the last observed stage cost times

@@ -41,6 +41,7 @@ class SimulationResult:
     trajectory: Trajectory
     total_cost: float  # stage costs over the run only
     decisions: list[ControlDecision]
+    final_state: PlantState  # after the last step, pipelines included
 
 
 class Sequential:
@@ -147,5 +148,6 @@ def closed_loop(
         step_costs=costs,
     )
     return SimulationResult(
-        trajectory=traj, total_cost=float(costs.sum()), decisions=decisions
+        trajectory=traj, total_cost=float(costs.sum()), decisions=decisions,
+        final_state=state,
     )

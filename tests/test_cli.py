@@ -217,6 +217,21 @@ class TestOtherCommands:
         assert "verify passed" in capsys.readouterr().out
         assert (tmp_path / "verify.csv").exists()
 
+    def test_verify_honours_the_config_seed_under_the_flag(self, tmp_path, capsys):
+        def run(name, config_seed, *flag):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(
+                dict(BASE_CONFIG, verify_instances=3, seed=config_seed)))
+            out = tmp_path / name
+            assert main(["verify", "--config", str(path), "--out", str(out), *flag]) == 0
+            return (out / "verify.csv").read_bytes(), capsys.readouterr().out
+
+        from_config = run("config", 5)
+        assert "3 instances, seed 5:" in from_config[1]
+        assert from_config == run("flag", 0, "--seed", "5")
+        assert from_config[0] != run("zero", 0)[0]
+        assert run("over", 5, "--seed", "0") == run("zero", 0)
+
     def test_distributed_writes_clean_message_log(self, config_path, tmp_path):
         out = tmp_path / "dist"
         rc = main([

@@ -220,6 +220,41 @@ def test_known_disturbance_is_the_plan_row_bitwise(mode):
         assert res.trajectory.d[t].tobytes() == true.tobytes()
 
 
+
+def _rebuilt_final_state(traj):
+    """The end-of-run state rebuilt from the trajectory: flow u_e[s] is
+    traj.u for s >= 0 and the initial pipeline before."""
+    spec, T = traj.spec, traj.steps
+    pipes = []
+    for e, tau in enumerate(spec.tau):
+        flows = np.concatenate([traj.init_pipelines[e], traj.u[:, e]])
+        pipes.append(flows[T : T + tau])  # u_e[T - tau .. T - 1]
+    return PlantState(t=T, z=traj.z[T].copy(), pipelines=pipes)
+
+
+@pytest.mark.parametrize("n, tau, steps", [
+    (4, [3, 1, 2], 0), (4, [3, 1, 2], 2), (4, [3, 1, 2], 25), (1, [], 0), (1, [], 7),
+])
+def test_final_state_is_the_state_rebuilt_from_the_trajectory(n, tau, steps):
+    # steps = 0 and steps < tau leave pre-run flows in the pipelines.
+    rng = np.random.default_rng(steps + n)
+    spec = _spec(n, tau, horizon=2)
+    params = synthesize(spec)
+    plan = DisturbancePlan({(n, 1): 0.8, (1, 2): -0.4})
+    z0, pipes0 = rng.normal(size=n), [rng.normal(size=t) for t in tau]
+    res = closed_loop(spec, params, plan, steps, z0, pipes0)
+    got, want = res.final_state, _rebuilt_final_state(res.trajectory)
+    assert got.t == want.t == steps
+    assert got.z.tobytes() == want.z.tobytes()
+    assert [p.tobytes() for p in got.pipelines] == [p.tobytes() for p in want.pipelines]
+    if steps:
+        state = PlantState.initial(spec, z0, pipes0)
+        first, _ = control_step(state, init_shifted_sums(plan, spec, now=0),
+                                plan.d_now(spec, 0), params)
+        assert res.decisions[0].u.tobytes() == first.u.tobytes()
+        assert res.decisions[0].v.tobytes() == first.v.tobytes()
+
+
 def _per_node_step(state, windows, d_now, params):
     """control_step's outputs from the per-node kernels, one node at a time,
     as the message-passing harness computes them."""

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pathlq.errors import InvalidHorizonError
 from pathlq.ledger import DisturbancePlan
@@ -24,6 +25,7 @@ from pathlq.oracle import (
 )
 from pathlq.simulate import closed_loop
 from pathlq.synthesis import sweep_gamma_rho, synthesize
+from pathlq.verify import SETTLING_STEPS, make_random_instance
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -237,3 +239,182 @@ class TestShiftedDiagnostics:
         for t in range(11):
             assert abs(agg.m[(2, t)] - 1.0) < 1e-12
         assert np.ptp(transported.z[:, 1]) > 0.1  # the levels themselves moved
+
+
+# --- reference implementations ------------------------------------------------
+# The loops that the array code in oracle.py replaced, kept as they were so
+# that the arrays can be checked against them.
+
+def reference_solve_finite_horizon(system, x0, plan, T, P_terminal):
+    """The finite-horizon QP with W_G filled one (t, s) block at a time."""
+    spec = system.spec
+    A, B, E = system.A, system.B, system.E
+    dim, m = system.dim, system.n_inputs
+    d_mat = np.stack([plan.d_now(spec, t) for t in range(T)])
+    x_free = np.zeros((T + 1, dim))
+    x_free[0] = x0
+    for t in range(T):
+        x_free[t + 1] = A @ x_free[t] + E @ d_mat[t]
+    Apow_B = np.zeros((T, dim, m))
+    Apow_B[0] = B
+    for j in range(1, T):
+        Apow_B[j] = A @ Apow_B[j - 1]
+    n = spec.n
+    sq = np.sqrt(np.asarray(spec.q, float))
+    L_term = np.linalg.cholesky(P_terminal)
+    n_rows = (T - 1) * n + dim
+    W_G = np.zeros((n_rows, T * m))
+    w_free = np.zeros(n_rows)
+    for t in range(1, T):
+        rows = slice((t - 1) * n, t * n)
+        for s in range(t):
+            W_G[rows, s * m : (s + 1) * m] = sq[:, None] * Apow_B[t - 1 - s][:n, :]
+        w_free[rows] = sq * x_free[t][:n]
+    rows = slice((T - 1) * n, n_rows)
+    for s in range(T):
+        W_G[rows, s * m : (s + 1) * m] = L_term.T @ Apow_B[T - 1 - s]
+    w_free[rows] = L_term.T @ x_free[T]
+    H = W_G.T @ W_G
+    H[np.arange(T * m), np.arange(T * m)] += np.tile(np.diag(system.R), T)
+    f = W_G.T @ w_free
+    lu, piv = scipy.linalg.lu_factor(H)
+    U = scipy.linalg.lu_solve((lu, piv), -f).reshape(T, m)
+    states = np.zeros((T + 1, dim))
+    states[0] = x0
+    for t in range(T):
+        states[t + 1] = A @ states[t] + B @ U[t] + E @ d_mat[t]
+    cost = float(
+        sum(states[t] @ system.Q @ states[t] + U[t] @ system.R @ U[t] for t in range(T))
+        + states[T] @ P_terminal @ states[T]
+    )
+    return U, cost
+
+
+def _reference_flow(traj, edge, t):
+    """u_edge[t], reaching into the initial pipeline for t < 0."""
+    tau = traj.spec.tau[edge - 1]
+    if t >= 0:
+        return float(traj.u[t, edge - 1])
+    if t >= -tau:
+        return float(traj.init_pipelines[edge - 1][tau + t])
+    return 0.0
+
+
+def reference_shifted_aggregates(traj, spec):
+    """S, V and m as dicts keyed by (k, t), one Python sum per key."""
+    T = traj.steps
+    S, V, mm = {}, {}, {}
+    for k in range(1, spec.n + 1):
+        sig_k = spec.sigma[k - 1]
+        for t in range(sig_k, T + 1):
+            S[(k, t)] = float(
+                sum(traj.z[t - spec.sigma[i - 1], i - 1] for i in range(1, k + 1))
+            )
+        for t in range(sig_k, T):
+            V[(k, t)] = float(
+                sum(traj.v[t - spec.sigma[i - 1], i - 1] for i in range(1, k + 1))
+            )
+        for t in range(0, T + 1):
+            total = 0.0
+            for i in range(1, k + 1):
+                total += traj.z[t, i - 1]
+                if i < spec.n:
+                    for delta in range(1, spec.tau[i - 1] + 1):
+                        total += _reference_flow(traj, i, t - delta)
+            mm[(k, t)] = total
+    return S, V, mm
+
+
+def reference_cost_decomposition(traj, spec, gamma, rho):
+    """(level_lhs, level_rhs, production_lhs, production_rhs), summed per key."""
+    S, V, _m = reference_shifted_aggregates(traj, spec)
+    T, n = traj.steps, spec.n
+    level_lhs = float(sum(np.dot(spec.q, traj.z[t] ** 2) for t in range(T + 1)))
+    level_rhs = float(np.dot(spec.q, traj.z[0] ** 2))
+    for i in range(1, n):
+        for t in range(spec.sigma[i - 1] + 1, spec.sigma[i] + 1):
+            level_rhs += gamma[i - 1] * S[(i, t)] ** 2
+    for t in range(spec.sigma[n - 1] + 1, T + 1):
+        level_rhs += gamma[n - 1] * S[(n, t)] ** 2
+    prod_lhs = float(sum(np.dot(spec.r, traj.v[t] ** 2) for t in range(T)))
+    prod_rhs = 0.0
+    for i in range(1, n):
+        for t in range(spec.sigma[i - 1], spec.sigma[i]):
+            prod_rhs += rho[i - 1] * V[(i, t)] ** 2
+    for t in range(spec.sigma[n - 1], T):
+        prod_rhs += rho[n - 1] * V[(n, t)] ** 2
+    return level_lhs, level_rhs, prod_lhs, prod_rhs
+
+
+def _certify_family(seed):
+    """Instances of the verify suite's family: n = 1..6, plus H = 0 draws."""
+    rng = np.random.default_rng(seed)
+    for n in range(1, 7):
+        yield make_random_instance(rng, n_range=(n, n))
+        yield make_random_instance(rng, n_range=(n, n), horizon_range=(0, 0))
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_finite_horizon_solution_is_bitwise_the_block_loop(self, seed):
+        for inst in _certify_family(seed):
+            spec = inst.spec
+            system = build_augmented_system(spec)
+            P = stationary_riccati(system)
+            x0 = state_vector(system, PlantState.initial(spec, inst.z0, inst.pipelines0))
+            T = spec.sigma_total + spec.horizon + SETTLING_STEPS
+            sol = solve_finite_horizon(system, x0, inst.plan, T, P)
+            U, cost = reference_solve_finite_horizon(system, x0, inst.plan, T, P)
+            assert sol.inputs.tobytes() == U.tobytes()
+            assert np.float64(sol.cost).tobytes() == np.float64(cost).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_aggregates_and_decomposition_match_the_dict_loops(self, seed):
+        for inst in _certify_family(seed):
+            spec = inst.spec
+            params = synthesize(spec)
+            settle = spec.sigma_total + spec.horizon
+            for steps in (0, 1, 3, settle + 20):
+                res = closed_loop(spec, params, inst.plan, steps, inst.z0,
+                                  inst.pipelines0)
+                self._check(res.trajectory, spec, check_decomposition=steps > settle)
+
+    def test_aggregates_match_the_dict_loops_without_production(self):
+        # A pure-transport run, as in the m-invariance test above, with a
+        # longer pipeline and nonzero pre-run flows.
+        spec = _spec(3, [3, 1], horizon=0)
+        rng = np.random.default_rng(5)
+        pipes = [rng.normal(size=t) for t in spec.tau]
+        state = PlantState.initial(spec, z0=[0.0, 1.0, -0.5], pipelines0=pipes)
+        z, u = [state.z.copy()], rng.normal(size=(10, 2))
+        for t in range(10):
+            state = plant_step(state, ControlDecision(u=u[t], v=np.zeros(3)),
+                               np.zeros(3), spec)
+            z.append(state.z.copy())
+        traj = Trajectory(spec=spec, z=np.array(z), u=u, v=np.zeros((10, 3)),
+                          d=np.zeros((10, 3)), init_pipelines=tuple(pipes),
+                          step_costs=np.zeros(10))
+        self._check(traj, spec, check_decomposition=False)
+
+    @staticmethod
+    def _check(traj, spec, check_decomposition):
+        agg = shifted_aggregates(traj, spec)
+        S, V, m = reference_shifted_aggregates(traj, spec)
+        shape = (spec.n + 1, traj.steps + 1)
+        for arr, ref, exact in ((agg.S, S, True), (agg.V, V, True), (agg.m, m, False)):
+            assert arr.shape == shape
+            keyed = np.zeros(shape, dtype=bool)
+            for (k, t), want in ref.items():
+                keyed[k, t] = True
+                if exact:
+                    assert arr[k, t] == want
+                else:
+                    assert abs(arr[k, t] - want) <= 1e-12 * abs(want)
+            assert np.array_equal(np.isnan(arr), ~keyed)
+        if check_decomposition:
+            gamma, rho = sweep_gamma_rho(spec.q, spec.r)
+            rep = check_cost_decomposition(traj, spec, gamma, rho)
+            got = (rep.level_lhs, rep.level_rhs, rep.production_lhs,
+                   rep.production_rhs)
+            want = reference_cost_decomposition(traj, spec, gamma, rho)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
