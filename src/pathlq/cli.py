@@ -2,7 +2,7 @@
 
 All experiment input comes from a JSON config file; all output is CSV or
 JSON written to the output directory.  Identical config and seed produce
-bit-identical files.
+bit-identical files; `verify`'s also need a fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -222,9 +222,15 @@ def cmd_verify(args, cfg: dict | None, out: Path) -> int:
     report = run_differential_suite(n_instances=count, seed=seed)
     with open(out / "verify.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["instance", "n", "action_rel_err", "cost_rel_err"])
+        writer.writerow(["instance", "n", "action_rel_err", "cost_rel_err", "tau", "q",
+                         "r", "horizon", "z0", "pipelines0", "plan"])
         for r in report.reports:
-            writer.writerow([r.index, r.n, repr(r.action_rel_err), repr(r.cost_rel_err)])
+            inst, spec = r.instance, r.instance.spec
+            # json.dumps round-trips every float exactly, so a row replays.
+            replay = (spec.tau, spec.q, spec.r, spec.horizon, inst.z0.tolist(),
+                      [p.tolist() for p in inst.pipelines0], [*inst.plan.entries.items()])
+            writer.writerow([r.index, spec.n, repr(r.action_rel_err),
+                             repr(r.cost_rel_err), *map(json.dumps, replay)])
     print(
         f"{count} instances, seed {seed}: max action err "
         f"{report.max_action_err:.3e}, max cost err {report.max_cost_err:.3e} "

@@ -9,12 +9,14 @@ D_0 = 0.0: the fixed ascending-node sum, so windows agree bitwise with a
 from-scratch recomputation after any interleaving of operations.  Node i
 needs only its own forecast and node i-1's value, so an announced entry
 travels upstream, i -> i+1, one D-update message per hop.  A time
-advance brings in only zero entries and sends nothing.
+advance brings in only zero entries and sends nothing, at amortized O(N)
+cost: the windows are a view sliding along a buffer twice their size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -45,32 +47,47 @@ class DisturbancePlan:
     def d_now(self, spec: GraphSpec, t: int) -> np.ndarray:
         return np.array([self.get(i, t) for i in range(1, spec.n + 1)])
 
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nodes, times and amounts of the entries, in insertion order."""
+        count = len(self.entries)
+        keys = np.fromiter(chain.from_iterable(self.entries), np.int64, 2 * count)
+        values = np.fromiter(self.entries.values(), float, count)
+        return keys[0::2], keys[1::2], values
 
-def validate_horizon(plan: DisturbancePlan, spec: GraphSpec, now: int = 0) -> None:
+
+def raise_first_offence(spec: GraphSpec, nodes, times, flagged, error) -> None:
+    """Raise for the first entry, in (node, t) order, whose node lies
+    outside 1..n (SpecError) or which `flagged` marks (`error(index)`)."""
+    bad_node = (nodes < 1) | (nodes > spec.n)
+    bad = bad_node | flagged
+    if bad.any():
+        idx = np.flatnonzero(bad)
+        i = idx[np.lexsort((times[idx], nodes[idx]))[0]]
+        if bad_node[i]:
+            raise SpecError(f"disturbance at node {nodes[i]}: nodes are 1..{spec.n}")
+        raise error(i)
+
+
+def validate_horizon(plan: DisturbancePlan, spec: GraphSpec, now: int = 0):
     """Check every entry's node, and every nonzero entry against the
     planning-horizon bound.
 
     Relative to the reference time `now`, node i may only carry planned
-    disturbances up to H + (sigma_N - sigma_i) steps ahead.
+    disturbances up to H + (sigma_N - sigma_i) steps ahead: entry (i, t)
+    lies at window column t - now + sigma_i, past the bound from column
+    W = sigma_N + H + 1 on.  Returns plan.arrays() and those columns.
     """
-    for (node, t), value in sorted(plan.entries.items()):
-        if not 1 <= node <= spec.n:
-            raise SpecError(f"disturbance at node {node}: nodes are 1..{spec.n}")
-        if value == 0.0:
-            continue
-        bound = now + spec.horizon + spec.sigma_total - spec.sigma[node - 1]
-        if t > bound:
-            raise HorizonViolationError(node, t, bound)
-
-
-def _shifted_sum(plan: DisturbancePlan, spec: GraphSpec, i: int, t: int) -> float:
-    """D_i[t] as the fixed ascending-node sum (the one canonical order)."""
-    total = 0.0
-    for j in range(1, i + 1):
-        key = (j, t - spec.sigma[j - 1])
-        if key in plan.entries:
-            total += plan.entries[key]
-    return total
+    nodes, times, values = plan.arrays()
+    width = spec.sigma_total + spec.horizon + 1
+    # A node outside 1..n reads a clipped sigma; its SpecError comes first.
+    cols = times - now + np.array(spec.sigma).take(nodes - 1, mode="clip")
+    raise_first_offence(
+        spec, nodes, times, (cols >= width) & (values != 0.0),
+        lambda i: HorizonViolationError(
+            int(nodes[i]), int(times[i]), int(times[i] - cols[i]) + width - 1
+        ),
+    )
+    return nodes, times, values, cols
 
 
 @dataclass
@@ -86,22 +103,22 @@ class LedgerMessage:
 class ShiftedWindows:
     """Per-node windows of D_i values anchored at the current time.
 
-    Row k of one (N, sigma_N + H + 1) array holds D_{k+1} at shifted
-    times now + column; node k+1's window is the row from column sigma_k.
+    Row i of the (N+1, W) view `_D` of `_buf` holds D_i at shifted times
+    now + column (row 0: D_0 = 0.0); node i's window is row i from sigma_i.
     """
 
     def __init__(self, spec: GraphSpec, plan: DisturbancePlan, now: int = 0):
-        validate_horizon(plan, spec, now)
+        nodes, times, values, cols = validate_horizon(plan, spec, now)
         self.spec = spec
         self.now = now
         width = spec.sigma_total + spec.horizon + 1
-        # d_node by shifted time under a D_0 = 0.0 row: a lone -0.0 sums to 0.0.
-        aligned = np.zeros((spec.n + 1, width))
-        for (node, t), value in plan.entries.items():
-            if 0 <= t - now < width - spec.sigma[node - 1]:
-                aligned[node, t - now + spec.sigma[node - 1]] = value
-        self._D = np.cumsum(aligned, axis=0)[1:]
-        self._rows = np.arange(spec.n)[:, None]
+        self._buf, self._off = np.zeros((spec.n + 1, 2 * width)), 0
+        # Summed in place under the D_0 = 0.0 row: a lone -0.0 sums to 0.0.
+        front = self._buf[:, :width]
+        held = (times >= now) & (cols < width)
+        front[nodes[held], cols[held]] = values[held]
+        self._D = np.add.accumulate(front, axis=0, out=front)
+        self._rows = np.arange(1, spec.n + 1)[:, None]
 
     def slice(self, node: int, length: int) -> np.ndarray:
         """The first `length` entries D_node[now + sigma_node + 0..length-1]."""
@@ -111,7 +128,7 @@ class ShiftedWindows:
             raise LedgerRangeError(
                 f"window of node {node} holds {held} entries, {length} requested"
             )
-        return self._D[node - 1, lo : lo + length]
+        return self._D[node, lo : lo + length]
 
     def gather(self, cols: np.ndarray) -> np.ndarray:
         """Entries of every node's row in one index: out[k, j] is
@@ -125,9 +142,6 @@ class ShiftedWindows:
                 f"column {cols.max()} requested"
             ) from None
 
-    def as_arrays(self) -> list[np.ndarray]:
-        return [row[lo:].copy() for row, lo in zip(self._D, self.spec.sigma)]
-
 
 def init_shifted_sums(
     plan: DisturbancePlan, spec: GraphSpec, now: int = 0
@@ -137,12 +151,17 @@ def init_shifted_sums(
 
 
 def advance_time(windows: ShiftedWindows) -> list[LedgerMessage]:
-    """Shift every window one step forward in time; returns no messages."""
-    flat = windows._D.reshape(-1)  # a view: D is C-contiguous
-    flat[:-1] = flat[1:]  # one move shifts every row
-    # The new tail's entries lie past every bound validate_horizon checked
-    # (at set-up and in apply_plan_updates), so are zero: D_0 + (+-0.0) = +0.0.
-    windows._D[:, -1] = 0.0
+    """Move every window one step forward in time; returns no messages.
+
+    The view slides one column; every W = sigma_N + H + 1 steps, one
+    O(N*W) copy moves it back to the buffer's front: amortized O(N).  The
+    +0.0 column it takes in is exact: its entries lie past every bound.
+    """
+    buf, width, off = windows._buf, windows._D.shape[1], windows._off + 1
+    if off == width:
+        buf[:, :width] = buf[:, width:]
+        buf[:, width:], off = 0.0, 0
+    windows._off, windows._D = off, buf[:, off : off + width]
     windows.now += 1
     return []
 
@@ -161,21 +180,28 @@ def apply_plan_updates(
     """
     spec = windows.spec
     now = windows.now
-    validate_horizon(DisturbancePlan(dict(changes)), spec, now)
+    width = windows._D.shape[1]
     origin: dict[int, int] = {}  # shifted time -> lowest changed node
+    # validate_horizon's checks, entry by entry: at ~10 changes a step
+    # numpy's per-call cost exceeds this loop's.
     for node, t in sorted(changes):
+        if not 1 <= node <= spec.n:
+            raise SpecError(f"disturbance at node {node}: nodes are 1..{spec.n}")
         if t < now:
             raise HorizonViolationError(node, t, now)
-        origin.setdefault(t + spec.sigma[node - 1], node)
+        st = t + spec.sigma[node - 1]
+        if st - now >= width and changes[node, t] != 0.0:
+            raise HorizonViolationError(node, t, now + width - 1 - spec.sigma[node - 1])
+        origin.setdefault(st, node)
     plan.entries.update(changes)
     D = windows._D
     messages = []
     for st in sorted(origin):
         c = st - now
-        for k in range(origin[st] - 1, spec.n):
-            if not spec.sigma[k] <= c < D.shape[1]:
+        for i in range(origin[st], spec.n + 1):
+            if not spec.sigma[i - 1] <= c < width:
                 break  # out of range for this and every node further up
-            D[k, c] = (D[k - 1, c] if k else 0.0) + plan.get(k + 1, st - spec.sigma[k])
-            if k + 1 < spec.n:
-                messages.append(LedgerMessage(k + 1, k + 2, st, float(D[k, c])))
+            D[i, c] = D[i - 1, c] + plan.get(i, st - spec.sigma[i - 1])
+            if i < spec.n:
+                messages.append(LedgerMessage(i, i + 1, st, float(D[i, c])))
     return messages

@@ -11,7 +11,6 @@ ledger incrementally.  An executor computes each step's decision.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +23,7 @@ from .ledger import (
     advance_time,
     apply_plan_updates,
     init_shifted_sums,
+    raise_first_offence,
 )
 from .model import (
     ControlDecision,
@@ -66,19 +66,29 @@ def _announcement_schedule(spec, plan, announce, blind, d_hist) -> dict[int, dic
     is written into d_hist, the plant's disturbance table.  Entries
     before t = 0 can never matter to the run and are left out.
     """
-    schedule: dict[int, dict] = {}
-    for (node, s), value in plan.entries.items():
-        if not 1 <= node <= spec.n:
-            raise SpecError(f"disturbance at node {node}: nodes are 1..{spec.n}")
-        if not math.isfinite(value):
-            raise SpecError(f"disturbance at node {node}, time {s} is {value}")
-        if 0 <= s < len(d_hist):
-            d_hist[s, node - 1] = value
-        if blind or s < 0:
-            continue
-        at = 0 if announce is None else max(s - announce, 0)
-        schedule.setdefault(at, {})[(node, s)] = value
-    return schedule
+    nodes, times, values = plan.arrays()
+    raise_first_offence(
+        spec, nodes, times, ~np.isfinite(values),
+        lambda i: SpecError(
+            f"disturbance at node {nodes[i]}, time {times[i]} is {values[i]}"
+        ),
+    )
+    inside = (times >= 0) & (times < len(d_hist))
+    d_hist[times[inside], nodes[inside] - 1] = values[inside]
+    if blind:
+        return {}
+    ahead = np.flatnonzero(times >= 0)
+    at = (np.zeros_like(ahead) if announce is None
+          else np.maximum(times[ahead] - announce, 0))
+    order = np.argsort(at, kind="stable")
+    at, ahead = at[order], ahead[order].tolist()
+    # One dict per run of equal announcement times.
+    bounds = np.flatnonzero(np.diff(at, prepend=-1)).tolist() + [len(at)]
+    items = list(plan.entries.items())
+    return {
+        int(at[lo]): dict(map(items.__getitem__, ahead[lo:hi]))
+        for lo, hi in zip(bounds, bounds[1:])
+    }
 
 
 def closed_loop(

@@ -67,9 +67,9 @@ def make_random_instance(
 @dataclass
 class InstanceReport:
     index: int
-    n: int
     action_rel_err: float
     cost_rel_err: float
+    instance: Instance = field(repr=False)
 
 
 @dataclass
@@ -129,9 +129,9 @@ def run_differential_suite(
         report.reports.append(
             InstanceReport(
                 index=idx,
-                n=inst.spec.n,
                 action_rel_err=action_err,
                 cost_rel_err=cost_err,
+                instance=inst,
             )
         )
     return report

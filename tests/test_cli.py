@@ -3,11 +3,18 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pathlq.cli import ConfigError, load_config, main
+from pathlq.ledger import DisturbancePlan
+from pathlq.model import GraphSpec
+from pathlq.verify import Instance, certify_instance
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -231,6 +238,50 @@ class TestOtherCommands:
         assert from_config == run("flag", 0, "--seed", "5")
         assert from_config[0] != run("zero", 0)[0]
         assert run("over", 5, "--seed", "0") == run("zero", 0)
+
+    def test_verify_rows_replay_their_instances(self, tmp_path):
+        cfg = dict(BASE_CONFIG, verify_instances=8)
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "verify.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 8
+        row = max(rows, key=lambda r: len(json.loads(r["plan"])))
+        assert json.loads(row["plan"]), "no row with a plan entry"
+        field = {k: json.loads(row[k]) for k in
+                 ("tau", "q", "r", "horizon", "z0", "pipelines0", "plan")}
+        spec = GraphSpec(n=int(row["n"]), tau=tuple(field["tau"]), q=tuple(field["q"]),
+                         r=tuple(field["r"]), horizon=field["horizon"])
+        inst = Instance(
+            spec=spec,
+            z0=np.array(field["z0"]),
+            pipelines0=tuple(np.array(p, dtype=float) for p in field["pipelines0"]),
+            plan=DisturbancePlan({tuple(key): d for key, d in field["plan"]}),
+        )
+        action_err, cost_err = certify_instance(inst)
+        assert (repr(action_err), repr(cost_err)) == (
+            row["action_rel_err"], row["cost_rel_err"])
+
+    def test_verify_is_byte_identical_at_one_blas_thread(self, tmp_path):
+        # verify's reports depend on the BLAS thread count; at a fixed
+        # count they repeat byte for byte.
+        cfg = dict(BASE_CONFIG, verify_instances=6)
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps(cfg))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        reports = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            subprocess.run(
+                [sys.executable, "-m", "pathlq.cli", "verify", "--config", str(path),
+                 "--out", str(out)],
+                env=env, check=True, capture_output=True, timeout=300,
+            )
+            reports.append((out / "verify.csv").read_bytes())
+        assert reports[0] == reports[1]
 
     def test_distributed_writes_clean_message_log(self, config_path, tmp_path):
         out = tmp_path / "dist"

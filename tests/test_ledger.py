@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from pathlq.errors import HorizonViolationError, LedgerRangeError, SpecError
 from pathlq.ledger import (
     DisturbancePlan,
-    _shifted_sum,
     advance_time,
     apply_plan_updates,
     init_shifted_sums,
@@ -23,21 +22,40 @@ def _spec(n, tau, horizon, q=None, r=None):
     return GraphSpec(n=n, tau=tuple(tau), q=q, r=r, horizon=horizon)
 
 
+def _shifted_sum(plan, spec, i, t):
+    """D_i[t] as the fixed ascending-node sum (the one canonical order)."""
+    total = 0.0
+    for j in range(1, i + 1):
+        key = (j, t - spec.sigma[j - 1])
+        if key in plan.entries:
+            total += plan.entries[key]
+    return total
+
+
+def _windows(windows):
+    """A copy of every node's window, D_i[now + sigma_i .. now + sigma_N + H]."""
+    spec = windows.spec
+    width = spec.sigma_total + spec.horizon + 1
+    return [
+        windows.slice(i, width - spec.sigma[i - 1]).copy() for i in range(1, spec.n + 1)
+    ]
+
+
 def _recompute(windows, plan):
     fresh = init_shifted_sums(plan, windows.spec, now=windows.now)
-    return fresh.as_arrays()
+    return _windows(fresh)
 
 
 def _entry(windows, node, t):
     """D_node[t], read from node's window."""
-    return windows.as_arrays()[node - 1][t - windows.now - windows.spec.sigma[node - 1]]
+    return _windows(windows)[node - 1][t - windows.now - windows.spec.sigma[node - 1]]
 
 
 def _assert_definition(windows, plan):
     """Every window equals _shifted_sum over the plan, byte for byte."""
     spec = windows.spec
     last = windows.now + spec.sigma_total + spec.horizon
-    for k, got in enumerate(windows.as_arrays()):
+    for k, got in enumerate(_windows(windows)):
         times = range(windows.now + spec.sigma[k], last + 1)
         want = np.array([_shifted_sum(plan, spec, k + 1, t) for t in times])
         assert got.tobytes() == want.tobytes()
@@ -96,7 +114,7 @@ class TestInitWindows:
         spec = _spec(3, [3, 2], horizon=4)
         windows = init_shifted_sums(DisturbancePlan(), spec)
         # Node i stores shifted times sigma_i .. sigma_N + H.
-        assert [len(w) for w in windows.as_arrays()] == [10, 7, 5]
+        assert [len(w) for w in _windows(windows)] == [10, 7, 5]
 
     def test_shifted_sum_values(self):
         # Two edges of delay 2: sigma = [0, 2, 4].
@@ -143,7 +161,7 @@ class TestAdvance:
         windows = init_shifted_sums(plan, spec)
         assert advance_time(windows) == []
         zero = np.float64(0.0).tobytes()
-        for node, window in enumerate(windows.as_arrays(), start=1):
+        for node, window in enumerate(_windows(windows), start=1):
             assert window[-1].tobytes() == zero
             assert np.float64(_shifted_sum(plan, spec, node, 10)).tobytes() == zero
         assert _entry(windows, 3, 9) == (0.1 + 0.2) + -0.7
@@ -155,7 +173,7 @@ class TestAdvance:
         assert advance_time(windows) == []
         assert windows.now == 1
         zero = np.float64(0.0).tobytes()
-        assert all(w[-1].tobytes() == zero for w in windows.as_arrays())
+        assert all(w[-1].tobytes() == zero for w in _windows(windows))
 
     def test_bitwise_match_after_many_steps(self):
         rng = np.random.default_rng(7)
@@ -169,7 +187,7 @@ class TestAdvance:
         windows = init_shifted_sums(plan, spec)
         for _ in range(12):
             advance_time(windows)
-            for got, want in zip(windows.as_arrays(), _recompute(windows, plan)):
+            for got, want in zip(_windows(windows), _recompute(windows, plan)):
                 assert np.array_equal(got, want)  # bitwise
 
 
@@ -203,7 +221,7 @@ class TestUpdates:
                 )
                 t = int(rng.integers(windows.now, bound + 1))
                 apply_plan_updates(windows, plan, {(node, t): float(rng.normal())})
-            for got, want in zip(windows.as_arrays(), _recompute(windows, plan)):
+            for got, want in zip(_windows(windows), _recompute(windows, plan)):
                 assert np.array_equal(got, want)  # bitwise
 
     def test_past_entries_rejected(self):
@@ -228,9 +246,9 @@ class TestUpdates:
         spec = _spec(2, [1], horizon=0)
         plan = DisturbancePlan()
         windows = init_shifted_sums(plan, spec)
-        before = windows.as_arrays()
+        before = _windows(windows)
         assert apply_plan_updates(windows, plan, {}) == []
-        for got, want in zip(windows.as_arrays(), before):
+        for got, want in zip(_windows(windows), before):
             assert np.array_equal(got, want)
 
 
@@ -240,14 +258,14 @@ def test_node_outside_1_to_n_rejected(call, node):
     spec = _spec(2, [1], horizon=2)
     plan = DisturbancePlan()
     windows = init_shifted_sums(plan, spec)
-    before = windows.as_arrays()
+    before = _windows(windows)
     with pytest.raises(SpecError, match=f"node {node}: nodes are 1..2"):
         if call == "init":
             init_shifted_sums(DisturbancePlan({(node, 1): 1.0}), spec)
         else:
             apply_plan_updates(windows, plan, {(node, 1): 1.0})
     assert plan.entries == {}
-    for got, want in zip(windows.as_arrays(), before):
+    for got, want in zip(_windows(windows), before):
         assert got.tobytes() == want.tobytes()
 
 
@@ -287,3 +305,95 @@ def test_windows_equal_the_definition_bitwise(data):
             changes = dict(draw_entry(windows.now, windows.now) for _ in range(size))
             apply_plan_updates(windows, plan, changes)
         _assert_definition(windows, plan)
+
+
+class TestSlidingWindows:
+    """The windows slide along a buffer 2W wide, W = sigma_N + H + 1, and
+    move back to its front every W steps (the compaction)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_bitwise_across_compactions(self, data):
+        # W = 1 (n = 1, H = 0) compacts on every step.
+        n = data.draw(st.integers(1, 3), label="n")
+        tau = data.draw(st.lists(st.integers(1, 2), min_size=n - 1, max_size=n - 1))
+        spec = _spec(n, tau, horizon=data.draw(st.integers(0, 2), label="H"))
+        width = spec.sigma_total + spec.horizon + 1
+
+        def changes():
+            out = {}
+            for _ in range(data.draw(st.integers(1, 3))):
+                node = data.draw(st.integers(1, n))
+                ahead = spec.horizon + spec.sigma_total - spec.sigma[node - 1]
+                t = data.draw(st.integers(windows.now, windows.now + ahead))
+                out[(node, t)] = data.draw(AMOUNTS)
+            return out
+
+        plan = DisturbancePlan()
+        windows = init_shifted_sums(plan, spec)
+        for step in range(1, 2 * width + 2):
+            # Updates just before and just after each compaction step, and
+            # now and then elsewhere.
+            if step % width in (0, 1 % width) or data.draw(st.booleans()):
+                apply_plan_updates(windows, plan, changes())
+            advance_time(windows)
+            for got, want in zip(_windows(windows), _recompute(windows, plan)):
+                assert got.tobytes() == want.tobytes()
+
+    def test_lone_negative_zero_reads_positive_zero_across_the_compaction(self):
+        spec = _spec(2, [1], horizon=1)  # sigma = [0, 1], W = 3
+        plan = DisturbancePlan()
+        windows = init_shifted_sums(plan, spec)
+        advance_time(windows)
+        apply_plan_updates(windows, plan, {(1, 3): -0.0, (2, 2): -0.0})
+        zero = np.float64(0.0).tobytes()
+        for now in (1, 2, 3, 4):  # the advance to now = 3 compacts
+            assert windows.now == now
+            assert all(x.tobytes() == zero for w in _windows(windows) for x in w)
+            _assert_definition(windows, plan)
+            advance_time(windows)
+
+    def test_slice_is_a_view_that_shows_later_updates(self):
+        spec = _spec(3, [2, 1], horizon=2)
+        plan = DisturbancePlan()
+        windows = init_shifted_sums(plan, spec)
+        for _ in range(spec.sigma_total + spec.horizon + 1):  # one compaction
+            advance_time(windows)
+        window = windows.slice(1, 4)
+        apply_plan_updates(windows, plan, {(1, windows.now + 2): 0.5})
+        assert window.tolist() == [0.0, 0.0, 0.5, 0.0]
+
+    def test_range_errors_unchanged_after_a_compaction(self):
+        # sigma = [0, 2]: node 1 holds shifted times now..now+3, node 2
+        # holds now+2..now+3.
+        spec = _spec(2, [2], horizon=1)
+        windows = init_shifted_sums(DisturbancePlan(), spec)
+        for _ in range(5):  # W = 4: compacts at the fourth advance
+            advance_time(windows)
+        assert len(windows.slice(1, 4)) == 4
+        with pytest.raises(LedgerRangeError, match="node 1 holds 4 entries, 5 req"):
+            windows.slice(1, 5)
+        with pytest.raises(LedgerRangeError, match="node 2 holds 2 entries, 3 req"):
+            windows.slice(2, 3)
+        assert windows.gather(np.array([[3], [3]])).shape == (2, 1)
+        with pytest.raises(LedgerRangeError, match="end at column 3, column 4 req"):
+            windows.gather(np.array([[0], [4]]))
+
+    def test_certification_runs_cross_the_compaction(self, monkeypatch):
+        # certify_instance runs T = sigma_N + H + SETTLING_STEPS > W steps,
+        # so the suite's comparison with the oracle covers the compaction.
+        from pathlq import simulate
+        from pathlq.verify import certify_instance, make_random_instance
+
+        compactions = []
+
+        def advance(windows):
+            messages = advance_time(windows)
+            compactions.append(windows._off == 0)
+            return messages
+
+        monkeypatch.setattr(simulate, "advance_time", advance)
+        inst = make_random_instance(np.random.default_rng(3), n_range=(3, 3))
+        action_err, cost_err = certify_instance(inst)
+        assert any(compactions)
+        assert action_err <= 1e-6 and cost_err <= 1e-6
