@@ -36,10 +36,7 @@ from .simulate import SimulationResult, closed_loop
 from .oracle import (
     AugmentedSystem,
     build_augmented_system,
-    check_cost_decomposition,
-    shifted_aggregates,
     solve_finite_horizon,
-    stationary_gain,
     stationary_riccati,
 )
 

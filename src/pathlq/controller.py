@@ -9,6 +9,9 @@ The per-node kernels below are what each unit of the distributed harness
 runs.  The sequential sweeps apply the same formulas to all nodes at once
 over the packed parameter tables, in the same order of operations, so
 sequential and message-passing execution produce bit-equal decisions.
+The output formulas are written once: given ControllerParams and
+per-node arrays in place of NodeParams and floats, local_flow and
+local_production compute every node's outputs.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ def combine_mu(p: NodeParams, pi_val: float, mu_next: float) -> float:
 
 
 def local_flow(
-    p: NodeParams,
+    p: NodeParams | ControllerParams,
     z_k: float,
     u_oldest: float,
     d_head: float,
@@ -77,7 +80,9 @@ def local_flow(
     )
 
 
-def local_production(p: NodeParams, delta_prev: float, mu_k: float) -> float:
+def local_production(
+    p: NodeParams | ControllerParams, delta_prev: float, mu_k: float
+) -> float:
     """v_i[t] = -(X_i(1)/r_i) (delta_{i-1} + (1 - h_{i-1}) mu_i)."""
     return -p.x1_over_r * (delta_prev + p.one_minus_h_prev * mu_k)
 
@@ -139,14 +144,8 @@ def compute_actions(
     delay_cols): u_i[t-tau_i] and D_i[t+sigma_i].
     """
     delta_prev = np.concatenate(([0.0], delta[:-1]))
-    v = -params.x1_over_r * (delta_prev + params.one_minus_h_prev * mu)
-    u = (
-        params.one_minus_gamma_q[1:] * (z[1:] + u_oldest[1:] + d_head[1:])
-        - params.a[1:] * delta[:-1]
-        + params.c[1:] * mu[1:]
-        + d_now[1:]
-        - d_head[1:]
-    )
+    u = local_flow(params, z, u_oldest, d_head, delta_prev, mu, d_now)[1:]
+    v = local_production(params, delta_prev, mu)
     return ControlDecision(u=u, v=v)
 
 

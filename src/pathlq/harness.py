@@ -57,9 +57,6 @@ class MessageLog:
     def append(self, msg: Message) -> None:
         self.records.append(msg)
 
-    def of_kind(self, *kinds: str) -> list[Message]:
-        return [m for m in self.records if m.kind in kinds]
-
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

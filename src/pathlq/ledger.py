@@ -15,6 +15,7 @@ cost: the windows are a view sliding along a buffer twice their size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Mapping
@@ -68,9 +69,14 @@ def raise_first_offence(spec: GraphSpec, nodes, times, flagged, error) -> None:
         raise error(i)
 
 
+def nonfinite_entry(node, t, value) -> SpecError:
+    """The error for a planned disturbance that is NaN or infinite."""
+    return SpecError(f"disturbance at node {node}, time {t} is {value}")
+
+
 def validate_horizon(plan: DisturbancePlan, spec: GraphSpec, now: int = 0):
-    """Check every entry's node, and every nonzero entry against the
-    planning-horizon bound.
+    """Check every entry's node and finiteness, and every nonzero entry
+    against the planning-horizon bound.
 
     Relative to the reference time `now`, node i may only carry planned
     disturbances up to H + (sigma_N - sigma_i) steps ahead: entry (i, t)
@@ -81,11 +87,12 @@ def validate_horizon(plan: DisturbancePlan, spec: GraphSpec, now: int = 0):
     width = spec.sigma_total + spec.horizon + 1
     # A node outside 1..n reads a clipped sigma; its SpecError comes first.
     cols = times - now + np.array(spec.sigma).take(nodes - 1, mode="clip")
+    finite = np.isfinite(values)
     raise_first_offence(
-        spec, nodes, times, (cols >= width) & (values != 0.0),
+        spec, nodes, times, ~finite | ((cols >= width) & (values != 0.0)),
         lambda i: HorizonViolationError(
             int(nodes[i]), int(times[i]), int(times[i] - cols[i]) + width - 1
-        ),
+        ) if finite[i] else nonfinite_entry(nodes[i], times[i], values[i]),
     )
     return nodes, times, values, cols
 
@@ -187,6 +194,8 @@ def apply_plan_updates(
     for node, t in sorted(changes):
         if not 1 <= node <= spec.n:
             raise SpecError(f"disturbance at node {node}: nodes are 1..{spec.n}")
+        if not math.isfinite(changes[node, t]):
+            raise nonfinite_entry(node, t, changes[node, t])
         if t < now:
             raise HorizonViolationError(node, t, now)
         st = t + spec.sigma[node - 1]

@@ -16,13 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controller import control_step
-from .errors import SpecError
 from .ledger import (
     DisturbancePlan,
     LedgerMessage,
     advance_time,
     apply_plan_updates,
     init_shifted_sums,
+    nonfinite_entry,
     raise_first_offence,
 )
 from .model import (
@@ -40,7 +40,7 @@ from .synthesis import ControllerParams
 class SimulationResult:
     trajectory: Trajectory
     total_cost: float  # stage costs over the run only
-    decisions: list[ControlDecision]
+    decisions: list[ControlDecision]  # views of the trajectory's u, v rows
     final_state: PlantState  # after the last step, pipelines included
 
 
@@ -69,9 +69,7 @@ def _announcement_schedule(spec, plan, announce, blind, d_hist) -> dict[int, dic
     nodes, times, values = plan.arrays()
     raise_first_offence(
         spec, nodes, times, ~np.isfinite(values),
-        lambda i: SpecError(
-            f"disturbance at node {nodes[i]}, time {times[i]} is {values[i]}"
-        ),
+        lambda i: nonfinite_entry(nodes[i], times[i], values[i]),
     )
     inside = (times >= 0) & (times < len(d_hist))
     d_hist[times[inside], nodes[inside] - 1] = values[inside]
@@ -130,7 +128,6 @@ def closed_loop(
     costs = np.zeros(steps)
     z_hist[0] = state.z
     init_pipes = tuple(p.copy() for p in state.pipelines)
-    decisions = []
 
     for t in range(steps):
         if t in schedule:
@@ -142,7 +139,6 @@ def closed_loop(
         costs[t] = stage_cost(spec, state.z, decision.v)
         u_hist[t] = decision.u
         v_hist[t] = decision.v
-        decisions.append(decision)
 
         state = plant_step(state, decision, d_hist[t], spec)
         z_hist[t + 1] = state.z
@@ -157,6 +153,7 @@ def closed_loop(
         init_pipelines=init_pipes,
         step_costs=costs,
     )
+    decisions = [ControlDecision(u=u, v=v) for u, v in zip(u_hist, v_hist)]
     return SimulationResult(
         trajectory=traj, total_cost=float(costs.sum()), decisions=decisions,
         final_state=state,

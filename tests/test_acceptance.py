@@ -31,10 +31,7 @@ from pathlq.model import (
 )
 from pathlq.oracle import (
     build_augmented_system,
-    check_cost_decomposition,
-    gain_closed_loop,
     state_vector,
-    stationary_gain,
     stationary_riccati,
 )
 from pathlq.simulate import closed_loop
@@ -44,6 +41,13 @@ from pathlq.synthesis import (
     terminal_riccati,
 )
 from pathlq.verify import make_random_instance, run_differential_suite
+
+from diagnostics import (
+    check_cost_decomposition,
+    gain_closed_loop,
+    of_kind,
+    stationary_gain,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -271,7 +275,7 @@ def test_acceptance_7_distributed_fidelity(report):
             bitwise &= a.u.tobytes() == b.u.tobytes()
             bitwise &= a.v.tobytes() == b.v.tobytes()
         audits &= audit_message_log(log, spec).ok
-        sweep = log.of_kind("delta", "mu")
+        sweep = of_kind(log, "delta", "mu")
         per_round: dict[int, int] = {}
         for m in sweep:
             per_round[m.round] = per_round.get(m.round, 0) + 1

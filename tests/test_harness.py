@@ -16,8 +16,10 @@ from pathlq.harness import (
 )
 from pathlq.ledger import DisturbancePlan, init_shifted_sums
 from pathlq.model import ControlDecision, GraphSpec, PlantState
-from pathlq.simulate import closed_loop
+from pathlq.simulate import Sequential, closed_loop
 from pathlq.synthesis import synthesize
+
+from diagnostics import of_kind
 
 
 def _spec(n, tau, horizon, q=None, r=None):
@@ -125,6 +127,44 @@ def test_harness_matches_sequential_in_every_mode(mode):
     assert report.ok, report.violations
 
 
+class RecordingExecutor:
+    """Passes every call on to `inner` and keeps the bytes it decides."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.decided = []
+
+    def decide(self, *args):
+        decision = self.inner.decide(*args)
+        self.decided.append((decision.u.tobytes(), decision.v.tobytes()))
+        return decision
+
+    def ledger(self, messages):
+        self.inner.ledger(messages)
+
+
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("executor", ["sequential", "message-passing"])
+def test_decisions_are_views_of_the_trajectory(executor, n):
+    spec = _spec(n, [2, 3, 1][: n - 1], horizon=2)
+    params = synthesize(spec)
+    plan = DisturbancePlan({(1, 1): -0.6, (n, 2): 0.9})
+    inner = Sequential() if executor == "sequential" else MessagePassing(
+        Network(spec, params), rng=np.random.default_rng(5)
+    )
+    recorder = RecordingExecutor(inner)
+    res = closed_loop(spec, params, plan, 12, np.linspace(-1.0, 1.0, n),
+                      executor=recorder)
+    traj = res.trajectory
+    assert len(res.decisions) == len(recorder.decided) == 12
+    for t, d in enumerate(res.decisions):
+        assert d.u.base is traj.u and d.v.base is traj.v
+        assert np.shares_memory(d.v, traj.v[t])
+        # An empty row (n = 1) shares no memory with anything.
+        assert n == 1 or np.shares_memory(d.u, traj.u[t])
+        assert (d.u.tobytes(), d.v.tobytes()) == recorder.decided[t]
+
+
 def test_announcements_are_logged_as_upstream_updates():
     spec = _spec(3, [1, 2], horizon=2)
     params = synthesize(spec)
@@ -132,7 +172,7 @@ def test_announcements_are_logged_as_upstream_updates():
     plan = DisturbancePlan({(1, 5): 0.4, (2, 6): -1.0})
     executor = MessagePassing(Network(spec, params))
     closed_loop(spec, params, plan, 8, announce=2, executor=executor)
-    updates = executor.log.of_kind("D-update")
+    updates = of_kind(executor.log, "D-update")
     assert [(m.round, m.src, m.dst) for m in updates] == [
         (3, 1, 2), (3, 2, 3), (4, 2, 3),
     ]

@@ -269,6 +269,24 @@ def test_node_outside_1_to_n_rejected(call, node):
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("t", [1, 100])  # inside and past the horizon bound
+@pytest.mark.parametrize("call", ["init", "update"])
+def test_nonfinite_entry_rejected(call, t, value):
+    spec = _spec(2, [1], horizon=2)
+    plan = DisturbancePlan()
+    windows = init_shifted_sums(plan, spec)
+    before = _windows(windows)
+    with pytest.raises(SpecError, match=f"node 2, time {t} is {value}$"):
+        if call == "init":
+            init_shifted_sums(DisturbancePlan({(1, 0): 1.0, (2, t): value}), spec)
+        else:
+            apply_plan_updates(windows, plan, {(1, 0): 1.0, (2, t): value})
+    assert plan.entries == {}
+    for got, want in zip(_windows(windows), before):
+        assert got.tobytes() == want.tobytes()
+
+
 AMOUNTS = st.one_of(
     st.sampled_from([0.0, -0.0]), st.floats(-1e8, 1e8, allow_subnormal=True)
 )

@@ -15,17 +15,20 @@ from pathlq.model import (
 )
 from pathlq.oracle import (
     build_augmented_system,
-    check_cost_decomposition,
-    gain_closed_loop,
-    shifted_aggregates,
     solve_finite_horizon,
     state_vector,
-    stationary_gain,
     stationary_riccati,
 )
 from pathlq.simulate import closed_loop
 from pathlq.synthesis import sweep_gamma_rho, synthesize
 from pathlq.verify import SETTLING_STEPS, make_random_instance
+
+from diagnostics import (
+    check_cost_decomposition,
+    gain_closed_loop,
+    shifted_aggregates,
+    stationary_gain,
+)
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
