@@ -62,7 +62,11 @@ class MessageLog:
             writer = csv.writer(fh)
             writer.writerow(["round", "from", "to", "kind", "value"])
             for m in self.records:
-                writer.writerow([m.round, m.src, m.dst, m.kind, repr(m.value)])
+                writer.writerow([m.round, m.src, m.dst, m.kind, repr(float(m.value))])
+
+
+def _floats(values) -> list[float]:
+    return values.tolist() if isinstance(values, np.ndarray) else list(values)
 
 
 @dataclass
@@ -71,8 +75,8 @@ class NodeUnit:
 
     params: NodeParams
     z: float = 0.0
-    uvals: np.ndarray | None = None
-    dwin: np.ndarray | None = None
+    uvals: list[float] | None = None
+    dwin: list[float] | None = None
     d: float = 0.0
     # sweep intermediates
     phi_val: float | None = None
@@ -86,10 +90,11 @@ class NodeUnit:
     def index(self) -> int:
         return self.params.index
 
-    def reset(self, z: float, uvals: np.ndarray, dwin: np.ndarray, d: float) -> None:
+    def reset(self, z: float, uvals, dwin, d: float) -> None:
+        """Take this round's measurements, held as Python floats."""
         self.z = float(z)
-        self.uvals = np.asarray(uvals, dtype=float)
-        self.dwin = np.asarray(dwin, dtype=float)
+        self.uvals = _floats(uvals)
+        self.dwin = _floats(dwin)
         self.d = float(d)
         self.phi_val = self.pi_val = self.delta = self.mu = None
         self.delta_prev = 0.0 if self.index == 1 else None
@@ -101,7 +106,7 @@ class NodeUnit:
         if self.index == 1:
             return None, v
         u = local_flow(
-            self.params, self.z, float(self.uvals[0]), float(self.dwin[0]),
+            self.params, self.z, self.uvals[0], self.dwin[0],
             self.delta_prev, self.mu, self.d,
         )
         return u, v
@@ -130,6 +135,47 @@ class Network:
             raise RoundAbortError(f"link {src} <-> {dst} is down; round aborted")
 
 
+class BoundedDraws:
+    """Successive `rng.integers(bound)` values, from one raw draw per batch.
+
+    numpy draws an integer below a bound L from the generator's stream of
+    32-bit words by Lemire's method: L = 1 gives 0 and uses no word;
+    otherwise m = u * L for the next word u, drawn again while m mod 2**32
+    < (2**32 - L) mod L, and the value is m >> 32.  One call
+    `rng.integers(2**32, size=k, dtype=np.uint64)` returns the next k words
+    of that stream, so `integers` gives exactly the values of the scalar
+    calls it stands for.  `close` puts the generator where those calls
+    would have left it: at its saved state, advanced by the words used.
+    """
+
+    def __init__(self, rng: np.random.Generator, batch: int):
+        self.rng = rng
+        self.batch = batch
+        self.saved = rng.bit_generator.state
+        self.words: list[int] = []
+        self.used = 0
+
+    def integers(self, bound: int) -> int:
+        if bound == 1:
+            return 0
+        while True:
+            if self.used == len(self.words):
+                self.words += self.rng.integers(
+                    1 << 32, size=self.batch, dtype=np.uint64
+                ).tolist()
+            m = self.words[self.used] * bound
+            self.used += 1
+            # The threshold is below the bound, so most words pass unreduced.
+            low = m & 0xFFFFFFFF
+            if low >= bound or low >= ((1 << 32) - bound) % bound:
+                return m >> 32
+
+    def close(self) -> None:
+        self.rng.bit_generator.state = self.saved
+        if self.used:
+            self.rng.integers(1 << 32, size=self.used, dtype=np.uint64)
+
+
 def run_control_round(
     network: Network,
     measurements: Iterable[tuple[float, np.ndarray, np.ndarray, float]],
@@ -145,10 +191,14 @@ def run_control_round(
     The ready list `slots` is sorted: slot 2k is node k+1's phi -> delta
     chain and slot 2k+1 its pi -> mu chain (node-major, phi/delta first),
     present while that chain has a task whose inputs have all arrived.
-    Each task runs `slots[rng.integers(len(slots))]`, or `slots[0]`
-    without an rng, then removes and inserts at most one slot each, so
-    a round is 4N tasks and O(N) work, and one rng stream always gives
-    the same schedule and message log.
+    Each task runs `slots[i]` and then removes and inserts at most one
+    slot each, so a round is 4N tasks and O(N) work.  The schedule is the
+    sequence i = rng.integers(len(slots)), one value per task, computed
+    from one raw draw per round (BoundedDraws); the rng is left where
+    those scalar calls would have left it, also when a downed link aborts
+    the round.  One rng stream thus always gives the same schedule and
+    message log.  Without an rng every task runs `slots[0]` and nothing
+    is drawn.
     """
     if log is None:
         log = MessageLog()
@@ -159,10 +209,12 @@ def run_control_round(
         node.reset(z, uvals, dwin, d)
     nodes[-1].mu_next = 0.0
     slots = list(range(2 * n))
+    records = log.records
+    check_link = network._check_link
 
     def send(src: int, dst: int, kind: str, value: float) -> None:
-        network._check_link(src, dst)
-        log.append(Message(round=rnd, src=src, dst=dst, kind=kind, value=value))
+        check_link(src, dst)
+        records.append(Message(rnd, src, dst, kind, value))
         node = nodes[dst - 1]
         if kind == "delta":
             node.delta_prev = value
@@ -173,28 +225,33 @@ def run_control_round(
             if node.pi_val is not None:
                 bisect.insort(slots, 2 * dst - 1)
 
-    while slots:
-        i = int(rng.integers(len(slots))) if rng is not None else 0
-        k, mu_chain = divmod(slots[i], 2)
-        node = nodes[k]
-        if not mu_chain and node.phi_val is None:
-            node.phi_val = local_phi(node.params, node.z, node.uvals, node.dwin)
-            if node.delta_prev is None:
+    draws = BoundedDraws(rng, 4 * n) if rng is not None else None
+    try:
+        while slots:
+            i = draws.integers(len(slots)) if draws is not None else 0
+            k, mu_chain = divmod(slots[i], 2)
+            node = nodes[k]
+            if not mu_chain and node.phi_val is None:
+                node.phi_val = local_phi(node.params, node.z, node.uvals, node.dwin)
+                if node.delta_prev is None:
+                    del slots[i]
+            elif not mu_chain:
+                node.delta = combine_delta(node.params, node.phi_val, node.delta_prev)
                 del slots[i]
-        elif not mu_chain:
-            node.delta = combine_delta(node.params, node.phi_val, node.delta_prev)
-            del slots[i]
-            if k + 1 < n:
-                send(k + 1, k + 2, "delta", node.delta)
-        elif node.pi_val is None:
-            node.pi_val = local_pi(node.params, node.z, node.uvals, node.dwin)
-            if node.mu_next is None:
+                if k + 1 < n:
+                    send(k + 1, k + 2, "delta", node.delta)
+            elif node.pi_val is None:
+                node.pi_val = local_pi(node.params, node.z, node.uvals, node.dwin)
+                if node.mu_next is None:
+                    del slots[i]
+            else:
+                node.mu = combine_mu(node.params, node.pi_val, node.mu_next)
                 del slots[i]
-        else:
-            node.mu = combine_mu(node.params, node.pi_val, node.mu_next)
-            del slots[i]
-            if k > 0:
-                send(k + 1, k, "mu", node.mu)
+                if k > 0:
+                    send(k + 1, k, "mu", node.mu)
+    finally:
+        if draws is not None:
+            draws.close()
 
     u = np.zeros(max(n - 1, 0))
     v = np.empty(n)
@@ -254,13 +311,13 @@ class MessagePassing:
     rng: np.random.Generator | None = None
 
     def decide(self, state, windows, d_now, params) -> ControlDecision:
-        n = self.network.n
-        meas = []
-        for k in range(n):
-            uvals = state.pipelines[k] if k < n - 1 else np.zeros(params.tau_eff[k])
-            meas.append(
-                (state.z[k], uvals, windows.slice(k + 1, params.tau_eff[k]), d_now[k])
-            )
+        tau = params.tau_eff
+        # Node N has no incoming edge: its in-transit flows are all 0.0.
+        pipes = (*state.pipelines, [0.0] * tau[-1])
+        meas = [
+            (z, pipes[k], windows.slice(k + 1, tau[k]), d)
+            for k, (z, d) in enumerate(zip(state.z.tolist(), d_now.tolist()))
+        ]
         decision, _ = run_control_round(self.network, meas, log=self.log, rng=self.rng)
         return decision
 

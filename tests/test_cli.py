@@ -342,13 +342,13 @@ class TestDemoConfigs:
 
     @pytest.mark.parametrize("config, seed, digest", [
         ("feedforward_demo", 0,
-         "595b0ef1c15bfb82f107d4adab6a330a8a141f7345a0ebab0985416460020512"),
+         "a96c0f0a5f3a4cf41735558d5c345b14cab4602ae7d035eb61cd400ce2420009"),
         ("feedforward_demo", 3,
-         "8b4012bf5f9a32d933af729df360d0e9010e7ea40d17349387598a1efc70b5b9"),
+         "e34a6efd9fac6d29e97e896d86ffc8dbcd2e6bd55cabb6ed6fad2bda15be344b"),
         ("horizon_sweep_demo", 0,
-         "61e5df3976cef59ac271fa4e463c249de1d939f13dd8c369aca1b50ce4eb4ea0"),
+         "44f1b10065c32dccf5495617787e5182e1533709b7000d31390fb42f63122065"),
         ("horizon_sweep_demo", 3,
-         "66d371230d25c427e612f8d4be7ec03d9a9c3ed35ac939064cee1acf5dbc2e01"),
+         "1291fcceef47b6a25310558648d490d6c1c7c110526836399c264fb7da02ac47"),
     ])
     def test_distributed_message_log_bytes(self, config, seed, digest, tmp_path):
         # The whole log, schedule order included: a --seed names one

@@ -1,11 +1,14 @@
 """Tests for the message-passing execution harness."""
 
+import csv
+
 import numpy as np
 import pytest
 
 from pathlq.controller import combine_delta, combine_mu, local_phi, local_pi
 from pathlq.errors import RoundAbortError
 from pathlq.harness import (
+    BoundedDraws,
     Message,
     MessageLog,
     MessagePassing,
@@ -277,19 +280,27 @@ def test_log_csv_round_trip(tmp_path):
     assert len(lines) == 1 + len(log.records)
 
 
+def test_log_csv_values_are_plain_floats(tmp_path):
+    spec = _spec(4, [2, 3, 1], horizon=2)
+    params = synthesize(spec)
+    plan = DisturbancePlan({(1, 4): 0.4, (3, 5): -1.7, (4, 2): 0.3})
+    executor = MessagePassing(Network(spec, params), rng=np.random.default_rng(2))
+    closed_loop(spec, params, plan, 6, [1.0, -0.5, 2.0, 0.1], announce=2,
+                executor=executor)
+    log = executor.log
+    assert {m.kind for m in log.records} == {"delta", "mu", "D-update"}
+    path = tmp_path / "messages.csv"
+    log.write_csv(path)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == len(log.records)
+    for row, m in zip(rows, log.records):
+        # float() parses every field and gives back the logged value's bits.
+        assert float(row[4]).hex() == float(m.value).hex()
+        assert row[4] == repr(float(m.value))
+
+
 # --- the scheduler's draw sequence ---------------------------------------------
-
-class RecordingRng:
-    """A seeded Generator that records the bound of every `integers` draw."""
-
-    def __init__(self, seed):
-        self.rng = np.random.default_rng(seed)
-        self.bounds = []
-
-    def integers(self, high):
-        self.bounds.append(high)
-        return self.rng.integers(high)
-
 
 def reference_round(network, measurements, log, rng):
     """A control round whose scheduler rebuilds the whole ready list with an
@@ -364,34 +375,81 @@ def _records(log):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_ready_list_replays_the_reference_scheduler(n):
+    # reference_round makes one scalar rng.integers call per task; the
+    # round must give the same schedule and leave the rng in the same state.
     spec, params, meas = _random_round_inputs(n, seed=100 + n)
     for seed in [None, 0, 1, 2, 3, 4]:
         runs = []
         for round_fn in (run_control_round, reference_round):
-            rng = RecordingRng(seed) if seed is not None else None
+            rng = np.random.default_rng(seed) if seed is not None else None
             network, log = Network(spec, params), MessageLog()
             # Three rounds: the rng stream and the round counter carry over.
             decisions = [round_fn(network, meas, log, rng)[0] for _ in range(3)]
-            runs.append((decisions, _records(log), rng and rng.bounds))
-        (new, new_log, new_bounds), (ref, ref_log, ref_bounds) = runs
+            runs.append((decisions, _records(log), rng and rng.bit_generator.state))
+        (new, new_log, new_state), (ref, ref_log, ref_state) = runs
         for a, b in zip(new, ref, strict=True):
             assert a.u.tobytes() == b.u.tobytes()
             assert a.v.tobytes() == b.v.tobytes()
         assert new_log == ref_log and len(new_log) == 3 * 2 * (n - 1)
-        assert new_bounds == ref_bounds
-        if seed is not None:
-            assert len(new_bounds) == 3 * 4 * n  # 4n draws per round
+        assert new_state == ref_state
 
 
 def test_downed_link_aborts_after_the_same_records():
     spec, params, meas = _random_round_inputs(7, seed=7)
-    for seed in range(6):
+    for seed in [None, *range(6)]:
         outcomes = []
         for round_fn in (run_control_round, reference_round):
             network = Network(spec, params)
             network.fail_link(4, 5)
-            rng, log = RecordingRng(seed), MessageLog()
+            rng = np.random.default_rng(seed) if seed is not None else None
+            log = MessageLog()
             with pytest.raises(RoundAbortError, match="is down") as exc:
                 round_fn(network, meas, log, rng)
-            outcomes.append((str(exc.value), _records(log), rng.bounds))
+            outcomes.append(
+                (str(exc.value), _records(log), rng and rng.bit_generator.state)
+            )
         assert outcomes[0] == outcomes[1]
+
+
+def test_unseeded_round_runs_the_first_ready_task():
+    # slots[0] every time: node 1's delta chain climbs until the downed link.
+    spec, params, meas = _random_round_inputs(7, seed=7)
+    network = Network(spec, params)
+    network.fail_link(4, 5)
+    log = MessageLog()
+    with pytest.raises(RoundAbortError, match="link 4 <-> 5 is down"):
+        run_control_round(network, meas, log)
+    assert [(m.round, m.src, m.dst, m.kind) for m in log.records] == [
+        (0, 1, 2, "delta"), (0, 2, 3, "delta"), (0, 3, 4, "delta"),
+    ]
+
+
+BIT_GENERATORS = [np.random.PCG64, np.random.Philox, np.random.SFC64, np.random.MT19937]
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+@pytest.mark.parametrize("seed", range(4))
+def test_bounded_draws_match_numpy(bit_generator, seed):
+    # Small bounds, L = 1 (no word used) and L in [2**31, 2**32), where
+    # about half the words are rejected; batches of 3 words force refills.
+    picks = np.random.default_rng(seed)
+    bounds = [
+        [int(b) for b in picks.choice([
+            1, 2, 3, 7, 100, 1 << 31, (1 << 31) + 1, 3 << 30, (1 << 32) - 1,
+            int(picks.integers(1, 1 << 32)),
+        ], size=int(picks.integers(0, 30)))]
+        for _ in range(8)
+    ]
+    scalar = np.random.Generator(bit_generator(seed))
+    batched = np.random.Generator(bit_generator(seed))
+    for session in bounds:
+        draws = BoundedDraws(batched, 3)
+        assert [draws.integers(b) for b in session] == [
+            int(scalar.integers(b)) for b in session
+        ]
+        draws.close()
+        np.testing.assert_equal(batched.bit_generator.state, scalar.bit_generator.state)
+    # Both streams go on alike.
+    assert batched.integers(1 << 62, size=4).tolist() == scalar.integers(
+        1 << 62, size=4
+    ).tolist()
