@@ -25,6 +25,13 @@ from .synthesis import params_to_document, synthesize
 from .verify import run_differential_suite
 
 SCHEMA_VERSION = 1
+# Flags that only some commands read: argparse dest -> those commands.
+FLAG_COMMANDS = {
+    "no_feedforward": ("simulate",),
+    "tee_summary": ("simulate", "compare-ff"),
+    "horizon": ("synth", "simulate", "compare-ff", "distributed"),
+    "seed": ("simulate", "compare-ff", "verify", "distributed"),
+}
 
 
 class ConfigError(ValueError):
@@ -262,14 +269,22 @@ def cmd_distributed(args, cfg: dict, out: Path) -> int:
     return 0
 
 
+HANDLERS = {
+    "synth": cmd_synth,
+    "simulate": cmd_simulate,
+    "compare-ff": cmd_compare_ff,
+    "sweep-horizon": cmd_sweep_horizon,
+    "verify": cmd_verify,
+    "distributed": cmd_distributed,
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="pathlq",
         description="Structured LQ control on delayed path graphs",
     )
-    parser.add_argument("command", choices=[
-        "synth", "simulate", "compare-ff", "sweep-horizon", "verify", "distributed",
-    ])
+    parser.add_argument("command", choices=HANDLERS)
     parser.add_argument("--config", help="JSON experiment config")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=None)
@@ -284,15 +299,12 @@ def main(argv=None) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    handlers = {
-        "synth": cmd_synth,
-        "simulate": cmd_simulate,
-        "compare-ff": cmd_compare_ff,
-        "sweep-horizon": cmd_sweep_horizon,
-        "verify": cmd_verify,
-        "distributed": cmd_distributed,
-    }
     try:
+        for dest, commands in FLAG_COMMANDS.items():
+            if getattr(args, dest) != parser.get_default(dest) and (
+                    args.command not in commands):
+                flag = "--" + dest.replace("_", "-")
+                raise ConfigError(f"{args.command} does not read {flag}")
         if args.seed is not None:
             _seed(args.seed, "--seed")
         cfg = None
@@ -302,7 +314,7 @@ def main(argv=None) -> int:
                 cfg["horizon"] = args.horizon
             if args.seed is not None:
                 cfg["seed"] = args.seed
-        return handlers[args.command](args, cfg, out)
+        return HANDLERS[args.command](args, cfg, out)
     except (ConfigError, SpecError, HorizonViolationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

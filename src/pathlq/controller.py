@@ -9,6 +9,7 @@ The per-node kernels below are what each unit of the distributed harness
 runs.  The sequential sweeps apply the same formulas to all nodes at once
 over the packed parameter tables, in the same order of operations, so
 sequential and message-passing execution produce bit-equal decisions.
+Both read a step's node inputs through one gather, step_inputs.
 The output formulas are written once: given ControllerParams and
 per-node arrays in place of NodeParams and floats, local_flow and
 local_production compute every node's outputs.
@@ -92,12 +93,10 @@ def local_production(
 def _local_folds(
     params: ControllerParams, z: np.ndarray, inflow: np.ndarray, d_last: np.ndarray
 ) -> np.ndarray:
-    """(Phi, pi) of every node, as rows of one (2, N) array.
-
-    inflow[k, D] is node k+1's u_i[t-(tau_i-D)] + D_i[t+sigma_i+D] at
-    ControllerParams.delay_cols; d_last is node N's window over the whole
-    horizon.  Accumulating along the delay axis adds strictly left to right,
-    the scalar kernels' order; entries past a node's end are never read.
+    """(Phi, pi) of every node, as rows of one (2, N) array, from
+    step_inputs' flows + dwin (inflow) and d_last.  Accumulating along the
+    delay axis adds strictly left to right, the scalar kernels' order;
+    entries past a node's end are never read.
     """
     x = np.concatenate((z[:, None], inflow), axis=1)
     folds = np.add.accumulate(params.coef * x, axis=2)
@@ -149,6 +148,19 @@ def compute_actions(
     return ControlDecision(u=u, v=v)
 
 
+def step_inputs(
+    state: PlantState, windows: ShiftedWindows, params: ControllerParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A step's node inputs for both executors, in one gather: flows[k, D]
+    and dwin[k, D], node k+1's u_i[t-(tau_i-D)] and D_i[t+sigma_i+D] at
+    delay_cols, and d_last, node N's window over the whole horizon."""
+    cols = params.delay_cols
+    # The last node's columns lie past the pipelines: clipped, they read the
+    # buffer's closing 0.0.
+    flows = state.flows.take(cols, mode="clip")
+    return flows, windows.gather(cols), windows.slice(params.n, params.horizon + 1)
+
+
 def control_step(
     state: PlantState,
     windows: ShiftedWindows,
@@ -156,12 +168,7 @@ def control_step(
     params: ControllerParams,
 ) -> tuple[ControlDecision, SweepState]:
     """One gather of the step's inputs, both sweeps, then the local outputs."""
-    cols = params.delay_cols
-    # The last node's columns lie past the pipelines: clipped, they read the
-    # buffer's closing 0.0.
-    flows = state.flows.take(cols, mode="clip")
-    dwin = windows.gather(cols)
-    d_last = windows.slice(params.n, params.horizon + 1)
+    flows, dwin, d_last = step_inputs(state, windows, params)
     Phi, pi = _local_folds(params, state.z, flows + dwin, d_last)
     delta = upstream_sweep(Phi, params)
     mu = downstream_sweep(pi, params)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import bisect
 import csv
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .controller import (
     local_phi,
     local_pi,
     local_production,
+    step_inputs,
 )
 from .errors import RoundAbortError
 from .ledger import DisturbancePlan, LedgerMessage
@@ -65,18 +66,18 @@ class MessageLog:
                 writer.writerow([m.round, m.src, m.dst, m.kind, repr(float(m.value))])
 
 
-def _floats(values) -> list[float]:
-    return values.tolist() if isinstance(values, np.ndarray) else list(values)
-
-
 @dataclass
 class NodeUnit:
-    """One controller node: local parameter slice and local measurements."""
+    """One controller node: local parameter slice and local measurements.
+
+    uvals and dwin start at delay slot 0.  A row past tau_eff repeats its
+    last slot (MessagePassing reads packed rows); the kernels never read it.
+    """
 
     params: NodeParams
     z: float = 0.0
-    uvals: list[float] | None = None
-    dwin: list[float] | None = None
+    uvals: Sequence[float] | None = None
+    dwin: Sequence[float] | None = None
     d: float = 0.0
     # sweep intermediates
     phi_val: float | None = None
@@ -86,24 +87,17 @@ class NodeUnit:
     delta_prev: float | None = None
     mu_next: float | None = None
 
-    @property
-    def index(self) -> int:
-        return self.params.index
-
-    def reset(self, z: float, uvals, dwin, d: float) -> None:
-        """Take this round's measurements, held as Python floats."""
-        self.z = float(z)
-        self.uvals = _floats(uvals)
-        self.dwin = _floats(dwin)
-        self.d = float(d)
+    def reset(self, z, uvals, dwin, d) -> None:
+        """Take this round's measurements as given."""
+        self.z, self.uvals, self.dwin, self.d = z, uvals, dwin, d
         self.phi_val = self.pi_val = self.delta = self.mu = None
-        self.delta_prev = 0.0 if self.index == 1 else None
+        self.delta_prev = 0.0 if self.params.index == 1 else None
         self.mu_next = None  # set to 0.0 for the last node by the network
 
     def outputs(self) -> tuple[float | None, float]:
         """(flow released downstream or None for node 1, production)."""
         v = local_production(self.params, self.delta_prev, self.mu)
-        if self.index == 1:
+        if self.params.index == 1:
             return None, v
         u = local_flow(
             self.params, self.z, self.uvals[0], self.dwin[0],
@@ -116,7 +110,6 @@ class Network:
     """A path of node units with failable neighbor links."""
 
     def __init__(self, spec: GraphSpec, params: ControllerParams):
-        self.spec = spec
         self.n = spec.n
         self.nodes = [NodeUnit(params=params.node_slice(k)) for k in range(spec.n)]
         self.failed_links: set[frozenset] = set()
@@ -178,15 +171,17 @@ class BoundedDraws:
 
 def run_control_round(
     network: Network,
-    measurements: Iterable[tuple[float, np.ndarray, np.ndarray, float]],
+    measurements: Iterable[tuple[float, Sequence[float], Sequence[float], float]],
     log: MessageLog | None = None,
     rng: np.random.Generator | None = None,
 ) -> tuple[ControlDecision, MessageLog]:
     """One sample period: both sweeps, then local outputs.
 
-    `measurements` supplies per node (z_i, in-transit flows oldest first,
-    shifted-disturbance slice, current local disturbance).  Decisions do
-    not depend on the interleaving of the two chains.
+    `measurements` holds one tuple per node, as Python floats and
+    sequences of them: (z_i, in-transit flows oldest first,
+    shifted-disturbance slice, current local disturbance); a list of
+    another length raises ValueError.  Decisions do not depend on the
+    interleaving of the two chains.
 
     The ready list `slots` is sorted: slot 2k is node k+1's phi -> delta
     chain and slot 2k+1 its pi -> mu chain (node-major, phi/delta first),
@@ -202,11 +197,9 @@ def run_control_round(
     """
     if log is None:
         log = MessageLog()
-    nodes = network.nodes
-    n = network.n
-    rnd = network.round
-    for node, (z, uvals, dwin, d) in zip(nodes, measurements):
-        node.reset(z, uvals, dwin, d)
+    nodes, n, rnd = network.nodes, network.n, network.round
+    for node, meas in zip(nodes, measurements, strict=True):
+        node.reset(*meas)
     nodes[-1].mu_next = 0.0
     slots = list(range(2 * n))
     records = log.records
@@ -253,15 +246,9 @@ def run_control_round(
         if draws is not None:
             draws.close()
 
-    u = np.zeros(max(n - 1, 0))
-    v = np.empty(n)
-    for k, node in enumerate(nodes):
-        flow, prod = node.outputs()
-        v[k] = prod
-        if flow is not None:
-            u[k - 1] = flow
+    flows, prods = zip(*(node.outputs() for node in nodes))
     network.round += 1
-    return ControlDecision(u=u, v=v), log
+    return ControlDecision(u=np.array(flows[1:], dtype=float), v=np.array(prods)), log
 
 
 @dataclass
@@ -311,13 +298,11 @@ class MessagePassing:
     rng: np.random.Generator | None = None
 
     def decide(self, state, windows, d_now, params) -> ControlDecision:
-        tau = params.tau_eff
-        # Node N has no incoming edge: its in-transit flows are all 0.0.
-        pipes = (*state.pipelines, [0.0] * tau[-1])
-        meas = [
-            (z, pipes[k], windows.slice(k + 1, tau[k]), d)
-            for k, (z, d) in enumerate(zip(state.z.tolist(), d_now.tolist()))
-        ]
+        flows, dwin, d_last = step_inputs(state, windows, params)
+        uvals, dwin = flows.tolist(), dwin.tolist()
+        # Node N has no incoming edge, and its window spans the horizon.
+        uvals[-1], dwin[-1] = [0.0] * params.tau_eff[-1], d_last.tolist()
+        meas = zip(state.z.tolist(), uvals, dwin, d_now.tolist())
         decision, _ = run_control_round(self.network, meas, log=self.log, rng=self.rng)
         return decision
 

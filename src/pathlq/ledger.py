@@ -129,6 +129,8 @@ class ShiftedWindows:
 
     def slice(self, node: int, length: int) -> np.ndarray:
         """The first `length` entries D_node[now + sigma_node + 0..length-1]."""
+        if not 1 <= node <= self.spec.n:
+            raise LedgerRangeError(f"no node {node}: nodes are 1..{self.spec.n}")
         lo = self.spec.sigma[node - 1]
         held = self._D.shape[1] - lo
         if length > held:

@@ -142,7 +142,7 @@ def closed_loop(
 
         state = plant_step(state, decision, d_hist[t], spec)
         z_hist[t + 1] = state.z
-        executor.ledger(advance_time(windows))
+        advance_time(windows)
 
     traj = Trajectory(
         spec=spec,

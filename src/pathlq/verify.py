@@ -126,12 +126,5 @@ def run_differential_suite(
     for idx in range(n_instances):
         inst = make_random_instance(rng, **instance_kwargs)
         action_err, cost_err = certify_instance(inst)
-        report.reports.append(
-            InstanceReport(
-                index=idx,
-                action_rel_err=action_err,
-                cost_rel_err=cost_err,
-                instance=inst,
-            )
-        )
+        report.reports.append(InstanceReport(idx, action_err, cost_err, inst))
     return report

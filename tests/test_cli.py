@@ -117,6 +117,18 @@ class TestConfig:
         ("distributed", {"seed": -1}, "seed = -1"),
         ("distributed", {"seed": 2.5}, "seed = 2.5"),
         ("distributed", {"seed": "abc"}, "seed = 'abc'"),
+        ("distributed --no-feedforward", {},
+         "distributed does not read --no-feedforward"),
+        ("compare-ff --no-feedforward", {},
+         "compare-ff does not read --no-feedforward"),
+        ("distributed --tee-summary", {},
+         "distributed does not read --tee-summary"),
+        ("synth --tee-summary", {}, "synth does not read --tee-summary"),
+        ("verify --horizon 2", {}, "verify does not read --horizon"),
+        ("verify --horizon 0", {}, "verify does not read --horizon"),
+        ("sweep-horizon --horizon 2", {}, "sweep-horizon does not read --horizon"),
+        ("synth --seed 1", {}, "synth does not read --seed"),
+        ("sweep-horizon --seed 1", {}, "sweep-horizon does not read --seed"),
     ], ids=["start-after-end", "negative-start", "node-0", "node-past-n",
             "nan-amount", "past-horizon", "fractional-tau", "fractional-n",
             "fractional-horizon", "fractional-node", "fractional-start",
@@ -125,12 +137,16 @@ class TestConfig:
             "non-numeric-initial-z", "non-numeric-initial-pipelines",
             "fractional-horizon-grid", "negative-horizon-grid",
             "fractional-verify-instances", "negative-verify-instances",
-            "negative-seed", "fractional-seed", "non-numeric-seed"])
+            "negative-seed", "fractional-seed", "non-numeric-seed",
+            "no-feedforward-on-distributed", "no-feedforward-on-compare-ff",
+            "tee-summary-on-distributed", "tee-summary-on-synth",
+            "horizon-on-verify", "zero-horizon-on-verify",
+            "horizon-on-sweep-horizon", "seed-on-synth", "seed-on-sweep-horizon"])
     def test_malformed_input_rejected(self, command, change, message, tmp_path,
                                       capsys):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(dict(BASE_CONFIG, **change)))
-        rc = main([command, "--config", str(path), "--out", str(tmp_path)])
+        rc = main([*command.split(), "--config", str(path), "--out", str(tmp_path)])
         assert rc == 2
         err = capsys.readouterr().err
         assert "config error" in err and message in err

@@ -18,6 +18,7 @@ from pathlq.controller import (
     upstream_sweep,
 )
 from pathlq.errors import LedgerRangeError
+from pathlq.harness import MessagePassing, Network
 from pathlq.ledger import DisturbancePlan, advance_time, init_shifted_sums
 from pathlq.model import GraphSpec, PlantState
 from pathlq.simulate import Sequential, closed_loop
@@ -299,8 +300,9 @@ def _drawn_values(data, size):
 
 
 def _check_packed_step(data, n, tau, horizon):
-    """control_step against the per-node kernels, bitwise, on drawn weights,
-    state, plan, time offset and current disturbance."""
+    """control_step against the per-node kernels and against one
+    message-passing round, bitwise, on drawn weights, state, plan, time
+    offset, current disturbance and scheduler seed."""
     weights = st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)
     spec = _spec(n, tau, horizon, q=data.draw(weights), r=data.draw(weights))
     params = synthesize(spec)
@@ -323,6 +325,11 @@ def _check_packed_step(data, n, tau, horizon):
     want = _per_node_step(state, windows, d_now, params)
     for name, g, w in zip(["u", "v", "Phi", "delta", "pi", "mu"], got, want):
         assert g.tobytes() == w.tobytes(), name
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    executor = MessagePassing(Network(spec, params), rng=rng)
+    round_decision = executor.decide(state, windows, d_now, params)
+    assert round_decision.u.tobytes() == decision.u.tobytes()
+    assert round_decision.v.tobytes() == decision.v.tobytes()
 
 
 @settings(max_examples=80, deadline=None)

@@ -270,6 +270,20 @@ def test_failed_link_aborts_the_round():
     )
 
 
+def test_measurements_must_cover_every_node():
+    # A short list must not leave a used network's other nodes on last
+    # round's inputs, nor a fresh network's on none.
+    spec, params, meas = _random_round_inputs(3, seed=3)
+    network = Network(spec, params)
+    run_control_round(network, meas)
+    extra = meas + [meas[-1]]
+    for net, bad, message in [(network, meas[:2], "shorter"),
+                              (Network(spec, params), meas[:2], "shorter"),
+                              (network, extra, "longer")]:
+        with pytest.raises(ValueError, match=message):
+            run_control_round(net, bad)
+
+
 def test_log_csv_round_trip(tmp_path):
     spec = _spec(3, [1, 2], horizon=0)
     _, log = _round_once(spec, z0=[1.0, 2.0, 3.0])

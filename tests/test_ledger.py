@@ -141,6 +141,13 @@ class TestInitWindows:
         with pytest.raises(LedgerRangeError):
             windows.slice(2, 3)
 
+    @pytest.mark.parametrize("node, length", [(0, 2), (-1, 1), (4, 1)])
+    def test_slice_of_a_node_outside_the_path_raises(self, node, length):
+        spec = _spec(3, [1, 2], horizon=1)
+        windows = init_shifted_sums(DisturbancePlan({(1, 0): 0.5}), spec)
+        with pytest.raises(LedgerRangeError, match=f"no node {node}: nodes are 1..3"):
+            windows.slice(node, length)
+
 
 class TestAdvance:
     def test_shift_identity_two_edges(self):
