@@ -14,8 +14,8 @@ and audited through the message log.
 
 from __future__ import annotations
 
-import bisect
 import csv
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -37,7 +37,7 @@ from .simulate import closed_loop
 from .synthesis import ControllerParams, NodeParams
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     round: int
     src: int
@@ -66,12 +66,14 @@ class MessageLog:
                 writer.writerow([m.round, m.src, m.dst, m.kind, repr(float(m.value))])
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeUnit:
     """One controller node: local parameter slice and local measurements.
 
     uvals and dwin start at delay slot 0.  A row past tau_eff repeats its
     last slot (MessagePassing reads packed rows); the kernels never read it.
+    Everything a unit holds is a Python float or a sequence of them, so
+    its kernels and messages run on plain float arithmetic.
     """
 
     params: NodeParams
@@ -116,15 +118,17 @@ class Network:
         self.round = 0
 
     def fail_link(self, a: int, b: int) -> None:
+        """Take down the edge between nodes a and b; a round that sends
+        over it aborts."""
+        if abs(a - b) != 1 or not 1 <= min(a, b) < self.n:
+            raise ValueError(f"{a} <-> {b} is not an edge of a path of {self.n} nodes")
         self.failed_links.add(frozenset((a, b)))
 
     def restore_links(self) -> None:
         self.failed_links.clear()
 
     def _check_link(self, src: int, dst: int) -> None:
-        if abs(src - dst) != 1:
-            raise RoundAbortError(f"non-neighbor send {src} -> {dst}")
-        if self.failed_links and frozenset((src, dst)) in self.failed_links:
+        if frozenset((src, dst)) in self.failed_links:
             raise RoundAbortError(f"link {src} <-> {dst} is down; round aborted")
 
 
@@ -193,7 +197,8 @@ def run_control_round(
     those scalar calls would have left it, also when a downed link aborts
     the round.  One rng stream thus always gives the same schedule and
     message log.  Without an rng every task runs `slots[0]` and nothing
-    is drawn.
+    is drawn.  A round aborted by a downed link still takes its round
+    number, so a retry logs under the next one.
     """
     if log is None:
         log = MessageLog()
@@ -202,37 +207,32 @@ def run_control_round(
         node.reset(*meas)
     nodes[-1].mu_next = 0.0
     slots = list(range(2 * n))
-    records = log.records
-    check_link = network._check_link
-
-    def send(src: int, dst: int, kind: str, value: float) -> None:
-        check_link(src, dst)
-        records.append(Message(rnd, src, dst, kind, value))
-        node = nodes[dst - 1]
-        if kind == "delta":
-            node.delta_prev = value
-            if node.phi_val is not None:
-                bisect.insort(slots, 2 * dst - 2)
-        else:
-            node.mu_next = value
-            if node.pi_val is not None:
-                bisect.insort(slots, 2 * dst - 1)
-
+    append, failed = log.records.append, network.failed_links
     draws = BoundedDraws(rng, 4 * n) if rng is not None else None
     try:
         while slots:
             i = draws.integers(len(slots)) if draws is not None else 0
-            k, mu_chain = divmod(slots[i], 2)
+            slot = slots[i]
+            k = slot >> 1
             node = nodes[k]
-            if not mu_chain and node.phi_val is None:
+            # A send logs the message and hands its value to the neighbor,
+            # whose chain becomes ready if its local fold is done.  Sends go
+            # to neighbors only, so a downed edge is all that can stop one.
+            if not slot & 1 and node.phi_val is None:
                 node.phi_val = local_phi(node.params, node.z, node.uvals, node.dwin)
                 if node.delta_prev is None:
                     del slots[i]
-            elif not mu_chain:
+            elif not slot & 1:
                 node.delta = combine_delta(node.params, node.phi_val, node.delta_prev)
                 del slots[i]
                 if k + 1 < n:
-                    send(k + 1, k + 2, "delta", node.delta)
+                    if failed:
+                        network._check_link(k + 1, k + 2)
+                    append(Message(rnd, k + 1, k + 2, "delta", node.delta))
+                    dst = nodes[k + 1]
+                    dst.delta_prev = node.delta
+                    if dst.phi_val is not None:
+                        insort(slots, slot + 2)
             elif node.pi_val is None:
                 node.pi_val = local_pi(node.params, node.z, node.uvals, node.dwin)
                 if node.mu_next is None:
@@ -241,13 +241,19 @@ def run_control_round(
                 node.mu = combine_mu(node.params, node.pi_val, node.mu_next)
                 del slots[i]
                 if k > 0:
-                    send(k + 1, k, "mu", node.mu)
+                    if failed:
+                        network._check_link(k + 1, k)
+                    append(Message(rnd, k + 1, k, "mu", node.mu))
+                    dst = nodes[k - 1]
+                    dst.mu_next = node.mu
+                    if dst.pi_val is not None:
+                        insort(slots, slot - 2)
     finally:
+        network.round += 1
         if draws is not None:
             draws.close()
 
     flows, prods = zip(*(node.outputs() for node in nodes))
-    network.round += 1
     return ControlDecision(u=np.array(flows[1:], dtype=float), v=np.array(prods)), log
 
 

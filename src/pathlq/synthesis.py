@@ -35,8 +35,8 @@ class NodeParams:
     one_minus_gamma_q: float  # 1 - gamma_i / q_i
     x1_over_r: float  # X_i(1) / r_i
     one_minus_h_prev: float  # 1 - h_{i-1}
-    phi: np.ndarray  # phi[Delta] for Delta = 1..tau_eff; phi[0] = phi[1]
-    gprod: np.ndarray  # gprod[m] = prod_{j=2}^{m} g_i(j) for m >= 1; gprod[0] = 1
+    phi: tuple[float, ...]  # phi[Delta] for Delta = 1..tau_eff; phi[0] = phi[1]
+    gprod: tuple[float, ...]  # gprod[m] = prod_{j=2}^{m} g_i(j) for m >= 1; gprod[0] = 1
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,9 @@ class ControllerParams:
     fold_end: np.ndarray  # k * W + min(tau_eff[k], W-1): where node k's fold ends
 
     def node_slice(self, k: int) -> NodeParams:
-        """Local parameters for node k+1 (everything its unit may hold)."""
-        coef = self.coef_last if k == self.n - 1 else self.coef[:, k]
+        """Local parameters for node k+1 (everything its unit may hold), as
+        Python floats: a unit's kernels then never touch a numpy scalar."""
+        phi, gprod = (self.coef_last if k == self.n - 1 else self.coef[:, k]).tolist()
         return NodeParams(
             index=k + 1,
             tau_eff=self.tau_eff[k],
@@ -94,8 +95,8 @@ class ControllerParams:
             one_minus_gamma_q=float(self.one_minus_gamma_q[k]),
             x1_over_r=float(self.x1_over_r[k]),
             one_minus_h_prev=float(self.one_minus_h_prev[k]),
-            phi=coef[0],
-            gprod=coef[1],
+            phi=tuple(phi),
+            gprod=tuple(gprod),
         )
 
 

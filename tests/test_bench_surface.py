@@ -7,9 +7,12 @@ tests fail instead, when a name the hooks look up is removed or renamed.
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from pathlq import simulate, verify
+from pathlq import harness, simulate, verify
+from pathlq.model import GraphSpec
+from pathlq.synthesis import synthesize
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -50,3 +53,26 @@ def test_step_probe_wraps_the_driver_hooks(tracing):
     finally:
         patches.restore()
     assert [getattr(owner, attr) for owner, attr in hooks] == originals
+
+
+def test_the_round_calls_every_kernel_through_the_harness(tracing, monkeypatch):
+    # controller.kernel_ms_per_round times the kernels as harness globals; a
+    # kernel inlined into the round would drop out of it without an error.
+    calls = dict.fromkeys(tracing.KERNELS, 0)
+
+    def counting(name, fn):
+        def kernel(*args):
+            calls[name] += 1
+            return fn(*args)
+        return kernel
+
+    for name in tracing.KERNELS:
+        monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+    n = 5
+    spec = GraphSpec(n=n, tau=(2, 3, 1, 2), q=(1.0,) * n, r=(1.0,) * n, horizon=2)
+    params = synthesize(spec)
+    meas = [(1.0, [0.5] * t, [0.25] * t, 0.0) for t in params.tau_eff]
+    harness.run_control_round(harness.Network(spec, params), meas,
+                              rng=np.random.default_rng(0))
+    assert calls == {name: n - 1 if name == "local_flow" else n
+                     for name in tracing.KERNELS}

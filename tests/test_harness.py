@@ -270,6 +270,54 @@ def test_failed_link_aborts_the_round():
     )
 
 
+@pytest.mark.parametrize("a, b", [(1, 3), (2, 2), (0, 1), (3, 4), (2, 9), (-1, 0)])
+def test_fail_link_rejects_a_pair_that_is_not_an_edge(a, b):
+    # A stored non-edge would never abort a round: the fault would vanish.
+    spec = _spec(3, [2, 2], horizon=1)
+    network = Network(spec, synthesize(spec))
+    with pytest.raises(ValueError, match="not an edge"):
+        network.fail_link(a, b)
+    assert not network.failed_links
+    network.fail_link(3, 2)
+    assert network.failed_links == {frozenset((2, 3))}
+
+
+def test_aborted_round_keeps_its_round_number():
+    # A retry after restore_links logs under a new round, so the audit does
+    # not mix its chains with the aborted attempt's.
+    spec, params, meas = _random_round_inputs(4, seed=4)
+    network, log = Network(spec, params), MessageLog()
+    network.fail_link(3, 4)
+    with pytest.raises(RoundAbortError, match="link 3 <-> 4 is down"):
+        run_control_round(network, meas, log)
+    network.restore_links()
+    run_control_round(network, meas, log)
+    assert [m.round for m in log.records] == [0, 0] + [1] * 6
+    assert network.round == 2
+    report = audit_message_log(log, spec)
+    assert report.ok, report.violations
+
+
+def test_round_runs_on_python_floats():
+    # numpy scalars anywhere in a unit make every kernel and message after
+    # them run on numpy scalar arithmetic, at about twice the cost.
+    spec = _spec(5, [2, 3, 1, 4], horizon=3, q=(1.0, 0.4, 2.0, 1.1, 0.7))
+    params = synthesize(spec)
+    plan = DisturbancePlan({(2, 4): -0.6, (5, 3): 0.9, (1, 5): 0.2})
+    executor = MessagePassing(Network(spec, params), rng=np.random.default_rng(3))
+    closed_loop(spec, params, plan, 4, [1.0, -0.5, 2.0, 0.1, -1.2], announce=2,
+                executor=executor)
+    assert {m.kind for m in executor.log.records} == {"delta", "mu", "D-update"}
+    assert all(type(m.value) is float for m in executor.log.records)
+    for node in executor.network.nodes:
+        for x in (node.phi_val, node.pi_val, node.delta, node.mu):
+            assert type(x) is float
+    for k in range(spec.n):
+        node = params.node_slice(k)
+        for row in (node.phi, node.gprod):
+            assert type(row) is tuple and all(type(x) is float for x in row)
+
+
 def test_measurements_must_cover_every_node():
     # A short list must not leave a used network's other nodes on last
     # round's inputs, nor a fresh network's on none.
