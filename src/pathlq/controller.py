@@ -9,7 +9,9 @@ The per-node kernels below are what each unit of the distributed harness
 runs.  The sequential sweeps apply the same formulas to all nodes at once
 over the packed parameter tables, in the same order of operations, so
 sequential and message-passing execution produce bit-equal decisions.
-Both read a step's node inputs through one gather, step_inputs.
+Both read a step's node inputs through one gather, step_inputs.  The
+sweeps' coefficients are fixed at synthesis: each step reads the Python
+lists ControllerParams.upstream_w and downstream_b and re-derives none.
 The output formulas are written once: given ControllerParams and
 per-node arrays in place of NodeParams and floats, local_flow and
 local_production compute every node's outputs.
@@ -109,23 +111,23 @@ def _local_folds(
 
 
 def upstream_sweep(Phi: np.ndarray, params: ControllerParams) -> np.ndarray:
-    """delta values, node 1 up to node N."""
+    """delta values, node 1 up to node N, weighted by params.upstream_w."""
     prev = 0.0
-    return np.array([
+    delta = [
         prev := phi_k + w_k * prev
-        for phi_k, w_k in zip(Phi.tolist(), params.one_minus_p_tau_1.tolist())
-    ])
+        for phi_k, w_k in zip(Phi.tolist(), params.upstream_w)
+    ]
+    return np.fromiter(delta, float, params.n)
 
 
 def downstream_sweep(pi: np.ndarray, params: ControllerParams) -> np.ndarray:
-    """mu values, node N down to node 1."""
+    """mu values, node N down to node 1, weighted by params.downstream_b."""
     nxt = 0.0
-    # Node N's b is 0.0, as in its NodeParams.
     mu = [
         nxt := pi_k + b_k * nxt
-        for pi_k, b_k in zip(pi.tolist()[::-1], [0.0] + params.b.tolist()[::-1])
+        for pi_k, b_k in zip(pi.tolist()[::-1], params.downstream_b)
     ]
-    return np.array(mu[::-1])
+    return np.fromiter(reversed(mu), float, params.n)
 
 
 def compute_actions(

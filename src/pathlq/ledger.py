@@ -8,7 +8,10 @@ Every entry is formed as D_i[s] = D_{i-1}[s] + d_i[s - sigma_i] from
 D_0 = 0.0: the fixed ascending-node sum, so windows agree bitwise with a
 from-scratch recomputation after any interleaving of operations.  Node i
 needs only its own forecast and node i-1's value, so an announced entry
-travels upstream, i -> i+1, one D-update message per hop.  A time
+travels upstream, i -> i+1, one D-update message per hop.  The update
+forms each changed shifted time as one column run: a running sum of
+Python floats from the lowest changed node up to the last node whose
+window holds that time, written back in one slice assignment.  A time
 advance brings in only zero entries and sends nothing, at amortized O(N)
 cost: the windows are a view sliding along a buffer twice their size.
 """
@@ -16,6 +19,7 @@ cost: the windows are a view sliding along a buffer twice their size.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Mapping
@@ -74,7 +78,7 @@ def nonfinite_entry(node, t, value) -> SpecError:
     return SpecError(f"disturbance at node {node}, time {t} is {value}")
 
 
-def validate_horizon(plan: DisturbancePlan, spec: GraphSpec, now: int = 0):
+def validate_horizon(plan: DisturbancePlan, spec: GraphSpec, now: int = 0, arrays=None):
     """Check every entry's node and finiteness, and every nonzero entry
     against the planning-horizon bound.
 
@@ -82,8 +86,9 @@ def validate_horizon(plan: DisturbancePlan, spec: GraphSpec, now: int = 0):
     disturbances up to H + (sigma_N - sigma_i) steps ahead: entry (i, t)
     lies at window column t - now + sigma_i, past the bound from column
     W = sigma_N + H + 1 on.  Returns plan.arrays() and those columns.
+    A caller that holds plan.arrays() already passes them as `arrays`.
     """
-    nodes, times, values = plan.arrays()
+    nodes, times, values = plan.arrays() if arrays is None else arrays
     width = spec.sigma_total + spec.horizon + 1
     # A node outside 1..n reads a clipped sigma; its SpecError comes first.
     cols = times - now + np.array(spec.sigma).take(nodes - 1, mode="clip")
@@ -97,7 +102,7 @@ def validate_horizon(plan: DisturbancePlan, spec: GraphSpec, now: int = 0):
     return nodes, times, values, cols
 
 
-@dataclass
+@dataclass(slots=True)
 class LedgerMessage:
     """One D-update message, upstream from node src = i to dst = i+1."""
 
@@ -114,8 +119,10 @@ class ShiftedWindows:
     now + column (row 0: D_0 = 0.0); node i's window is row i from sigma_i.
     """
 
-    def __init__(self, spec: GraphSpec, plan: DisturbancePlan, now: int = 0):
-        nodes, times, values, cols = validate_horizon(plan, spec, now)
+    def __init__(
+        self, spec: GraphSpec, plan: DisturbancePlan, now: int = 0, arrays=None
+    ):
+        nodes, times, values, cols = validate_horizon(plan, spec, now, arrays)
         self.spec = spec
         self.now = now
         width = spec.sigma_total + spec.horizon + 1
@@ -153,10 +160,12 @@ class ShiftedWindows:
 
 
 def init_shifted_sums(
-    plan: DisturbancePlan, spec: GraphSpec, now: int = 0
+    plan: DisturbancePlan, spec: GraphSpec, now: int = 0, arrays=None
 ) -> ShiftedWindows:
-    """Windows satisfying D_i[t] = sum_{j<=i} d_j[t - sigma_j] exactly."""
-    return ShiftedWindows(spec, plan, now)
+    """Windows satisfying D_i[t] = sum_{j<=i} d_j[t - sigma_j] exactly.
+
+    `arrays`, if given, is plan.arrays(), already computed by the caller."""
+    return ShiftedWindows(spec, plan, now, arrays)
 
 
 def advance_time(windows: ShiftedWindows) -> list[LedgerMessage]:
@@ -185,7 +194,8 @@ def apply_plan_updates(
     `changes` maps (node, absolute time) to the new d value.  Entries must
     lie at or after the current time and inside the horizon bound.  Each
     changed shifted time is formed again from its lowest changed node
-    upward, one addition per hop; returns the upstream messages.
+    upward, one addition and one message per hop; returns the upstream
+    messages.
     """
     spec = windows.spec
     now = windows.now
@@ -205,14 +215,21 @@ def apply_plan_updates(
             raise HorizonViolationError(node, t, now + width - 1 - spec.sigma[node - 1])
         origin.setdefault(st, node)
     plan.entries.update(changes)
-    D = windows._D
+    D, sigma, get, n = windows._D, spec.sigma, plan.entries.get, spec.n
     messages = []
     for st in sorted(origin):
         c = st - now
-        for i in range(origin[st], spec.n + 1):
-            if not spec.sigma[i - 1] <= c < width:
-                break  # out of range for this and every node further up
-            D[i, c] = D[i - 1, c] + plan.get(i, st - spec.sigma[i - 1])
-            if i < spec.n:
-                messages.append(LedgerMessage(i, i + 1, st, float(D[i, c])))
+        if c >= width:
+            continue  # a zero entry past the bound: nothing is held there
+        # Nodes lo..hi hold column c: sigma_lo <= c by the checks above,
+        # and hi is the last node with sigma_hi <= c.
+        lo, hi = origin[st], bisect_right(sigma, c)
+        acc = float(D[lo - 1, c])
+        vals = []
+        for i in range(lo, hi + 1):
+            acc += get((i, st - sigma[i - 1]), 0.0)
+            vals.append(acc)
+            if i < n:
+                messages.append(LedgerMessage(i, i + 1, st, acc))
+        D[lo : hi + 1, c] = vals
     return messages

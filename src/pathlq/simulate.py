@@ -59,8 +59,12 @@ class Sequential:
         """Nothing is exchanged in one process; drop them."""
 
 
-def _announcement_schedule(spec, plan, announce, blind, d_hist) -> dict[int, dict]:
-    """Announcement time -> {(node, s): amount} of the entries known then.
+def _announcement_schedule(
+    spec, plan, announce, blind, d_hist
+) -> tuple[dict[int, dict], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Announcement time -> {(node, s): amount} of the entries known then,
+    and the nodes, times and amounts of those known at t = 0, as
+    DisturbancePlan.arrays() would give them for that plan.
 
     Every entry is checked, even when blind, and each one inside the run
     is written into d_hist, the plant's disturbance table.  Entries
@@ -74,19 +78,21 @@ def _announcement_schedule(spec, plan, announce, blind, d_hist) -> dict[int, dic
     inside = (times >= 0) & (times < len(d_hist))
     d_hist[times[inside], nodes[inside] - 1] = values[inside]
     if blind:
-        return {}
+        return {}, (nodes[:0], times[:0], values[:0])
     ahead = np.flatnonzero(times >= 0)
     at = (np.zeros_like(ahead) if announce is None
           else np.maximum(times[ahead] - announce, 0))
     order = np.argsort(at, kind="stable")
-    at, ahead = at[order], ahead[order].tolist()
+    at, ahead = at[order], ahead[order]
+    first = ahead[: np.searchsorted(at, 1)]
     # One dict per run of equal announcement times.
     bounds = np.flatnonzero(np.diff(at, prepend=-1)).tolist() + [len(at)]
-    items = list(plan.entries.items())
-    return {
+    items, ahead = list(plan.entries.items()), ahead.tolist()
+    schedule = {
         int(at[lo]): dict(map(items.__getitem__, ahead[lo:hi]))
         for lo, hi in zip(bounds, bounds[1:])
     }
+    return schedule, (nodes[first], times[first], values[first])
 
 
 def closed_loop(
@@ -116,9 +122,9 @@ def closed_loop(
         executor = Sequential()
     n = spec.n
     d_hist = np.zeros((steps, n))
-    schedule = _announcement_schedule(spec, plan, announce, blind, d_hist)
+    schedule, first = _announcement_schedule(spec, plan, announce, blind, d_hist)
     known = DisturbancePlan(schedule.pop(0, {}))
-    windows = init_shifted_sums(known, spec, now=0)
+    windows = init_shifted_sums(known, spec, now=0, arrays=first)
     state = PlantState.initial(spec, z0, pipelines0)
     d_blind = np.zeros(n)
 

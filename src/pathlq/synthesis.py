@@ -52,7 +52,10 @@ class ControllerParams:
     tau_eff.  Node N's rows span the horizon, H + 2 entries, so they are
     kept apart in coef_last and its packed rows are NaN.  Every per-node
     scalar of the online law is one length-N array, so the sequential
-    controller reads all nodes at once.
+    controller reads all nodes at once.  The two Python sweeps read their
+    coefficients as lists of Python floats, built once here: upstream_w is
+    one_minus_p_tau_1 from node 1 up, and downstream_b is b from node N
+    down, led by node N's 0.0.
     """
 
     n: int
@@ -80,6 +83,8 @@ class ControllerParams:
     # only its first W-1 slots; its column 0 is the head that its outputs read.
     delay_cols: np.ndarray  # (N, W-1)
     fold_end: np.ndarray  # k * W + min(tau_eff[k], W-1): where node k's fold ends
+    upstream_w: list[float]  # delta's weights, node 1 to node N
+    downstream_b: list[float]  # mu's weights, node N to node 1
 
     def node_slice(self, k: int) -> NodeParams:
         """Local parameters for node k+1 (everything its unit may hold), as
@@ -274,6 +279,9 @@ def synthesize(spec: GraphSpec) -> ControllerParams:
         one_minus_h_prev=one_minus_h_prev,
         delay_cols=delay_cols,
         fold_end=fold_end,
+        upstream_w=one_minus_p_tau_1.tolist(),
+        # Node N's b is 0.0, as in its NodeParams.
+        downstream_b=[0.0] + b.tolist()[::-1],
     )
 
 

@@ -2,7 +2,8 @@
 
 The dense stationary gain and its undisturbed closed loop, the shifted
 aggregates S_k, V_k, m_k as arrays indexed [k, t], the two shifted-sum
-cost decompositions, and a filter over a harness message log.
+cost decompositions, a filter over a harness message log, and a per-hop
+reference for the ledger's announcement update.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from pathlq.harness import Message, MessageLog
+from pathlq.ledger import DisturbancePlan, LedgerMessage, ShiftedWindows
 from pathlq.model import GraphSpec, Trajectory
 from pathlq.oracle import AugmentedSystem, stationary_riccati
 
@@ -150,3 +152,27 @@ def check_cost_decomposition(
 def of_kind(log: MessageLog, *kinds: str) -> list[Message]:
     """The messages of `log` whose kind is one of `kinds`, in order."""
     return [m for m in log.records if m.kind in kinds]
+
+
+def per_hop_plan_updates(
+    windows: ShiftedWindows, plan: DisturbancePlan, changes
+) -> list[LedgerMessage]:
+    """apply_plan_updates one hop at a time: each hop reads D_{i-1} and
+    writes D_i as numpy scalars and sends float(D_i).  The reference for
+    its column runs; `changes` must pass apply_plan_updates' checks."""
+    spec, now, D = windows.spec, windows.now, windows._D
+    width = D.shape[1]
+    origin: dict[int, int] = {}  # shifted time -> lowest changed node
+    for node, t in sorted(changes):
+        origin.setdefault(t + spec.sigma[node - 1], node)
+    plan.entries.update(changes)
+    messages = []
+    for st in sorted(origin):
+        c = st - now
+        for i in range(origin[st], spec.n + 1):
+            if not spec.sigma[i - 1] <= c < width:
+                break  # out of range for this and every node further up
+            D[i, c] = D[i - 1, c] + plan.get(i, st - spec.sigma[i - 1])
+            if i < spec.n:
+                messages.append(LedgerMessage(i, i + 1, st, float(D[i, c])))
+    return messages

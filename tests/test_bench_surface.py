@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pathlq import harness, simulate, verify
-from pathlq.model import GraphSpec
+from pathlq import controller, harness, simulate, verify
+from pathlq.ledger import DisturbancePlan, init_shifted_sums
+from pathlq.model import GraphSpec, PlantState
 from pathlq.synthesis import synthesize
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -76,3 +77,64 @@ def test_the_round_calls_every_kernel_through_the_harness(tracing, monkeypatch):
                               rng=np.random.default_rng(0))
     assert calls == {name: n - 1 if name == "local_flow" else n
                      for name in tracing.KERNELS}
+
+
+def _hops(windows, changes) -> int:
+    """Edges i -> i+1 an update crosses: from each changed shifted time's
+    lowest changed node up to the last node i < N whose window holds it."""
+    spec, now = windows.spec, windows.now
+    width = spec.sigma_total + spec.horizon + 1
+    origin = {}
+    for node, t in sorted(changes):
+        origin.setdefault(t + spec.sigma[node - 1], node)
+    return sum(
+        spec.sigma[i - 1] <= st - now < width
+        for st, lo in origin.items()
+        for i in range(lo, spec.n)
+    )
+
+
+def test_a_receding_loop_returns_one_message_per_hop(monkeypatch):
+    # The benchmark counts receding's messages_per_step as the lengths of
+    # what simulate.apply_plan_updates returns.
+    calls = []
+    apply_plan_updates = simulate.apply_plan_updates
+
+    def counted(windows, plan, changes):
+        hops = _hops(windows, changes)
+        messages = apply_plan_updates(windows, plan, changes)
+        calls.append((len(messages), hops))
+        return messages
+
+    monkeypatch.setattr(simulate, "apply_plan_updates", counted)
+    n = 6
+    spec = GraphSpec(n=n, tau=(1, 3, 2, 4, 1), q=(1.0,) * n, r=(1.0,) * n, horizon=4)
+    rng = np.random.default_rng(5)
+    plan = DisturbancePlan({
+        (int(node), t): float(rng.normal())
+        for t in range(40) for node in rng.choice(np.arange(1, n + 1), 2, replace=False)
+    })
+    simulate.closed_loop(spec, synthesize(spec), plan, 30, announce=3)
+    assert len(calls) == 30 - 1  # every step but t = 0 announces
+    assert all(got == hops for got, hops in calls)
+    assert sum(got for got, _ in calls) > 0
+
+
+def test_control_step_calls_both_sweeps_through_the_controller(monkeypatch):
+    # controller.upstream_sweep_ms and downstream_sweep_ms time the sweeps
+    # as controller globals.
+    calls = {"upstream_sweep": 0, "downstream_sweep": 0}
+
+    def counting(name, fn):
+        def sweep(*args):
+            calls[name] += 1
+            return fn(*args)
+        return sweep
+
+    for name in calls:
+        monkeypatch.setattr(controller, name, counting(name, getattr(controller, name)))
+    spec = GraphSpec(n=4, tau=(2, 1, 3), q=(1.0,) * 4, r=(1.0,) * 4, horizon=2)
+    windows = init_shifted_sums(DisturbancePlan({(2, 1): 0.5}), spec)
+    state = PlantState.initial(spec, np.ones(4), None)
+    simulate.control_step(state, windows, np.zeros(4), synthesize(spec))
+    assert calls == {"upstream_sweep": 1, "downstream_sweep": 1}

@@ -15,6 +15,8 @@ from pathlq.ledger import (
 )
 from pathlq.model import GraphSpec
 
+from diagnostics import per_hop_plan_updates
+
 
 def _spec(n, tau, horizon, q=None, r=None):
     q = tuple(q) if q is not None else (1.0,) * n
@@ -294,9 +296,8 @@ def test_nonfinite_entry_rejected(call, t, value):
         assert got.tobytes() == want.tobytes()
 
 
-AMOUNTS = st.one_of(
-    st.sampled_from([0.0, -0.0]), st.floats(-1e8, 1e8, allow_subnormal=True)
-)
+ZEROS = st.sampled_from([0.0, -0.0])
+AMOUNTS = st.one_of(ZEROS, st.floats(-1e8, 1e8, allow_subnormal=True))
 
 
 @settings(max_examples=60, deadline=None)
@@ -313,7 +314,7 @@ def test_windows_equal_the_definition_bitwise(data):
         node = data.draw(st.integers(1, n))
         bound = now + spec.horizon + spec.sigma_total - spec.sigma[node - 1]
         t = data.draw(st.integers(earliest, bound + 3))
-        amount = data.draw(AMOUNTS if t <= bound else st.sampled_from([0.0, -0.0]))
+        amount = data.draw(AMOUNTS if t <= bound else ZEROS)
         return (node, t), amount
 
     now = data.draw(st.integers(0, 3), label="now")
@@ -330,6 +331,53 @@ def test_windows_equal_the_definition_bitwise(data):
             changes = dict(draw_entry(windows.now, windows.now) for _ in range(size))
             apply_plan_updates(windows, plan, changes)
         _assert_definition(windows, plan)
+
+
+def _sent(messages):
+    return [(m.src, m.dst, m.time, np.float64(m.value).tobytes()) for m in messages]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_column_runs_match_the_per_hop_reference(data):
+    # Mixed delays; updates that re-announce entries of the plan, carry 0.0
+    # or -0.0, land in the last window column W-1 or put a zero past it;
+    # and more than W advances in between, so the buffer compacts.
+    n = data.draw(st.integers(1, 5), label="n")
+    tau = data.draw(st.lists(st.integers(1, 3), min_size=n - 1, max_size=n - 1))
+    spec = _spec(n, tau, horizon=data.draw(st.integers(0, 3), label="H"))
+    width = spec.sigma_total + spec.horizon + 1
+    plan, ref_plan = DisturbancePlan(), DisturbancePlan()
+    windows, ref = init_shifted_sums(plan, spec), init_shifted_sums(ref_plan, spec)
+
+    def changes():
+        out = {}
+        for _ in range(data.draw(st.integers(1, 4))):
+            held = [key for key in plan.entries if key[1] >= windows.now]
+            if held and data.draw(st.booleans()):
+                node, t = data.draw(st.sampled_from(held))
+                col = t - windows.now + spec.sigma[node - 1]
+            else:
+                node = data.draw(st.integers(1, n))
+                lo = spec.sigma[node - 1]
+                last = st.just(width - 1)
+                col = data.draw(st.one_of(last, st.integers(lo, width + 1)))
+                t = windows.now + col - lo
+            out[node, t] = data.draw(AMOUNTS if col < width else ZEROS)
+        return out
+
+    compacted = False
+    for _ in range(width + 1 + data.draw(st.integers(0, width))):
+        if data.draw(st.booleans()):
+            update = changes()
+            got = apply_plan_updates(windows, plan, update)
+            assert _sent(got) == _sent(per_hop_plan_updates(ref, ref_plan, update))
+            assert windows._buf.tobytes() == ref._buf.tobytes()
+        advance_time(windows)
+        advance_time(ref)
+        compacted |= windows._off == 0
+    assert compacted
+    assert plan.entries == ref_plan.entries
 
 
 class TestSlidingWindows:

@@ -194,3 +194,20 @@ def test_node_slice_rows_match_a_scalar_reference(tau, horizon, rng):
         # The rows are tuples of Python floats; through an array, still bitwise.
         assert np.array(node.gprod[1 : te + 1]).tobytes() == gprod.tobytes(), k
         assert np.array(node.phi[1 : te + 1]).tobytes() == phi.tobytes(), k
+
+
+@pytest.mark.parametrize(
+    "tau", [(3, 2, 5, 4), (1,), ()], ids=["demo", "two-node", "single-node"]
+)
+def test_sweep_lists_are_the_coefficient_arrays(tau, rng):
+    n = len(tau) + 1
+    spec = GraphSpec(n=n, tau=tau, q=tuple(rng.uniform(0.1, 10, n)),
+                     r=tuple(rng.uniform(0.1, 10, n)), horizon=3)
+    params = synthesize(spec)
+    assert params.upstream_w == params.one_minus_p_tau_1.tolist()
+    assert params.downstream_b == [0.0] + params.b.tolist()[::-1]
+    assert all(type(x) is float for x in params.upstream_w + params.downstream_b)
+    for k in range(n):
+        node = params.node_slice(k)
+        assert params.upstream_w[k] == node.one_minus_p_tau_1
+        assert params.downstream_b[n - 1 - k] == node.b
