@@ -31,7 +31,7 @@ from .controller import (
     step_inputs,
 )
 from .errors import RoundAbortError
-from .ledger import DisturbancePlan, LedgerMessage
+from .ledger import DisturbancePlan
 from .model import ControlDecision, GraphSpec
 from .simulate import closed_loop
 from .synthesis import ControllerParams, NodeParams
@@ -112,6 +112,7 @@ class Network:
     """A path of node units with failable neighbor links."""
 
     def __init__(self, spec: GraphSpec, params: ControllerParams):
+        params.require_spec(spec)
         self.n = spec.n
         self.nodes = [NodeUnit(params=params.node_slice(k)) for k in range(spec.n)]
         self.failed_links: set[frozenset] = set()
@@ -312,10 +313,10 @@ class MessagePassing:
         decision, _ = run_control_round(self.network, meas, log=self.log, rng=self.rng)
         return decision
 
-    def ledger(self, messages: list[LedgerMessage]) -> None:
+    def ledger(self, messages: list[tuple[int, int, int, float]]) -> None:
         rnd = self.network.round
-        for m in messages:
-            self.log.append(Message(rnd, m.src, m.dst, "D-update", m.value, m.time))
+        for src, dst, time, value in messages:
+            self.log.append(Message(rnd, src, dst, "D-update", value, time))
 
 
 def run_closed_loop(

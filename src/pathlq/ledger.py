@@ -19,6 +19,8 @@ cost: the windows are a view sliding along a buffer twice their size.
 from __future__ import annotations
 
 import math
+import operator
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
@@ -53,11 +55,34 @@ class DisturbancePlan:
         return np.array([self.get(i, t) for i in range(1, spec.n + 1)])
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Nodes, times and amounts of the entries, in insertion order."""
-        count = len(self.entries)
-        keys = np.fromiter(chain.from_iterable(self.entries), np.int64, 2 * count)
-        values = np.fromiter(self.entries.values(), float, count)
+        """Nodes, times and amounts of the entries, in insertion order.
+
+        Raises SpecError for the first key that is not a (node, time) pair
+        of integers: the 64-bit conversion checks every key in one call.
+        """
+        keys = array("q")
+        try:
+            keys.fromlist(list(chain.from_iterable(self.entries)))
+        except TypeError:
+            pass  # fromlist adds nothing on error; check_key names the key
+        if len(keys) != 2 * len(self.entries):
+            for key in self.entries:
+                check_key(key)
+        keys = np.frombuffer(keys, np.int64)
+        values = np.fromiter(self.entries.values(), float, len(self.entries))
         return keys[0::2], keys[1::2], values
+
+
+def check_key(key) -> None:
+    """Raise SpecError unless key is a (node, time) pair of integers, each an
+    int or a numpy integer."""
+    try:
+        node, t = key
+        operator.index(node), operator.index(t)
+    except (TypeError, ValueError):
+        raise SpecError(
+            f"disturbance key {key!r} is not a (node, time) pair of integers"
+        ) from None
 
 
 def raise_first_offence(spec: GraphSpec, nodes, times, flagged, error) -> None:
@@ -102,16 +127,6 @@ def validate_horizon(plan: DisturbancePlan, spec: GraphSpec, now: int = 0, array
     return nodes, times, values, cols
 
 
-@dataclass(slots=True)
-class LedgerMessage:
-    """One D-update message, upstream from node src = i to dst = i+1."""
-
-    src: int
-    dst: int
-    time: int  # the shifted time the payload refers to
-    value: float
-
-
 class ShiftedWindows:
     """Per-node windows of D_i values anchored at the current time.
 
@@ -140,7 +155,7 @@ class ShiftedWindows:
             raise LedgerRangeError(f"no node {node}: nodes are 1..{self.spec.n}")
         lo = self.spec.sigma[node - 1]
         held = self._D.shape[1] - lo
-        if length > held:
+        if not 0 <= length <= held:
             raise LedgerRangeError(
                 f"window of node {node} holds {held} entries, {length} requested"
             )
@@ -168,7 +183,7 @@ def init_shifted_sums(
     return ShiftedWindows(spec, plan, now, arrays)
 
 
-def advance_time(windows: ShiftedWindows) -> list[LedgerMessage]:
+def advance_time(windows: ShiftedWindows) -> list:
     """Move every window one step forward in time; returns no messages.
 
     The view slides one column; every W = sigma_N + H + 1 steps, one
@@ -188,14 +203,14 @@ def apply_plan_updates(
     windows: ShiftedWindows,
     plan: DisturbancePlan,
     changes: Mapping[tuple[int, int], float],
-) -> list[LedgerMessage]:
+) -> list[tuple[int, int, int, float]]:
     """Incorporate newly announced disturbance entries.
 
     `changes` maps (node, absolute time) to the new d value.  Entries must
     lie at or after the current time and inside the horizon bound.  Each
     changed shifted time is formed again from its lowest changed node
     upward, one addition and one message per hop; returns the upstream
-    messages.
+    messages as (src, dst, shifted time, value): node i sends D_i to i+1.
     """
     spec = windows.spec
     now = windows.now
@@ -203,7 +218,9 @@ def apply_plan_updates(
     origin: dict[int, int] = {}  # shifted time -> lowest changed node
     # validate_horizon's checks, entry by entry: at ~10 changes a step
     # numpy's per-call cost exceeds this loop's.
-    for node, t in sorted(changes):
+    for key in sorted(changes):
+        check_key(key)
+        node, t = key
         if not 1 <= node <= spec.n:
             raise SpecError(f"disturbance at node {node}: nodes are 1..{spec.n}")
         if not math.isfinite(changes[node, t]):
@@ -230,6 +247,6 @@ def apply_plan_updates(
             acc += get((i, st - sigma[i - 1]), 0.0)
             vals.append(acc)
             if i < n:
-                messages.append(LedgerMessage(i, i + 1, st, acc))
+                messages.append((i, i + 1, st, acc))
         D[lo : hi + 1, c] = vals
     return messages

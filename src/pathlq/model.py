@@ -49,6 +49,9 @@ class GraphSpec:
     )
 
     def __post_init__(self):
+        # Tuples, so that a spec built from lists equals one built from tuples.
+        for name in ("tau", "q", "r"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         object.__setattr__(self, "sigma", tuple(aggregate_delays(self.tau)))
         weights = np.array(self.q, dtype=float), np.array(self.r, dtype=float)
         object.__setattr__(self, "weights", weights)

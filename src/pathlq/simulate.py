@@ -18,7 +18,6 @@ import numpy as np
 from .controller import control_step
 from .ledger import (
     DisturbancePlan,
-    LedgerMessage,
     advance_time,
     apply_plan_updates,
     init_shifted_sums,
@@ -49,13 +48,13 @@ class Sequential:
 
     An executor decides each step from the plant state, the windows and
     the known current disturbance, and is handed every ledger message, in
-    order.
+    order, as a (src, dst, shifted time, value) tuple.
     """
 
     def decide(self, state, windows, d_now, params) -> ControlDecision:
         return control_step(state, windows, d_now, params)[0]
 
-    def ledger(self, messages: list[LedgerMessage]) -> None:
+    def ledger(self, messages: list[tuple[int, int, int, float]]) -> None:
         """Nothing is exchanged in one process; drop them."""
 
 
@@ -112,11 +111,20 @@ def closed_loop(
     satisfy the horizon bound outright).  With announce=h, entry d_i[s]
     becomes known at time s - h and enters the ledger incrementally.
     With blind=True the controller never learns the plan.  `executor`
-    (default Sequential()) computes each step's decision.
+    (default Sequential()) computes each step's decision.  `params` must
+    be synthesized for `spec`; a mismatch raises SpecError.
     """
-    if announce is not None and not 0 <= announce <= spec.horizon:
+    params.require_spec(spec)
+    if steps < 0:
+        raise ValueError(f"steps = {steps} must be >= 0")
+    if blind and announce is not None:
+        raise ValueError(f"announce = {announce} is ignored when blind=True")
+    if announce is not None and not (
+        announce == int(announce) and 0 <= announce <= spec.horizon
+    ):
         raise ValueError(
-            f"announcement horizon {announce} must lie in 0..H = {spec.horizon}"
+            f"announcement horizon {announce} must be a whole number in "
+            f"0..H = {spec.horizon}"
         )
     if executor is None:
         executor = Sequential()

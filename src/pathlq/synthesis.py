@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SpecError
 from .model import GraphSpec
 
 
@@ -58,6 +59,7 @@ class ControllerParams:
     down, led by node N's 0.0.
     """
 
+    spec: GraphSpec  # the instance these parameters were synthesized for
     n: int
     horizon: int
     tau_eff: tuple[int, ...]
@@ -85,6 +87,16 @@ class ControllerParams:
     fold_end: np.ndarray  # k * W + min(tau_eff[k], W-1): where node k's fold ends
     upstream_w: list[float]  # delta's weights, node 1 to node N
     downstream_b: list[float]  # mu's weights, node N to node 1
+
+    def require_spec(self, spec: GraphSpec) -> None:
+        """Raise SpecError unless these parameters were synthesized for `spec`."""
+        if spec != self.spec:
+            name = next(name for name in ("n", "tau", "horizon", "q", "r")
+                        if getattr(spec, name) != getattr(self.spec, name))
+            raise SpecError(
+                f"controller parameters synthesized for {name} = "
+                f"{getattr(self.spec, name)} run on {name} = {getattr(spec, name)}"
+            )
 
     def node_slice(self, k: int) -> NodeParams:
         """Local parameters for node k+1 (everything its unit may hold), as
@@ -258,6 +270,7 @@ def synthesize(spec: GraphSpec) -> ControllerParams:
         spec, tau_eff, gamma, rho, X, g_cross, rows, b, P, one_minus_p_tau_1
     )
     return ControllerParams(
+        spec=spec,
         n=spec.n,
         horizon=spec.horizon,
         tau_eff=tau_eff,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from pathlq.harness import Message, MessageLog
-from pathlq.ledger import DisturbancePlan, LedgerMessage, ShiftedWindows
+from pathlq.ledger import DisturbancePlan, ShiftedWindows
 from pathlq.model import GraphSpec, Trajectory
 from pathlq.oracle import AugmentedSystem, stationary_riccati
 
@@ -156,7 +156,7 @@ def of_kind(log: MessageLog, *kinds: str) -> list[Message]:
 
 def per_hop_plan_updates(
     windows: ShiftedWindows, plan: DisturbancePlan, changes
-) -> list[LedgerMessage]:
+) -> list[tuple[int, int, int, float]]:
     """apply_plan_updates one hop at a time: each hop reads D_{i-1} and
     writes D_i as numpy scalars and sends float(D_i).  The reference for
     its column runs; `changes` must pass apply_plan_updates' checks."""
@@ -174,5 +174,5 @@ def per_hop_plan_updates(
                 break  # out of range for this and every node further up
             D[i, c] = D[i - 1, c] + plan.get(i, st - spec.sigma[i - 1])
             if i < spec.n:
-                messages.append(LedgerMessage(i, i + 1, st, float(D[i, c])))
+                messages.append((i, i + 1, st, float(D[i, c])))
     return messages

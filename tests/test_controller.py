@@ -1,5 +1,8 @@
 """Tests for the two-sweep online controller."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +20,7 @@ from pathlq.controller import (
     local_production,
     upstream_sweep,
 )
-from pathlq.errors import LedgerRangeError
+from pathlq.errors import LedgerRangeError, SpecError
 from pathlq.harness import MessagePassing, Network
 from pathlq.ledger import DisturbancePlan, advance_time, init_shifted_sums
 from pathlq.model import GraphSpec, PlantState
@@ -168,13 +171,66 @@ def test_short_window_raises():
         control_step(state, windows, np.zeros(2), params)
 
 
-@pytest.mark.parametrize("announce", [-1, 3])
+@pytest.mark.parametrize("announce", [-1, 3, 1.5])  # 1.5 used to run as 2
 def test_announcement_horizon_outside_0_to_H_rejected(announce):
     spec = _spec(2, [1], horizon=2)
     params = synthesize(spec)
     plan = DisturbancePlan({(1, 3): 1.0})
     with pytest.raises(ValueError, match=f"announcement horizon {announce}"):
         closed_loop(spec, params, plan, 6, announce=announce)
+
+
+def test_negative_step_count_rejected():
+    spec = _spec(2, [1], horizon=2)
+    with pytest.raises(ValueError, match="steps = -1 must be >= 0"):
+        closed_loop(spec, synthesize(spec), DisturbancePlan(), -1)
+
+
+@pytest.mark.parametrize("announce", [0, 1])
+def test_announce_with_blind_rejected(announce):
+    # A blind controller learns nothing, so an announcement horizon would be
+    # silently ignored.
+    spec = _spec(2, [1], horizon=2)
+    with pytest.raises(ValueError, match=f"announce = {announce} is ignored when blind"):
+        closed_loop(spec, synthesize(spec), DisturbancePlan(), 4,
+                    announce=announce, blind=True)
+
+
+# Each kind of mismatch from n = 3, tau = (2, 1), H = 2, q = r = 1.
+MISMATCHES = {
+    "q": dict(q=(5.0,) * 3),
+    "r": dict(r=(1.0, 2.0, 1.0)),
+    "tau": dict(tau=(1, 2)),
+    "H": dict(horizon=3),
+    "n": dict(n=4, tau=(2, 1, 1), q=(1.0,) * 4, r=(1.0,) * 4),
+}
+
+
+@pytest.mark.parametrize("other", MISMATCHES.values(), ids=MISMATCHES.keys())
+def test_params_for_another_spec_rejected(other):
+    spec = _spec(3, [2, 1], horizon=2)
+    params = synthesize(spec)
+    run_spec = replace(spec, **other)
+    name = next(iter(other))
+    want = f"synthesized for {name} = {getattr(spec, name)} run on {name} = "
+    with pytest.raises(SpecError, match=re.escape(want)):
+        closed_loop(run_spec, params, DisturbancePlan({(1, 0): 1.0}), 6)
+    # An equal spec built apart, from lists too, is the same instance.
+    closed_loop(_spec(3, [2, 1], horizon=2), params, DisturbancePlan(), 6)
+    lists = GraphSpec(n=3, tau=[2, 1], q=[1.0] * 3, r=[1.0] * 3, horizon=2)
+    closed_loop(lists, params, DisturbancePlan(), 6)
+
+
+@pytest.mark.parametrize("mode", [{}, {"announce": 0}, {"blind": True}],
+                         ids=["full-plan", "announce", "blind"])
+@pytest.mark.parametrize("key", [(2, 1.5), (2.7, 1), (2.0, 1)])
+def test_non_integer_plan_key_rejected_in_every_mode(mode, key):
+    # Truncated, (2, 1.5) would run as (2, 1) and (2.7, 1) as node 2.
+    spec = _spec(3, [2, 1], horizon=2)
+    plan = DisturbancePlan({(1, 0): 0.5, key: 1.0})
+    want = f"disturbance key {key!r} is not a (node, time) pair of integers"
+    with pytest.raises(SpecError, match=re.escape(want)):
+        closed_loop(spec, synthesize(spec), plan, 6, **mode)
 
 
 def test_blind_controller_regulates_initial_imbalance():

@@ -1,12 +1,13 @@
 """Tests for the message-passing execution harness."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pathlq.controller import combine_delta, combine_mu, local_phi, local_pi
-from pathlq.errors import RoundAbortError
+from pathlq.errors import RoundAbortError, SpecError
 from pathlq.harness import (
     BoundedDraws,
     Message,
@@ -280,6 +281,20 @@ def test_fail_link_rejects_a_pair_that_is_not_an_edge(a, b):
     assert not network.failed_links
     network.fail_link(3, 2)
     assert network.failed_links == {frozenset((2, 3))}
+
+
+@pytest.mark.parametrize("other", [
+    dict(n=4, tau=(2, 1, 1), q=(1.0,) * 4, r=(1.0,) * 4),
+    dict(tau=(1, 2)),
+    dict(horizon=3),
+    dict(q=(5.0,) * 3),
+], ids=["n", "tau", "H", "q"])
+def test_network_rejects_params_for_another_spec(other):
+    # With n = 4 and n = 3 params, node_slice(3) used to end in an IndexError.
+    spec = _spec(3, [2, 1], horizon=2)
+    params = synthesize(spec)
+    with pytest.raises(SpecError, match="controller parameters synthesized for"):
+        Network(replace(spec, **other), params)
 
 
 def test_aborted_round_keeps_its_round_number():

@@ -1,5 +1,7 @@
 """Tests for the disturbance plan and the shifted-sum window maintenance."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,6 +152,15 @@ class TestInitWindows:
         with pytest.raises(LedgerRangeError, match=f"no node {node}: nodes are 1..3"):
             windows.slice(node, length)
 
+    @pytest.mark.parametrize("length", [-1, -6])
+    def test_slice_of_a_negative_length_raises(self, length):
+        # slice(1, -1) used to return the window one entry short.
+        spec = _spec(3, [2, 1], horizon=2)
+        windows = init_shifted_sums(DisturbancePlan({(1, 0): 0.5}), spec)
+        assert len(windows.slice(1, 0)) == 0
+        with pytest.raises(LedgerRangeError, match=f"6 entries, {length} requested"):
+            windows.slice(1, length)
+
 
 class TestAdvance:
     def test_shift_identity_two_edges(self):
@@ -210,7 +221,7 @@ class TestUpdates:
         # i.e. nodes 1 and 2 (node 3's window starts at sigma_3 = 4).
         assert _entry(windows, 1, 3) == -0.7
         assert _entry(windows, 2, 3) == -0.7
-        assert [(m.src, m.dst, m.time) for m in msgs] == [(1, 2, 3), (2, 3, 3)]
+        assert [m[:3] for m in msgs] == [(1, 2, 3), (2, 3, 3)]
 
     def test_update_bitwise_vs_recompute(self):
         rng = np.random.default_rng(21)
@@ -296,6 +307,39 @@ def test_nonfinite_entry_rejected(call, t, value):
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("key", [(2, 1.5), (2.7, 1), (2.0, 1), (1, 2, 3), (2,)])
+@pytest.mark.parametrize("call", ["init", "update"])
+def test_non_integer_key_rejected(call, key):
+    spec = _spec(2, [1], horizon=2)
+    plan = DisturbancePlan()
+    windows = init_shifted_sums(plan, spec)
+    before = _windows(windows)
+    want = f"disturbance key {key!r} is not a (node, time) pair of integers"
+    with pytest.raises(SpecError, match=re.escape(want)):
+        if call == "init":
+            init_shifted_sums(DisturbancePlan({(1, 0): 1.0, key: 0.5}), spec)
+        else:
+            apply_plan_updates(windows, plan, {(1, 0): 1.0, key: 0.5})
+    assert plan.entries == {}
+    for got, want in zip(_windows(windows), before):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_numpy_integer_keys_read_as_ints():
+    spec = _spec(2, [1], horizon=2)
+    ints = DisturbancePlan({(1, 0): 1.0, (2, 2): -0.5})
+    numpy_ints = DisturbancePlan(
+        {(np.int64(1), np.int32(0)): 1.0, (np.int16(2), 2): -0.5}
+    )
+    for got, want in zip(numpy_ints.arrays(), ints.arrays()):
+        assert got.tobytes() == want.tobytes()
+    plan = DisturbancePlan()
+    windows = init_shifted_sums(plan, spec)
+    apply_plan_updates(windows, plan, numpy_ints.entries)
+    for got, want in zip(_windows(windows), _windows(init_shifted_sums(ints, spec))):
+        assert got.tobytes() == want.tobytes()
+
+
 ZEROS = st.sampled_from([0.0, -0.0])
 AMOUNTS = st.one_of(ZEROS, st.floats(-1e8, 1e8, allow_subnormal=True))
 
@@ -334,7 +378,8 @@ def test_windows_equal_the_definition_bitwise(data):
 
 
 def _sent(messages):
-    return [(m.src, m.dst, m.time, np.float64(m.value).tobytes()) for m in messages]
+    return [(src, dst, time, np.float64(value).tobytes())
+            for src, dst, time, value in messages]
 
 
 @settings(max_examples=60, deadline=None)
