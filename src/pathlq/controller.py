@@ -11,7 +11,7 @@ over the packed parameter tables, in the same order of operations, so
 sequential and message-passing execution produce bit-equal decisions.
 Both read a step's node inputs through one gather, step_inputs.  The
 sweeps' coefficients are fixed at synthesis: each step reads the Python
-lists ControllerParams.upstream_w and downstream_b and re-derives none.
+lists ControllerParams.one_minus_p_tau_1 and b and re-derives none.
 The output formulas are written once: given ControllerParams and
 per-node arrays in place of NodeParams and floats, local_flow and
 local_production compute every node's outputs.
@@ -111,23 +111,23 @@ def _local_folds(
 
 
 def upstream_sweep(Phi: np.ndarray, params: ControllerParams) -> np.ndarray:
-    """delta values, node 1 up to node N, weighted by params.upstream_w."""
+    """delta values, node 1 up to node N, weighted by 1 - P_i(tau_i, 1)."""
     prev = 0.0
     delta = [
         prev := phi_k + w_k * prev
-        for phi_k, w_k in zip(Phi.tolist(), params.upstream_w)
+        for phi_k, w_k in zip(Phi.tolist(), params.one_minus_p_tau_1)
     ]
-    return np.fromiter(delta, float, params.n)
+    return np.fromiter(delta, float, len(delta))
 
 
 def downstream_sweep(pi: np.ndarray, params: ControllerParams) -> np.ndarray:
-    """mu values, node N down to node 1, weighted by params.downstream_b."""
+    """mu values, node N down to node 1, weighted by b_i (node N's is 0.0)."""
     nxt = 0.0
     mu = [
         nxt := pi_k + b_k * nxt
-        for pi_k, b_k in zip(pi.tolist()[::-1], params.downstream_b)
+        for pi_k, b_k in zip(pi.tolist()[::-1], reversed(params.b))
     ]
-    return np.fromiter(reversed(mu), float, params.n)
+    return np.fromiter(reversed(mu), float, len(mu))
 
 
 def compute_actions(
@@ -156,11 +156,11 @@ def step_inputs(
     """A step's node inputs for both executors, in one gather: flows[k, D]
     and dwin[k, D], node k+1's u_i[t-(tau_i-D)] and D_i[t+sigma_i+D] at
     delay_cols, and d_last, node N's window over the whole horizon."""
-    cols = params.delay_cols
+    cols, spec = params.delay_cols, params.spec
     # The last node's columns lie past the pipelines: clipped, they read the
     # buffer's closing 0.0.
     flows = state.flows.take(cols, mode="clip")
-    return flows, windows.gather(cols), windows.slice(params.n, params.horizon + 1)
+    return flows, windows.gather(cols), windows.slice(spec.n, spec.horizon + 1)
 
 
 def control_step(

@@ -155,6 +155,8 @@ class ShiftedWindows:
             raise LedgerRangeError(f"no node {node}: nodes are 1..{self.spec.n}")
         lo = self.spec.sigma[node - 1]
         held = self._D.shape[1] - lo
+        if not (type(length) is int or isinstance(length, np.integer)):
+            raise LedgerRangeError(f"window length {length!r} must be an integer")
         if not 0 <= length <= held:
             raise LedgerRangeError(
                 f"window of node {node} holds {held} entries, {length} requested"

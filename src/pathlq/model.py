@@ -9,6 +9,7 @@ injections (d).  Levels z and all flows are deviations from equilibrium.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -52,7 +53,26 @@ class GraphSpec:
         # Tuples, so that a spec built from lists equals one built from tuples.
         for name in ("tau", "q", "r"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        object.__setattr__(self, "sigma", tuple(aggregate_delays(self.tau)))
+        for name in ("n", "horizon"):
+            x = getattr(self, name)
+            if not float(x).is_integer():
+                raise SpecError(f"{name} = {x} must be a whole number")
+            object.__setattr__(self, name, int(x))
+        n, tau = self.n, self.tau
+        if n < 1:
+            raise SpecError(f"node count n = {n} must be >= 1")
+        if len(tau) != n - 1:
+            raise SpecError(f"tau has {len(tau)} entries, expected n-1 = {n - 1}")
+        if len(self.q) != n or len(self.r) != n:
+            raise SpecError(f"q and r must each have n = {n} entries")
+        for name in ("q", "r"):
+            for i, x in enumerate(getattr(self, name)):
+                if not (x > 0.0) or not math.isfinite(x):
+                    raise SpecError(f"{name}_{i + 1} = {x} must be strictly positive")
+        if self.horizon < 0:
+            raise SpecError(f"horizon H = {self.horizon} must be >= 0")
+        object.__setattr__(self, "sigma", tuple(aggregate_delays(tau)))
+        object.__setattr__(self, "tau", tuple(int(t) for t in tau))
         weights = np.array(self.q, dtype=float), np.array(self.r, dtype=float)
         object.__setattr__(self, "weights", weights)
 
@@ -62,7 +82,7 @@ class GraphSpec:
 
 
 def validate_spec(raw: Mapping) -> GraphSpec:
-    """Build a GraphSpec from a raw mapping, checking every invariant."""
+    """Build a GraphSpec from a raw mapping; GraphSpec checks every invariant."""
     try:
         n = float(raw["n"])
         tau = [float(t) for t in raw["tau"]]
@@ -71,27 +91,7 @@ def validate_spec(raw: Mapping) -> GraphSpec:
         horizon = float(raw["horizon"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecError(f"malformed spec: {exc}") from exc
-    for name, x in (("n", n), ("horizon", horizon)):
-        if not x.is_integer():
-            raise SpecError(f"{name} = {x} must be a whole number")
-    n, horizon = int(n), int(horizon)
-
-    if n < 1:
-        raise SpecError(f"node count n = {n} must be >= 1")
-    if len(tau) != n - 1:
-        raise SpecError(f"tau has {len(tau)} entries, expected n-1 = {n - 1}")
-    if len(q) != n or len(r) != n:
-        raise SpecError(f"q and r must each have n = {n} entries")
-    for name, w in (("q", q), ("r", r)):
-        for i, x in enumerate(w):
-            if not (x > 0.0) or not np.isfinite(x):
-                raise SpecError(f"{name}_{i + 1} = {x} must be strictly positive")
-    if horizon < 0:
-        raise SpecError(f"horizon H = {horizon} must be >= 0")
-    aggregate_delays(tau)
-    return GraphSpec(
-        n=n, tau=tuple(int(t) for t in tau), q=tuple(q), r=tuple(r), horizon=horizon
-    )
+    return GraphSpec(n=n, tau=tau, q=q, r=r, horizon=horizon)
 
 
 class PlantState:

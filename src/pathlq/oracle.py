@@ -20,6 +20,12 @@ from .errors import InvalidHorizonError
 from .ledger import DisturbancePlan
 from .model import GraphSpec, PlantState
 
+# stationary_riccati stops at an update of at most
+# RICCATI_TOL * max(1, max |P|), and raises after RICCATI_MAX_ITER iterations.
+RICCATI_TOL = 1e-14
+RICCATI_MAX_ITER = 200_000
+
+
 @dataclass(frozen=True)
 class AugmentedSystem:
     """x[t+1] = A x + B u + E d with diagonal stage weights Q, R.
@@ -87,9 +93,7 @@ def state_vector(system: AugmentedSystem, state: PlantState) -> np.ndarray:
     return x
 
 
-def stationary_riccati(
-    system: AugmentedSystem, tol: float = 1e-14, max_iter: int = 200_000
-) -> np.ndarray:
+def stationary_riccati(system: AugmentedSystem) -> np.ndarray:
     """Stabilizing solution of the discrete Riccati fixed point.
 
     Plain value iteration seeded with Q; the production weights make
@@ -98,7 +102,7 @@ def stationary_riccati(
     """
     A, B, Q, R = system.A, system.B, system.Q, system.R
     P = Q.copy()
-    for _ in range(max_iter):
+    for _ in range(RICCATI_MAX_ITER):
         PB = P @ B
         M = R + B.T @ PB
         K = np.linalg.solve(M, PB.T @ A)
@@ -107,7 +111,7 @@ def stationary_riccati(
         P_next = 0.5 * (P_next + P_next.T)
         update = np.max(np.abs(P_next - P))
         P = P_next
-        if update <= tol * max(1.0, np.max(np.abs(P))):
+        if update <= RICCATI_TOL * max(1.0, np.max(np.abs(P))):
             break
     else:
         raise RuntimeError(
@@ -126,7 +130,6 @@ def stationary_riccati(
 @dataclass
 class FiniteHorizonSolution:
     inputs: np.ndarray  # (T, m) optimal stacked inputs
-    states: np.ndarray  # (T+1, dim) the optimal state trajectory
     cost: float  # stage costs 0..T-1 plus the exact terminal cost-to-go
 
 
@@ -203,4 +206,4 @@ def solve_finite_horizon(
         sum(states[t] @ system.Q @ states[t] + U[t] @ system.R @ U[t] for t in range(T))
         + states[T] @ P_terminal @ states[T]
     )
-    return FiniteHorizonSolution(inputs=U, states=states, cost=cost)
+    return FiniteHorizonSolution(inputs=U, cost=cost)

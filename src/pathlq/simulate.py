@@ -115,6 +115,8 @@ def closed_loop(
     be synthesized for `spec`; a mismatch raises SpecError.
     """
     params.require_spec(spec)
+    if not (type(steps) is int or isinstance(steps, np.integer)):
+        raise ValueError(f"steps = {steps!r} must be an integer")
     if steps < 0:
         raise ValueError(f"steps = {steps} must be >= 0")
     if blind and announce is not None:

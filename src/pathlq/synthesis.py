@@ -52,30 +52,27 @@ class ControllerParams:
     coef[0, k] is node k+1's phi row and coef[1, k] its gprod row, NaN past
     tau_eff.  Node N's rows span the horizon, H + 2 entries, so they are
     kept apart in coef_last and its packed rows are NaN.  Every per-node
-    scalar of the online law is one length-N array, so the sequential
-    controller reads all nodes at once.  The two Python sweeps read their
-    coefficients as lists of Python floats, built once here: upstream_w is
-    one_minus_p_tau_1 from node 1 up, and downstream_b is b from node N
-    down, led by node N's 0.0.
+    scalar of the local outputs is one length-N array, so the sequential
+    controller reads all nodes at once.  The two sweeps' coefficients,
+    one_minus_p_tau_1 and b, are lists of Python floats, which the Python
+    sweeps read directly.
     """
 
     spec: GraphSpec  # the instance these parameters were synthesized for
-    n: int
-    horizon: int
     tau_eff: tuple[int, ...]
     gamma: np.ndarray
     rho: np.ndarray
     X: tuple[np.ndarray, ...]  # X[k][j-1]; last node has H+2 entries
     g: tuple[np.ndarray, ...]  # g[k][j] for j = 2..tau_eff (indices 0,1 unused)
     g_cross: np.ndarray  # g_cross[k] = g_{i+1}(1) stored at node i = k+1 < N
-    b: np.ndarray  # b_i for i = 1..N-1
+    b: list[float]  # b_i for i = 1..N-1, then node N's 0.0
     P: tuple[np.ndarray, ...]  # P[k][l-1, m-1], shape (tau_eff, tau_eff)
     h: np.ndarray  # h[i] = h_i for i = 0..N-1, h[0] = 0
     coef: np.ndarray  # (2, N, W): phi and gprod rows of nodes 1..N-1
     coef_last: np.ndarray  # (2, H+2): node N's phi and gprod rows
     a: np.ndarray
     c: np.ndarray
-    one_minus_p_tau_1: np.ndarray
+    one_minus_p_tau_1: list[float]  # 1 - P_i(tau_i, 1) for i = 1..N
     one_minus_gamma_q: np.ndarray
     x1_over_r: np.ndarray
     one_minus_h_prev: np.ndarray
@@ -85,8 +82,6 @@ class ControllerParams:
     # only its first W-1 slots; its column 0 is the head that its outputs read.
     delay_cols: np.ndarray  # (N, W-1)
     fold_end: np.ndarray  # k * W + min(tau_eff[k], W-1): where node k's fold ends
-    upstream_w: list[float]  # delta's weights, node 1 to node N
-    downstream_b: list[float]  # mu's weights, node N to node 1
 
     def require_spec(self, spec: GraphSpec) -> None:
         """Raise SpecError unless these parameters were synthesized for `spec`."""
@@ -101,12 +96,13 @@ class ControllerParams:
     def node_slice(self, k: int) -> NodeParams:
         """Local parameters for node k+1 (everything its unit may hold), as
         Python floats: a unit's kernels then never touch a numpy scalar."""
-        phi, gprod = (self.coef_last if k == self.n - 1 else self.coef[:, k]).tolist()
+        last = k == self.spec.n - 1
+        phi, gprod = (self.coef_last if last else self.coef[:, k]).tolist()
         return NodeParams(
             index=k + 1,
             tau_eff=self.tau_eff[k],
-            one_minus_p_tau_1=float(self.one_minus_p_tau_1[k]),
-            b=float(self.b[k]) if k < self.n - 1 else 0.0,
+            one_minus_p_tau_1=self.one_minus_p_tau_1[k],
+            b=self.b[k],
             a=float(self.a[k]),
             c=float(self.c[k]),
             one_minus_gamma_q=float(self.one_minus_gamma_q[k]),
@@ -150,7 +146,7 @@ def sweep_X_g_b_P(spec: GraphSpec, tau_eff, gamma, rho, x_terminal: float, rows)
     g: list[np.ndarray] = [None] * n
     P: list[np.ndarray] = [None] * n
     g_cross = np.zeros(max(n - 1, 0))
-    b = np.zeros(max(n - 1, 0))
+    b = np.zeros(n)  # node N's stays 0.0
     one_minus_p_tau_1 = np.empty(n)
 
     for k in range(n - 1, -1, -1):
@@ -192,7 +188,7 @@ def sweep_X_g_b_P(spec: GraphSpec, tau_eff, gamma, rho, x_terminal: float, rows)
         P[k] = pk
         one_minus_p_tau_1[k] = 1.0 - pk[te - 1, 0]
 
-    return tuple(X), tuple(g), g_cross, b, tuple(P), one_minus_p_tau_1
+    return tuple(X), tuple(g), g_cross, b.tolist(), tuple(P), one_minus_p_tau_1.tolist()
 
 
 def sweep_h_and_finalize(
@@ -212,11 +208,6 @@ def sweep_h_and_finalize(
             one_minus_p_tau_1[k] * b[k] * h[i - 1] + P[k][te - 1, te - 1] * g_cross[k]
         )
 
-    a = np.empty(n)
-    c = np.empty(n)
-    one_minus_gamma_q = np.empty(n)
-    x1_over_r = np.empty(n)
-    one_minus_h_prev = np.empty(n)
     for k in range(n):
         te = tau_eff[k]
         h_prev = h[k]  # h_{i-1} for node i = k+1
@@ -229,16 +220,17 @@ def sweep_h_and_finalize(
                 one_minus_p_tau_1[k] * h_prev * gpk[dlt]
             )
         phk[0] = phk[1]
-        x1 = X[k][0]
-        gamma_q = gamma[k] / spec.q[k]
-        one_minus_gamma_q[k] = 1.0 - gamma_q
-        x1_over_r[k] = x1 / spec.r[k]
-        one_minus_h_prev[k] = 1.0 - h_prev
-        a[k] = x1_over_r[k] + gamma_q * (1.0 - x1 / rho[k])
-        c[k] = (
-            -(x1_over_r[k] - gamma[k] * x1 / (spec.q[k] * rho[k])) * one_minus_h_prev[k]
-            + gamma_q * h_prev
-        )
+
+    # The output coefficients of all nodes at once; h[k] is h_{i-1} of node
+    # i = k+1.  Elementwise, each entry is rounded as one scalar would be.
+    q, r = spec.weights
+    x1 = np.fromiter((xk[0] for xk in X), float, n)
+    gamma_q = gamma / q
+    one_minus_gamma_q = 1.0 - gamma_q
+    x1_over_r = x1 / r
+    one_minus_h_prev = 1.0 - h
+    a = x1_over_r + gamma_q * (1.0 - x1 / rho)
+    c = -(x1_over_r - gamma * x1 / (q * rho)) * one_minus_h_prev + gamma_q * h
     return h, a, c, one_minus_gamma_q, x1_over_r, one_minus_h_prev
 
 
@@ -271,8 +263,6 @@ def synthesize(spec: GraphSpec) -> ControllerParams:
     )
     return ControllerParams(
         spec=spec,
-        n=spec.n,
-        horizon=spec.horizon,
         tau_eff=tau_eff,
         gamma=gamma,
         rho=rho,
@@ -292,20 +282,18 @@ def synthesize(spec: GraphSpec) -> ControllerParams:
         one_minus_h_prev=one_minus_h_prev,
         delay_cols=delay_cols,
         fold_end=fold_end,
-        upstream_w=one_minus_p_tau_1.tolist(),
-        # Node N's b is 0.0, as in its NodeParams.
-        downstream_b=[0.0] + b.tolist()[::-1],
     )
 
 
 def params_to_document(params: ControllerParams) -> str:
     """Serialize the parameters to a flat structured-text document."""
+    n = params.spec.n
     doc = {
-        "n": params.n,
-        "horizon": params.horizon,
+        "n": n,
+        "horizon": params.spec.horizon,
         "nodes": [],
     }
-    for k in range(params.n):
+    for k in range(n):
         te = params.tau_eff[k]
         phi = params.node_slice(k).phi
         node = {
@@ -325,7 +313,7 @@ def params_to_document(params: ControllerParams) -> str:
             "c": params.c[k],
             "h_prev": params.h[k],
         }
-        if k < params.n - 1:
+        if k < n - 1:
             node["g_next_1"] = params.g_cross[k]
             node["b"] = params.b[k]
         doc["nodes"].append(node)

@@ -26,6 +26,27 @@ def tracing(monkeypatch):
     return tracing
 
 
+def test_one_benchmark_episode_per_workload(tracing):
+    # The benchmark calls the package directly, with StepProbe's hooks in
+    # place; a change that breaks either fails an episode here.
+    import workloads
+
+    for name, make in workloads.WORKLOADS.items():
+        patches = tracing.Patches()
+        try:
+            probe = tracing.StepProbe()
+            probe.install(patches)
+            workload = make(0, probe)
+            workload.setup()
+            out = workload.episode()
+        finally:
+            patches.restore()
+        assert out.errors == [] and out.failed == 0 and out.ops > 0, name
+        if name in ("fullplan", "receding"):
+            # Their episodes fail when the total cost leaves this reference.
+            assert workload.reference_source == "reference.json", name
+
+
 def test_every_span_is_installed(tracing):
     patches = tracing.Patches()
     try:

@@ -186,6 +186,20 @@ def test_negative_step_count_rejected():
         closed_loop(spec, synthesize(spec), DisturbancePlan(), -1)
 
 
+@pytest.mark.parametrize("steps", [2.5, 2.0, True, "2"])
+def test_non_integer_step_count_rejected(steps):
+    # 2.5 and True used to end in a bare TypeError from numpy.
+    spec = _spec(2, [1], horizon=2)
+    with pytest.raises(ValueError, match=f"steps = {steps!r} must be an integer"):
+        closed_loop(spec, synthesize(spec), DisturbancePlan(), steps)
+
+
+def test_numpy_integer_step_count_accepted():
+    spec = _spec(2, [1], horizon=2)
+    res = closed_loop(spec, synthesize(spec), DisturbancePlan(), np.int64(3))
+    assert len(res.decisions) == 3
+
+
 @pytest.mark.parametrize("announce", [0, 1])
 def test_announce_with_blind_rejected(announce):
     # A blind controller learns nothing, so an announcement horizon would be
@@ -315,7 +329,7 @@ def test_final_state_is_the_state_rebuilt_from_the_trajectory(n, tau, steps):
 def _per_node_step(state, windows, d_now, params):
     """control_step's outputs from the per-node kernels, one node at a time,
     as the message-passing harness computes them."""
-    n = params.n
+    n = params.spec.n
     nodes = [params.node_slice(k) for k in range(n)]
     uvals = [
         state.pipelines[k] if k < n - 1 else np.zeros(params.tau_eff[k])

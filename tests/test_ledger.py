@@ -161,6 +161,16 @@ class TestInitWindows:
         with pytest.raises(LedgerRangeError, match=f"6 entries, {length} requested"):
             windows.slice(1, length)
 
+    @pytest.mark.parametrize("length", [2.5, 2.0, True, None])
+    def test_slice_of_a_non_integer_length_raises(self, length):
+        # slice(1, 2.5) used to end in a bare TypeError, and slice(1, True)
+        # returned one entry.
+        spec = _spec(3, [2, 1], horizon=2)
+        windows = init_shifted_sums(DisturbancePlan({(1, 0): 0.5}), spec)
+        with pytest.raises(LedgerRangeError, match=f"{length!r} must be an integer"):
+            windows.slice(1, length)
+        assert windows.slice(1, np.int64(2)).tolist() == windows.slice(1, 2).tolist()
+
 
 class TestAdvance:
     def test_shift_identity_two_edges(self):

@@ -57,6 +57,39 @@ class TestValidateSpec:
             validate_spec({"n": 3, "tau": [1], "q": [1] * 3, "r": [1] * 3, "horizon": 0})
 
 
+_GOOD = dict(n=2, tau=(1,), q=(1.0, 1.0), r=(1.0, 1.0), horizon=2)
+
+
+class TestGraphSpec:
+    @pytest.mark.parametrize("fields, match", [
+        (dict(n=3), "tau has 1 entries, expected n-1 = 2"),
+        (dict(n=0, tau=(), q=(), r=()), "node count n = 0"),
+        (dict(n=2.5), "n = 2.5 must be a whole number"),
+        (dict(q=(1.0,)), "q and r must each have n = 2 entries"),
+        (dict(r=(1.0, 1.0, 1.0)), "q and r must each have n = 2 entries"),
+        (dict(q=(-1.0, 1.0)), "q_1 = -1.0 must be strictly positive"),
+        (dict(r=(1.0, float("nan"))), "r_2 = nan must be strictly positive"),
+        (dict(q=(1.0, float("inf"))), "q_2 = inf must be strictly positive"),
+        (dict(horizon=-1), "horizon H = -1"),
+        (dict(horizon=1.5), "horizon = 1.5 must be a whole number"),
+        (dict(tau=(0,)), "tau_1 = 0 must be an integer >= 1"),
+        (dict(tau=(1.5,)), "tau_1 = 1.5 must be an integer >= 1"),
+    ], ids=["tau-short", "n-0", "n-fractional", "q-short", "r-long", "q-negative",
+            "r-nan", "q-inf", "horizon-negative", "horizon-fractional", "tau-0",
+            "tau-fractional"])
+    def test_bad_spec_rejected_at_construction(self, fields, match):
+        # GraphSpec(n=3, tau=(1,), ...) used to be accepted, and synthesize
+        # then failed with a bare IndexError; a negative or NaN weight gave
+        # NaN parameters.
+        with pytest.raises(SpecError, match=match):
+            GraphSpec(**{**_GOOD, **fields})
+
+    def test_whole_floats_stored_as_ints(self):
+        spec = GraphSpec(n=3.0, tau=[2.0, 1.0], q=[1.0] * 3, r=[1.0] * 3, horizon=4.0)
+        assert (spec.n, spec.tau, spec.horizon) == (3, (2, 1), 4)
+        assert all(type(x) is int for x in (spec.n, *spec.tau, spec.horizon))
+        assert spec == GraphSpec(n=3, tau=(2, 1), q=(1.0,) * 3, r=(1.0,) * 3, horizon=4)
+
 def _zero_action(spec):
     return ControlDecision(u=np.zeros(spec.n - 1), v=np.zeros(spec.n))
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from pathlq import oracle
 from pathlq.errors import InvalidHorizonError
 from pathlq.ledger import DisturbancePlan
 from pathlq.model import (
@@ -87,10 +88,11 @@ class TestStationary:
         flow_rows = K[: spec.n - 1]
         assert np.max(np.abs(flow_rows)) > 1e-6
 
-    def test_non_convergence_reports_the_last_update(self):
+    def test_non_convergence_reports_the_last_update(self, monkeypatch):
         system = build_augmented_system(_spec(2, [1], horizon=0))
+        monkeypatch.setattr(oracle, "RICCATI_MAX_ITER", 1)
         with pytest.raises(RuntimeError, match="last update") as info:
-            stationary_riccati(system, max_iter=1)
+            stationary_riccati(system)
         assert float(str(info.value).rsplit(" ", 1)[-1]) > 0.0
 
     def test_closed_loop_is_stable(self):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from pathlq import GraphSpec, synthesize
@@ -138,7 +140,7 @@ class TestSynthesize:
         params = synthesize(spec)
         assert params.gamma[0] == 2.0 and params.rho[0] == 3.0
         assert len(params.X[0]) == spec.horizon + 2
-        assert params.b.size == 0 and params.g_cross.size == 0
+        assert params.b == [0.0] and params.g_cross.size == 0
         assert params.h == pytest.approx([0.0])
 
     def test_deterministic(self, rng):
@@ -200,14 +202,54 @@ def test_node_slice_rows_match_a_scalar_reference(tau, horizon, rng):
     "tau", [(3, 2, 5, 4), (1,), ()], ids=["demo", "two-node", "single-node"]
 )
 def test_sweep_lists_are_the_coefficient_arrays(tau, rng):
+    # The two sweeps read one_minus_p_tau_1 and b as they are stored: one
+    # Python float per node, node N's b being its unit's 0.0.
     n = len(tau) + 1
     spec = GraphSpec(n=n, tau=tau, q=tuple(rng.uniform(0.1, 10, n)),
                      r=tuple(rng.uniform(0.1, 10, n)), horizon=3)
     params = synthesize(spec)
-    assert params.upstream_w == params.one_minus_p_tau_1.tolist()
-    assert params.downstream_b == [0.0] + params.b.tolist()[::-1]
-    assert all(type(x) is float for x in params.upstream_w + params.downstream_b)
+    assert len(params.one_minus_p_tau_1) == len(params.b) == n
+    assert all(type(x) is float for x in params.one_minus_p_tau_1 + params.b)
     for k in range(n):
         node = params.node_slice(k)
-        assert params.upstream_w[k] == node.one_minus_p_tau_1
-        assert params.downstream_b[n - 1 - k] == node.b
+        assert params.one_minus_p_tau_1[k] == node.one_minus_p_tau_1
+        assert params.b[k] == node.b
+    assert params.b[-1] == 0.0
+
+
+OUTPUTS = ("a", "c", "one_minus_gamma_q", "x1_over_r", "one_minus_h_prev")
+
+
+def _reference_outputs(spec, params):
+    """The output coefficients of OUTPUTS, one node at a time, in the scalar
+    order of operations that synthesize applies over the node axis."""
+    out = {name: np.empty(spec.n) for name in OUTPUTS}
+    a, c, one_minus_gamma_q, x1_over_r, one_minus_h_prev = out.values()
+    gamma, rho = params.gamma, params.rho
+    for k in range(spec.n):
+        h_prev = params.h[k]
+        x1 = params.X[k][0]
+        gamma_q = gamma[k] / spec.q[k]
+        one_minus_gamma_q[k] = 1.0 - gamma_q
+        x1_over_r[k] = x1 / spec.r[k]
+        one_minus_h_prev[k] = 1.0 - h_prev
+        a[k] = x1_over_r[k] + gamma_q * (1.0 - x1 / rho[k])
+        c[k] = (
+            -(x1_over_r[k] - gamma[k] * x1 / (spec.q[k] * rho[k])) * one_minus_h_prev[k]
+            + gamma_q * h_prev
+        )
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_output_coefficients_match_the_scalar_loop(data):
+    n = data.draw(st.integers(1, 12))
+    tau = data.draw(st.lists(st.integers(1, 8), min_size=n - 1, max_size=n - 1))
+    weights = st.lists(st.floats(-6.0, 6.0).map(lambda e: 10.0**e),
+                       min_size=n, max_size=n)
+    spec = GraphSpec(n=n, tau=tau, q=data.draw(weights), r=data.draw(weights),
+                     horizon=data.draw(st.integers(0, 11)))
+    params = synthesize(spec)
+    for name, want in _reference_outputs(spec, params).items():
+        assert getattr(params, name).tobytes() == want.tobytes(), name
