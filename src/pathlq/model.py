@@ -26,10 +26,19 @@ def aggregate_delays(tau: Sequence[int]) -> list[int]:
     """
     sigma = [0]
     for k, t in enumerate(tau):
-        if not float(t).is_integer() or t < 1:
+        x = _number(t)
+        if x is None or not x.is_integer() or x < 1:
             raise SpecError(f"edge delay tau_{k + 1} = {t} must be an integer >= 1")
-        sigma.append(sigma[-1] + int(t))
+        sigma.append(sigma[-1] + int(x))
     return sigma
+
+
+def _number(x) -> float | None:
+    """float(x), or None where x is not a number."""
+    try:
+        return float(x)
+    except (TypeError, ValueError, OverflowError):
+        return None
 
 
 @dataclass(frozen=True)
@@ -52,12 +61,18 @@ class GraphSpec:
     def __post_init__(self):
         # Tuples, so that a spec built from lists equals one built from tuples.
         for name in ("tau", "q", "r"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+            try:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
+            except TypeError:
+                raise SpecError(
+                    f"{name} = {getattr(self, name)!r} is not a sequence"
+                ) from None
         for name in ("n", "horizon"):
             x = getattr(self, name)
-            if not float(x).is_integer():
+            whole = _number(x)
+            if whole is None or not whole.is_integer():
                 raise SpecError(f"{name} = {x} must be a whole number")
-            object.__setattr__(self, name, int(x))
+            object.__setattr__(self, name, int(whole))
         n, tau = self.n, self.tau
         if n < 1:
             raise SpecError(f"node count n = {n} must be >= 1")
@@ -66,13 +81,20 @@ class GraphSpec:
         if len(self.q) != n or len(self.r) != n:
             raise SpecError(f"q and r must each have n = {n} entries")
         for name in ("q", "r"):
-            for i, x in enumerate(getattr(self, name)):
-                if not (x > 0.0) or not math.isfinite(x):
+            # Python floats: float(x) reads x as np.asarray(..., float) would.
+            values = getattr(self, name)
+            weights = tuple(map(_number, values))
+            for i, (x, w) in enumerate(zip(values, weights)):
+                if w is None:
+                    raise SpecError(f"{name}_{i + 1} = {x!r} is not a number")
+                if not (w > 0.0) or not math.isfinite(w):
                     raise SpecError(f"{name}_{i + 1} = {x} must be strictly positive")
+            object.__setattr__(self, name, weights)
         if self.horizon < 0:
             raise SpecError(f"horizon H = {self.horizon} must be >= 0")
-        object.__setattr__(self, "sigma", tuple(aggregate_delays(tau)))
-        object.__setattr__(self, "tau", tuple(int(t) for t in tau))
+        sigma = tuple(aggregate_delays(tau))
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "tau", tuple(b - a for a, b in zip(sigma, sigma[1:])))
         weights = np.array(self.q, dtype=float), np.array(self.r, dtype=float)
         object.__setattr__(self, "weights", weights)
 
@@ -132,21 +154,27 @@ class PlantState:
     def initial(spec: GraphSpec, z0=None, pipelines0=None) -> "PlantState":
         try:
             z = np.zeros(spec.n) if z0 is None else np.array(z0, dtype=float)
-            pipes = (tuple(np.zeros(t) for t in spec.tau) if pipelines0 is None
-                     else tuple(np.asarray(p, dtype=float) for p in pipelines0))
+            pipes = (None if pipelines0 is None
+                     else [np.asarray(p, dtype=float) for p in pipelines0])
         except (TypeError, ValueError) as exc:
             raise SpecError(f"initial state is not numeric: {exc}") from None
         if z.shape != (spec.n,):
             raise SpecError(f"initial z has shape {z.shape}, expected ({spec.n},)")
         if not np.isfinite(z).all():
             raise SpecError("initial z has a non-finite entry")
-        if len(pipes) != spec.n - 1 or any(
-            p.shape != (t,) for p, t in zip(pipes, spec.tau)
-        ):
-            raise SpecError("initial pipelines do not match edge delays")
-        if not all(np.isfinite(p).all() for p in pipes):
-            raise SpecError("initial pipelines have a non-finite entry")
-        return PlantState(t=0, z=z, pipelines=pipes)
+        if pipes is None:
+            flows = np.zeros(spec.sigma_total + 1)
+        else:
+            if [p.shape for p in pipes] != [(t,) for t in spec.tau]:
+                raise SpecError("initial pipelines do not match edge delays")
+            flows = np.concatenate([*pipes, [0.0]])
+            if not np.isfinite(flows).all():
+                raise SpecError("initial pipelines have a non-finite entry")
+        # Edge e+1's pipeline is flows[sigma_{e+1} : sigma_{e+2}].
+        sigma = np.array(spec.sigma)
+        state = PlantState.__new__(PlantState)
+        state._init(0, z, flows, sigma[:-1], sigma[1:] - 1)
+        return state
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,10 @@ runs scalar cost-to-go recursions producing the X, g, b and P tables.
 The third sweep (node 1 up again) computes the h coefficients, after
 which each node finalizes its local phi, a and c parameters.
 
+The sweeps run on Python floats, with the IEEE operations of the scalar
+recursions in their order, in O(sum of tau_eff^2) time; each table
+becomes one numpy array at the end of synthesize.
+
 Index conventions: arrays are stored 0-based per node k = i - 1.  The
 last node has no incoming edge; it uses an effective delay of H + 1 so
 that its tables cover the whole planning horizon.
@@ -13,6 +17,7 @@ that its tables cover the whole planning horizon.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -55,7 +60,8 @@ class ControllerParams:
     scalar of the local outputs is one length-N array, so the sequential
     controller reads all nodes at once.  The two sweeps' coefficients,
     one_minus_p_tau_1 and b, are lists of Python floats, which the Python
-    sweeps read directly.
+    sweeps read directly.  The per-node X, g and P arrays of each table are
+    consecutive views of one array.
     """
 
     spec: GraphSpec  # the instance these parameters were synthesized for
@@ -115,16 +121,14 @@ class ControllerParams:
 
 def sweep_gamma_rho(q, r) -> tuple[np.ndarray, np.ndarray]:
     """First sweep: harmonic aggregates of the level and production weights."""
-    q = np.asarray(q, dtype=float)
-    r = np.asarray(r, dtype=float)
-    gamma = np.empty_like(q)
-    rho = np.empty_like(r)
-    gamma[0] = q[0]
-    rho[0] = r[0]
-    for i in range(1, len(q)):
-        gamma[i] = gamma[i - 1] * q[i] / (gamma[i - 1] + q[i])
-        rho[i] = rho[i - 1] * r[i] / (rho[i - 1] + r[i])
-    return gamma, rho
+    q = np.asarray(q, dtype=float).tolist()
+    r = np.asarray(r, dtype=float).tolist()
+    gamma, rho = q[:1], r[:1]
+    for qi, ri in zip(q[1:], r[1:]):
+        g, p = gamma[-1], rho[-1]
+        gamma.append(g * qi / (g + qi))
+        rho.append(p * ri / (p + ri))
+    return np.array(gamma), np.array(rho)
 
 
 def terminal_riccati(gamma_n: float, rho_n: float) -> float:
@@ -136,141 +140,151 @@ def _riccati_step(x: float, gamma: float, rho: float) -> float:
     return rho * (x + gamma) / (x + gamma + rho)
 
 
-def sweep_X_g_b_P(spec: GraphSpec, tau_eff, gamma, rho, x_terminal: float, rows):
+def sweep_X_g_b_P(spec: GraphSpec, tau_eff, gamma, rho, x_terminal: float):
     """Second sweep, node N down to node 1: X, g, b and P tables.
 
-    Fills row 1 of each node's rows[k], its gprod row.
+    Every table is per node, of Python floats: X[k][j-1] = X_i(j), g[k][j]
+    = g_i(j) (NaN at j = 0, 1), gprod[k][m] for m = 0..tau_eff and P[k]
+    row-major, P[k][(l-1) * tau_eff + m-1] = P_i(l, m).
     """
     n = spec.n
-    X: list[np.ndarray] = [None] * n
-    g: list[np.ndarray] = [None] * n
-    P: list[np.ndarray] = [None] * n
-    g_cross = np.zeros(max(n - 1, 0))
-    b = np.zeros(n)  # node N's stays 0.0
-    one_minus_p_tau_1 = np.empty(n)
+    gamma, rho = gamma.tolist(), rho.tolist()
+    X, g, gprod, P = [None] * n, [None] * n, [None] * n, [None] * n
+    g_cross = [0.0] * (n - 1)
+    b = [0.0] * n  # node N's stays 0.0
+    one_minus_p_tau_1 = [0.0] * n
 
+    x = float(x_terminal)  # then X_{i+1}(1) when node i's sweep starts
     for k in range(n - 1, -1, -1):
-        te = tau_eff[k]
-        if k == n - 1:
-            xk = np.empty(te + 1)  # X_N(1..H+2)
-            xk[te] = x_terminal
-        else:
-            xk = np.empty(te)
-            xk[te - 1] = _riccati_step(X[k + 1][0], gamma[k], rho[k])
-        for j in range(len(xk) - 1, 0, -1):
-            xk[j - 1] = _riccati_step(xk[j], gamma[k], rho[k])
+        te, gam, rh = tau_eff[k], gamma[k], rho[k]
+        xk = [x] if k == n - 1 else []  # X_N(1..H+2) ends with the seed
+        for _ in range(te):
+            x = _riccati_step(x, gam, rh)
+            xk.append(x)
+        xk.reverse()
         X[k] = xk
 
-        gk = np.full(te + 1, np.nan)
-        for j in range(2, te + 1):
-            gk[j] = xk[j - 1] / (xk[j - 1] + gamma[k])
-        g[k] = gk
+        gk, gp = [math.nan, math.nan], [1.0, 1.0]
+        for xj in xk[1:te]:
+            gj = xj / (xj + gam)
+            gk.append(gj)
+            gp.append(gp[-1] * gj)
+        g[k], gprod[k] = gk, gp
         if k < n - 1:
-            g_cross[k] = X[k + 1][0] / (X[k + 1][0] + gamma[k])
-
-        gp = rows[k][1]
-        gp[0] = gp[1] = 1.0
-        for m in range(2, te + 1):
-            gp[m] = gp[m - 1] * gk[m]
-        if k < n - 1:
+            x_next = X[k + 1][0]
+            g_cross[k] = x_next / (x_next + gam)
             b[k] = g_cross[k] * gp[te]
 
-        pk = np.empty((te, te))
-        w = xk[0] / rho[k]
-        pk[0, :] = w
+        # Row l of P from row l-1, which starts at pk[prev]; g_i(l) enters
+        # the columns m >= l.
+        pk = [xk[0] / rh] * te
+        prev = 0
         for l in range(2, te + 1):
-            wl = xk[l - 1] / rho[k]
-            for m in range(1, te + 1):
-                if l <= m:
-                    pk[l - 1, m - 1] = (1.0 - wl) * gk[l] * pk[l - 2, m - 1] + wl
-                else:
-                    pk[l - 1, m - 1] = (1.0 - wl) * pk[l - 2, m - 1] + wl
+            wl = xk[l - 1] / rh
+            keep = 1.0 - wl
+            keep_g = keep * gk[l]
+            for m in range(prev, prev + l - 1):
+                pk.append(keep * pk[m] + wl)
+            for m in range(prev + l - 1, prev + te):
+                pk.append(keep_g * pk[m] + wl)
+            prev += te
         P[k] = pk
-        one_minus_p_tau_1[k] = 1.0 - pk[te - 1, 0]
+        one_minus_p_tau_1[k] = 1.0 - pk[prev]
 
-    return tuple(X), tuple(g), g_cross, b.tolist(), tuple(P), one_minus_p_tau_1.tolist()
+    return X, g, g_cross, b, P, one_minus_p_tau_1, gprod
 
 
 def sweep_h_and_finalize(
-    spec: GraphSpec, tau_eff, gamma, rho, X, g_cross, rows, b, P, one_minus_p_tau_1
+    spec: GraphSpec, tau_eff, gamma, rho, X, g_cross, gprod, b, P, one_minus_p_tau_1
 ):
     """Third sweep and the final per-node parameters h, phi, a, c and the
     coefficients of the local output formulas.
 
-    Reads each node's gprod row, rows[k][1], and fills its phi row, rows[k][0].
+    Reads the tables of sweep_X_g_b_P; the phi rows, like gprod, are lists
+    of Python floats, phi[k][Delta] for Delta = 0..tau_eff.
     """
     n = spec.n
-    h = np.zeros(n)  # h[i] = h_i, i = 0..N-1; h_0 = 0
-    for i in range(1, n):
-        k = i - 1
-        te = tau_eff[k]
-        h[i] = (
-            one_minus_p_tau_1[k] * b[k] * h[i - 1] + P[k][te - 1, te - 1] * g_cross[k]
-        )
-
+    h = [0.0] * n  # h[i] = h_i, i = 0..N-1; h_0 = 0
+    phi = []
     for k in range(n):
-        te = tau_eff[k]
-        h_prev = h[k]  # h_{i-1} for node i = k+1
-        pk = P[k]
-        phk, gpk = rows[k][0], rows[k][1]
-        # The product inside phi_i(Delta) runs over j = 2..Delta, which fits
-        # the table sizes and is the form confirmed against the dense oracle.
-        for dlt in range(1, te + 1):
-            phk[dlt] = 1.0 - pk[te - 1, dlt - 1] - (
-                one_minus_p_tau_1[k] * h_prev * gpk[dlt]
-            )
-        phk[0] = phk[1]
+        te, pk = tau_eff[k], P[k]
+        # h[k] is h_{i-1} of node i = k+1.  The product inside phi_i(Delta)
+        # runs over j = 2..Delta, which fits the table sizes and is the form
+        # confirmed against the dense oracle.
+        scale = one_minus_p_tau_1[k] * h[k]
+        row = [math.nan]
+        for p, gp in zip(pk[-te:], gprod[k][1:]):
+            row.append(1.0 - p - scale * gp)
+        row[0] = row[1]
+        phi.append(row)
+        if k < n - 1:
+            h[k + 1] = one_minus_p_tau_1[k] * b[k] * h[k] + pk[-1] * g_cross[k]
 
-    # The output coefficients of all nodes at once; h[k] is h_{i-1} of node
-    # i = k+1.  Elementwise, each entry is rounded as one scalar would be.
+    # The output coefficients of all nodes at once.  Elementwise, each entry
+    # is rounded as one scalar would be.
     q, r = spec.weights
-    x1 = np.fromiter((xk[0] for xk in X), float, n)
+    x1 = np.array([xk[0] for xk in X])
+    h = np.array(h)
     gamma_q = gamma / q
     one_minus_gamma_q = 1.0 - gamma_q
     x1_over_r = x1 / r
     one_minus_h_prev = 1.0 - h
     a = x1_over_r + gamma_q * (1.0 - x1 / rho)
     c = -(x1_over_r - gamma * x1 / (q * rho)) * one_minus_h_prev + gamma_q * h
-    return h, a, c, one_minus_gamma_q, x1_over_r, one_minus_h_prev
+    return h, phi, a, c, one_minus_gamma_q, x1_over_r, one_minus_h_prev
 
 
-def _delay_layout(tau_eff: tuple[int, ...]):
-    """coef and coef_last, all NaN, delay_cols and fold_end of
-    ControllerParams for these delays."""
+def _views(rows: list[list[float]]) -> tuple[np.ndarray, ...]:
+    """The rows as consecutive views of one array."""
+    flat = np.array([x for row in rows for x in row])
+    ends = itertools.accumulate(map(len, rows))
+    return tuple(flat[end - len(row) : end] for row, end in zip(rows, ends))
+
+
+def _delay_layout(tau_eff: tuple[int, ...], phi, gprod):
+    """coef, coef_last, delay_cols and fold_end of ControllerParams for
+    these delays and these phi and gprod rows."""
     te = np.array(tau_eff)
     width = int(te[:-1].max(initial=1)) + 1  # max tau + 1, at least 2
     sigma = np.concatenate(([0], np.cumsum(te[:-1])))
     delay_cols = sigma[:, None] + np.minimum(np.arange(width - 1), te[:, None] - 1)
     fold_end = np.arange(len(te)) * width + np.minimum(te, width - 1)
-    coef = np.full((2, len(te), width), np.nan)
-    return coef, np.full((2, tau_eff[-1] + 1), np.nan), delay_cols, fold_end
+    # Node k+1's rows, NaN past its tau_eff; node N's packed rows are NaN.
+    nan = [math.nan] * width
+    flat = []
+    for rows in (phi, gprod):
+        for row in rows[:-1]:
+            flat += row
+            flat += nan[len(row) :]
+        flat += nan
+    coef = np.array(flat).reshape(2, len(te), width)
+    return coef, np.array([phi[-1], gprod[-1]]), delay_cols, fold_end
 
 
 def synthesize(spec: GraphSpec) -> ControllerParams:
     """Run all three sweeps and finalize every controller parameter."""
     tau_eff = (*spec.tau, spec.horizon + 1)
-    coef, coef_last, delay_cols, fold_end = _delay_layout(tau_eff)
-    # Node k+1's (phi, gprod) rows, views that the sweeps fill; node N's
-    # packed rows stay NaN.
-    rows = [*coef.swapaxes(0, 1)[:-1], coef_last]
-    gamma, rho = sweep_gamma_rho(spec.q, spec.r)
+    gamma, rho = sweep_gamma_rho(*spec.weights)
     x_term = terminal_riccati(gamma[-1], rho[-1])
-    X, g, g_cross, b, P, one_minus_p_tau_1 = sweep_X_g_b_P(
-        spec, tau_eff, gamma, rho, x_term, rows
+    X, g, g_cross, b, P, one_minus_p_tau_1, gprod = sweep_X_g_b_P(
+        spec, tau_eff, gamma, rho, x_term
     )
-    h, a, c, one_minus_gamma_q, x1_over_r, one_minus_h_prev = sweep_h_and_finalize(
-        spec, tau_eff, gamma, rho, X, g_cross, rows, b, P, one_minus_p_tau_1
+    h, phi, a, c, one_minus_gamma_q, x1_over_r, one_minus_h_prev = (
+        sweep_h_and_finalize(
+            spec, tau_eff, gamma, rho, X, g_cross, gprod, b, P, one_minus_p_tau_1
+        )
     )
+    coef, coef_last, delay_cols, fold_end = _delay_layout(tau_eff, phi, gprod)
     return ControllerParams(
         spec=spec,
         tau_eff=tau_eff,
         gamma=gamma,
         rho=rho,
-        X=X,
-        g=g,
-        g_cross=g_cross,
+        X=_views(X),
+        g=_views(g),
+        g_cross=np.array(g_cross),
         b=b,
-        P=P,
+        P=tuple(pk.reshape(te, te) for pk, te in zip(_views(P), tau_eff)),
         h=h,
         coef=coef,
         coef_last=coef_last,

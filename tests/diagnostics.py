@@ -2,8 +2,9 @@
 
 The dense stationary gain and its undisturbed closed loop, the shifted
 aggregates S_k, V_k, m_k as arrays indexed [k, t], the two shifted-sum
-cost decompositions, a filter over a harness message log, and a per-hop
-reference for the ledger's announcement update.
+cost decompositions, a filter over a harness message log, a per-hop
+reference for the ledger's announcement update and a scalar reference for
+synthesis.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from pathlq.harness import Message, MessageLog
 from pathlq.ledger import DisturbancePlan, ShiftedWindows
 from pathlq.model import GraphSpec, Trajectory
 from pathlq.oracle import AugmentedSystem, stationary_riccati
+from pathlq.synthesis import ControllerParams, _riccati_step, terminal_riccati
 
 
 def stationary_gain(system: AugmentedSystem, P: np.ndarray | None = None) -> np.ndarray:
@@ -176,3 +178,176 @@ def per_hop_plan_updates(
             if i < spec.n:
                 messages.append((i, i + 1, st, float(D[i, c])))
     return messages
+
+
+# --- scalar reference for synthesis -------------------------------------------
+# synthesize as it was when its sweeps read and wrote numpy scalars one
+# element at a time: the sweeps now run on Python floats and must give the
+# same bytes.
+
+
+def reference_sweep_gamma_rho(q, r) -> tuple[np.ndarray, np.ndarray]:
+    """First sweep: harmonic aggregates of the level and production weights."""
+    q = np.asarray(q, dtype=float)
+    r = np.asarray(r, dtype=float)
+    gamma = np.empty_like(q)
+    rho = np.empty_like(r)
+    gamma[0] = q[0]
+    rho[0] = r[0]
+    for i in range(1, len(q)):
+        gamma[i] = gamma[i - 1] * q[i] / (gamma[i - 1] + q[i])
+        rho[i] = rho[i - 1] * r[i] / (rho[i - 1] + r[i])
+    return gamma, rho
+
+
+def reference_sweep_X_g_b_P(
+    spec: GraphSpec, tau_eff, gamma, rho, x_terminal: float, rows
+):
+    """Second sweep, node N down to node 1: X, g, b and P tables.
+
+    Fills row 1 of each node's rows[k], its gprod row.
+    """
+    n = spec.n
+    X: list[np.ndarray] = [None] * n
+    g: list[np.ndarray] = [None] * n
+    P: list[np.ndarray] = [None] * n
+    g_cross = np.zeros(max(n - 1, 0))
+    b = np.zeros(n)  # node N's stays 0.0
+    one_minus_p_tau_1 = np.empty(n)
+
+    for k in range(n - 1, -1, -1):
+        te = tau_eff[k]
+        if k == n - 1:
+            xk = np.empty(te + 1)  # X_N(1..H+2)
+            xk[te] = x_terminal
+        else:
+            xk = np.empty(te)
+            xk[te - 1] = _riccati_step(X[k + 1][0], gamma[k], rho[k])
+        for j in range(len(xk) - 1, 0, -1):
+            xk[j - 1] = _riccati_step(xk[j], gamma[k], rho[k])
+        X[k] = xk
+
+        gk = np.full(te + 1, np.nan)
+        for j in range(2, te + 1):
+            gk[j] = xk[j - 1] / (xk[j - 1] + gamma[k])
+        g[k] = gk
+        if k < n - 1:
+            g_cross[k] = X[k + 1][0] / (X[k + 1][0] + gamma[k])
+
+        gp = rows[k][1]
+        gp[0] = gp[1] = 1.0
+        for m in range(2, te + 1):
+            gp[m] = gp[m - 1] * gk[m]
+        if k < n - 1:
+            b[k] = g_cross[k] * gp[te]
+
+        pk = np.empty((te, te))
+        w = xk[0] / rho[k]
+        pk[0, :] = w
+        for l in range(2, te + 1):
+            wl = xk[l - 1] / rho[k]
+            for m in range(1, te + 1):
+                if l <= m:
+                    pk[l - 1, m - 1] = (1.0 - wl) * gk[l] * pk[l - 2, m - 1] + wl
+                else:
+                    pk[l - 1, m - 1] = (1.0 - wl) * pk[l - 2, m - 1] + wl
+        P[k] = pk
+        one_minus_p_tau_1[k] = 1.0 - pk[te - 1, 0]
+
+    return tuple(X), tuple(g), g_cross, b.tolist(), tuple(P), one_minus_p_tau_1.tolist()
+
+
+def reference_sweep_h_and_finalize(
+    spec: GraphSpec, tau_eff, gamma, rho, X, g_cross, rows, b, P, one_minus_p_tau_1
+):
+    """Third sweep and the final per-node parameters h, phi, a, c and the
+    coefficients of the local output formulas.
+
+    Reads each node's gprod row, rows[k][1], and fills its phi row, rows[k][0].
+    """
+    n = spec.n
+    h = np.zeros(n)  # h[i] = h_i, i = 0..N-1; h_0 = 0
+    for i in range(1, n):
+        k = i - 1
+        te = tau_eff[k]
+        h[i] = (
+            one_minus_p_tau_1[k] * b[k] * h[i - 1] + P[k][te - 1, te - 1] * g_cross[k]
+        )
+
+    for k in range(n):
+        te = tau_eff[k]
+        h_prev = h[k]  # h_{i-1} for node i = k+1
+        pk = P[k]
+        phk, gpk = rows[k][0], rows[k][1]
+        # The product inside phi_i(Delta) runs over j = 2..Delta, which fits
+        # the table sizes and is the form confirmed against the dense oracle.
+        for dlt in range(1, te + 1):
+            phk[dlt] = 1.0 - pk[te - 1, dlt - 1] - (
+                one_minus_p_tau_1[k] * h_prev * gpk[dlt]
+            )
+        phk[0] = phk[1]
+
+    # The output coefficients of all nodes at once; h[k] is h_{i-1} of node
+    # i = k+1.  Elementwise, each entry is rounded as one scalar would be.
+    q, r = spec.weights
+    x1 = np.fromiter((xk[0] for xk in X), float, n)
+    gamma_q = gamma / q
+    one_minus_gamma_q = 1.0 - gamma_q
+    x1_over_r = x1 / r
+    one_minus_h_prev = 1.0 - h
+    a = x1_over_r + gamma_q * (1.0 - x1 / rho)
+    c = -(x1_over_r - gamma * x1 / (q * rho)) * one_minus_h_prev + gamma_q * h
+    return h, a, c, one_minus_gamma_q, x1_over_r, one_minus_h_prev
+
+
+def reference_delay_layout(tau_eff: tuple[int, ...]):
+    """coef and coef_last, all NaN, delay_cols and fold_end of
+    ControllerParams for these delays."""
+    te = np.array(tau_eff)
+    width = int(te[:-1].max(initial=1)) + 1  # max tau + 1, at least 2
+    sigma = np.concatenate(([0], np.cumsum(te[:-1])))
+    delay_cols = sigma[:, None] + np.minimum(np.arange(width - 1), te[:, None] - 1)
+    fold_end = np.arange(len(te)) * width + np.minimum(te, width - 1)
+    coef = np.full((2, len(te), width), np.nan)
+    return coef, np.full((2, tau_eff[-1] + 1), np.nan), delay_cols, fold_end
+
+
+def reference_synthesize(spec: GraphSpec) -> ControllerParams:
+    """synthesize's ControllerParams from the numpy-scalar sweeps."""
+    tau_eff = (*spec.tau, spec.horizon + 1)
+    coef, coef_last, delay_cols, fold_end = reference_delay_layout(tau_eff)
+    # Node k+1's (phi, gprod) rows, views that the sweeps fill; node N's
+    # packed rows stay NaN.
+    rows = [*coef.swapaxes(0, 1)[:-1], coef_last]
+    gamma, rho = reference_sweep_gamma_rho(spec.q, spec.r)
+    x_term = terminal_riccati(gamma[-1], rho[-1])
+    X, g, g_cross, b, P, one_minus_p_tau_1 = reference_sweep_X_g_b_P(
+        spec, tau_eff, gamma, rho, x_term, rows
+    )
+    h, a, c, one_minus_gamma_q, x1_over_r, one_minus_h_prev = (
+        reference_sweep_h_and_finalize(
+            spec, tau_eff, gamma, rho, X, g_cross, rows, b, P, one_minus_p_tau_1
+        )
+    )
+    return ControllerParams(
+        spec=spec,
+        tau_eff=tau_eff,
+        gamma=gamma,
+        rho=rho,
+        X=X,
+        g=g,
+        g_cross=g_cross,
+        b=b,
+        P=P,
+        h=h,
+        coef=coef,
+        coef_last=coef_last,
+        a=a,
+        c=c,
+        one_minus_p_tau_1=one_minus_p_tau_1,
+        one_minus_gamma_q=one_minus_gamma_q,
+        x1_over_r=x1_over_r,
+        one_minus_h_prev=one_minus_h_prev,
+        delay_cols=delay_cols,
+        fold_end=fold_end,
+    )

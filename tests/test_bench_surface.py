@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pathlq import controller, harness, simulate, verify
+from pathlq import controller, harness, simulate, synthesis, verify
 from pathlq.ledger import DisturbancePlan, init_shifted_sums
 from pathlq.model import GraphSpec, PlantState
 from pathlq.synthesis import synthesize
@@ -159,3 +159,26 @@ def test_control_step_calls_both_sweeps_through_the_controller(monkeypatch):
     state = PlantState.initial(spec, np.ones(4), None)
     simulate.control_step(state, windows, np.zeros(4), synthesize(spec))
     assert calls == {"upstream_sweep": 1, "downstream_sweep": 1}
+
+
+def test_a_set_up_calls_each_sweep_and_the_window_init_once(monkeypatch):
+    # synthesis.sweep_*_ms time the three sweeps as synthesis globals and
+    # ledger.init_ms the window init as a simulate global, one call each per
+    # set-up (synthesize, then closed_loop with steps=0).
+    hooks = {"sweep_gamma_rho": synthesis, "sweep_X_g_b_P": synthesis,
+             "sweep_h_and_finalize": synthesis, "init_shifted_sums": simulate}
+    calls = dict.fromkeys(hooks, 0)
+
+    def counting(name, fn):
+        def hook(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return hook
+
+    for name, owner in hooks.items():
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    spec = GraphSpec(n=4, tau=(2, 1, 3), q=(1.0,) * 4, r=(1.0,) * 4, horizon=2)
+    params = synthesis.synthesize(spec)
+    assert calls == {**dict.fromkeys(hooks, 1), "init_shifted_sums": 0}
+    simulate.closed_loop(spec, params, DisturbancePlan({(2, 1): 0.5}), 0)
+    assert calls == dict.fromkeys(hooks, 1)

@@ -74,13 +74,18 @@ class TestGraphSpec:
         (dict(horizon=1.5), "horizon = 1.5 must be a whole number"),
         (dict(tau=(0,)), "tau_1 = 0 must be an integer >= 1"),
         (dict(tau=(1.5,)), "tau_1 = 1.5 must be an integer >= 1"),
+        (dict(q=("a", 1.0)), "q_1 = 'a' is not a number"),
+        (dict(tau=("x",)), "tau_1 = x must be an integer >= 1"),
+        (dict(n=None), "n = None must be a whole number"),
+        (dict(tau=None), "tau = None is not a sequence"),
     ], ids=["tau-short", "n-0", "n-fractional", "q-short", "r-long", "q-negative",
             "r-nan", "q-inf", "horizon-negative", "horizon-fractional", "tau-0",
-            "tau-fractional"])
+            "tau-fractional", "q-text", "tau-text", "n-none", "tau-none"])
     def test_bad_spec_rejected_at_construction(self, fields, match):
         # GraphSpec(n=3, tau=(1,), ...) used to be accepted, and synthesize
         # then failed with a bare IndexError; a negative or NaN weight gave
-        # NaN parameters.
+        # NaN parameters, and a non-numeric field a bare TypeError or
+        # ValueError.
         with pytest.raises(SpecError, match=match):
             GraphSpec(**{**_GOOD, **fields})
 
@@ -89,6 +94,52 @@ class TestGraphSpec:
         assert (spec.n, spec.tau, spec.horizon) == (3, (2, 1), 4)
         assert all(type(x) is int for x in (spec.n, *spec.tau, spec.horizon))
         assert spec == GraphSpec(n=3, tau=(2, 1), q=(1.0,) * 3, r=(1.0,) * 3, horizon=4)
+
+    def test_weights_stored_as_python_floats(self):
+        spec = GraphSpec(n=3, tau=(2, 1), q=[1, np.float32(0.1), 2.5],
+                         r=(np.int64(3), 4, True), horizon=0)
+        assert all(type(x) is float for x in (*spec.q, *spec.r))
+        for stored, array in zip((spec.q, spec.r), spec.weights):
+            assert np.array(stored).tobytes() == array.tobytes()
+        assert spec.q == (1.0, float(np.float32(0.1)), 2.5)
+        assert spec.r == (3.0, 4.0, 1.0)
+
+class TestInitialState:
+    SPEC = GraphSpec(n=4, tau=(2, 3, 1), q=(1.0,) * 4, r=(1.0,) * 4, horizon=1)
+
+    @pytest.mark.parametrize("pipelines, match", [
+        ([[0.0, 0.0], [0.0, 0.0, 0.0]], "do not match edge delays"),
+        ([[0.0, 0.0], [0.0, 0.0, 0.0], [0.0], [0.0]], "do not match edge delays"),
+        ([[0.0, 0.0], [0.0, 0.0], [0.0]], "do not match edge delays"),
+        ([[0.0, 0.0], [[0.0], [0.0], [0.0]], [0.0]], "do not match edge delays"),
+        ([[0.0, 0.0], [0.0, np.nan, 0.0], [0.0]], "have a non-finite entry"),
+        ([[0.0, 0.0], [0.0, 0.0, 0.0], [-np.inf]], "have a non-finite entry"),
+    ], ids=["too-few", "too-many", "short", "2-D", "nan-in-middle", "inf-in-last"])
+    def test_bad_pipelines_rejected(self, pipelines, match):
+        with pytest.raises(SpecError, match=match):
+            PlantState.initial(self.SPEC, np.zeros(4), pipelines)
+
+    def test_z_is_checked_before_the_pipelines(self):
+        with pytest.raises(SpecError, match="initial z has a non-finite entry"):
+            PlantState.initial(self.SPEC, [0.0, np.nan, 0.0, 0.0], [[0.0]])
+
+    @pytest.mark.parametrize("tau", [(2, 3, 1), (1,), ()], ids=["n4", "n2", "n1"])
+    def test_state_equals_the_constructed_one(self, tau, rng):
+        n = len(tau) + 1
+        spec = GraphSpec(n=n, tau=tau, q=(1.0,) * n, r=(1.0,) * n, horizon=0)
+        z0 = rng.standard_normal(n)
+        pipes = [rng.standard_normal(t) for t in tau]
+        for given, want in [
+            (None, PlantState(t=0, z=z0, pipelines=[np.zeros(t) for t in tau])),
+            ([p.tolist() for p in pipes], PlantState(t=0, z=z0, pipelines=pipes)),
+        ]:
+            got = PlantState.initial(spec, z0, given)
+            assert got.t == 0 and got.z.tobytes() == want.z.tobytes()
+            for name in ("flows", "_first", "_last"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+                assert a.tobytes() == b.tobytes(), name
+
 
 def _zero_action(spec):
     return ControlDecision(u=np.zeros(spec.n - 1), v=np.zeros(spec.n))

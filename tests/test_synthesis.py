@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,10 +9,14 @@ from scipy.optimize import minimize_scalar
 
 from pathlq import GraphSpec, synthesize
 from pathlq.synthesis import (
+    ControllerParams,
+    params_to_document,
     sweep_gamma_rho,
     terminal_riccati,
 )
 from pathlq.verify import make_random_instance
+
+from diagnostics import reference_synthesize
 
 
 class TestGammaRhoSweep:
@@ -253,3 +258,48 @@ def test_output_coefficients_match_the_scalar_loop(data):
     params = synthesize(spec)
     for name, want in _reference_outputs(spec, params).items():
         assert getattr(params, name).tobytes() == want.tobytes(), name
+
+
+def _assert_same_bytes(got: ControllerParams, want: ControllerParams) -> None:
+    """Every field equal by type, shape, dtype and bytes; lists must hold
+    Python floats and are compared as float arrays."""
+    for field in dataclasses.fields(ControllerParams):
+        name, a, b = field.name, getattr(got, field.name), getattr(want, field.name)
+        if name in ("spec", "tau_eff"):
+            assert a == b, name
+            continue
+        assert type(a) is type(b) and len(a) == len(b), name
+        if isinstance(b, list):
+            assert all(type(x) is float for x in a), name
+            a, b = np.array(a), np.array(b)
+        for x, y in zip(a, b) if isinstance(b, tuple) else [(a, b)]:
+            assert type(x) is np.ndarray, name
+            assert (x.shape, x.dtype) == (y.shape, y.dtype), name
+            assert x.tobytes() == y.tobytes(), name
+    assert params_to_document(got) == params_to_document(want)
+
+
+WEIGHTS = st.one_of(
+    st.floats(-6.0, 6.0).map(lambda e: 10.0**e), st.integers(1, 10**6)
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_synthesize_matches_the_numpy_scalar_sweeps_bitwise(data):
+    n = data.draw(st.integers(1, 40), label="n")
+    tau = data.draw(st.lists(st.integers(1, 8), min_size=n - 1, max_size=n - 1))
+    weights = st.lists(WEIGHTS, min_size=n, max_size=n)
+    spec = GraphSpec(n=n, tau=tau, q=data.draw(weights), r=data.draw(weights),
+                     horizon=data.draw(st.integers(0, 12), label="H"))
+    _assert_same_bytes(synthesize(spec), reference_synthesize(spec))
+
+
+def test_integer_weights_synthesize_as_their_float_twin():
+    q, r = (3, 1, 7, 2), (10, 250, 1, 4)
+    twins = [
+        GraphSpec(n=4, tau=(2, 1, 3), q=q, r=r, horizon=5),
+        GraphSpec(n=4, tau=(2, 1, 3), q=tuple(map(float, q)),
+                  r=np.array(r, dtype=float), horizon=5),
+    ]
+    _assert_same_bytes(*map(synthesize, twins))
