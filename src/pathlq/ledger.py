@@ -19,7 +19,6 @@ cost: the windows are a view sliding along a buffer twice their size.
 from __future__ import annotations
 
 import math
-import operator
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -55,33 +54,46 @@ class DisturbancePlan:
         return np.array([self.get(i, t) for i in range(1, spec.n + 1)])
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Nodes, times and amounts of the entries, in insertion order.
+        """Nodes, times and amounts of the entries, in insertion order, each
+        amount as float() reads it.
 
-        Raises SpecError for the first key that is not a (node, time) pair
-        of integers: the 64-bit conversion checks every key in one call.
+        Raises SpecError for the first entry that check_entry rejects.  One
+        call converts every key and one every amount; the entries are
+        checked one by one only when either call fails or reads an amount
+        as NaN, as numpy reads None.
         """
-        keys = array("q")
+        entries, keys = self.entries, array("q")
         try:
-            keys.fromlist(list(chain.from_iterable(self.entries)))
-        except TypeError:
-            pass  # fromlist adds nothing on error; check_key names the key
-        if len(keys) != 2 * len(self.entries):
-            for key in self.entries:
-                check_key(key)
+            keys.fromlist(list(chain.from_iterable(entries)))
+            values = np.fromiter(entries.values(), float, len(entries))
+        except (TypeError, ValueError, OverflowError):
+            values = None  # fromlist adds nothing on error
+        if values is None or len(keys) != 2 * len(entries) or np.isnan(values).any():
+            values = np.array(
+                [check_entry(key, amount) for key, amount in entries.items()], float
+            )
         keys = np.frombuffer(keys, np.int64)
-        values = np.fromiter(self.entries.values(), float, len(self.entries))
         return keys[0::2], keys[1::2], values
 
 
-def check_key(key) -> None:
-    """Raise SpecError unless key is a (node, time) pair of integers, each an
-    int or a numpy integer."""
+def check_entry(key, amount) -> float:
+    """The amount as float(amount) reads it.  Raises SpecError unless key is
+    a (node, time) pair of integers that fit in 64 bits, each an int or a
+    numpy integer, and float() reads the amount."""
     try:
         node, t = key
-        operator.index(node), operator.index(t)
-    except (TypeError, ValueError):
+        array("q", (node, t))  # converted as arrays() converts every key
+    except (TypeError, ValueError, OverflowError):
         raise SpecError(
-            f"disturbance key {key!r} is not a (node, time) pair of integers"
+            f"disturbance key {key!r} is not a (node, time) pair of integers "
+            f"within 64 bits (amount {amount!r})"
+        ) from None
+    try:
+        return float(amount)
+    except (TypeError, ValueError, OverflowError):
+        raise SpecError(
+            f"disturbance at node {node}, time {t} is {amount!r}: "
+            "not readable as a float"
         ) from None
 
 
@@ -181,7 +193,8 @@ def init_shifted_sums(
 ) -> ShiftedWindows:
     """Windows satisfying D_i[t] = sum_{j<=i} d_j[t - sigma_j] exactly.
 
-    `arrays`, if given, is plan.arrays(), already computed by the caller."""
+    `arrays`, if given, is plan.arrays(), already computed by the caller;
+    entries before `now` may be left out of it."""
     return ShiftedWindows(spec, plan, now, arrays)
 
 
@@ -208,32 +221,38 @@ def apply_plan_updates(
 ) -> list[tuple[int, int, int, float]]:
     """Incorporate newly announced disturbance entries.
 
-    `changes` maps (node, absolute time) to the new d value.  Entries must
-    lie at or after the current time and inside the horizon bound.  Each
-    changed shifted time is formed again from its lowest changed node
-    upward, one addition and one message per hop; returns the upstream
-    messages as (src, dst, shifted time, value): node i sends D_i to i+1.
+    `changes` maps (node, absolute time) to the new d value, which the plan
+    stores as float() reads it.  Entries must lie at or after the current
+    time and inside the horizon bound.  Each changed shifted time is formed
+    again from its lowest changed node upward, one addition and one
+    message per hop; returns the upstream messages as (src, dst, shifted
+    time, value): node i sends D_i to i+1.
     """
     spec = windows.spec
     now = windows.now
     width = windows._D.shape[1]
     origin: dict[int, int] = {}  # shifted time -> lowest changed node
-    # validate_horizon's checks, entry by entry: at ~10 changes a step
-    # numpy's per-call cost exceeds this loop's.
-    for key in sorted(changes):
-        check_key(key)
+    # arrays()' and validate_horizon's checks, entry by entry: at ~10
+    # changes a step numpy's per-call cost exceeds this loop's.
+    try:
+        keys = sorted(changes)
+    except TypeError:
+        keys = list(changes)  # one key is no integer pair; check_entry names it
+    amounts = {}
+    for key in keys:
+        amount = amounts[key] = check_entry(key, changes[key])
         node, t = key
         if not 1 <= node <= spec.n:
             raise SpecError(f"disturbance at node {node}: nodes are 1..{spec.n}")
-        if not math.isfinite(changes[node, t]):
-            raise nonfinite_entry(node, t, changes[node, t])
+        if not math.isfinite(amount):
+            raise nonfinite_entry(node, t, amount)
         if t < now:
             raise HorizonViolationError(node, t, now)
         st = t + spec.sigma[node - 1]
-        if st - now >= width and changes[node, t] != 0.0:
+        if st - now >= width and amount != 0.0:
             raise HorizonViolationError(node, t, now + width - 1 - spec.sigma[node - 1])
         origin.setdefault(st, node)
-    plan.entries.update(changes)
+    plan.entries.update(amounts)
     D, sigma, get, n = windows._D, spec.sigma, plan.entries.get, spec.n
     messages = []
     for st in sorted(origin):

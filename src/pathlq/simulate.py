@@ -60,14 +60,16 @@ class Sequential:
 
 def _announcement_schedule(
     spec, plan, announce, blind, d_hist
-) -> tuple[dict[int, dict], tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Announcement time -> {(node, s): amount} of the entries known then,
-    and the nodes, times and amounts of those known at t = 0, as
-    DisturbancePlan.arrays() would give them for that plan.
+) -> tuple[DisturbancePlan, tuple[np.ndarray, np.ndarray, np.ndarray], dict[int, dict]]:
+    """The entries the controller knows at t = 0, as a plan and as the
+    nodes, times and amounts DisturbancePlan.arrays() gives for it, and
+    announcement time -> {(node, s): amount} of those it learns later.
 
     Every entry is checked, even when blind, and each one inside the run
     is written into d_hist, the plant's disturbance table.  Entries
-    before t = 0 can never matter to the run and are left out.
+    before t = 0 can never matter to the run and are left out.  A full plan
+    is known whole at t = 0: it comes back as the caller's plan, with
+    nothing left to announce, and no dict is built.
     """
     nodes, times, values = plan.arrays()
     raise_first_offence(
@@ -77,21 +79,23 @@ def _announcement_schedule(
     inside = (times >= 0) & (times < len(d_hist))
     d_hist[times[inside], nodes[inside] - 1] = values[inside]
     if blind:
-        return {}, (nodes[:0], times[:0], values[:0])
+        return DisturbancePlan(), (nodes[:0], times[:0], values[:0]), {}
     ahead = np.flatnonzero(times >= 0)
-    at = (np.zeros_like(ahead) if announce is None
-          else np.maximum(times[ahead] - announce, 0))
+    if announce is None:
+        return plan, (nodes[ahead], times[ahead], values[ahead]), {}
+    at = np.maximum(times[ahead] - announce, 0)
     order = np.argsort(at, kind="stable")
     at, ahead = at[order], ahead[order]
     first = ahead[: np.searchsorted(at, 1)]
-    # One dict per run of equal announcement times.
+    # One dict per run of equal announcement times, of the amounts as read.
     bounds = np.flatnonzero(np.diff(at, prepend=-1)).tolist() + [len(at)]
-    items, ahead = list(plan.entries.items()), ahead.tolist()
+    items, ahead = list(zip(plan.entries, values.tolist())), ahead.tolist()
     schedule = {
         int(at[lo]): dict(map(items.__getitem__, ahead[lo:hi]))
         for lo, hi in zip(bounds, bounds[1:])
     }
-    return schedule, (nodes[first], times[first], values[first])
+    known = DisturbancePlan(schedule.pop(0, {}))
+    return known, (nodes[first], times[first], values[first]), schedule
 
 
 def closed_loop(
@@ -132,8 +136,7 @@ def closed_loop(
         executor = Sequential()
     n = spec.n
     d_hist = np.zeros((steps, n))
-    schedule, first = _announcement_schedule(spec, plan, announce, blind, d_hist)
-    known = DisturbancePlan(schedule.pop(0, {}))
+    known, first, schedule = _announcement_schedule(spec, plan, announce, blind, d_hist)
     windows = init_shifted_sums(known, spec, now=0, arrays=first)
     state = PlantState.initial(spec, z0, pipelines0)
     d_blind = np.zeros(n)
@@ -143,7 +146,9 @@ def closed_loop(
     v_hist = np.zeros((steps, n))
     costs = np.zeros(steps)
     z_hist[0] = state.z
-    init_pipes = tuple(p.copy() for p in state.pipelines)
+    # One copy of the pre-run flows, cut into the edges' pipelines.
+    flows0, sigma = state.flows.copy(), spec.sigma
+    init_pipes = tuple(flows0[a:b] for a, b in zip(sigma, sigma[1:]))
 
     for t in range(steps):
         if t in schedule:

@@ -7,8 +7,9 @@ The third sweep (node 1 up again) computes the h coefficients, after
 which each node finalizes its local phi, a and c parameters.
 
 The sweeps run on Python floats, with the IEEE operations of the scalar
-recursions in their order, in O(sum of tau_eff^2) time; each table
-becomes one numpy array at the end of synthesize.
+recursions in their order, in O(sum of tau_eff^2) time.  Each table that
+a run reads becomes one numpy array at the end of synthesize; the X, g and
+P tables stay rows of Python floats until they are first read.
 
 Index conventions: arrays are stored 0-based per node k = i - 1.  The
 last node has no incoming edge; it uses an effective delay of H + 1 so
@@ -17,6 +18,7 @@ that its tables cover the whole planning horizon.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -60,19 +62,20 @@ class ControllerParams:
     scalar of the local outputs is one length-N array, so the sequential
     controller reads all nodes at once.  The two sweeps' coefficients,
     one_minus_p_tau_1 and b, are lists of Python floats, which the Python
-    sweeps read directly.  The per-node X, g and P arrays of each table are
-    consecutive views of one array.
+    sweeps read directly.  No run reads the X, g and P tables, so they are
+    kept as the sweeps' rows of Python floats, and their per-node arrays,
+    consecutive views of one array per table, are built on first read.
     """
 
     spec: GraphSpec  # the instance these parameters were synthesized for
     tau_eff: tuple[int, ...]
     gamma: np.ndarray
     rho: np.ndarray
-    X: tuple[np.ndarray, ...]  # X[k][j-1]; last node has H+2 entries
-    g: tuple[np.ndarray, ...]  # g[k][j] for j = 2..tau_eff (indices 0,1 unused)
+    X_rows: list[list[float]]  # X_rows[k][j-1] = X_i(j); last node has H+2
+    g_rows: list[list[float]]  # g_rows[k][j] = g_i(j) for j = 2..tau_eff, NaN at 0, 1
     g_cross: np.ndarray  # g_cross[k] = g_{i+1}(1) stored at node i = k+1 < N
     b: list[float]  # b_i for i = 1..N-1, then node N's 0.0
-    P: tuple[np.ndarray, ...]  # P[k][l-1, m-1], shape (tau_eff, tau_eff)
+    P_rows: list[list[float]]  # P_rows[k][(l-1) * tau_eff + m-1] = P_i(l, m)
     h: np.ndarray  # h[i] = h_i for i = 0..N-1, h[0] = 0
     coef: np.ndarray  # (2, N, W): phi and gprod rows of nodes 1..N-1
     coef_last: np.ndarray  # (2, H+2): node N's phi and gprod rows
@@ -88,6 +91,23 @@ class ControllerParams:
     # only its first W-1 slots; its column 0 is the head that its outputs read.
     delay_cols: np.ndarray  # (N, W-1)
     fold_end: np.ndarray  # k * W + min(tau_eff[k], W-1): where node k's fold ends
+
+    @functools.cached_property
+    def X(self) -> tuple[np.ndarray, ...]:
+        """X[k][j-1] = X_i(j), one array per node."""
+        return _views(self.X_rows)
+
+    @functools.cached_property
+    def g(self) -> tuple[np.ndarray, ...]:
+        """g[k][j] = g_i(j) for j = 2..tau_eff (indices 0, 1 unused)."""
+        return _views(self.g_rows)
+
+    @functools.cached_property
+    def P(self) -> tuple[np.ndarray, ...]:
+        """P[k][l-1, m-1] = P_i(l, m), shape (tau_eff, tau_eff)."""
+        return tuple(
+            pk.reshape(te, te) for pk, te in zip(_views(self.P_rows), self.tau_eff)
+        )
 
     def require_spec(self, spec: GraphSpec) -> None:
         """Raise SpecError unless these parameters were synthesized for `spec`."""
@@ -280,11 +300,11 @@ def synthesize(spec: GraphSpec) -> ControllerParams:
         tau_eff=tau_eff,
         gamma=gamma,
         rho=rho,
-        X=_views(X),
-        g=_views(g),
+        X_rows=X,
+        g_rows=g,
         g_cross=np.array(g_cross),
         b=b,
-        P=tuple(pk.reshape(te, te) for pk, te in zip(_views(P), tau_eff)),
+        P_rows=P,
         h=h,
         coef=coef,
         coef_last=coef_last,

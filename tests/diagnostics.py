@@ -329,16 +329,16 @@ def reference_synthesize(spec: GraphSpec) -> ControllerParams:
             spec, tau_eff, gamma, rho, X, g_cross, rows, b, P, one_minus_p_tau_1
         )
     )
-    return ControllerParams(
+    params = ControllerParams(
         spec=spec,
         tau_eff=tau_eff,
         gamma=gamma,
         rho=rho,
-        X=X,
-        g=g,
+        X_rows=[xk.tolist() for xk in X],
+        g_rows=[gk.tolist() for gk in g],
         g_cross=g_cross,
         b=b,
-        P=P,
+        P_rows=[pk.ravel().tolist() for pk in P],
         h=h,
         coef=coef,
         coef_last=coef_last,
@@ -351,3 +351,7 @@ def reference_synthesize(spec: GraphSpec) -> ControllerParams:
         delay_cols=delay_cols,
         fold_end=fold_end,
     )
+    # The reference's own per-node arrays, in place of those that
+    # ControllerParams builds from the rows on first read.
+    vars(params).update(X=X, g=g, P=P)
+    return params

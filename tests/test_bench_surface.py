@@ -182,3 +182,22 @@ def test_a_set_up_calls_each_sweep_and_the_window_init_once(monkeypatch):
     assert calls == {**dict.fromkeys(hooks, 1), "init_shifted_sums": 0}
     simulate.closed_loop(spec, params, DisturbancePlan({(2, 1): 0.5}), 0)
     assert calls == dict.fromkeys(hooks, 1)
+
+
+@pytest.mark.parametrize("announce", [None, 2], ids=["full-plan", "receding"])
+def test_no_run_builds_the_X_g_P_arrays(announce):
+    # ControllerParams builds its per-node X, g and P arrays on first read,
+    # and nothing but params_to_document reads them: setup_s would grow by
+    # their build without any episode failing.
+    built_on_read = {"X", "g", "P"}
+    spec = GraphSpec(n=4, tau=(2, 1, 3), q=(1.0,) * 4, r=(1.0,) * 4, horizon=2)
+    plan = DisturbancePlan({(2, 1): 0.5, (4, 2): -1.0, (1, 5): 0.25})
+    params = synthesis.synthesize(spec)
+    simulate.closed_loop(spec, params, plan, 0, announce=announce)
+    assert built_on_read.isdisjoint(vars(params))
+    simulate.closed_loop(spec, params, plan, 8, announce=announce)
+    if announce is None:
+        harness.run_closed_loop(spec, params, plan, 8, rng=np.random.default_rng(0))
+    assert built_on_read.isdisjoint(vars(params))
+    synthesis.params_to_document(params)
+    assert built_on_read <= vars(params).keys()

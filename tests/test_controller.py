@@ -2,12 +2,14 @@
 
 import re
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathlq import simulate
 from pathlq.controller import (
     combine_delta,
     combine_mu,
@@ -247,6 +249,46 @@ def test_non_integer_plan_key_rejected_in_every_mode(mode, key):
         closed_loop(spec, synthesize(spec), plan, 6, **mode)
 
 
+@pytest.mark.parametrize("mode", [{}, {"announce": 0}, {"blind": True}],
+                         ids=["full-plan", "announce", "blind"])
+@pytest.mark.parametrize("key, amount, want", [
+    ((1, 2**70), 1.0, f"key {(1, 2**70)!r} is not a (node, time) pair of integers "
+                      "within 64 bits (amount 1.0)"),
+    ((2**63, 1), 1.0, f"key {(2**63, 1)!r} is not a (node, time) pair of integers "
+                      "within 64 bits (amount 1.0)"),
+    ((2, 1), "x", "at node 2, time 1 is 'x': not readable as a float"),
+    ((2, 1), 1j, "at node 2, time 1 is 1j: not readable as a float"),
+    ((2, 1), None, "at node 2, time 1 is None: not readable as a float"),
+], ids=["time-past-int64", "node-past-int64", "text", "complex", "none"])
+def test_unreadable_plan_entry_rejected_in_every_mode(mode, key, amount, want):
+    spec = _spec(3, [2, 1], horizon=2)
+    entries = {(1, 0): 0.5, key: amount, (3, 2): 1.0}
+    plan = DisturbancePlan(dict(entries))
+    with pytest.raises(SpecError, match=re.escape(want)):
+        closed_loop(spec, synthesize(spec), plan, 6, **mode)
+    assert list(plan.entries.items()) == list(entries.items())
+
+
+@pytest.mark.parametrize("mode", [{}, {"announce": 1}, {"blind": True}],
+                         ids=["full-plan", "announce", "blind"])
+def test_plan_amounts_run_as_float_reads_them(mode):
+    # tau = (2, 1): d_3[1] and d_2[2] share shifted time 4.  Announced one
+    # step ahead, d_3[1] is known at t = 0 and read back when d_2[2]
+    # arrives at t = 1; both are summed as floats.
+    spec = _spec(3, [2, 1], horizon=2)
+    params = synthesize(spec)
+    given = {(1, 0): "0.5", (3, 1): np.float32(0.1), (2, 2): Fraction(1, 3),
+             (1, 3): True, (2, 3): "-1.5"}
+    runs = [
+        closed_loop(spec, params, DisturbancePlan(entries), 6, **mode)
+        for entries in (given, {key: float(x) for key, x in given.items()})
+    ]
+    got, want = (res.trajectory for res in runs)
+    for name in ("z", "u", "v", "d"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert runs[0].total_cost == runs[1].total_cost
+
+
 def test_blind_controller_regulates_initial_imbalance():
     # A controller that never sees the plan still drives the levels toward
     # zero when there are no disturbances.
@@ -324,6 +366,52 @@ def test_final_state_is_the_state_rebuilt_from_the_trajectory(n, tau, steps):
                                 plan.d_now(spec, 0), params)
         assert res.decisions[0].u.tobytes() == first.u.tobytes()
         assert res.decisions[0].v.tobytes() == first.v.tobytes()
+
+
+@pytest.mark.parametrize("tau", [(), (1,), (3, 1, 2)], ids=["n1", "tau1", "mixed"])
+@pytest.mark.parametrize("steps", [0, 4])
+def test_init_pipelines_keep_the_pre_run_flows(tau, steps):
+    n = len(tau) + 1
+    spec = _spec(n, tau, horizon=2)
+    pipes0 = [np.arange(1.0, t + 1.0) * (e + 1) for e, t in enumerate(tau)]
+    want = [p.tobytes() for p in pipes0]
+    res = closed_loop(spec, synthesize(spec), DisturbancePlan({(n, 1): 0.8}), steps,
+                      pipelines0=pipes0)
+    got = res.trajectory.init_pipelines
+    assert type(got) is tuple and [p.shape for p in got] == [(t,) for t in tau]
+    assert [p.tobytes() for p in got] == want
+    # Neither the plant's buffer (the initial one when steps = 0) nor the
+    # caller's arrays share memory with them.
+    res.final_state.flows[:] = -7.0
+    for p in pipes0:
+        p[:] = -9.0
+    assert [p.tobytes() for p in got] == want
+
+
+def test_full_plan_run_announces_nothing(monkeypatch):
+    # With every entry at t <= H, announce=H also knows the whole plan at
+    # t = 0; both runs build the same windows and decide bitwise alike.
+    calls = []
+    monkeypatch.setattr(simulate, "apply_plan_updates",
+                        lambda *args: calls.append(args) or [])
+    spec = _spec(4, [2, 3, 1], horizon=5)
+    params = synthesize(spec)
+    rng = np.random.default_rng(3)
+    # In no sorted order, one entry before t = 0 and one at t = H.
+    plan = DisturbancePlan({(2, -1): 0.7, (4, spec.horizon): -0.3})
+    for i, t in zip(rng.integers(1, 5, 12), rng.integers(0, spec.horizon, 12)):
+        plan.entries[int(i), int(t)] = float(rng.normal())
+    before = dict(plan.entries)
+    z0 = rng.normal(size=4)
+    runs = [closed_loop(spec, params, plan, 20, z0, announce=a)
+            for a in (None, spec.horizon)]
+    assert calls == []
+    assert plan.entries == before
+    full, announced = runs
+    for a, b in zip(full.decisions, announced.decisions):
+        assert a.u.tobytes() == b.u.tobytes() and a.v.tobytes() == b.v.tobytes()
+    costs = np.array([full.total_cost, announced.total_cost])
+    assert costs[0].tobytes() == costs[1].tobytes()
 
 
 def _per_node_step(state, windows, d_now, params):

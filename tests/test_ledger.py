@@ -1,6 +1,7 @@
 """Tests for the disturbance plan and the shifted-sum window maintenance."""
 
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -317,7 +318,7 @@ def test_nonfinite_entry_rejected(call, t, value):
         assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("key", [(2, 1.5), (2.7, 1), (2.0, 1), (1, 2, 3), (2,)])
+@pytest.mark.parametrize("key", [(2, 1.5), (2.7, 1), (2.0, 1), (1, 2, 3), (2,), ("x", 1)])
 @pytest.mark.parametrize("call", ["init", "update"])
 def test_non_integer_key_rejected(call, key):
     spec = _spec(2, [1], horizon=2)
@@ -333,6 +334,68 @@ def test_non_integer_key_rejected(call, key):
     assert plan.entries == {}
     for got, want in zip(_windows(windows), before):
         assert got.tobytes() == want.tobytes()
+
+
+# id -> (key, amount, the part of the entry at fault)
+UNREADABLE = {
+    "time-past-int64": ((1, 2**70), 1.0, "key"),
+    "node-past-int64": ((-(2**64), 1), 1.0, "key"),
+    "text": ((2, 1), "x", "amount"),
+    "complex": ((2, 1), 1j, "amount"),
+    "none": ((2, 1), None, "amount"),
+    "list": ((2, 1), [0.5], "amount"),
+    "huge-int": ((2, 1), 10**400, "amount"),
+}
+
+
+@pytest.mark.parametrize("key, amount, fault", UNREADABLE.values(), ids=UNREADABLE)
+@pytest.mark.parametrize("call", ["init", "update"])
+def test_unreadable_entry_rejected(call, key, amount, fault):
+    # One rule on both paths: a key of two 64-bit integers and an amount
+    # that float() reads; anything else is named as given.
+    spec = _spec(2, [1], horizon=2)
+    plan = DisturbancePlan()
+    windows = init_shifted_sums(plan, spec)
+    before = _windows(windows)
+    want = {
+        "key": f"disturbance key {key!r} is not a (node, time) pair of integers "
+               f"within 64 bits (amount {amount!r})",
+        "amount": f"disturbance at node {key[0]}, time {key[1]} is {amount!r}: "
+                  "not readable as a float",
+    }[fault]
+    with pytest.raises(SpecError, match=re.escape(want)):
+        if call == "init":
+            init_shifted_sums(DisturbancePlan({(1, 0): 1.0, key: amount}), spec)
+        else:
+            apply_plan_updates(windows, plan, {(1, 0): 1.0, key: amount})
+    assert plan.entries == {}
+    for got, want in zip(_windows(windows), before):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("amount", ["1.5", " -0.25\n", np.float32(0.1), True,
+                                    Fraction(1, 3), np.int64(3)],
+                         ids=["text", "padded-text", "float32", "bool", "fraction",
+                              "int64"])
+def test_amounts_are_read_as_float_reads_them(amount):
+    spec = _spec(3, [2, 1], horizon=3)
+    given = {(1, 2): 0.5, (2, 1): amount, (3, 0): amount}
+    floats = {key: float(x) for key, x in given.items()}
+    for got, want in zip(DisturbancePlan(given).arrays(),
+                         DisturbancePlan(floats).arrays()):
+        assert got.tobytes() == want.tobytes()
+    # Announced: the hops sum the float, and the plan keeps it.
+    runs = []
+    for changes in (given, floats):
+        plan = DisturbancePlan({(3, 1): 0.25})
+        windows = init_shifted_sums(plan, spec)
+        messages = apply_plan_updates(windows, plan, changes)
+        runs.append((messages, _windows(windows), plan.entries))
+    (got_msgs, got_rows, got_entries), (want_msgs, want_rows, want_entries) = runs
+    assert repr(got_msgs) == repr(want_msgs)
+    assert [row.tobytes() for row in got_rows] == [row.tobytes() for row in want_rows]
+    assert got_entries == want_entries
+    assert all(type(x) is float for x in got_entries.values())
 
 
 def test_numpy_integer_keys_read_as_ints():

@@ -260,15 +260,25 @@ def test_output_coefficients_match_the_scalar_loop(data):
         assert getattr(params, name).tobytes() == want.tobytes(), name
 
 
+# Tables that are not dataclass fields: the per-node arrays that
+# ControllerParams builds on first read.
+BUILT_ON_READ = ("X", "g", "P")
+
+
 def _assert_same_bytes(got: ControllerParams, want: ControllerParams) -> None:
-    """Every field equal by type, shape, dtype and bytes; lists must hold
+    """Every field and every table of BUILT_ON_READ equal by type, shape,
+    dtype and bytes; lists, and the rows of the *_rows lists, must hold
     Python floats and are compared as float arrays."""
-    for field in dataclasses.fields(ControllerParams):
-        name, a, b = field.name, getattr(got, field.name), getattr(want, field.name)
+    names = [field.name for field in dataclasses.fields(ControllerParams)]
+    for name in names + list(BUILT_ON_READ):
+        a, b = getattr(got, name), getattr(want, name)
         if name in ("spec", "tau_eff"):
             assert a == b, name
             continue
         assert type(a) is type(b) and len(a) == len(b), name
+        if name.endswith("_rows"):
+            assert [len(row) for row in a] == [len(row) for row in b], name
+            a, b = [x for row in a for x in row], [x for row in b for x in row]
         if isinstance(b, list):
             assert all(type(x) is float for x in a), name
             a, b = np.array(a), np.array(b)
