@@ -2,7 +2,7 @@
 
 Closed-form controller synthesis, the online two-sweep control law with
 disturbance feed-forward and receding-horizon updates, a message-passing
-execution harness, and an independent dense LQ oracle for certification.
+execution harness, and an independent LQ oracle for certification.
 """
 
 from .errors import (

@@ -2,7 +2,7 @@
 
 All experiment input comes from a JSON config file; all output is CSV or
 JSON written to the output directory.  Identical config and seed produce
-bit-identical files; `verify`'s also need a fixed BLAS thread count.
+bit-identical files.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -58,22 +57,23 @@ class DisturbancePlan:
         amount as float() reads it.
 
         Raises SpecError for the first entry that check_entry rejects.  One
-        call converts every key and one every amount; the entries are
-        checked one by one only when either call fails or reads an amount
-        as NaN, as numpy reads None.
+        strict zip splits the keys into nodes and times, so a key that is
+        not a pair fails it, one call converts each column and one every
+        amount; the entries are checked one by one only when any of these
+        fails or reads an amount as NaN, as numpy reads None.
         """
-        entries, keys = self.entries, array("q")
+        entries = self.entries
         try:
-            keys.fromlist(list(chain.from_iterable(entries)))
+            nodes, times = zip(*entries, strict=True) if entries else ((), ())
+            nodes, times = array("q", nodes), array("q", times)
             values = np.fromiter(entries.values(), float, len(entries))
         except (TypeError, ValueError, OverflowError):
-            values = None  # fromlist adds nothing on error
-        if values is None or len(keys) != 2 * len(entries) or np.isnan(values).any():
+            values = None
+        if values is None or np.isnan(values).any():
             values = np.array(
                 [check_entry(key, amount) for key, amount in entries.items()], float
             )
-        keys = np.frombuffer(keys, np.int64)
-        return keys[0::2], keys[1::2], values
+        return np.frombuffer(nodes, np.int64), np.frombuffer(times, np.int64), values
 
 
 def check_entry(key, amount) -> float:

@@ -1,11 +1,13 @@
-"""Independent dense LQ ground truth for the structured controller.
+"""Independent LQ ground truth for the structured controller.
 
 The delayed plant is lifted to an augmented state space (levels plus one
-coordinate per in-transit slot).  The finite-horizon problem with known
-additive disturbances is solved as one strictly convex quadratic program
-in the stacked inputs (states eliminated through the dynamics), with the
-stationary cost-to-go as terminal weight so the truncation is exact
-whenever the disturbances have died out by the end of the horizon.
+coordinate per in-transit slot), of dimension dim = N + sigma_N.  The
+finite-horizon problem with known additive disturbances is solved by
+standard LQ theory, none of the paper's algebra: the stationary
+cost-to-go is the terminal weight, so the feedback gain is constant and
+only an affine term runs backward, at O(T * dim^2) after one stationary
+Riccati solve.  The truncation is exact whenever the disturbances have
+died out by the end of the horizon.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidHorizonError
 from .ledger import DisturbancePlan
@@ -143,8 +144,13 @@ def solve_finite_horizon(
     """Globally optimal inputs for the T-step problem with known disturbances.
 
     Minimizes sum_{t<T} (x_t' Q x_t + u_t' R u_t) + x_T' P x_T subject to
-    the dynamics, by eliminating the states and solving the (strictly
-    convex) normal equations in the stacked inputs with partial pivoting.
+    the dynamics.  P_terminal must be the stationary solution (the
+    default computes it; any other raises ValueError): the Riccati
+    recursion then stays at P, so the gain K = M^-1 B'PA, M = R + B'PB,
+    is the same at every step and only the affine cost-to-go term s_t
+    runs backward, from s_T = 0:
+        g_t = P E d_t + s_{t+1},   s_t = (A - BK)' g_t,
+    and u_t = -K x_t - M^-1 B' g_t forward from x0.
     """
     spec = system.spec
     min_T = spec.sigma_total + spec.horizon + 1
@@ -152,58 +158,32 @@ def solve_finite_horizon(
         raise InvalidHorizonError(
             f"T = {T} too small: need at least sigma_N + H + 1 = {min_T}"
         )
-    if P_terminal is None:
-        P_terminal = stationary_riccati(system)
+    P = stationary_riccati(system) if P_terminal is None else P_terminal
 
     A, B, E = system.A, system.B, system.E
-    dim, m = system.dim, system.n_inputs
+    Minv_Bt = np.linalg.solve(system.R + B.T @ P @ B, B.T)
+    K = Minv_Bt @ P @ A
+    A_cl = A - B @ K
+    resid = np.max(np.abs(system.Q + A.T @ P @ A_cl - P))
+    if resid > 1e-8 * max(1.0, np.max(np.abs(P))):
+        raise ValueError(
+            f"P_terminal is not the stationary Riccati solution: residual {resid:.3e}"
+        )
     d_mat = np.stack([plan.d_now(spec, t) for t in range(T)])
 
-    # Free response x_free[t] = A^t x0 + sum_{s<t} A^{t-1-s} E d_s, t = 1..T.
-    x_free = np.zeros((T + 1, dim))
-    x_free[0] = x0
-    for t in range(T):
-        x_free[t + 1] = A @ x_free[t] + E @ d_mat[t]
+    g = d_mat @ (P @ E).T  # P E d_t; becomes g_t in place
+    for t in range(T - 2, -1, -1):
+        g[t] += g[t + 1] @ A_cl  # s_{t+1} = A_cl' g_{t+1}
+    feedforward = g @ Minv_Bt.T
 
-    # Input-to-state map: x_t = x_free[t] + sum_{s<t} A^{t-1-s} B u_s.
-    Apow_B = np.zeros((T, dim, m))  # Apow_B[j] = A^j B
-    Apow_B[0] = B
-    for j in range(1, T):
-        Apow_B[j] = A @ Apow_B[j - 1]
-
-    # Weighted rows: sqrt(q) on level coordinates for t = 1..T-1, plus a
-    # Cholesky factor of the terminal weight for t = T.  Everything else
-    # in the state cost is zero, so those rows are dropped.  Row block t,
-    # column block s holds A^{t-1-s} B (zero for s >= t): one strided copy
-    # per column block.
-    n = spec.n
-    sq = np.sqrt(spec.weights[0])
-    L_term = np.linalg.cholesky(P_terminal)  # P is PD for these plants
-    W_G = np.zeros(((T - 1) * n + dim, T * m))
-    blocks = W_G[: (T - 1) * n].reshape(T - 1, n, T, m)
-    level = sq[:, None] * Apow_B[:, :n]
-    for s in range(T - 1):
-        blocks[s:, :, s] = level[: T - 1 - s]
-    W_G[(T - 1) * n :] = np.hstack(L_term.T @ Apow_B[::-1])
-    w_free = np.concatenate([(sq * x_free[1:T, :n]).ravel(), L_term.T @ x_free[T]])
-
-    H = W_G.T @ W_G
-    H[np.arange(T * m), np.arange(T * m)] += np.tile(np.diag(system.R), T)
-    f = W_G.T @ w_free
-
-    lu, piv = scipy.linalg.lu_factor(H)
-    anorm = np.linalg.norm(H, 1)
-    rcond, _ = scipy.linalg.lapack.dgecon(lu, anorm, norm="1")
-    if rcond < 1e-12:
-        warnings.warn(f"ill-conditioned input Hessian: rcond = {rcond:.3e}")
-    U = scipy.linalg.lu_solve((lu, piv), -f).reshape(T, m)
-
-    states = np.zeros((T + 1, dim))
+    U = np.zeros((T, system.n_inputs))
+    states = np.zeros((T + 1, system.dim))
     states[0] = x0
     for t in range(T):
+        U[t] = -(K @ states[t]) - feedforward[t]
         states[t + 1] = A @ states[t] + B @ U[t] + E @ d_mat[t]
     cost = float(
         sum(states[t] @ system.Q @ states[t] + U[t] @ system.R @ U[t] for t in range(T))
-        + states[T] @ P_terminal @ states[T]
+        + states[T] @ P @ states[T]
     )
     return FiniteHorizonSolution(inputs=U, cost=cost)

@@ -62,7 +62,7 @@ def report(capfd):
 
 
 def test_acceptance_1_optimality_certification(report):
-    # Structured first actions and closed-loop costs vs the dense oracle,
+    # Every structured decision and the closed-loop cost vs the LQ oracle,
     # 100 random instances, <= 1e-6 relative, under 60 s.
     t0 = time.perf_counter()
     suite = run_differential_suite(n_instances=100, seed=2024, tolerance=1e-6)

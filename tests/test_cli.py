@@ -279,18 +279,18 @@ class TestOtherCommands:
         assert (repr(action_err), repr(cost_err)) == (
             row["action_rel_err"], row["cost_rel_err"])
 
-    def test_verify_is_byte_identical_at_one_blas_thread(self, tmp_path):
-        # verify's reports depend on the BLAS thread count; at a fixed
-        # count they repeat byte for byte.
+    def test_verify_is_byte_identical_at_one_and_two_blas_threads(self, tmp_path):
+        # The same config and seed give the same verify.csv, whatever the
+        # BLAS thread count.
         cfg = dict(BASE_CONFIG, verify_instances=6)
         path = tmp_path / "v.json"
         path.write_text(json.dumps(cfg))
         src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, OMP_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         reports = []
-        for run in ("a", "b"):
-            out = tmp_path / run
+        for threads in ("1", "2"):
+            env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            out = tmp_path / threads
             subprocess.run(
                 [sys.executable, "-m", "pathlq.cli", "verify", "--config", str(path),
                  "--out", str(out)],

@@ -251,6 +251,19 @@ def test_non_integer_plan_key_rejected_in_every_mode(mode, key):
 
 @pytest.mark.parametrize("mode", [{}, {"announce": 0}, {"blind": True}],
                          ids=["full-plan", "announce", "blind"])
+def test_plan_keys_that_are_not_pairs_rejected_in_every_mode(mode):
+    # Flattened, the two keys would run as d_1[2] = 0.5 and d_3[1] = 1.0.
+    spec = _spec(3, [2, 1], horizon=2)
+    entries = {(1,): 0.5, (2, 3, 1): 1.0}
+    plan = DisturbancePlan(dict(entries))
+    want = "disturbance key (1,) is not a (node, time) pair of integers"
+    with pytest.raises(SpecError, match=re.escape(want)):
+        closed_loop(spec, synthesize(spec), plan, 6, **mode)
+    assert list(plan.entries.items()) == list(entries.items())
+
+
+@pytest.mark.parametrize("mode", [{}, {"announce": 0}, {"blind": True}],
+                         ids=["full-plan", "announce", "blind"])
 @pytest.mark.parametrize("key, amount, want", [
     ((1, 2**70), 1.0, f"key {(1, 2**70)!r} is not a (node, time) pair of integers "
                       "within 64 bits (amount 1.0)"),

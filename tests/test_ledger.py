@@ -336,6 +336,36 @@ def test_non_integer_key_rejected(call, key):
         assert got.tobytes() == want.tobytes()
 
 
+# Keys that are not pairs but hold two integers per entry between them.
+NOT_PAIRS = {
+    "one-and-three": ((1,), (2, 1, 1)),
+    "three-and-one": ((2, 1, 1), (1,)),
+    "four-and-none": ((1, 0, 1, 1), ()),
+}
+
+
+@pytest.mark.parametrize("keys", NOT_PAIRS.values(), ids=NOT_PAIRS)
+@pytest.mark.parametrize("call", ["init", "update"])
+def test_keys_that_are_not_pairs_rejected_together(call, keys):
+    # Flattened, (1,) and (2, 1, 1) would read as the pairs (1, 2), (1, 1).
+    # Init checks the entries in insertion order, the update in key order.
+    spec = _spec(2, [1], horizon=2)
+    plan = DisturbancePlan()
+    windows = init_shifted_sums(plan, spec)
+    before = _windows(windows)
+    entries = {(1, 0): 1.0, keys[0]: 0.5, keys[1]: -0.5}
+    named = keys[0] if call == "init" else min(keys)
+    want = f"disturbance key {named!r} is not a (node, time) pair of integers"
+    with pytest.raises(SpecError, match=re.escape(want)):
+        if call == "init":
+            init_shifted_sums(DisturbancePlan(entries), spec)
+        else:
+            apply_plan_updates(windows, plan, entries)
+    assert plan.entries == {}
+    for got, want in zip(_windows(windows), before):
+        assert got.tobytes() == want.tobytes()
+
+
 # id -> (key, amount, the part of the entry at fault)
 UNREADABLE = {
     "time-past-int64": ((1, 2**70), 1.0, "key"),

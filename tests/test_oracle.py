@@ -1,4 +1,8 @@
-"""Tests for the dense LQ reference solver and the shifted-sum diagnostics."""
+"""Tests for the LQ oracle, its dense reference QP and the shifted-sum diagnostics."""
+
+import ast
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from pathlq.model import (
     plant_step,
 )
 from pathlq.oracle import (
+    FiniteHorizonSolution,
     build_augmented_system,
     solve_finite_horizon,
     state_vector,
@@ -22,7 +27,12 @@ from pathlq.oracle import (
 )
 from pathlq.simulate import closed_loop
 from pathlq.synthesis import sweep_gamma_rho, synthesize
-from pathlq.verify import SETTLING_STEPS, make_random_instance
+from pathlq.verify import (
+    SETTLING_STEPS,
+    Instance,
+    certify_instance,
+    make_random_instance,
+)
 
 from diagnostics import (
     check_cost_decomposition,
@@ -147,6 +157,16 @@ class TestFiniteHorizon:
             pert = sol.inputs + 1e-3 * rng.normal(size=sol.inputs.shape)
             assert total_cost(pert) >= base - 1e-12
 
+    def test_terminal_weight_other_than_the_stationary_one_rejected(self):
+        # The constant gain is optimal only under the stationary weight.
+        spec = _spec(3, [2, 1], horizon=1)
+        system = build_augmented_system(spec)
+        P = stationary_riccati(system)
+        for P_terminal in (system.Q + np.eye(system.dim), 2.0 * P):
+            with pytest.raises(ValueError, match="not the stationary Riccati solution"):
+                solve_finite_horizon(system, np.ones(system.dim), DisturbancePlan(), 20,
+                                     P_terminal)
+
     def test_doubling_the_horizon_changes_nothing(self):
         # With the stationary terminal weight, lengthening T beyond the
         # disturbance support leaves cost and first inputs unchanged.
@@ -160,6 +180,39 @@ class TestFiniteHorizon:
         b = solve_finite_horizon(system, x0, plan, T=60, P_terminal=P)
         assert abs(a.cost - b.cost) < 1e-9 * max(1.0, abs(a.cost))
         assert np.max(np.abs(a.inputs[0] - b.inputs[0])) < 1e-9
+
+
+class TestLargeInstance:
+    def test_every_decision_of_a_fifty_node_run_is_optimal(self):
+        # N = 50, tau in 1..4, H = 10, each admissible plan slot nonzero with
+        # probability 5%: dim = 170 here, far past the dense QP's reach.
+        rng = np.random.default_rng(0)
+        n = 50
+        tau = tuple(int(t) for t in rng.integers(1, 5, n - 1))
+        q, r = (tuple(float(x) for x in rng.uniform(0.1, 10.0, n)) for _ in "qr")
+        spec = GraphSpec(n=n, tau=tau, q=q, r=r, horizon=10)
+        plan = DisturbancePlan()
+        for i in range(1, n + 1):
+            last = spec.horizon + spec.sigma_total - spec.sigma[i - 1]
+            for s in np.flatnonzero(rng.random(last + 1) < 0.05):
+                plan.entries[(i, int(s))] = float(rng.standard_normal())
+        assert len(plan.entries) > 100
+        inst = Instance(spec=spec, z0=rng.standard_normal(n),
+                        pipelines0=tuple(rng.standard_normal(t) for t in tau), plan=plan)
+        action_err, cost_err = certify_instance(inst)
+        assert action_err <= 1e-9
+        assert cost_err <= 1e-9
+
+
+def test_no_package_module_imports_scipy():
+    # scipy is a test dependency only: the oracle needs numpy alone.
+    for path in sorted(Path(oracle.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = [alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names]
+        imported += [node.module for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.module]
+        assert not [name for name in imported if name.split(".")[0] == "scipy"], path.name
 
 
 class TestShiftedDiagnostics:
@@ -247,8 +300,68 @@ class TestShiftedDiagnostics:
 
 
 # --- reference implementations ------------------------------------------------
-# The loops that the array code in oracle.py replaced, kept as they were so
-# that the arrays can be checked against them.
+# The dense QP that oracle.solve_finite_horizon's recursion replaced, and
+# the block loop that the QP's array code replaced, each kept as it was so
+# that the newer code can be checked against it.
+
+def dense_solve_finite_horizon(system, x0, plan, T, P_terminal):
+    """The finite-horizon problem as one strictly convex QP in the stacked
+    inputs: the states are eliminated through the dynamics and the normal
+    equations are solved with partial pivoting, at O((T * m)^3)."""
+    spec = system.spec
+    A, B, E = system.A, system.B, system.E
+    dim, m = system.dim, system.n_inputs
+    d_mat = np.stack([plan.d_now(spec, t) for t in range(T)])
+
+    # Free response x_free[t] = A^t x0 + sum_{s<t} A^{t-1-s} E d_s, t = 1..T.
+    x_free = np.zeros((T + 1, dim))
+    x_free[0] = x0
+    for t in range(T):
+        x_free[t + 1] = A @ x_free[t] + E @ d_mat[t]
+
+    # Input-to-state map: x_t = x_free[t] + sum_{s<t} A^{t-1-s} B u_s.
+    Apow_B = np.zeros((T, dim, m))  # Apow_B[j] = A^j B
+    Apow_B[0] = B
+    for j in range(1, T):
+        Apow_B[j] = A @ Apow_B[j - 1]
+
+    # Weighted rows: sqrt(q) on level coordinates for t = 1..T-1, plus a
+    # Cholesky factor of the terminal weight for t = T.  Everything else
+    # in the state cost is zero, so those rows are dropped.  Row block t,
+    # column block s holds A^{t-1-s} B (zero for s >= t): one strided copy
+    # per column block.
+    n = spec.n
+    sq = np.sqrt(spec.weights[0])
+    L_term = np.linalg.cholesky(P_terminal)  # P is PD for these plants
+    W_G = np.zeros(((T - 1) * n + dim, T * m))
+    blocks = W_G[: (T - 1) * n].reshape(T - 1, n, T, m)
+    level = sq[:, None] * Apow_B[:, :n]
+    for s in range(T - 1):
+        blocks[s:, :, s] = level[: T - 1 - s]
+    W_G[(T - 1) * n :] = np.hstack(L_term.T @ Apow_B[::-1])
+    w_free = np.concatenate([(sq * x_free[1:T, :n]).ravel(), L_term.T @ x_free[T]])
+
+    H = W_G.T @ W_G
+    H[np.arange(T * m), np.arange(T * m)] += np.tile(np.diag(system.R), T)
+    f = W_G.T @ w_free
+
+    lu, piv = scipy.linalg.lu_factor(H)
+    anorm = np.linalg.norm(H, 1)
+    rcond, _ = scipy.linalg.lapack.dgecon(lu, anorm, norm="1")
+    if rcond < 1e-12:
+        warnings.warn(f"ill-conditioned input Hessian: rcond = {rcond:.3e}")
+    U = scipy.linalg.lu_solve((lu, piv), -f).reshape(T, m)
+
+    states = np.zeros((T + 1, dim))
+    states[0] = x0
+    for t in range(T):
+        states[t + 1] = A @ states[t] + B @ U[t] + E @ d_mat[t]
+    cost = float(
+        sum(states[t] @ system.Q @ states[t] + U[t] @ system.R @ U[t] for t in range(T))
+        + states[T] @ P_terminal @ states[T]
+    )
+    return FiniteHorizonSolution(inputs=U, cost=cost)
+
 
 def reference_solve_finite_horizon(system, x0, plan, T, P_terminal):
     """The finite-horizon QP with W_G filled one (t, s) block at a time."""
@@ -359,19 +472,34 @@ def _certify_family(seed):
         yield make_random_instance(rng, n_range=(n, n), horizon_range=(0, 0))
 
 
+def _finite_horizon_problems(seed):
+    """(system, x0, plan, T, P) of each instance of _certify_family(seed),
+    at the verify suite's horizon."""
+    for inst in _certify_family(seed):
+        spec = inst.spec
+        system = build_augmented_system(spec)
+        x0 = state_vector(system, PlantState.initial(spec, inst.z0, inst.pipelines0))
+        T = spec.sigma_total + spec.horizon + SETTLING_STEPS
+        yield system, x0, inst.plan, T, stationary_riccati(system)
+
+
 class TestAgainstReference:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_finite_horizon_solution_is_bitwise_the_block_loop(self, seed):
-        for inst in _certify_family(seed):
-            spec = inst.spec
-            system = build_augmented_system(spec)
-            P = stationary_riccati(system)
-            x0 = state_vector(system, PlantState.initial(spec, inst.z0, inst.pipelines0))
-            T = spec.sigma_total + spec.horizon + SETTLING_STEPS
-            sol = solve_finite_horizon(system, x0, inst.plan, T, P)
-            U, cost = reference_solve_finite_horizon(system, x0, inst.plan, T, P)
+        for problem in _finite_horizon_problems(seed):
+            sol = dense_solve_finite_horizon(*problem)
+            U, cost = reference_solve_finite_horizon(*problem)
             assert sol.inputs.tobytes() == U.tobytes()
             assert np.float64(sol.cost).tobytes() == np.float64(cost).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_recursion_matches_the_dense_qp(self, seed):
+        for problem in _finite_horizon_problems(seed):
+            sol = solve_finite_horizon(*problem)
+            dense = dense_solve_finite_horizon(*problem)
+            scale = np.max(np.abs(dense.inputs))
+            assert np.max(np.abs(sol.inputs - dense.inputs)) <= 1e-10 * scale
+            assert abs(sol.cost - dense.cost) <= 1e-12 * abs(dense.cost)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_aggregates_and_decomposition_match_the_dict_loops(self, seed):
