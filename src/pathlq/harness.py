@@ -133,47 +133,6 @@ class Network:
             raise RoundAbortError(f"link {src} <-> {dst} is down; round aborted")
 
 
-class BoundedDraws:
-    """Successive `rng.integers(bound)` values, from one raw draw per batch.
-
-    numpy draws an integer below a bound L from the generator's stream of
-    32-bit words by Lemire's method: L = 1 gives 0 and uses no word;
-    otherwise m = u * L for the next word u, drawn again while m mod 2**32
-    < (2**32 - L) mod L, and the value is m >> 32.  One call
-    `rng.integers(2**32, size=k, dtype=np.uint64)` returns the next k words
-    of that stream, so `integers` gives exactly the values of the scalar
-    calls it stands for.  `close` puts the generator where those calls
-    would have left it: at its saved state, advanced by the words used.
-    """
-
-    def __init__(self, rng: np.random.Generator, batch: int):
-        self.rng = rng
-        self.batch = batch
-        self.saved = rng.bit_generator.state
-        self.words: list[int] = []
-        self.used = 0
-
-    def integers(self, bound: int) -> int:
-        if bound == 1:
-            return 0
-        while True:
-            if self.used == len(self.words):
-                self.words += self.rng.integers(
-                    1 << 32, size=self.batch, dtype=np.uint64
-                ).tolist()
-            m = self.words[self.used] * bound
-            self.used += 1
-            # The threshold is below the bound, so most words pass unreduced.
-            low = m & 0xFFFFFFFF
-            if low >= bound or low >= ((1 << 32) - bound) % bound:
-                return m >> 32
-
-    def close(self) -> None:
-        self.rng.bit_generator.state = self.saved
-        if self.used:
-            self.rng.integers(1 << 32, size=self.used, dtype=np.uint64)
-
-
 def run_control_round(
     network: Network,
     measurements: Iterable[tuple[float, Sequence[float], Sequence[float], float]],
@@ -192,14 +151,14 @@ def run_control_round(
     chain and slot 2k+1 its pi -> mu chain (node-major, phi/delta first),
     present while that chain has a task whose inputs have all arrived.
     Each task runs `slots[i]` and then removes and inserts at most one
-    slot each, so a round is 4N tasks and O(N) work.  The schedule is the
-    sequence i = rng.integers(len(slots)), one value per task, computed
-    from one raw draw per round (BoundedDraws); the rng is left where
-    those scalar calls would have left it, also when a downed link aborts
-    the round.  One rng stream thus always gives the same schedule and
-    message log.  Without an rng every task runs `slots[0]` and nothing
-    is drawn.  A round aborted by a downed link still takes its round
-    number, so a retry logs under the next one.
+    slot each, so a round is 4N tasks and O(N) work.  The schedule is one
+    float u in [0, 1) per task, from one `rng.random(4 * N)` batch drawn
+    at the start of the round: the task runs `slots[int(u * len(slots))]`.
+    Each round thus advances the rng by exactly 4N doubles, also when a
+    downed link aborts it, and one rng stream always gives the same
+    schedule and message log.  Without an rng every task runs `slots[0]`
+    and nothing is drawn.  A round aborted by a downed link still takes
+    its round number, so a retry logs under the next one.
     """
     if log is None:
         log = MessageLog()
@@ -209,10 +168,10 @@ def run_control_round(
     nodes[-1].mu_next = 0.0
     slots = list(range(2 * n))
     append, failed = log.records.append, network.failed_links
-    draws = BoundedDraws(rng, 4 * n) if rng is not None else None
+    draws = rng.random(4 * n).tolist() if rng is not None else [0.0] * (4 * n)
     try:
-        while slots:
-            i = draws.integers(len(slots)) if draws is not None else 0
+        for u in draws:
+            i = int(u * len(slots))
             slot = slots[i]
             k = slot >> 1
             node = nodes[k]
@@ -251,8 +210,6 @@ def run_control_round(
                         insort(slots, slot - 2)
     finally:
         network.round += 1
-        if draws is not None:
-            draws.close()
 
     flows, prods = zip(*(node.outputs() for node in nodes))
     return ControlDecision(u=np.array(flows[1:], dtype=float), v=np.array(prods)), log

@@ -115,6 +115,17 @@ def nonfinite_entry(node, t, value) -> SpecError:
     return SpecError(f"disturbance at node {node}, time {t} is {value}")
 
 
+def finite_arrays(plan: DisturbancePlan, spec: GraphSpec):
+    """plan.arrays(), after raising SpecError for the first entry, in
+    (node, t) order, at a node outside 1..n or with a non-finite amount."""
+    nodes, times, values = plan.arrays()
+    raise_first_offence(
+        spec, nodes, times, ~np.isfinite(values),
+        lambda i: nonfinite_entry(nodes[i], times[i], values[i]),
+    )
+    return nodes, times, values
+
+
 def validate_horizon(plan: DisturbancePlan, spec: GraphSpec, now: int = 0, arrays=None):
     """Check every entry's node and finiteness, and every nonzero entry
     against the planning-horizon bound.

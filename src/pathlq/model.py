@@ -127,13 +127,7 @@ class PlantState:
     to node N, which has no incoming edge.
     """
 
-    def __init__(self, t: int, z: np.ndarray, pipelines: Sequence[np.ndarray]):
-        lengths = np.array([len(p) for p in pipelines], dtype=int)
-        flows = np.concatenate([*pipelines, [0.0]], dtype=float)
-        ends = np.cumsum(lengths)
-        self._init(t, z, flows, ends - lengths, ends - 1)
-
-    def _init(self, t, z, flows, first, last) -> None:
+    def __init__(self, t: int, z: np.ndarray, flows: np.ndarray, first, last):
         self.t = t
         self.z = z
         self.flows = flows
@@ -142,9 +136,7 @@ class PlantState:
 
     def successor(self, z: np.ndarray, flows: np.ndarray) -> "PlantState":
         """The state one step later, with these levels and flows, same edges."""
-        nxt = PlantState.__new__(PlantState)
-        nxt._init(self.t + 1, z, flows, self._first, self._last)
-        return nxt
+        return PlantState(self.t + 1, z, flows, self._first, self._last)
 
     @functools.cached_property
     def pipelines(self) -> tuple[np.ndarray, ...]:
@@ -172,9 +164,7 @@ class PlantState:
                 raise SpecError("initial pipelines have a non-finite entry")
         # Edge e+1's pipeline is flows[sigma_{e+1} : sigma_{e+2}].
         sigma = np.array(spec.sigma)
-        state = PlantState.__new__(PlantState)
-        state._init(0, z, flows, sigma[:-1], sigma[1:] - 1)
-        return state
+        return PlantState(0, z, flows, sigma[:-1], sigma[1:] - 1)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidHorizonError
-from .ledger import DisturbancePlan
+from .ledger import DisturbancePlan, finite_arrays
 from .model import GraphSpec, PlantState
 
 # stationary_riccati stops at an update of at most
@@ -150,7 +150,9 @@ def solve_finite_horizon(
     is the same at every step and only the affine cost-to-go term s_t
     runs backward, from s_T = 0:
         g_t = P E d_t + s_{t+1},   s_t = (A - BK)' g_t,
-    and u_t = -K x_t - M^-1 B' g_t forward from x0.
+    and u_t = -K x_t - M^-1 B' g_t forward from x0.  Plan entries outside
+    0 <= t < T are left out; one at a node outside 1..n or with a
+    non-finite amount raises SpecError.
     """
     spec = system.spec
     min_T = spec.sigma_total + spec.horizon + 1
@@ -169,7 +171,11 @@ def solve_finite_horizon(
         raise ValueError(
             f"P_terminal is not the stationary Riccati solution: residual {resid:.3e}"
         )
-    d_mat = np.stack([plan.d_now(spec, t) for t in range(T)])
+    # d_t as row t: one scatter of the entries with 0 <= t < T.
+    nodes, times, values = finite_arrays(plan, spec)
+    inside = (times >= 0) & (times < T)
+    d_mat = np.zeros((T, spec.n))
+    d_mat[times[inside], nodes[inside] - 1] = values[inside]
 
     g = d_mat @ (P @ E).T  # P E d_t; becomes g_t in place
     for t in range(T - 2, -1, -1):
@@ -182,8 +188,8 @@ def solve_finite_horizon(
     for t in range(T):
         U[t] = -(K @ states[t]) - feedforward[t]
         states[t + 1] = A @ states[t] + B @ U[t] + E @ d_mat[t]
-    cost = float(
-        sum(states[t] @ system.Q @ states[t] + U[t] @ system.R @ U[t] for t in range(T))
-        + states[T] @ P @ states[T]
-    )
+    # Q and R are diagonal: the stage costs are weighted sums of squares.
+    q, r = np.diag(system.Q), np.diag(system.R)
+    stage = (states[:T] ** 2 @ q).sum() + (U**2 @ r).sum()
+    cost = float(stage + states[T] @ P @ states[T])
     return FiniteHorizonSolution(inputs=U, cost=cost)

@@ -20,9 +20,8 @@ from .ledger import (
     DisturbancePlan,
     advance_time,
     apply_plan_updates,
+    finite_arrays,
     init_shifted_sums,
-    nonfinite_entry,
-    raise_first_offence,
 )
 from .model import (
     ControlDecision,
@@ -71,11 +70,7 @@ def _announcement_schedule(
     is known whole at t = 0: it comes back as the caller's plan, with
     nothing left to announce, and no dict is built.
     """
-    nodes, times, values = plan.arrays()
-    raise_first_offence(
-        spec, nodes, times, ~np.isfinite(values),
-        lambda i: nonfinite_entry(nodes[i], times[i], values[i]),
-    )
+    nodes, times, values = finite_arrays(plan, spec)
     inside = (times >= 0) & (times < len(d_hist))
     d_hist[times[inside], nodes[inside] - 1] = values[inside]
     if blind:

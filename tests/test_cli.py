@@ -358,13 +358,13 @@ class TestDemoConfigs:
 
     @pytest.mark.parametrize("config, seed, digest", [
         ("feedforward_demo", 0,
-         "a96c0f0a5f3a4cf41735558d5c345b14cab4602ae7d035eb61cd400ce2420009"),
+         "c5cf6515b6efb7a45c1dd3ed50c913fdf904972f7eb9500d31f6ba85ce792308"),
         ("feedforward_demo", 3,
-         "e34a6efd9fac6d29e97e896d86ffc8dbcd2e6bd55cabb6ed6fad2bda15be344b"),
+         "b8fd71b9b3a7e59890c22e3f376241a589b077e11c89402f318083b87522622c"),
         ("horizon_sweep_demo", 0,
-         "44f1b10065c32dccf5495617787e5182e1533709b7000d31390fb42f63122065"),
+         "1c0d3a4f104079cd90fdcf81bc33806bdd28bd893c68d1ad36c9ea75113c16de"),
         ("horizon_sweep_demo", 3,
-         "1291fcceef47b6a25310558648d490d6c1c7c110526836399c264fb7da02ac47"),
+         "316350cbc285559a94013c148e21208e1489492e8eb9821be9332790cb029d03"),
     ])
     def test_distributed_message_log_bytes(self, config, seed, digest, tmp_path):
         # The whole log, schedule order included: a --seed names one

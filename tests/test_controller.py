@@ -32,6 +32,13 @@ from pathlq.synthesis import synthesize
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0  # 0.618...
 
 
+def _state_at(spec, t, z, pipelines):
+    """PlantState.initial(spec, z, pipelines), moved to time t."""
+    state = PlantState.initial(spec, z, pipelines)
+    state.t = t
+    return state
+
+
 def _spec(n, tau, horizon, q=None, r=None):
     q = tuple(q) if q is not None else (1.0,) * n
     r = tuple(r) if r is not None else (1.0,) * n
@@ -152,7 +159,7 @@ def test_policy_is_time_invariant():
     def act(t0):
         plan = DisturbancePlan({(2, t0 + 2): -0.8, (1, t0 + 1): 0.4})
         windows = init_shifted_sums(plan, spec, now=t0)
-        state = PlantState(t=t0, z=z0.copy(), pipelines=tuple(p.copy() for p in pipes))
+        state = _state_at(spec, t0, z0, pipes)
         decision, _ = control_step(state, windows, plan.d_now(spec, t0), params)
         return decision
 
@@ -355,7 +362,7 @@ def _rebuilt_final_state(traj):
     for e, tau in enumerate(spec.tau):
         flows = np.concatenate([traj.init_pipelines[e], traj.u[:, e]])
         pipes.append(flows[T : T + tau])  # u_e[T - tau .. T - 1]
-    return PlantState(t=T, z=traj.z[T].copy(), pipelines=pipes)
+    return _state_at(spec, T, traj.z[T], pipes)
 
 
 @pytest.mark.parametrize("n, tau, steps", [
@@ -478,9 +485,7 @@ def _check_packed_step(data, n, tau, horizon):
     spec = _spec(n, tau, horizon, q=data.draw(weights), r=data.draw(weights))
     params = synthesize(spec)
     values = lambda size: _drawn_values(data, size)
-    state = PlantState(
-        t=0, z=values(n), pipelines=tuple(values(t) for t in spec.tau)
-    )
+    state = PlantState.initial(spec, values(n), [values(t) for t in spec.tau])
     plan = DisturbancePlan()
     for amount in values(data.draw(st.integers(0, 12))):
         node = data.draw(st.integers(1, n))

@@ -9,7 +9,6 @@ import pytest
 from pathlq.controller import combine_delta, combine_mu, local_phi, local_pi
 from pathlq.errors import RoundAbortError, SpecError
 from pathlq.harness import (
-    BoundedDraws,
     Message,
     MessageLog,
     MessagePassing,
@@ -381,7 +380,9 @@ def test_log_csv_values_are_plain_floats(tmp_path):
 
 def reference_round(network, measurements, log, rng):
     """A control round whose scheduler rebuilds the whole ready list with an
-    O(N) scan before every task, in node-major, phi/delta-first order."""
+    O(N) scan before every task, in node-major, phi/delta-first order, and
+    picks a task by one scalar rng.random() draw; an aborted round draws
+    the rest of its 4N doubles on the way out."""
     nodes, n, rnd = network.nodes, network.n, network.round
     for node, (z, uvals, dwin, d) in zip(nodes, measurements):
         node.reset(z, uvals, dwin, d)
@@ -408,21 +409,30 @@ def reference_round(network, measurements, log, rng):
                 tasks.append(("mu", k))
         return tasks
 
-    while tasks := ready():
-        kind, k = tasks[int(rng.integers(len(tasks)))] if rng is not None else tasks[0]
-        node = nodes[k]
-        if kind == "phi":
-            node.phi_val = local_phi(node.params, node.z, node.uvals, node.dwin)
-        elif kind == "pi":
-            node.pi_val = local_pi(node.params, node.z, node.uvals, node.dwin)
-        elif kind == "delta":
-            node.delta = combine_delta(node.params, node.phi_val, node.delta_prev)
-            if k + 1 < n:
-                send(k + 1, k + 2, "delta", node.delta)
-        else:
-            node.mu = combine_mu(node.params, node.pi_val, node.mu_next)
-            if k > 0:
-                send(k + 1, k, "mu", node.mu)
+    drawn = 0
+    try:
+        while tasks := ready():
+            if rng is not None:
+                kind, k = tasks[int(rng.random() * len(tasks))]
+                drawn += 1
+            else:
+                kind, k = tasks[0]
+            node = nodes[k]
+            if kind == "phi":
+                node.phi_val = local_phi(node.params, node.z, node.uvals, node.dwin)
+            elif kind == "pi":
+                node.pi_val = local_pi(node.params, node.z, node.uvals, node.dwin)
+            elif kind == "delta":
+                node.delta = combine_delta(node.params, node.phi_val, node.delta_prev)
+                if k + 1 < n:
+                    send(k + 1, k + 2, "delta", node.delta)
+            else:
+                node.mu = combine_mu(node.params, node.pi_val, node.mu_next)
+                if k > 0:
+                    send(k + 1, k, "mu", node.mu)
+    finally:
+        if rng is not None:
+            rng.random(4 * n - drawn)
     u = np.zeros(max(n - 1, 0))
     v = np.empty(n)
     for k, node in enumerate(nodes):
@@ -452,8 +462,9 @@ def _records(log):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_ready_list_replays_the_reference_scheduler(n):
-    # reference_round makes one scalar rng.integers call per task; the
-    # round must give the same schedule and leave the rng in the same state.
+    # reference_round makes one scalar rng.random call per task; the
+    # round's batch must give the same schedule and leave the rng in the
+    # same state.
     spec, params, meas = _random_round_inputs(n, seed=100 + n)
     for seed in [None, 0, 1, 2, 3, 4]:
         runs = []
@@ -501,32 +512,84 @@ def test_unseeded_round_runs_the_first_ready_task():
     ]
 
 
+@pytest.mark.parametrize("n", [1, 7])
+def test_a_round_advances_the_rng_by_4n_doubles(n):
+    # Completed or aborted, a round leaves the rng where random(4 * n) would.
+    spec, params, meas = _random_round_inputs(n, seed=20 + n)
+    rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+    network = Network(spec, params)
+    run_control_round(network, meas, rng=rng)
+    twin.random(4 * n)
+    assert rng.bit_generator.state == twin.bit_generator.state
+    if n > 1:
+        network.fail_link(3, 4)
+        with pytest.raises(RoundAbortError, match="is down"):
+            run_control_round(network, meas, rng=rng)
+        twin.random(4 * n)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
 BIT_GENERATORS = [np.random.PCG64, np.random.Philox, np.random.SFC64, np.random.MT19937]
 
 
 @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
 @pytest.mark.parametrize("seed", range(4))
 def test_bounded_draws_match_numpy(bit_generator, seed):
-    # Small bounds, L = 1 (no word used) and L in [2**31, 2**32), where
-    # about half the words are rejected; batches of 3 words force refills.
-    picks = np.random.default_rng(seed)
-    bounds = [
-        [int(b) for b in picks.choice([
-            1, 2, 3, 7, 100, 1 << 31, (1 << 31) + 1, 3 << 30, (1 << 32) - 1,
-            int(picks.integers(1, 1 << 32)),
-        ], size=int(picks.integers(0, 30)))]
-        for _ in range(8)
-    ]
-    scalar = np.random.Generator(bit_generator(seed))
-    batched = np.random.Generator(bit_generator(seed))
-    for session in bounds:
-        draws = BoundedDraws(batched, 3)
-        assert [draws.integers(b) for b in session] == [
-            int(scalar.integers(b)) for b in session
-        ]
-        draws.close()
-        np.testing.assert_equal(batched.bit_generator.state, scalar.bit_generator.state)
+    # The round's slot indices int(u * len(slots)), u from one random(4N)
+    # batch, are those of one scalar rng.random() per task (reference_round)
+    # on every bit generator, through completed and aborted rounds.
+    spec, params, meas = _random_round_inputs(6, seed=40 + seed)
+    runs = []
+    for round_fn in (run_control_round, reference_round):
+        rng = np.random.Generator(bit_generator(seed))
+        network, log = Network(spec, params), MessageLog()
+        decisions = [round_fn(network, meas, log, rng)[0] for _ in range(2)]
+        network.fail_link(2, 3)
+        with pytest.raises(RoundAbortError, match="is down") as exc:
+            round_fn(network, meas, log, rng)
+        runs.append((decisions, _records(log), str(exc.value), rng))
+    (new, new_log, new_abort, batched), (ref, ref_log, ref_abort, scalar) = runs
+    for a, b in zip(new, ref, strict=True):
+        assert a.u.tobytes() == b.u.tobytes()
+        assert a.v.tobytes() == b.v.tobytes()
+    assert (new_log, new_abort) == (ref_log, ref_abort)
+    np.testing.assert_equal(batched.bit_generator.state, scalar.bit_generator.state)
     # Both streams go on alike.
-    assert batched.integers(1 << 62, size=4).tolist() == scalar.integers(
-        1 << 62, size=4
-    ).tolist()
+    assert batched.random(4).tolist() == scalar.random(4).tolist()
+
+
+def test_the_largest_draw_picks_the_last_slot():
+    # u < 1 gives int(u * L) <= L - 1 for every ready-list length L of a
+    # round at N up to 1000, so slots[int(u * len(slots))] is never past
+    # the end.
+    top = float(np.nextafter(1.0, 0.0))
+    assert all(int(top * L) == L - 1 for L in range(1, 4 * 1000 + 1))
+
+
+@pytest.mark.parametrize("mode", [{}, {"announce": 2}], ids=["full-plan", "announce-2"])
+@pytest.mark.parametrize("seed", range(4))
+def test_the_schedule_only_orders_each_round(mode, seed):
+    # Seeded or not, each round sends the same messages with the same
+    # payloads: the records sort alike, round by round (the round leads).
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    spec = _spec(n, rng.integers(1, 5, n - 1), horizon=int(rng.integers(2, 5)),
+                 q=rng.uniform(0.2, 5.0, n), r=rng.uniform(0.2, 5.0, n))
+    params = synthesize(spec)
+    plan = DisturbancePlan()
+    for _ in range(6):
+        node = int(rng.integers(1, n + 1))
+        bound = spec.horizon + spec.sigma_total - spec.sigma[node - 1]
+        plan.entries[(node, int(rng.integers(0, bound + 1)))] = float(rng.normal())
+    z0 = rng.normal(size=n)
+    pipes = [rng.normal(size=t) for t in spec.tau]
+    logs = []
+    for scheduler in (None, np.random.default_rng(seed)):
+        executor = MessagePassing(Network(spec, params), rng=scheduler)
+        closed_loop(spec, params, plan, 12, z0, pipes, executor=executor, **mode)
+        logs.append(sorted(
+            (m.round, m.src, m.dst, m.kind, m.time, repr(m.value))
+            for m in executor.log.records
+        ))
+    unseeded, seeded = logs
+    assert seeded == unseeded and len(seeded) >= 12 * 2 * (n - 1)

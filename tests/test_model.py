@@ -129,16 +129,21 @@ class TestInitialState:
         spec = GraphSpec(n=n, tau=tau, q=(1.0,) * n, r=(1.0,) * n, horizon=0)
         z0 = rng.standard_normal(n)
         pipes = [rng.standard_normal(t) for t in tau]
-        for given, want in [
-            (None, PlantState(t=0, z=z0, pipelines=[np.zeros(t) for t in tau])),
-            ([p.tolist() for p in pipes], PlantState(t=0, z=z0, pipelines=pipes)),
+        # The pipelines back to back, then the 0.0 in transit to node N;
+        # each one's first and last slot from the running sum of lengths.
+        lengths = np.array(tau, dtype=int)
+        ends = np.cumsum(lengths)
+        for given, flows in [
+            (None, np.zeros(sum(tau) + 1)),
+            ([p.tolist() for p in pipes], np.concatenate([*pipes, [0.0]])),
         ]:
             got = PlantState.initial(spec, z0, given)
-            assert got.t == 0 and got.z.tobytes() == want.z.tobytes()
-            for name in ("flows", "_first", "_last"):
-                a, b = getattr(got, name), getattr(want, name)
-                assert (a.dtype, a.shape) == (b.dtype, b.shape), name
-                assert a.tobytes() == b.tobytes(), name
+            assert got.t == 0 and got.z.tobytes() == z0.tobytes()
+            for name, want in [("flows", flows), ("_first", ends - lengths),
+                               ("_last", ends - 1)]:
+                a = getattr(got, name)
+                assert (a.dtype, a.shape) == (want.dtype, want.shape), name
+                assert a.tobytes() == want.tobytes(), name
 
 
 def _zero_action(spec):
@@ -206,12 +211,10 @@ class TestPlantStep:
 
         (s1, a1, d1), (s2, a2, d2) = rand_triple(), rand_triple()
         lam = 0.37
-        mix_state = PlantState(
-            t=0,
-            z=lam * s1.z + (1 - lam) * s2.z,
-            pipelines=tuple(
-                lam * p + (1 - lam) * q_ for p, q_ in zip(s1.pipelines, s2.pipelines)
-            ),
+        mix_state = PlantState.initial(
+            spec,
+            lam * s1.z + (1 - lam) * s2.z,
+            [lam * p + (1 - lam) * q_ for p, q_ in zip(s1.pipelines, s2.pipelines)],
         )
         mix_action = ControlDecision(
             u=lam * a1.u + (1 - lam) * a2.u, v=lam * a1.v + (1 - lam) * a2.v
@@ -264,7 +267,7 @@ def test_flat_shift_equals_the_per_edge_formula_bitwise(data):
     values = lambda size: np.array(
         data.draw(st.lists(VALUES, min_size=size, max_size=size)), dtype=float
     )
-    state = PlantState(t=0, z=values(n), pipelines=tuple(values(t) for t in tau))
+    state = PlantState.initial(spec, values(n), [values(t) for t in tau])
     for step in range(data.draw(st.integers(1, 6), label="steps")):
         action = ControlDecision(u=values(n - 1), v=values(n))
         d = values(n)

@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 
 from pathlq import oracle
-from pathlq.errors import InvalidHorizonError
+from pathlq.errors import InvalidHorizonError, SpecError
 from pathlq.ledger import DisturbancePlan
 from pathlq.model import (
     ControlDecision,
@@ -167,6 +167,24 @@ class TestFiniteHorizon:
                 solve_finite_horizon(system, np.ones(system.dim), DisturbancePlan(), 20,
                                      P_terminal)
 
+    @pytest.mark.parametrize("node", [0, 4, -1])
+    def test_plan_node_outside_the_path_rejected(self, node):
+        # Also past T, where the entry could not enter d_t anyway.
+        spec = _spec(3, [2, 1], horizon=1)
+        system = build_augmented_system(spec)
+        for t in (2, 50):
+            plan = DisturbancePlan({(2, 1): 0.5, (node, t): 1.0})
+            with pytest.raises(SpecError, match=f"at node {node}: nodes are 1..3"):
+                solve_finite_horizon(system, np.ones(system.dim), plan, 20)
+
+    @pytest.mark.parametrize("amount", [np.nan, np.inf, -np.inf])
+    def test_non_finite_plan_amount_rejected(self, amount):
+        spec = _spec(3, [2, 1], horizon=1)
+        system = build_augmented_system(spec)
+        plan = DisturbancePlan({(2, 1): 0.5, (3, 4): amount})
+        with pytest.raises(SpecError, match=f"at node 3, time 4 is {amount}"):
+            solve_finite_horizon(system, np.ones(system.dim), plan, 20)
+
     def test_doubling_the_horizon_changes_nothing(self):
         # With the stationary terminal weight, lengthening T beyond the
         # disturbance support leaves cost and first inputs unchanged.
@@ -300,9 +318,10 @@ class TestShiftedDiagnostics:
 
 
 # --- reference implementations ------------------------------------------------
-# The dense QP that oracle.solve_finite_horizon's recursion replaced, and
-# the block loop that the QP's array code replaced, each kept as it was so
-# that the newer code can be checked against it.
+# The dense QP that oracle.solve_finite_horizon's recursion replaced, the
+# block loop that the QP's array code replaced, and the recursion's former
+# per-step d_t stack and cost sum, each kept as it was so that the newer
+# code can be checked against it.
 
 def dense_solve_finite_horizon(system, x0, plan, T, P_terminal):
     """The finite-horizon problem as one strictly convex QP in the stacked
@@ -408,6 +427,32 @@ def reference_solve_finite_horizon(system, x0, plan, T, P_terminal):
     return U, cost
 
 
+def stacked_solve_finite_horizon(system, x0, plan, T, P_terminal):
+    """The recursion with d_t stacked from one plan.d_now(spec, t) per step
+    and the cost summed as 2T quadratic forms."""
+    spec, P = system.spec, P_terminal
+    A, B, E = system.A, system.B, system.E
+    Minv_Bt = np.linalg.solve(system.R + B.T @ P @ B, B.T)
+    K = Minv_Bt @ P @ A
+    A_cl = A - B @ K
+    d_mat = np.stack([plan.d_now(spec, t) for t in range(T)])
+    g = d_mat @ (P @ E).T
+    for t in range(T - 2, -1, -1):
+        g[t] += g[t + 1] @ A_cl
+    feedforward = g @ Minv_Bt.T
+    U = np.zeros((T, system.n_inputs))
+    states = np.zeros((T + 1, system.dim))
+    states[0] = x0
+    for t in range(T):
+        U[t] = -(K @ states[t]) - feedforward[t]
+        states[t + 1] = A @ states[t] + B @ U[t] + E @ d_mat[t]
+    cost = float(
+        sum(states[t] @ system.Q @ states[t] + U[t] @ system.R @ U[t] for t in range(T))
+        + states[T] @ P @ states[T]
+    )
+    return U, cost
+
+
 def _reference_flow(traj, edge, t):
     """u_edge[t], reaching into the initial pipeline for t < 0."""
     tau = traj.spec.tau[edge - 1]
@@ -491,6 +536,16 @@ class TestAgainstReference:
             U, cost = reference_solve_finite_horizon(*problem)
             assert sol.inputs.tobytes() == U.tobytes()
             assert np.float64(sol.cost).tobytes() == np.float64(cost).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_recursion_is_bitwise_the_per_step_loops(self, seed):
+        # One scatter of the plan gives the stacked d_t rows bit for bit;
+        # the array cost sums the same squares in another order.
+        for problem in _finite_horizon_problems(seed):
+            sol = solve_finite_horizon(*problem)
+            U, cost = stacked_solve_finite_horizon(*problem)
+            assert sol.inputs.tobytes() == U.tobytes()
+            assert abs(sol.cost - cost) <= 1e-13 * abs(cost)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_recursion_matches_the_dense_qp(self, seed):
