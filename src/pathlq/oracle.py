@@ -7,7 +7,12 @@ standard LQ theory, none of the paper's algebra: the stationary
 cost-to-go is the terminal weight, so the feedback gain is constant and
 only an affine term runs backward, at O(T * dim^2) after one stationary
 Riccati solve.  The truncation is exact whenever the disturbances have
-died out by the end of the horizon.
+died out by the end of the horizon.  That solve is structure-preserving
+doubling on the Riccati equation for H = P - Q, whose input weight
+R + B'QB is positive definite although the flows are free (each flow
+alone moves its departure node's level, q > 0, and r > 0 on the
+productions); P = H + Q.  Each O(dim^3) step doubles value iteration's
+horizon: 4-8 steps on the verify family.
 """
 
 from __future__ import annotations
@@ -21,10 +26,11 @@ from .errors import InvalidHorizonError
 from .ledger import DisturbancePlan, finite_arrays
 from .model import GraphSpec, PlantState
 
-# stationary_riccati stops at an update of at most
-# RICCATI_TOL * max(1, max |P|), and raises after RICCATI_MAX_ITER iterations.
+# stationary_riccati stops at an update of H = P - Q of at most
+# RICCATI_TOL * max(1, max |H|), and raises after RICCATI_MAX_ITER doubling
+# steps; step k covers 2^k steps of value iteration.
 RICCATI_TOL = 1e-14
-RICCATI_MAX_ITER = 200_000
+RICCATI_MAX_ITER = 64
 
 
 @dataclass(frozen=True)
@@ -95,29 +101,47 @@ def state_vector(system: AugmentedSystem, state: PlantState) -> np.ndarray:
 
 
 def stationary_riccati(system: AugmentedSystem) -> np.ndarray:
-    """Stabilizing solution of the discrete Riccati fixed point.
+    """Stabilizing solution P of the discrete algebraic Riccati equation.
 
-    Plain value iteration seeded with Q; the production weights make
-    R + B'PB positive definite at every iterate even though the flow
-    inputs are free.
+    Structure-preserving doubling (Chu, Fan & Lin, 2005) on the equation
+    for H = P - Q.  Doubling needs an invertible input weight, and R is
+    singular because the flows are free.  The equation for H has the
+    weight R + B'QB instead, which is positive definite: a flow with
+    u_e != 0 moves the level of its departure node, which no other flow
+    moves, so B'QB > 0 on the flows, and R > 0 on the productions.
+    With F = (R + B'QB)^-1 B'QA, start from A_0 = A - BF,
+    G_0 = B (R + B'QB)^-1 B' and H_0 = A'(QA - QBF), and repeat, with
+    W = I + G_k H_k:
+        A_k+1 = A_k W^-1 A_k,  G_k+1 = G_k + A_k W^-1 G_k A_k',
+        H_k+1 = H_k + A_k' H_k W^-1 A_k.
+    H_k is value iteration's 2^k-th iterate from P = Q, less Q, so H_k
+    converges quadratically, and W stays invertible because G_k and H_k
+    stay positive semidefinite.  P = H + Q.
     """
     A, B, Q, R = system.A, system.B, system.Q, system.R
-    P = Q.copy()
+    QB = Q @ B
+    R_shift = R + B.T @ QB
+    F = np.linalg.solve(R_shift, QB.T @ A)
+    A_k = A - B @ F
+    G = B @ np.linalg.solve(R_shift, B.T)
+    H = A.T @ (Q @ A - QB @ F)
+    eye = np.eye(system.dim)
     for _ in range(RICCATI_MAX_ITER):
-        PB = P @ B
-        M = R + B.T @ PB
-        K = np.linalg.solve(M, PB.T @ A)
-        AP = A.T @ P
-        P_next = Q + AP @ A - (A.T @ PB) @ K
-        P_next = 0.5 * (P_next + P_next.T)
-        update = np.max(np.abs(P_next - P))
-        P = P_next
-        if update <= RICCATI_TOL * max(1.0, np.max(np.abs(P))):
+        # W^-1 A_k and W^-1 G_k from one solve.
+        WA, WG = np.hsplit(np.linalg.solve(eye + G @ H, np.hstack([A_k, G])), 2)
+        H_next = H + A_k.T @ H @ WA
+        G = G + A_k @ WG @ A_k.T
+        A_k = A_k @ WA
+        update = np.max(np.abs(H_next - H))
+        H = H_next
+        if update <= RICCATI_TOL * max(1.0, np.max(np.abs(H))):
             break
     else:
         raise RuntimeError(
             f"Riccati iteration did not converge; last update {update:.3e}"
         )
+    P = H + Q
+    P = 0.5 * (P + P.T)
     resid = np.max(np.abs(
         Q + A.T @ P @ A
         - (A.T @ P @ B) @ np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)

@@ -1,6 +1,7 @@
 """Test-only diagnostics: the paper's identities evaluated on a run.
 
-The dense stationary gain and its undisturbed closed loop, the shifted
+Value iteration as the reference for the stationary Riccati solution,
+the dense stationary gain and its undisturbed closed loop, the shifted
 aggregates S_k, V_k, m_k as arrays indexed [k, t], the two shifted-sum
 cost decompositions, a filter over a harness message log, a per-hop
 reference for the ledger's announcement update and a scalar reference for
@@ -9,6 +10,7 @@ synthesis.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,8 +18,46 @@ import numpy as np
 from pathlq.harness import Message, MessageLog
 from pathlq.ledger import DisturbancePlan, ShiftedWindows
 from pathlq.model import GraphSpec, Trajectory
-from pathlq.oracle import AugmentedSystem, stationary_riccati
+from pathlq.oracle import RICCATI_TOL, AugmentedSystem, stationary_riccati
 from pathlq.synthesis import ControllerParams, _riccati_step, terminal_riccati
+
+
+# Value iteration converges linearly: it needs far more steps than doubling.
+RICCATI_MAX_ITER = 200_000
+
+
+def reference_stationary_riccati(system: AugmentedSystem) -> np.ndarray:
+    """Stabilizing solution of the discrete Riccati fixed point.
+
+    Plain value iteration seeded with Q; the production weights make
+    R + B'PB positive definite at every iterate even though the flow
+    inputs are free.
+    """
+    A, B, Q, R = system.A, system.B, system.Q, system.R
+    P = Q.copy()
+    for _ in range(RICCATI_MAX_ITER):
+        PB = P @ B
+        M = R + B.T @ PB
+        K = np.linalg.solve(M, PB.T @ A)
+        AP = A.T @ P
+        P_next = Q + AP @ A - (A.T @ PB) @ K
+        P_next = 0.5 * (P_next + P_next.T)
+        update = np.max(np.abs(P_next - P))
+        P = P_next
+        if update <= RICCATI_TOL * max(1.0, np.max(np.abs(P))):
+            break
+    else:
+        raise RuntimeError(
+            f"Riccati iteration did not converge; last update {update:.3e}"
+        )
+    resid = np.max(np.abs(
+        Q + A.T @ P @ A
+        - (A.T @ P @ B) @ np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
+        - P
+    ))
+    if resid > 1e-8 * max(1.0, np.max(np.abs(P))):
+        warnings.warn(f"Riccati residual {resid:.3e} unexpectedly large")
+    return P
 
 
 def stationary_gain(system: AugmentedSystem, P: np.ndarray | None = None) -> np.ndarray:

@@ -28,6 +28,7 @@ from pathlq.oracle import (
 from pathlq.simulate import closed_loop
 from pathlq.synthesis import sweep_gamma_rho, synthesize
 from pathlq.verify import (
+    DEFAULT_TOLERANCE,
     SETTLING_STEPS,
     Instance,
     certify_instance,
@@ -37,6 +38,7 @@ from pathlq.verify import (
 from diagnostics import (
     check_cost_decomposition,
     gain_closed_loop,
+    reference_stationary_riccati,
     shifted_aggregates,
     stationary_gain,
 )
@@ -104,6 +106,47 @@ class TestStationary:
         with pytest.raises(RuntimeError, match="last update") as info:
             stationary_riccati(system)
         assert float(str(info.value).rsplit(" ", 1)[-1]) > 0.0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_doubling_matches_value_iteration_on_the_certify_family(self, seed):
+        # Five seeds of twelve instances: the verify suite's 60-instance family.
+        for inst in _certify_family(seed):
+            system = build_augmented_system(inst.spec)
+            P_ref = reference_stationary_riccati(system)
+            P = stationary_riccati(system)
+            assert np.max(np.abs(P - P_ref)) <= 1e-12 * np.max(np.abs(P_ref))
+
+    @pytest.mark.parametrize("tau", [(2, 3, 1), (1,), (4, 4, 4, 4, 4)])
+    @pytest.mark.parametrize("ratio", [1e12, 1e9, 1e6, 1e-6, 1e-9, 1e-12])
+    def test_doubling_matches_scipy_at_extreme_weights(self, ratio, tau):
+        # q = ratio, r = 1: with q = 1, r = 1/ratio scipy's ordqz fails at
+        # 1e12 and 1e9 for tau = (4, 4, 4, 4, 4).
+        # Both solvers round to about eps / (1 - rho)^2 relative, rho the
+        # closed loop's spectral radius: measured differences are at most
+        # 3.7e-13 at ratio >= 1e6 (scipy's share; doubling is within 2e-16
+        # of a 60-digit solve there), 7.5e-11 at 1e-6, 2.1e-8 at 1e-9 and
+        # 3.6e-5 at 1e-12, each under 0.4 eps / (1 - rho)^2.  The bound
+        # leaves at least 13x margin at every ratio.
+        n = len(tau) + 1
+        system = build_augmented_system(
+            GraphSpec(n=n, tau=tau, q=(ratio,) * n, r=(1.0,) * n, horizon=3))
+        A, B, R = system.A, system.B, system.R
+        P_ref = scipy.linalg.solve_discrete_are(A, B, system.Q, R)
+        K = np.linalg.solve(R + B.T @ P_ref @ B, B.T @ P_ref @ A)
+        rho = np.max(np.abs(np.linalg.eigvals(A - B @ K)))
+        P = stationary_riccati(system)
+        bound = 1e-11 + 1e-15 / (1.0 - rho) ** 2
+        assert np.max(np.abs(P - P_ref)) <= bound * np.max(np.abs(P_ref))
+
+    def test_doubling_converges_in_a_dozen_steps(self, monkeypatch):
+        # A step count, not a time: doubling takes 4-8 steps on this family
+        # and 10 on the N = 100 system; value iteration takes 8-73 (median
+        # 24) on the family and so fails here.
+        monkeypatch.setattr(oracle, "RICCATI_MAX_ITER", 12)
+        for seed in range(5):
+            for inst in _certify_family(seed):
+                stationary_riccati(build_augmented_system(inst.spec))
+        stationary_riccati(build_augmented_system(_hundred_node_instance().spec))
 
     def test_closed_loop_is_stable(self):
         rng = np.random.default_rng(9)
@@ -220,6 +263,32 @@ class TestLargeInstance:
         action_err, cost_err = certify_instance(inst)
         assert action_err <= 1e-9
         assert cost_err <= 1e-9
+
+    def test_every_decision_of_a_hundred_node_run_is_optimal(self):
+        # One point of the medium family: dim = 557, T = 547 here.  Measured
+        # errors: 8.5e-10 on the actions and 4.0e-16 on the cost.
+        inst = _hundred_node_instance()
+        action_err, cost_err = certify_instance(inst)
+        assert action_err <= DEFAULT_TOLERANCE
+        assert cost_err <= DEFAULT_TOLERANCE
+
+
+def _hundred_node_instance():
+    """N = 100, tau in 1..8, H = 30, q and r log-uniform over 1e-3..1e3 (so
+    weight ratios up to 1e+-6), each admissible plan slot nonzero with
+    probability 5%."""
+    rng = np.random.default_rng(0)
+    n = 100
+    tau = tuple(int(t) for t in rng.integers(1, 9, n - 1))
+    q, r = (tuple(float(x) for x in 10.0 ** rng.uniform(-3.0, 3.0, n)) for _ in "qr")
+    spec = GraphSpec(n=n, tau=tau, q=q, r=r, horizon=30)
+    plan = DisturbancePlan()
+    for i in range(1, n + 1):
+        last = spec.horizon + spec.sigma_total - spec.sigma[i - 1]
+        for s in np.flatnonzero(rng.random(last + 1) < 0.05):
+            plan.entries[(i, int(s))] = float(rng.standard_normal())
+    return Instance(spec=spec, z0=rng.standard_normal(n),
+                    pipelines0=tuple(rng.standard_normal(t) for t in tau), plan=plan)
 
 
 def test_no_package_module_imports_scipy():
