@@ -20,7 +20,6 @@ from .model import (
     aggregate_delays,
     plant_step,
     stage_cost,
-    validate_spec,
 )
 from .ledger import (
     DisturbancePlan,

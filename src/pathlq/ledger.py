@@ -14,6 +14,7 @@ Python floats from the lowest changed node up to the last node whose
 window holds that time, written back in one slice assignment.  A time
 advance brings in only zero entries and sends nothing, at amortized O(N)
 cost: the windows are a view sliding along a buffer twice their size.
+The rules a planned entry must meet are stated once, in check_placement.
 """
 
 from __future__ import annotations
@@ -56,7 +57,8 @@ class DisturbancePlan:
         """Nodes, times and amounts of the entries, in insertion order, each
         amount as float() reads it.
 
-        Raises SpecError for the first entry that check_entry rejects.  One
+        Raises SpecError for the first entry that check_entry rejects; the
+        rules for what the entries hold are check_placement's.  One
         strict zip splits the keys into nodes and times, so a key that is
         not a pair fails it, one call converts each column and one every
         amount; the entries are checked one by one only when any of these
@@ -97,56 +99,44 @@ def check_entry(key, amount) -> float:
         ) from None
 
 
-def raise_first_offence(spec: GraphSpec, nodes, times, flagged, error) -> None:
-    """Raise for the first entry, in (node, t) order, whose node lies
-    outside 1..n (SpecError) or which `flagged` marks (`error(index)`)."""
-    bad_node = (nodes < 1) | (nodes > spec.n)
-    bad = bad_node | flagged
-    if bad.any():
-        idx = np.flatnonzero(bad)
-        i = idx[np.lexsort((times[idx], nodes[idx]))[0]]
-        if bad_node[i]:
-            raise SpecError(f"disturbance at node {nodes[i]}: nodes are 1..{spec.n}")
-        raise error(i)
+def check_placement(spec: GraphSpec, node, t, amount: float, now=None) -> None:
+    """The rules for a planned entry d_node[t] = amount, stated once.
+
+    Raises SpecError for a node outside 1..n or an amount that is not
+    finite and, given the reference time `now`, HorizonViolationError for
+    a nonzero amount after now + sigma_N + H - sigma_node, the last time
+    node's window holds.  Entries before `now` are the caller's concern.
+    """
+    if not 1 <= node <= spec.n:
+        raise SpecError(f"disturbance at node {node}: nodes are 1..{spec.n}")
+    if not math.isfinite(amount):
+        raise SpecError(f"disturbance at node {node}, time {t} is {amount}")
+    if now is not None and amount != 0.0:
+        latest = now + spec.sigma[-1] + spec.horizon - spec.sigma[node - 1]
+        if t > latest:
+            raise HorizonViolationError(node, t, latest)
 
 
-def nonfinite_entry(node, t, value) -> SpecError:
-    """The error for a planned disturbance that is NaN or infinite."""
-    return SpecError(f"disturbance at node {node}, time {t} is {value}")
+def validate_horizon(plan: DisturbancePlan, spec: GraphSpec, now=0, arrays=None):
+    """plan.arrays() and the entries' window columns, after check_placement
+    has raised for the first offending entry in (node, t) order.
 
-
-def finite_arrays(plan: DisturbancePlan, spec: GraphSpec):
-    """plan.arrays(), after raising SpecError for the first entry, in
-    (node, t) order, at a node outside 1..n or with a non-finite amount."""
-    nodes, times, values = plan.arrays()
-    raise_first_offence(
-        spec, nodes, times, ~np.isfinite(values),
-        lambda i: nonfinite_entry(nodes[i], times[i], values[i]),
-    )
-    return nodes, times, values
-
-
-def validate_horizon(plan: DisturbancePlan, spec: GraphSpec, now: int = 0, arrays=None):
-    """Check every entry's node and finiteness, and every nonzero entry
-    against the planning-horizon bound.
-
-    Relative to the reference time `now`, node i may only carry planned
-    disturbances up to H + (sigma_N - sigma_i) steps ahead: entry (i, t)
-    lies at window column t - now + sigma_i, past the bound from column
-    W = sigma_N + H + 1 on.  Returns plan.arrays() and those columns.
+    Entry (i, t) lies at column t - now + sigma_i of node i's window, past
+    the bound from column W = sigma_N + H + 1 on.  With now=None no bound
+    is checked and no columns are formed: the columns come back as None.
     A caller that holds plan.arrays() already passes them as `arrays`.
     """
     nodes, times, values = plan.arrays() if arrays is None else arrays
-    width = spec.sigma_total + spec.horizon + 1
-    # A node outside 1..n reads a clipped sigma; its SpecError comes first.
-    cols = times - now + np.array(spec.sigma).take(nodes - 1, mode="clip")
-    finite = np.isfinite(values)
-    raise_first_offence(
-        spec, nodes, times, ~finite | ((cols >= width) & (values != 0.0)),
-        lambda i: HorizonViolationError(
-            int(nodes[i]), int(times[i]), int(times[i] - cols[i]) + width - 1
-        ) if finite[i] else nonfinite_entry(nodes[i], times[i], values[i]),
-    )
+    bad = (nodes < 1) | (nodes > spec.n) | ~np.isfinite(values)
+    cols = None
+    if now is not None:
+        # A node outside 1..n reads a clipped sigma; it is flagged already.
+        cols = times - now + np.array(spec.sigma).take(nodes - 1, mode="clip")
+        bad |= (cols > spec.sigma_total + spec.horizon) & (values != 0.0)
+    if bad.any():
+        idx = np.flatnonzero(bad)
+        i = idx[np.lexsort((times[idx], nodes[idx]))[0]]
+        check_placement(spec, int(nodes[i]), int(times[i]), float(values[i]), now)
     return nodes, times, values, cols
 
 
@@ -243,8 +233,8 @@ def apply_plan_updates(
     now = windows.now
     width = windows._D.shape[1]
     origin: dict[int, int] = {}  # shifted time -> lowest changed node
-    # arrays()' and validate_horizon's checks, entry by entry: at ~10
-    # changes a step numpy's per-call cost exceeds this loop's.
+    # Checked entry by entry, in (node, t) order as the set-up screen
+    # reports: at ~10 changes a step numpy's per-call cost exceeds a loop's.
     try:
         keys = sorted(changes)
     except TypeError:
@@ -253,16 +243,10 @@ def apply_plan_updates(
     for key in keys:
         amount = amounts[key] = check_entry(key, changes[key])
         node, t = key
-        if not 1 <= node <= spec.n:
-            raise SpecError(f"disturbance at node {node}: nodes are 1..{spec.n}")
-        if not math.isfinite(amount):
-            raise nonfinite_entry(node, t, amount)
+        check_placement(spec, node, t, amount, now)
         if t < now:
             raise HorizonViolationError(node, t, now)
-        st = t + spec.sigma[node - 1]
-        if st - now >= width and amount != 0.0:
-            raise HorizonViolationError(node, t, now + width - 1 - spec.sigma[node - 1])
-        origin.setdefault(st, node)
+        origin.setdefault(t + spec.sigma[node - 1], node)
     plan.entries.update(amounts)
     D, sigma, get, n = windows._D, spec.sigma, plan.entries.get, spec.n
     messages = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -101,19 +101,6 @@ class GraphSpec:
     @property
     def sigma_total(self) -> int:
         return self.sigma[-1]
-
-
-def validate_spec(raw: Mapping) -> GraphSpec:
-    """Build a GraphSpec from a raw mapping; GraphSpec checks every invariant."""
-    try:
-        n = float(raw["n"])
-        tau = [float(t) for t in raw["tau"]]
-        q = [float(x) for x in raw["q"]]
-        r = [float(x) for x in raw["r"]]
-        horizon = float(raw["horizon"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecError(f"malformed spec: {exc}") from exc
-    return GraphSpec(n=n, tau=tau, q=q, r=r, horizon=horizon)
 
 
 class PlantState:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidHorizonError
-from .ledger import DisturbancePlan, finite_arrays
+from .ledger import DisturbancePlan, validate_horizon
 from .model import GraphSpec, PlantState
 
 # stationary_riccati stops at an update of H = P - Q of at most
@@ -196,7 +196,7 @@ def solve_finite_horizon(
             f"P_terminal is not the stationary Riccati solution: residual {resid:.3e}"
         )
     # d_t as row t: one scatter of the entries with 0 <= t < T.
-    nodes, times, values = finite_arrays(plan, spec)
+    nodes, times, values, _ = validate_horizon(plan, spec, now=None)
     inside = (times >= 0) & (times < T)
     d_mat = np.zeros((T, spec.n))
     d_mat[times[inside], nodes[inside] - 1] = values[inside]

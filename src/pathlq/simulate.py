@@ -20,8 +20,8 @@ from .ledger import (
     DisturbancePlan,
     advance_time,
     apply_plan_updates,
-    finite_arrays,
     init_shifted_sums,
+    validate_horizon,
 )
 from .model import (
     ControlDecision,
@@ -64,13 +64,13 @@ def _announcement_schedule(
     nodes, times and amounts DisturbancePlan.arrays() gives for it, and
     announcement time -> {(node, s): amount} of those it learns later.
 
-    Every entry is checked, even when blind, and each one inside the run
-    is written into d_hist, the plant's disturbance table.  Entries
+    Every entry is checked, even when blind (the ledger checks the horizon
+    bound), and each one inside the run is written into d_hist.  Entries
     before t = 0 can never matter to the run and are left out.  A full plan
     is known whole at t = 0: it comes back as the caller's plan, with
     nothing left to announce, and no dict is built.
     """
-    nodes, times, values = finite_arrays(plan, spec)
+    nodes, times, values, _ = validate_horizon(plan, spec, now=None)
     inside = (times >= 0) & (times < len(d_hist))
     d_hist[times[inside], nodes[inside] - 1] = values[inside]
     if blind:
@@ -120,11 +120,10 @@ def closed_loop(
         raise ValueError(f"steps = {steps} must be >= 0")
     if blind and announce is not None:
         raise ValueError(f"announce = {announce} is ignored when blind=True")
-    if announce is not None and not (
-        announce == int(announce) and 0 <= announce <= spec.horizon
-    ):
+    # range() holds only what equals one of its ints: no text, list or NaN.
+    if announce is not None and announce not in range(spec.horizon + 1):
         raise ValueError(
-            f"announcement horizon {announce} must be a whole number in "
+            f"announcement horizon {announce!r} must be a whole number in "
             f"0..H = {spec.horizon}"
         )
     if executor is None:

@@ -180,12 +180,14 @@ def test_short_window_raises():
         control_step(state, windows, np.zeros(2), params)
 
 
-@pytest.mark.parametrize("announce", [-1, 3, 1.5])  # 1.5 used to run as 2
+# 1.5 used to run as 2, [1] to end in a bare TypeError, "1" to read as 1.
+@pytest.mark.parametrize("announce", [-1, 3, 1.5, [1], "1"])
 def test_announcement_horizon_outside_0_to_H_rejected(announce):
     spec = _spec(2, [1], horizon=2)
     params = synthesize(spec)
     plan = DisturbancePlan({(1, 3): 1.0})
-    with pytest.raises(ValueError, match=f"announcement horizon {announce}"):
+    want = f"announcement horizon {announce!r} must be a whole number"
+    with pytest.raises(ValueError, match=re.escape(want)):
         closed_loop(spec, params, plan, 6, announce=announce)
 
 

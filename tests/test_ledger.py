@@ -17,6 +17,9 @@ from pathlq.ledger import (
     validate_horizon,
 )
 from pathlq.model import GraphSpec
+from pathlq.oracle import build_augmented_system, solve_finite_horizon
+from pathlq.simulate import closed_loop
+from pathlq.synthesis import synthesize
 
 from diagnostics import per_hop_plan_updates
 
@@ -314,6 +317,41 @@ def test_nonfinite_entry_rejected(call, t, value):
         else:
             apply_plan_updates(windows, plan, {(1, 0): 1.0, (2, t): value})
     assert plan.entries == {}
+    for got, want in zip(_windows(windows), before):
+        assert got.tobytes() == want.tobytes()
+
+
+# One offence of each kind: past the horizon bound, NaN, and at no node.
+MIXED = {(1, 50): 1.0, (2, 3): np.nan, (3, 0): 1.0}
+
+
+@pytest.mark.parametrize("call", ["init", "update", "full-plan", "receding",
+                                  "blind", "oracle"])
+def test_offences_of_every_kind_report_one(call):
+    # The ledger checks every rule and reports the first offender in
+    # (node, t) order; closed_loop and the oracle screen all entries
+    # without the bound first, so the NaN comes before the bound there.
+    spec = _spec(2, [1], horizon=2)
+    windows = init_shifted_sums(DisturbancePlan(), spec)
+    before = _windows(windows)
+    plan = DisturbancePlan(dict(MIXED))
+    if call in ("init", "update"):
+        error, want = HorizonViolationError, "node 1, time 50 violates horizon bound"
+    else:
+        error, want = SpecError, "disturbance at node 2, time 3 is nan$"
+    with pytest.raises(error, match=want):
+        if call == "init":
+            init_shifted_sums(plan, spec)
+        elif call == "update":
+            apply_plan_updates(windows, DisturbancePlan(), plan.entries)
+        elif call == "oracle":
+            system = build_augmented_system(spec)
+            solve_finite_horizon(system, np.zeros(system.dim), plan, 20)
+        else:
+            mode = {"full-plan": {}, "receding": {"announce": 1}, "blind": {"blind": True}}
+            closed_loop(spec, synthesize(spec), plan, 6, **mode[call])
+    assert plan.entries.keys() == MIXED.keys()
+    assert all(plan.entries[k] is MIXED[k] for k in MIXED)
     for got, want in zip(_windows(windows), before):
         assert got.tobytes() == want.tobytes()
 

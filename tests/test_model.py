@@ -11,7 +11,6 @@ from pathlq import (
     aggregate_delays,
     plant_step,
     stage_cost,
-    validate_spec,
 )
 
 
@@ -38,23 +37,25 @@ class TestAggregateDelays:
 
 
 class TestValidateSpec:
+    """GraphSpec checks a raw mapping, as a JSON config gives one."""
+
     def test_well_formed(self):
-        spec = validate_spec(
-            {"n": 5, "tau": [3, 2, 5, 4], "q": [1] * 5, "r": [1] * 5, "horizon": 4}
+        spec = GraphSpec(
+            **{"n": 5, "tau": [3, 2, 5, 4], "q": [1] * 5, "r": [1] * 5, "horizon": 4}
         )
         assert spec.sigma == (0, 3, 5, 10, 14)
 
     def test_zero_weight_rejected(self):
         with pytest.raises(SpecError, match="positive"):
-            validate_spec({"n": 2, "tau": [1], "q": [1, 0], "r": [1, 1], "horizon": 0})
+            GraphSpec(**{"n": 2, "tau": [1], "q": [1, 0], "r": [1, 1], "horizon": 0})
 
     def test_zero_nodes_rejected(self):
         with pytest.raises(SpecError, match="n ="):
-            validate_spec({"n": 0, "tau": [], "q": [], "r": [], "horizon": 0})
+            GraphSpec(**{"n": 0, "tau": [], "q": [], "r": [], "horizon": 0})
 
     def test_tau_shape_rejected(self):
         with pytest.raises(SpecError, match="tau"):
-            validate_spec({"n": 3, "tau": [1], "q": [1] * 3, "r": [1] * 3, "horizon": 0})
+            GraphSpec(**{"n": 3, "tau": [1], "q": [1] * 3, "r": [1] * 3, "horizon": 0})
 
 
 _GOOD = dict(n=2, tau=(1,), q=(1.0, 1.0), r=(1.0, 1.0), horizon=2)
