@@ -19,7 +19,7 @@ import numpy as np
 from .errors import HorizonViolationError, SpecError
 from .harness import audit_message_log, run_closed_loop
 from .ledger import DisturbancePlan
-from .model import GraphSpec
+from .model import GraphSpec, read_number
 from .simulate import closed_loop
 from .synthesis import params_to_document, synthesize
 from .verify import run_differential_suite
@@ -68,13 +68,10 @@ def config_spec(cfg: dict) -> GraphSpec:
 
 def _whole(value, what: str) -> int:
     """`value` as an int, if it is a whole number; ConfigError otherwise."""
-    try:
-        whole = float(value).is_integer()
-    except (TypeError, ValueError):
-        whole = False
-    if not whole:
+    x = read_number(value)
+    if x is None or not x.is_integer():
         raise ConfigError(f"{what} = {value!r} must be a whole number")
-    return int(float(value))
+    return int(x)
 
 
 def _seed(value, what: str) -> int:
@@ -100,13 +97,12 @@ def config_plan(cfg: dict) -> DisturbancePlan:
                 f"disturbances[{i}]: need 0 <= start_time <= end_time, got "
                 f"{start} and {end}"
             )
-        try:
-            amount = float(rec["amount_per_step"])
-        except (TypeError, ValueError):
+        amount = read_number(rec["amount_per_step"])
+        if amount is None:
             raise ConfigError(
                 f"disturbances[{i}]: amount_per_step = "
                 f"{rec['amount_per_step']!r} is not a number"
-            ) from None
+            )
         records.append({"node": node, "start_time": start, "end_time": end,
                         "amount_per_step": amount})
     return DisturbancePlan.from_records(records)

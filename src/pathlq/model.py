@@ -26,15 +26,17 @@ def aggregate_delays(tau: Sequence[int]) -> list[int]:
     """
     sigma = [0]
     for k, t in enumerate(tau):
-        x = _number(t)
+        x = read_number(t)
         if x is None or not x.is_integer() or x < 1:
             raise SpecError(f"edge delay tau_{k + 1} = {t} must be an integer >= 1")
         sigma.append(sigma[-1] + int(x))
     return sigma
 
 
-def _number(x) -> float | None:
-    """float(x), or None where x is not a number."""
+def read_number(x) -> float | None:
+    """float(x), or None where x is not a number: text and booleans are not."""
+    if isinstance(x, (str, bytes, bool, np.bool_)):
+        return None
     try:
         return float(x)
     except (TypeError, ValueError, OverflowError):
@@ -61,15 +63,16 @@ class GraphSpec:
     def __post_init__(self):
         # Tuples, so that a spec built from lists equals one built from tuples.
         for name in ("tau", "q", "r"):
+            x = getattr(self, name)
             try:
-                object.__setattr__(self, name, tuple(getattr(self, name)))
+                if isinstance(x, (str, bytes)):  # not a sequence of characters
+                    raise TypeError
+                object.__setattr__(self, name, tuple(x))
             except TypeError:
-                raise SpecError(
-                    f"{name} = {getattr(self, name)!r} is not a sequence"
-                ) from None
+                raise SpecError(f"{name} = {x!r} is not a sequence") from None
         for name in ("n", "horizon"):
             x = getattr(self, name)
-            whole = _number(x)
+            whole = read_number(x)
             if whole is None or not whole.is_integer():
                 raise SpecError(f"{name} = {x} must be a whole number")
             object.__setattr__(self, name, int(whole))
@@ -83,7 +86,7 @@ class GraphSpec:
         for name in ("q", "r"):
             # Python floats: float(x) reads x as np.asarray(..., float) would.
             values = getattr(self, name)
-            weights = tuple(map(_number, values))
+            weights = tuple(map(read_number, values))
             for i, (x, w) in enumerate(zip(values, weights)):
                 if w is None:
                     raise SpecError(f"{name}_{i + 1} = {x!r} is not a number")

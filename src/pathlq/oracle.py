@@ -1,18 +1,19 @@
 """Independent LQ ground truth for the structured controller.
 
-The delayed plant is lifted to an augmented state space (levels plus one
-coordinate per in-transit slot), of dimension dim = N + sigma_N.  The
-finite-horizon problem with known additive disturbances is solved by
-standard LQ theory, none of the paper's algebra: the stationary
-cost-to-go is the terminal weight, so the feedback gain is constant and
-only an affine term runs backward, at O(T * dim^2) after one stationary
-Riccati solve.  The truncation is exact whenever the disturbances have
-died out by the end of the horizon.  That solve is structure-preserving
-doubling on the Riccati equation for H = P - Q, whose input weight
-R + B'QB is positive definite although the flows are free (each flow
-alone moves its departure node's level, q > 0, and r > 0 on the
-productions); P = H + Q.  Each O(dim^3) step doubles value iteration's
-horizon: 4-8 steps on the verify family.
+The delayed plant is lifted to an augmented state space in its own
+coordinates, the levels and then PlantState.flows, of dimension
+dim = N + sigma_N.  The finite-horizon problem with known additive
+disturbances is solved by standard LQ theory, none of the paper's
+algebra: the stationary cost-to-go is the terminal weight, so the
+feedback gain is constant and only an affine term runs backward, at
+O(T * dim^2) after one stationary Riccati solve.  The truncation is
+exact whenever the disturbances have died out by the end of the
+horizon.  That solve is structure-preserving doubling on the Riccati
+equation for H = P - Q, whose input weight R + B'QB is positive
+definite although the flows are free (each flow alone moves its
+departure node's level, q > 0, and r > 0 on the productions);
+P = H + Q.  Each O(dim^3) step doubles value iteration's horizon: 4-8
+steps on the verify family.
 """
 
 from __future__ import annotations
@@ -37,9 +38,10 @@ RICCATI_MAX_ITER = 64
 class AugmentedSystem:
     """x[t+1] = A x + B u + E d with diagonal stage weights Q, R.
 
-    State layout: [z_1..z_N, edge-1 slots, edge-2 slots, ...] where the
-    slots of edge e hold u_e[t-1], u_e[t-2], .., u_e[t-tau_e].  Inputs
-    are [u_1..u_{N-1}, v_1..v_N]; only the productions carry cost.
+    State layout: [z_1..z_N, PlantState.flows without its closing 0.0]:
+    edge e's pipeline u_e[t-tau_e], .., u_e[t-1], oldest first, from
+    index N + sigma_e.  Inputs are [u_1..u_{N-1}, v_1..v_N]; only the
+    productions carry cost.
     """
 
     spec: GraphSpec
@@ -50,54 +52,33 @@ class AugmentedSystem:
     R: np.ndarray
     dim: int
     n_inputs: int
-    slot_offsets: tuple[int, ...]
 
 
 def build_augmented_system(spec: GraphSpec) -> AugmentedSystem:
     n = spec.n
-    dim = n + sum(spec.tau)
+    dim = n + spec.sigma_total
     m = (n - 1) + n
-    offsets = []
-    pos = n
-    for tau in spec.tau:
-        offsets.append(pos)
-        pos += tau
-
-    A = np.zeros((dim, dim))
+    # Each flow slot takes the next newer one's value; the levels persist.
+    A = np.eye(dim, k=1)
+    A[:n] = np.eye(n, dim)
     B = np.zeros((dim, m))
-    E = np.zeros((dim, n))
-    for i in range(n):
-        A[i, i] = 1.0
-        E[i, i] = 1.0
+    B[:n, n - 1 :] = np.eye(n)  # production v_i
+    E = np.eye(dim, n)
     for e in range(n - 1):
-        off, tau = offsets[e], spec.tau[e]
-        # Arrival into node e+1 (0-based e): z_{e+1} gains u_{e+1}[t - tau].
-        A[e, off + tau - 1] = 1.0
-        # Departure from node e+2: z_{e+2} loses u_{e+1}[t].
-        B[e + 1, e] = -1.0
-        # New slot u_{e+1}[t]; older slots shift by one.
-        B[off, e] = 1.0
-        for s in range(1, tau):
-            A[off + s, off + s - 1] = 1.0
-    for i in range(n):
-        B[i, (n - 1) + i] = 1.0  # production v_i
+        oldest, newest = n + spec.sigma[e], n + spec.sigma[e + 1] - 1
+        A[e, oldest] = 1.0  # z_{e+1} gains u_{e+1}[t - tau_{e+1}]
+        B[e + 1, e] = -1.0  # z_{e+2} loses u_{e+1}[t],
+        A[newest] = 0.0  # which enters the newest slot in place of the shift
+        B[newest, e] = 1.0
 
     Q = np.diag(np.concatenate([np.asarray(spec.q, float), np.zeros(dim - n)]))
     R = np.diag(np.concatenate([np.zeros(n - 1), np.asarray(spec.r, float)]))
-    return AugmentedSystem(
-        spec=spec, A=A, B=B, E=E, Q=Q, R=R, dim=dim, n_inputs=m,
-        slot_offsets=tuple(offsets),
-    )
+    return AugmentedSystem(spec=spec, A=A, B=B, E=E, Q=Q, R=R, dim=dim, n_inputs=m)
 
 
 def state_vector(system: AugmentedSystem, state: PlantState) -> np.ndarray:
     """Pack a PlantState into the augmented coordinates."""
-    x = np.zeros(system.dim)
-    x[: system.spec.n] = state.z
-    for e, off in enumerate(system.slot_offsets):
-        # Pipelines are stored oldest first; slots are newest first.
-        x[off : off + system.spec.tau[e]] = state.pipelines[e][::-1]
-    return x
+    return np.concatenate((state.z, state.flows[:-1]))
 
 
 def stationary_riccati(system: AugmentedSystem) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Test-only diagnostics: the paper's identities evaluated on a run.
 
-Value iteration as the reference for the stationary Riccati solution,
-the dense stationary gain and its undisturbed closed loop, the shifted
-aggregates S_k, V_k, m_k as arrays indexed [k, t], the two shifted-sum
-cost decompositions, a filter over a harness message log, a per-hop
-reference for the ledger's announcement update and a scalar reference for
-synthesis.
+A second augmented layout (in-transit slots newest first) as the
+reference for the oracle's build, value iteration as the reference for
+the stationary Riccati solution, the dense stationary gain and its
+undisturbed closed loop, the shifted aggregates S_k, V_k, m_k as arrays
+indexed [k, t], the two shifted-sum cost decompositions, a filter over a
+harness message log, a per-hop reference for the ledger's announcement
+update and a scalar reference for synthesis.
 """
 
 from __future__ import annotations
@@ -17,9 +18,75 @@ import numpy as np
 
 from pathlq.harness import Message, MessageLog
 from pathlq.ledger import DisturbancePlan, ShiftedWindows
-from pathlq.model import GraphSpec, Trajectory
+from pathlq.model import GraphSpec, PlantState, Trajectory
 from pathlq.oracle import RICCATI_TOL, AugmentedSystem, stationary_riccati
 from pathlq.synthesis import ControllerParams, _riccati_step, terminal_riccati
+
+
+@dataclass(frozen=True)
+class ReferenceAugmentedSystem(AugmentedSystem):
+    """The augmented system with each edge's slots newest first:
+    [z_1..z_N, edge-1 slots, edge-2 slots, ...] where the slots of edge e
+    hold u_e[t-1], u_e[t-2], .., u_e[t-tau_e] from offsets[e]."""
+
+    offsets: tuple[int, ...]
+
+
+def reference_build_augmented_system(spec: GraphSpec) -> ReferenceAugmentedSystem:
+    n = spec.n
+    dim = n + sum(spec.tau)
+    m = (n - 1) + n
+    offsets = []
+    pos = n
+    for tau in spec.tau:
+        offsets.append(pos)
+        pos += tau
+
+    A = np.zeros((dim, dim))
+    B = np.zeros((dim, m))
+    E = np.zeros((dim, n))
+    for i in range(n):
+        A[i, i] = 1.0
+        E[i, i] = 1.0
+    for e in range(n - 1):
+        off, tau = offsets[e], spec.tau[e]
+        # Arrival into node e+1 (0-based e): z_{e+1} gains u_{e+1}[t - tau].
+        A[e, off + tau - 1] = 1.0
+        # Departure from node e+2: z_{e+2} loses u_{e+1}[t].
+        B[e + 1, e] = -1.0
+        # New slot u_{e+1}[t]; older slots shift by one.
+        B[off, e] = 1.0
+        for s in range(1, tau):
+            A[off + s, off + s - 1] = 1.0
+    for i in range(n):
+        B[i, (n - 1) + i] = 1.0  # production v_i
+
+    Q = np.diag(np.concatenate([np.asarray(spec.q, float), np.zeros(dim - n)]))
+    R = np.diag(np.concatenate([np.zeros(n - 1), np.asarray(spec.r, float)]))
+    return ReferenceAugmentedSystem(
+        spec=spec, A=A, B=B, E=E, Q=Q, R=R, dim=dim, n_inputs=m,
+        offsets=tuple(offsets),
+    )
+
+
+def reference_state_vector(
+    system: ReferenceAugmentedSystem, state: PlantState
+) -> np.ndarray:
+    """Pack a PlantState into these coordinates, each edge's slots newest first."""
+    x = np.zeros(system.dim)
+    x[: system.spec.n] = state.z
+    for e, off in enumerate(system.offsets):
+        # Pipelines are stored oldest first; slots are newest first.
+        x[off : off + system.spec.tau[e]] = state.pipelines[e][::-1]
+    return x
+
+
+def reference_layout_permutation(spec: GraphSpec) -> np.ndarray:
+    """perm with x = x_ref[perm]: each edge's slot block reversed."""
+    perm = np.arange(spec.n + spec.sigma_total)
+    for a, b in zip(spec.sigma, spec.sigma[1:]):
+        perm[spec.n + a : spec.n + b] = perm[spec.n + a : spec.n + b][::-1]
+    return perm
 
 
 # Value iteration converges linearly: it needs far more steps than doubling.

@@ -101,6 +101,26 @@ class TestConfig:
         ("simulate", {"disturbances": [
             {"node": 2, "start_time": 2, "end_time": 4, "amount_per_step": "abc"}
         ]}, "amount_per_step = 'abc'"),
+        ("simulate", {"n": "5", "tau": "3254"}, "tau = '3254' is not a sequence"),
+        ("simulate", {"tau": "21"}, "tau = '21' is not a sequence"),
+        ("simulate", {"horizon": True}, "horizon = True must be a whole number"),
+        ("simulate", {"disturbances": [
+            {"node": "2", "start_time": 2, "end_time": 4, "amount_per_step": -0.3}
+        ]}, "node = '2' must be a whole number"),
+        ("simulate", {"disturbances": [
+            {"node": 2, "start_time": True, "end_time": 4, "amount_per_step": -0.3}
+        ]}, "start_time = True must be a whole number"),
+        ("simulate", {"disturbances": [
+            {"node": 2, "start_time": 2, "end_time": "4", "amount_per_step": -0.3}
+        ]}, "end_time = '4' must be a whole number"),
+        ("simulate", {"disturbances": [
+            {"node": 2, "start_time": 2, "end_time": 4, "amount_per_step": "0.5"}
+        ]}, "amount_per_step = '0.5' is not a number"),
+        ("simulate", {"disturbances": [
+            {"node": 2, "start_time": 2, "end_time": 4, "amount_per_step": False}
+        ]}, "amount_per_step = False is not a number"),
+        ("simulate", {"run_length": "10"}, "run_length = '10' must be a whole number"),
+        ("simulate", {"run_length": True}, "run_length = True must be a whole number"),
         ("simulate", {"run_length": 10.7}, "run_length = 10.7"),
         ("simulate", {"run_length": -3}, "run_length = -3"),
         ("simulate", {"initial_z": [1.0, float("nan"), 0.25]},
@@ -112,11 +132,18 @@ class TestConfig:
          "initial state is not numeric"),
         ("sweep-horizon", {"horizon_grid": [2.5, 7.9]}, "horizon_grid[0] = 2.5"),
         ("sweep-horizon", {"horizon_grid": [-3]}, "horizon_grid = [-3]"),
+        ("sweep-horizon", {"horizon_grid": [1, "2"]},
+         "horizon_grid[1] = '2' must be a whole number"),
+        ("verify", {"verify_instances": "3"}, "verify_instances = '3' must be a whole"),
+        ("verify", {"verify_instances": True},
+         "verify_instances = True must be a whole number"),
         ("verify", {"verify_instances": 3.7}, "verify_instances = 3.7"),
         ("verify", {"verify_instances": -2}, "verify_instances = -2"),
         ("distributed", {"seed": -1}, "seed = -1"),
         ("distributed", {"seed": 2.5}, "seed = 2.5"),
         ("distributed", {"seed": "abc"}, "seed = 'abc'"),
+        ("distributed", {"seed": "1"}, "seed = '1' must be a whole number"),
+        ("distributed", {"seed": False}, "seed = False must be a whole number"),
         ("distributed --no-feedforward", {},
          "distributed does not read --no-feedforward"),
         ("compare-ff --no-feedforward", {},
@@ -132,12 +159,17 @@ class TestConfig:
     ], ids=["start-after-end", "negative-start", "node-0", "node-past-n",
             "nan-amount", "past-horizon", "fractional-tau", "fractional-n",
             "fractional-horizon", "fractional-node", "fractional-start",
-            "fractional-end", "non-numeric-amount", "fractional-run-length",
+            "fractional-end", "non-numeric-amount", "text-n-and-tau", "text-tau",
+            "bool-horizon", "text-node", "bool-start", "text-end", "text-amount",
+            "bool-amount", "text-run-length", "bool-run-length",
+            "fractional-run-length",
             "negative-run-length", "nan-initial-z", "nan-initial-pipelines",
             "non-numeric-initial-z", "non-numeric-initial-pipelines",
-            "fractional-horizon-grid", "negative-horizon-grid",
+            "fractional-horizon-grid", "negative-horizon-grid", "text-horizon-grid",
+            "text-verify-instances", "bool-verify-instances",
             "fractional-verify-instances", "negative-verify-instances",
-            "negative-seed", "fractional-seed", "non-numeric-seed",
+            "negative-seed", "fractional-seed", "non-numeric-seed", "text-seed",
+            "bool-seed",
             "no-feedforward-on-distributed", "no-feedforward-on-compare-ff",
             "tee-summary-on-distributed", "tee-summary-on-synth",
             "horizon-on-verify", "zero-horizon-on-verify",

@@ -79,9 +79,28 @@ class TestGraphSpec:
         (dict(tau=("x",)), "tau_1 = x must be an integer >= 1"),
         (dict(n=None), "n = None must be a whole number"),
         (dict(tau=None), "tau = None is not a sequence"),
+        # Text and booleans are not numbers, although float() reads them.
+        (dict(n="2"), "n = 2 must be a whole number"),
+        (dict(n=b"2"), "n = b'2' must be a whole number"),
+        (dict(n=True, tau=(), q=(1.0,), r=(1.0,)), "n = True must be a whole number"),
+        (dict(horizon=True), "horizon = True must be a whole number"),
+        (dict(horizon=np.True_), "horizon = True must be a whole number"),
+        (dict(horizon="2"), "horizon = 2 must be a whole number"),
+        (dict(tau="1"), "tau = '1' is not a sequence"),
+        (dict(tau=b"1"), "tau = b'1' is not a sequence"),
+        (dict(tau=(True,)), "tau_1 = True must be an integer >= 1"),
+        (dict(tau=("1",)), "tau_1 = 1 must be an integer >= 1"),
+        (dict(q="11"), "q = '11' is not a sequence"),
+        (dict(q=(1.0, "1")), "q_2 = '1' is not a number"),
+        (dict(r=(np.True_, 1.0)), "r_1 = np.True_ is not a number"),
+        (dict(r=(1.0, b"1")), "r_2 = b'1' is not a number"),
     ], ids=["tau-short", "n-0", "n-fractional", "q-short", "r-long", "q-negative",
             "r-nan", "q-inf", "horizon-negative", "horizon-fractional", "tau-0",
-            "tau-fractional", "q-text", "tau-text", "n-none", "tau-none"])
+            "tau-fractional", "q-text", "tau-text", "n-none", "tau-none",
+            "n-text", "n-bytes", "n-bool", "horizon-bool", "horizon-numpy-bool",
+            "horizon-text", "tau-string", "tau-bytes", "tau-entry-bool",
+            "tau-entry-text", "q-string", "q-entry-text", "r-entry-numpy-bool",
+            "r-entry-bytes"])
     def test_bad_spec_rejected_at_construction(self, fields, match):
         # GraphSpec(n=3, tau=(1,), ...) used to be accepted, and synthesize
         # then failed with a bare IndexError; a negative or NaN weight gave
@@ -98,7 +117,7 @@ class TestGraphSpec:
 
     def test_weights_stored_as_python_floats(self):
         spec = GraphSpec(n=3, tau=(2, 1), q=[1, np.float32(0.1), 2.5],
-                         r=(np.int64(3), 4, True), horizon=0)
+                         r=(np.int64(3), 4, np.uint8(1)), horizon=0)
         assert all(type(x) is float for x in (*spec.q, *spec.r))
         for stored, array in zip((spec.q, spec.r), spec.weights):
             assert np.array(stored).tobytes() == array.tobytes()

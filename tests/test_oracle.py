@@ -1,6 +1,7 @@
 """Tests for the LQ oracle, its dense reference QP and the shifted-sum diagnostics."""
 
 import ast
+import sys
 import warnings
 from pathlib import Path
 
@@ -38,6 +39,9 @@ from pathlq.verify import (
 from diagnostics import (
     check_cost_decomposition,
     gain_closed_loop,
+    reference_build_augmented_system,
+    reference_layout_permutation,
+    reference_state_vector,
     reference_stationary_riccati,
     shifted_aggregates,
     stationary_gain,
@@ -59,19 +63,24 @@ class TestAugmentedSystem:
         sys5 = build_augmented_system(_spec(5, [3, 2, 5, 4], horizon=6))
         assert sys5.dim == 5 + 14 and sys5.n_inputs == 4 + 5
 
-    def test_matrix_step_matches_plant_step(self):
+    # n = 1 has no edge; with every tau = 1 each slot is both the oldest
+    # and the newest; the last edge always ends at index dim - 1.
+    @pytest.mark.parametrize("tau", [(), (1, 1, 1), (7,), (2, 1, 3)],
+                             ids=["n1", "every-tau-1", "one-edge-tau-7", "mixed"])
+    def test_matrix_step_matches_plant_step(self, tau):
         rng = np.random.default_rng(2)
-        spec = _spec(4, [2, 1, 3], horizon=2)
+        n = len(tau) + 1
+        spec = _spec(n, tau, horizon=2)
         system = build_augmented_system(spec)
         state = PlantState.initial(
             spec,
-            z0=rng.normal(size=4),
+            z0=rng.normal(size=n),
             pipelines0=[rng.normal(size=t) for t in spec.tau],
         )
         for _ in range(8):
-            u = rng.normal(size=3)
-            v = rng.normal(size=4)
-            d = rng.normal(size=4)
+            u = rng.normal(size=n - 1)
+            v = rng.normal(size=n)
+            d = rng.normal(size=n)
             x = state_vector(system, state)
             x_next = system.A @ x + system.B @ np.concatenate([u, v]) + system.E @ d
             state = plant_step(state, ControlDecision(u=u, v=v), d, spec)
@@ -300,6 +309,28 @@ def test_no_package_module_imports_scipy():
         imported += [node.module for node in ast.walk(tree)
                      if isinstance(node, ast.ImportFrom) and node.module]
         assert not [name for name in imported if name.split(".")[0] == "scipy"], path.name
+
+
+def test_oracle_imports_no_code_it_certifies():
+    # The oracle shares the plant's state layout, and nothing else: not the
+    # synthesis, controller or simulation it certifies, nor a private name.
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    packages = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            packages.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            prefix = "pathlq." if node.level == 1 else "." * node.level
+            if node.module:
+                packages.add(prefix + node.module)
+            else:  # from . import x
+                packages.update(prefix + alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            assert not node.attr.startswith("_"), node.attr
+    own = {p for p in packages if p.split(".")[0] in ("", "pathlq")}
+    assert own == {"pathlq.errors", "pathlq.ledger", "pathlq.model"}
+    for name in packages - own:
+        assert name.split(".")[0] in {"numpy", *sys.stdlib_module_names}, name
 
 
 class TestShiftedDiagnostics:
@@ -598,6 +629,31 @@ def _finite_horizon_problems(seed):
 
 
 class TestAgainstReference:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_system_is_the_former_layout_permuted(self, seed):
+        # The plant's layout is the former one, newest slot first, with each
+        # edge's slot block reversed: the same system, reordered.
+        for inst in _certify_family(seed):
+            spec = inst.spec
+            system = build_augmented_system(spec)
+            ref = reference_build_augmented_system(spec)
+            perm = reference_layout_permutation(spec)
+            square = np.ix_(perm, perm)
+            assert np.array_equal(system.A, ref.A[square])
+            assert np.array_equal(system.B, ref.B[perm])
+            assert np.array_equal(system.E, ref.E[perm])
+            assert np.array_equal(system.Q, ref.Q[square])
+            assert np.array_equal(system.R, ref.R)
+            state = PlantState.initial(spec, inst.z0, inst.pipelines0)
+            x0, x0_ref = state_vector(system, state), reference_state_vector(ref, state)
+            assert x0.tobytes() == x0_ref[perm].tobytes()
+            P, P_ref = stationary_riccati(system), stationary_riccati(ref)
+            assert np.max(np.abs(P - P_ref[square])) <= 1e-12 * np.max(np.abs(P_ref))
+            T = spec.sigma_total + spec.horizon + SETTLING_STEPS
+            U = solve_finite_horizon(system, x0, inst.plan, T, P).inputs
+            U_ref = solve_finite_horizon(ref, x0_ref, inst.plan, T, P_ref).inputs
+            assert np.max(np.abs(U - U_ref)) <= 1e-12 * np.max(np.abs(U_ref))
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_finite_horizon_solution_is_bitwise_the_block_loop(self, seed):
         for problem in _finite_horizon_problems(seed):
