@@ -46,6 +46,8 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path}: config must be a JSON object")
     version = cfg.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(
@@ -83,8 +85,12 @@ def _seed(value, what: str) -> int:
 
 
 def config_plan(cfg: dict) -> DisturbancePlan:
-    records = []
-    for i, rec in enumerate(cfg.get("disturbances", [])):
+    records, disturbances = [], cfg.get("disturbances", [])
+    if not isinstance(disturbances, list):
+        raise ConfigError(f"disturbances must be a list, got {disturbances!r}")
+    for i, rec in enumerate(disturbances):
+        if not isinstance(rec, dict):
+            raise ConfigError(f"disturbances[{i}] must be an object, got {rec!r}")
         for fld in ("node", "start_time", "end_time", "amount_per_step"):
             if fld not in rec:
                 raise ConfigError(f"disturbances[{i}]: missing field {fld!r}")

@@ -1,11 +1,12 @@
 """Message-passing execution of the two-sweep control law.
 
-Each node is an isolated unit holding only its own parameter slice,
-its own measurements, and two neighbor links.  A control round runs the
-upstream (delta) and downstream (mu) chains concurrently under a
-randomized scheduler; decisions must be independent of the interleaving
-and bit-identical to the sequential controller, which applies the same
-formulas to all nodes at once over packed parameter tables.
+Each node is an isolated unit holding only its own parameter slice and
+its own measurements; the links between neighbors belong to the Network,
+which can take them down.  A control round runs the upstream (delta) and
+downstream (mu) chains concurrently under a randomized scheduler;
+decisions must be independent of the interleaving and bit-identical to
+the sequential controller, which applies the same formulas to all nodes
+at once over packed parameter tables.
 
 This is an in-process simulation with explicit queues, not network I/O:
 isolation and neighbor-only communication are enforced by construction
@@ -68,7 +69,7 @@ class MessageLog:
 
 @dataclass(slots=True)
 class NodeUnit:
-    """One controller node: local parameter slice and local measurements.
+    """One controller node: its parameter slice and this round's measurements.
 
     uvals and dwin start at delay slot 0.  A row past tau_eff repeats its
     last slot (MessagePassing reads packed rows); the kernels never read it.
@@ -81,29 +82,19 @@ class NodeUnit:
     uvals: Sequence[float] | None = None
     dwin: Sequence[float] | None = None
     d: float = 0.0
-    # sweep intermediates
-    phi_val: float | None = None
-    pi_val: float | None = None
-    delta: float | None = None
-    mu: float | None = None
-    delta_prev: float | None = None
-    mu_next: float | None = None
 
     def reset(self, z, uvals, dwin, d) -> None:
         """Take this round's measurements as given."""
         self.z, self.uvals, self.dwin, self.d = z, uvals, dwin, d
-        self.phi_val = self.pi_val = self.delta = self.mu = None
-        self.delta_prev = 0.0 if self.params.index == 1 else None
-        self.mu_next = None  # set to 0.0 for the last node by the network
 
-    def outputs(self) -> tuple[float | None, float]:
-        """(flow released downstream or None for node 1, production)."""
-        v = local_production(self.params, self.delta_prev, self.mu)
+    def outputs(self, delta_prev: float, mu: float) -> tuple[float | None, float]:
+        """(flow released downstream or None for node 1, production), from
+        the delta this node received and the mu it sent."""
+        v = local_production(self.params, delta_prev, mu)
         if self.params.index == 1:
             return None, v
         u = local_flow(
-            self.params, self.z, self.uvals[0], self.dwin[0],
-            self.delta_prev, self.mu, self.d,
+            self.params, self.z, self.uvals[0], self.dwin[0], delta_prev, mu, self.d,
         )
         return u, v
 
@@ -147,11 +138,15 @@ def run_control_round(
     another length raises ValueError.  Decisions do not depend on the
     interleaving of the two chains.
 
-    The ready list `slots` is sorted: slot 2k is node k+1's phi -> delta
-    chain and slot 2k+1 its pi -> mu chain (node-major, phi/delta first),
-    present while that chain has a task whose inputs have all arrived.
-    Each task runs `slots[i]` and then removes and inserts at most one
-    slot each, so a round is 4N tasks and O(N) work.  The schedule is one
+    Chain c of node k+1 is slot 2k + c: chain 0 folds Phi and sends
+    delta up the path, chain 1 folds pi and sends mu down it.  The round
+    keeps three lists indexed by slot: `fold` (the local fold), `inbox`
+    (the value received; node 1's delta_0 and node N's mu_{N+1} are 0.0)
+    and `sent` (the fold combined with the inbox, sent on to the slot two
+    places up or down).  The ready list `slots` is sorted and holds a
+    slot while its chain has a task whose inputs have all arrived.  Each
+    task runs `slots[i]` and then removes and inserts at most one slot
+    each, so a round is 4N tasks and O(N) work.  The schedule is one
     float u in [0, 1) per task, from one `rng.random(4 * N)` batch drawn
     at the start of the round: the task runs `slots[int(u * len(slots))]`.
     Each round thus advances the rng by exactly 4N doubles, also when a
@@ -165,53 +160,42 @@ def run_control_round(
     nodes, n, rnd = network.nodes, network.n, network.round
     for node, meas in zip(nodes, measurements, strict=True):
         node.reset(*meas)
-    nodes[-1].mu_next = 0.0
+    kinds, hops = ("delta", "mu"), (DIRECTION["delta"], DIRECTION["mu"])
+    local_folds, combines = (local_phi, local_pi), (combine_delta, combine_mu)
+    fold, inbox, sent = [None] * (2 * n), [None] * (2 * n), [None] * (2 * n)
+    inbox[0] = inbox[-1] = 0.0
     slots = list(range(2 * n))
     append, failed = log.records.append, network.failed_links
     draws = rng.random(4 * n).tolist() if rng is not None else [0.0] * (4 * n)
     try:
         for u in draws:
             i = int(u * len(slots))
-            slot = slots[i]
-            k = slot >> 1
+            s = slots[i]
+            c, k = s & 1, s >> 1
             node = nodes[k]
+            if fold[s] is None:
+                fold[s] = local_folds[c](node.params, node.z, node.uvals, node.dwin)
+                if inbox[s] is None:
+                    del slots[i]
+                continue
+            sent[s] = value = combines[c](node.params, fold[s], inbox[s])
+            del slots[i]
             # A send logs the message and hands its value to the neighbor,
             # whose chain becomes ready if its local fold is done.  Sends go
             # to neighbors only, so a downed edge is all that can stop one.
-            if not slot & 1 and node.phi_val is None:
-                node.phi_val = local_phi(node.params, node.z, node.uvals, node.dwin)
-                if node.delta_prev is None:
-                    del slots[i]
-            elif not slot & 1:
-                node.delta = combine_delta(node.params, node.phi_val, node.delta_prev)
-                del slots[i]
-                if k + 1 < n:
-                    if failed:
-                        network._check_link(k + 1, k + 2)
-                    append(Message(rnd, k + 1, k + 2, "delta", node.delta))
-                    dst = nodes[k + 1]
-                    dst.delta_prev = node.delta
-                    if dst.phi_val is not None:
-                        insort(slots, slot + 2)
-            elif node.pi_val is None:
-                node.pi_val = local_pi(node.params, node.z, node.uvals, node.dwin)
-                if node.mu_next is None:
-                    del slots[i]
-            else:
-                node.mu = combine_mu(node.params, node.pi_val, node.mu_next)
-                del slots[i]
-                if k > 0:
-                    if failed:
-                        network._check_link(k + 1, k)
-                    append(Message(rnd, k + 1, k, "mu", node.mu))
-                    dst = nodes[k - 1]
-                    dst.mu_next = node.mu
-                    if dst.pi_val is not None:
-                        insort(slots, slot - 2)
+            dst = k + hops[c]
+            if 0 <= dst < n:
+                if failed:
+                    network._check_link(k + 1, dst + 1)
+                append(Message(rnd, k + 1, dst + 1, kinds[c], value))
+                to = 2 * dst + c
+                inbox[to] = value
+                if fold[to] is not None:
+                    insort(slots, to)
     finally:
         network.round += 1
 
-    flows, prods = zip(*(node.outputs() for node in nodes))
+    flows, prods = zip(*map(NodeUnit.outputs, nodes, inbox[::2], sent[1::2]))
     return ControlDecision(u=np.array(flows[1:], dtype=float), v=np.array(prods)), log
 
 

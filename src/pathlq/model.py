@@ -43,6 +43,18 @@ def read_number(x) -> float | None:
         return None
 
 
+def _read_numbers(x) -> np.ndarray:
+    """np.asarray(x, dtype=float), refusing by read_number's rule any entry
+    that is text or a boolean (ValueError).  A float array is taken as it
+    is, with no scan."""
+    arr = np.asarray(x, dtype=float)
+    if arr is not x:
+        for entry in np.array(x, dtype=object).flat:
+            if read_number(entry) is None:
+                raise ValueError(f"entry {entry!r}")
+    return arr
+
+
 @dataclass(frozen=True)
 class GraphSpec:
     """Immutable problem instance: sizes, delays, weights, planning horizon."""
@@ -135,9 +147,9 @@ class PlantState:
     @staticmethod
     def initial(spec: GraphSpec, z0=None, pipelines0=None) -> "PlantState":
         try:
-            z = np.zeros(spec.n) if z0 is None else np.array(z0, dtype=float)
+            z = np.zeros(spec.n) if z0 is None else _read_numbers(z0).copy()
             pipes = (None if pipelines0 is None
-                     else [np.asarray(p, dtype=float) for p in pipelines0])
+                     else [_read_numbers(p) for p in pipelines0])
         except (TypeError, ValueError) as exc:
             raise SpecError(f"initial state is not numeric: {exc}") from None
         if z.shape != (spec.n,):

@@ -130,6 +130,23 @@ class TestConfig:
         ("simulate", {"initial_z": ["abc", 0, 0.25]}, "initial state is not numeric"),
         ("simulate", {"initial_pipelines": [["x", 0.0], [0.0]]},
          "initial state is not numeric"),
+        ("simulate", {"initial_z": ["0.5", 0, 0.25]}, "initial state is not numeric"),
+        ("simulate", {"initial_z": [True, 0, 0.25]}, "initial state is not numeric"),
+        ("simulate", {"initial_z": [0.5, True, 0.25]}, "initial state is not numeric"),
+        ("simulate", {"initial_pipelines": [["0.1", 0.0], [0.0]]},
+         "initial state is not numeric"),
+        ("simulate", {"initial_pipelines": [[0.0, True], [0.0]]},
+         "initial state is not numeric"),
+        ("simulate", {"disturbances": 5}, "disturbances must be a list"),
+        ("simulate", {"disturbances": None}, "disturbances must be a list"),
+        ("simulate", {"disturbances": "abc"}, "disturbances must be a list"),
+        ("simulate", {"disturbances": {
+            "node": 2, "start_time": 2, "end_time": 4, "amount_per_step": -0.3
+        }}, "disturbances must be a list"),
+        ("simulate", {"disturbances": [5]}, "disturbances[0] must be an object"),
+        ("simulate", {"disturbances": [
+            {"node": 2, "start_time": 2, "end_time": 4, "amount_per_step": -0.3}, None
+        ]}, "disturbances[1] must be an object"),
         ("sweep-horizon", {"horizon_grid": [2.5, 7.9]}, "horizon_grid[0] = 2.5"),
         ("sweep-horizon", {"horizon_grid": [-3]}, "horizon_grid = [-3]"),
         ("sweep-horizon", {"horizon_grid": [1, "2"]},
@@ -165,6 +182,10 @@ class TestConfig:
             "fractional-run-length",
             "negative-run-length", "nan-initial-z", "nan-initial-pipelines",
             "non-numeric-initial-z", "non-numeric-initial-pipelines",
+            "text-initial-z", "bool-initial-z", "mixed-bool-initial-z",
+            "text-initial-pipelines", "bool-initial-pipelines",
+            "number-disturbances", "null-disturbances", "text-disturbances",
+            "object-disturbances", "number-disturbance", "null-disturbance",
             "fractional-horizon-grid", "negative-horizon-grid", "text-horizon-grid",
             "text-verify-instances", "bool-verify-instances",
             "fractional-verify-instances", "negative-verify-instances",
@@ -199,6 +220,14 @@ class TestConfig:
         rc = main(["simulate", "--config", str(path), "--out", str(tmp_path)])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"x"', "3", "null"])
+    def test_config_that_is_not_an_object_rejected(self, text, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        rc = main(["simulate", "--config", str(path), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
 
 
 class TestSimulate:

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pathlq import harness
 from pathlq.controller import combine_delta, combine_mu, local_phi, local_pi
 from pathlq.errors import RoundAbortError, SpecError
 from pathlq.harness import (
@@ -296,6 +297,57 @@ def test_network_rejects_params_for_another_spec(other):
         Network(replace(spec, **other), params)
 
 
+def _node_decisions(decision):
+    """Node i's (flow released downstream or None, production), i = 1..N,
+    as float hex strings so that equal means bitwise equal."""
+    flows = [None] + [x.hex() for x in decision.u.tolist()]
+    return list(zip(flows, (x.hex() for x in decision.v.tolist())))
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("kind, combine", [("delta", "combine_delta"),
+                                           ("mu", "combine_mu")])
+def test_each_sweep_runs_in_its_own_direction(monkeypatch, kind, combine, k):
+    # Node k's delta reaches only nodes k+1..N and its mu only nodes 1..k:
+    # a bump of 1.0 to one of them is what node k sends, and every
+    # decision outside its reach keeps its bits.
+    n = 6
+    spec = _spec(n, [2, 1, 4, 1, 3], horizon=2, q=(1.0, 0.4, 2.0, 1.1, 0.7, 3.0),
+                 r=(0.5, 1.0, 2.5, 0.8, 1.3, 0.2))
+    params = synthesize(spec)
+    rng = np.random.default_rng(5)
+    meas = [(rng.normal(), rng.normal(size=t).tolist(), rng.normal(size=t).tolist(),
+             rng.normal()) for t in params.tau_eff]
+
+    def run():
+        log = MessageLog()
+        decision, _ = run_control_round(Network(spec, params), meas, log,
+                                        np.random.default_rng(9))
+        return _node_decisions(decision), {(m.kind, m.src): m.value
+                                           for m in log.records}
+
+    base, base_sent = run()
+    plain = getattr(harness, combine)
+
+    def bumped(p, fold, received):
+        out = plain(p, fold, received)
+        return out + 1.0 if p.index == k else out
+
+    monkeypatch.setattr(harness, combine, bumped)
+    moved, moved_sent = run()
+    if (kind, k) in base_sent:
+        assert moved_sent[kind, k] == base_sent[kind, k] + 1.0
+    else:
+        assert (k, kind) in [(n, "delta"), (1, "mu")]
+    reach = range(k + 1, n + 1) if kind == "delta" else range(1, k + 1)
+    for i in range(1, n + 1):
+        if i not in reach:
+            assert moved[i - 1] == base[i - 1], i
+    if reach:
+        nearest = k + 1 if kind == "delta" else k
+        assert moved[nearest - 1][1] != base[nearest - 1][1]
+
+
 def test_aborted_round_keeps_its_round_number():
     # A retry after restore_links logs under a new round, so the audit does
     # not mix its chains with the aborted attempt's.
@@ -312,20 +364,34 @@ def test_aborted_round_keeps_its_round_number():
     assert report.ok, report.violations
 
 
-def test_round_runs_on_python_floats():
+def test_round_runs_on_python_floats(monkeypatch):
     # numpy scalars anywhere in a unit make every kernel and message after
     # them run on numpy scalar arithmetic, at about twice the cost.
+    results = {name: [] for name in ("local_phi", "local_pi", "combine_delta",
+                                     "combine_mu")}
+
+    def recording(name, fn):
+        def kernel(*args):
+            results[name].append(out := fn(*args))
+            return out
+        return kernel
+
+    for name in results:
+        monkeypatch.setattr(harness, name, recording(name, getattr(harness, name)))
     spec = _spec(5, [2, 3, 1, 4], horizon=3, q=(1.0, 0.4, 2.0, 1.1, 0.7))
     params = synthesize(spec)
     plan = DisturbancePlan({(2, 4): -0.6, (5, 3): 0.9, (1, 5): 0.2})
     executor = MessagePassing(Network(spec, params), rng=np.random.default_rng(3))
-    closed_loop(spec, params, plan, 4, [1.0, -0.5, 2.0, 0.1, -1.2], announce=2,
+    steps = 4
+    closed_loop(spec, params, plan, steps, [1.0, -0.5, 2.0, 0.1, -1.2], announce=2,
                 executor=executor)
     assert {m.kind for m in executor.log.records} == {"delta", "mu", "D-update"}
     assert all(type(m.value) is float for m in executor.log.records)
-    for node in executor.network.nodes:
-        for x in (node.phi_val, node.pi_val, node.delta, node.mu):
-            assert type(x) is float
+    # Every fold and combine of every round, node N's delta and node 1's
+    # mu among them, though neither is ever sent.
+    for name, values in results.items():
+        assert len(values) == steps * spec.n, name
+        assert all(type(x) is float for x in values), name
     for k in range(spec.n):
         node = params.node_slice(k)
         for row in (node.phi, node.gprod):
@@ -382,30 +448,32 @@ def reference_round(network, measurements, log, rng):
     """A control round whose scheduler rebuilds the whole ready list with an
     O(N) scan before every task, in node-major, phi/delta-first order, and
     picks a task by one scalar rng.random() draw; an aborted round draws
-    the rest of its 4N doubles on the way out."""
+    the rest of its 4N doubles on the way out.  It keeps each node's chain
+    state in its own per-node lists."""
     nodes, n, rnd = network.nodes, network.n, network.round
     for node, (z, uvals, dwin, d) in zip(nodes, measurements):
         node.reset(z, uvals, dwin, d)
-    nodes[-1].mu_next = 0.0
+    phi, pi, delta, mu = [None] * n, [None] * n, [None] * n, [None] * n
+    delta_prev, mu_next = [0.0] + [None] * (n - 1), [None] * (n - 1) + [0.0]
 
     def send(src, dst, kind, value):
         network._check_link(src, dst)
         log.append(Message(round=rnd, src=src, dst=dst, kind=kind, value=value))
         if kind == "delta":
-            nodes[dst - 1].delta_prev = value
+            delta_prev[dst - 1] = value
         else:
-            nodes[dst - 1].mu_next = value
+            mu_next[dst - 1] = value
 
     def ready():
         tasks = []
-        for k, node in enumerate(nodes):
-            if node.phi_val is None:
+        for k in range(n):
+            if phi[k] is None:
                 tasks.append(("phi", k))
-            elif node.delta is None and node.delta_prev is not None:
+            elif delta[k] is None and delta_prev[k] is not None:
                 tasks.append(("delta", k))
-            if node.pi_val is None:
+            if pi[k] is None:
                 tasks.append(("pi", k))
-            elif node.mu is None and node.mu_next is not None:
+            elif mu[k] is None and mu_next[k] is not None:
                 tasks.append(("mu", k))
         return tasks
 
@@ -419,24 +487,24 @@ def reference_round(network, measurements, log, rng):
                 kind, k = tasks[0]
             node = nodes[k]
             if kind == "phi":
-                node.phi_val = local_phi(node.params, node.z, node.uvals, node.dwin)
+                phi[k] = local_phi(node.params, node.z, node.uvals, node.dwin)
             elif kind == "pi":
-                node.pi_val = local_pi(node.params, node.z, node.uvals, node.dwin)
+                pi[k] = local_pi(node.params, node.z, node.uvals, node.dwin)
             elif kind == "delta":
-                node.delta = combine_delta(node.params, node.phi_val, node.delta_prev)
+                delta[k] = combine_delta(node.params, phi[k], delta_prev[k])
                 if k + 1 < n:
-                    send(k + 1, k + 2, "delta", node.delta)
+                    send(k + 1, k + 2, "delta", delta[k])
             else:
-                node.mu = combine_mu(node.params, node.pi_val, node.mu_next)
+                mu[k] = combine_mu(node.params, pi[k], mu_next[k])
                 if k > 0:
-                    send(k + 1, k, "mu", node.mu)
+                    send(k + 1, k, "mu", mu[k])
     finally:
         if rng is not None:
             rng.random(4 * n - drawn)
     u = np.zeros(max(n - 1, 0))
     v = np.empty(n)
     for k, node in enumerate(nodes):
-        flow, v[k] = node.outputs()
+        flow, v[k] = node.outputs(delta_prev[k], mu[k])
         if flow is not None:
             u[k - 1] = flow
     network.round += 1

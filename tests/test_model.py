@@ -143,6 +143,33 @@ class TestInitialState:
         with pytest.raises(SpecError, match="initial z has a non-finite entry"):
             PlantState.initial(self.SPEC, [0.0, np.nan, 0.0, 0.0], [[0.0]])
 
+    @pytest.mark.parametrize("z0, pipelines", [
+        (["0.5", "0.1", "0.2", "0.3"], None),
+        ([True, False, True, False], None),
+        ([0.5, True, 0.0, 0.0], None),
+        ([0.5, np.True_, 0.0, 0.0], None),
+        ([b"1", 0.0, 0.0, 0.0], None),
+        (np.array([True, False, True, True]), None),
+        (np.array(["1", "2", "3", "4"]), None),
+        (np.zeros(4), [["0.1", "0.2"], [0.0, 0.0, 0.0], [0.0]]),
+        (np.zeros(4), [[0.1, 0.2], [0.0, True, 0.0], [0.0]]),
+        (np.zeros(4), [[0.1, 0.2], [0.0, 0.0, 0.0], np.array([False])]),
+    ], ids=["text-z", "bool-z", "mixed-bool-z", "np-bool-entry-z", "bytes-z",
+            "bool-array-z", "text-array-z", "text-pipeline", "mixed-bool-pipeline",
+            "bool-array-pipeline"])
+    def test_text_and_booleans_are_not_numbers(self, z0, pipelines):
+        # np.array(..., float) reads '0.5' as 0.5 and True as 1.0.
+        with pytest.raises(SpecError, match="initial state is not numeric"):
+            PlantState.initial(self.SPEC, z0, pipelines)
+
+    def test_numbers_of_every_type_are_read(self):
+        got = PlantState.initial(
+            self.SPEC, [1, np.int64(2), np.float32(0.5), 4.0],
+            [np.array([1, 2]), (np.uint8(3), 4.5, 5), np.array([6.0], np.float32)],
+        )
+        assert got.z.tolist() == [1.0, 2.0, 0.5, 4.0]
+        assert got.flows.tolist() == [1.0, 2.0, 3.0, 4.5, 5.0, 6.0, 0.0]
+
     @pytest.mark.parametrize("tau", [(2, 3, 1), (1,), ()], ids=["n4", "n2", "n1"])
     def test_state_equals_the_constructed_one(self, tau, rng):
         n = len(tau) + 1
