@@ -18,13 +18,17 @@ import numpy as np
 
 from .errors import HorizonViolationError, SpecError
 from .harness import audit_message_log, run_closed_loop
-from .ledger import DisturbancePlan
-from .model import GraphSpec, read_number
+from .ledger import RECORD_FIELDS, DisturbancePlan
+from .model import GraphSpec, read_number, read_whole
 from .simulate import closed_loop
 from .synthesis import params_to_document, synthesize
 from .verify import run_differential_suite
 
 SCHEMA_VERSION = 1
+# Every field a config may hold; any other key is an error, so a typo is loud.
+CONFIG_FIELDS = ("schema_version", "n", "tau", "q", "r", "horizon", "run_length",
+                 "initial_z", "initial_pipelines", "disturbances", "seed",
+                 "horizon_grid", "verify_instances")
 # Flags that only some commands read: argparse dest -> those commands.
 FLAG_COMMANDS = {
     "no_feedforward": ("simulate",),
@@ -48,6 +52,7 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
+    _reject_unknown(cfg, CONFIG_FIELDS, path)
     version = cfg.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(
@@ -61,6 +66,12 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+def _reject_unknown(obj: dict, fields, where: str) -> None:
+    unknown = [key for key in obj if key not in fields]
+    if unknown:
+        raise ConfigError(f"{where}: unknown field {unknown[0]!r}")
+
+
 def config_spec(cfg: dict) -> GraphSpec:
     try:
         return GraphSpec(**{f: cfg[f] for f in ("n", "tau", "q", "r", "horizon")})
@@ -70,10 +81,10 @@ def config_spec(cfg: dict) -> GraphSpec:
 
 def _whole(value, what: str) -> int:
     """`value` as an int, if it is a whole number; ConfigError otherwise."""
-    x = read_number(value)
-    if x is None or not x.is_integer():
+    x = read_whole(value)
+    if x is None:
         raise ConfigError(f"{what} = {value!r} must be a whole number")
-    return int(x)
+    return x
 
 
 def _seed(value, what: str) -> int:
@@ -85,16 +96,17 @@ def _seed(value, what: str) -> int:
 
 
 def config_plan(cfg: dict) -> DisturbancePlan:
-    records, disturbances = [], cfg.get("disturbances", [])
+    disturbances = cfg.get("disturbances", [])
     if not isinstance(disturbances, list):
         raise ConfigError(f"disturbances must be a list, got {disturbances!r}")
     for i, rec in enumerate(disturbances):
         if not isinstance(rec, dict):
             raise ConfigError(f"disturbances[{i}] must be an object, got {rec!r}")
-        for fld in ("node", "start_time", "end_time", "amount_per_step"):
+        _reject_unknown(rec, RECORD_FIELDS, f"disturbances[{i}]")
+        for fld in RECORD_FIELDS:
             if fld not in rec:
                 raise ConfigError(f"disturbances[{i}]: missing field {fld!r}")
-        node, start, end = (
+        _, start, end = (
             _whole(rec[fld], f"disturbances[{i}]: {fld}")
             for fld in ("node", "start_time", "end_time")
         )
@@ -103,15 +115,10 @@ def config_plan(cfg: dict) -> DisturbancePlan:
                 f"disturbances[{i}]: need 0 <= start_time <= end_time, got "
                 f"{start} and {end}"
             )
-        amount = read_number(rec["amount_per_step"])
-        if amount is None:
-            raise ConfigError(
-                f"disturbances[{i}]: amount_per_step = "
-                f"{rec['amount_per_step']!r} is not a number"
-            )
-        records.append({"node": node, "start_time": start, "end_time": end,
-                        "amount_per_step": amount})
-    return DisturbancePlan.from_records(records)
+        if read_number(rec["amount_per_step"]) is None:
+            raise ConfigError(f"disturbances[{i}]: amount_per_step = "
+                              f"{rec['amount_per_step']!r} is not a number")
+    return DisturbancePlan.from_records(disturbances)
 
 
 def load_run(cfg: dict):

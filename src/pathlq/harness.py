@@ -1,16 +1,16 @@
 """Message-passing execution of the two-sweep control law.
 
-Each node is an isolated unit holding only its own parameter slice and
-its own measurements; the links between neighbors belong to the Network,
-which can take them down.  A control round runs the upstream (delta) and
-downstream (mu) chains concurrently under a randomized scheduler;
-decisions must be independent of the interleaving and bit-identical to
-the sequential controller, which applies the same formulas to all nodes
-at once over packed parameter tables.
+A node is its parameter slice, and its tasks read only its own entry of
+the round's measurements; the links between neighbors belong to the
+Network, which can take them down.  A control round runs the upstream
+(delta) and downstream (mu) chains concurrently under a randomized
+scheduler; decisions must be independent of the interleaving and
+bit-identical to the sequential controller, which applies the same
+formulas to all nodes at once over packed parameter tables.
 
 This is an in-process simulation with explicit queues, not network I/O:
-isolation and neighbor-only communication are enforced by construction
-and audited through the message log.
+neighbor-only communication is enforced by construction and audited
+through the message log.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from .controller import (
 )
 from .errors import RoundAbortError
 from .ledger import DisturbancePlan
-from .model import ControlDecision, GraphSpec
+from .model import ControlDecision, GraphSpec, read_whole
 from .simulate import closed_loop
-from .synthesis import ControllerParams, NodeParams
+from .synthesis import ControllerParams
 
 
 @dataclass(slots=True)
@@ -67,54 +67,23 @@ class MessageLog:
                 writer.writerow([m.round, m.src, m.dst, m.kind, repr(float(m.value))])
 
 
-@dataclass(slots=True)
-class NodeUnit:
-    """One controller node: its parameter slice and this round's measurements.
-
-    uvals and dwin start at delay slot 0.  A row past tau_eff repeats its
-    last slot (MessagePassing reads packed rows); the kernels never read it.
-    Everything a unit holds is a Python float or a sequence of them, so
-    its kernels and messages run on plain float arithmetic.
-    """
-
-    params: NodeParams
-    z: float = 0.0
-    uvals: Sequence[float] | None = None
-    dwin: Sequence[float] | None = None
-    d: float = 0.0
-
-    def reset(self, z, uvals, dwin, d) -> None:
-        """Take this round's measurements as given."""
-        self.z, self.uvals, self.dwin, self.d = z, uvals, dwin, d
-
-    def outputs(self, delta_prev: float, mu: float) -> tuple[float | None, float]:
-        """(flow released downstream or None for node 1, production), from
-        the delta this node received and the mu it sent."""
-        v = local_production(self.params, delta_prev, mu)
-        if self.params.index == 1:
-            return None, v
-        u = local_flow(
-            self.params, self.z, self.uvals[0], self.dwin[0], delta_prev, mu, self.d,
-        )
-        return u, v
-
-
 class Network:
-    """A path of node units with failable neighbor links."""
+    """A path of nodes, node k+1 being params[k], with failable neighbor links."""
 
     def __init__(self, spec: GraphSpec, params: ControllerParams):
         params.require_spec(spec)
         self.n = spec.n
-        self.nodes = [NodeUnit(params=params.node_slice(k)) for k in range(spec.n)]
+        self.params = [params.node_slice(k) for k in range(spec.n)]
         self.failed_links: set[frozenset] = set()
         self.round = 0
 
     def fail_link(self, a: int, b: int) -> None:
         """Take down the edge between nodes a and b; a round that sends
         over it aborts."""
-        if abs(a - b) != 1 or not 1 <= min(a, b) < self.n:
+        ends = read_whole(a), read_whole(b)
+        if None in ends or abs(ends[0] - ends[1]) != 1 or not 1 <= min(ends) < self.n:
             raise ValueError(f"{a} <-> {b} is not an edge of a path of {self.n} nodes")
-        self.failed_links.add(frozenset((a, b)))
+        self.failed_links.add(frozenset(ends))
 
     def restore_links(self) -> None:
         self.failed_links.clear()
@@ -135,8 +104,10 @@ def run_control_round(
     `measurements` holds one tuple per node, as Python floats and
     sequences of them: (z_i, in-transit flows oldest first,
     shifted-disturbance slice, current local disturbance); a list of
-    another length raises ValueError.  Decisions do not depend on the
-    interleaving of the two chains.
+    another length raises ValueError.  Rows start at delay slot 0; one
+    past tau_eff repeats its last slot and is never read.  Node k+1's
+    inputs are entry k of `params`, `z`, `uvals`, `dwin` and `d`.
+    Decisions do not depend on the interleaving of the two chains.
 
     Chain c of node k+1 is slot 2k + c: chain 0 folds Phi and sends
     delta up the path, chain 1 folds pi and sends mu down it.  The round
@@ -157,9 +128,9 @@ def run_control_round(
     """
     if log is None:
         log = MessageLog()
-    nodes, n, rnd = network.nodes, network.n, network.round
-    for node, meas in zip(nodes, measurements, strict=True):
-        node.reset(*meas)
+    params, n, rnd = network.params, network.n, network.round
+    meas = [m for _, m in zip(params, measurements, strict=True)]
+    z, uvals, dwin, d = zip(*meas, strict=True)
     kinds, hops = ("delta", "mu"), (DIRECTION["delta"], DIRECTION["mu"])
     local_folds, combines = (local_phi, local_pi), (combine_delta, combine_mu)
     fold, inbox, sent = [None] * (2 * n), [None] * (2 * n), [None] * (2 * n)
@@ -172,13 +143,12 @@ def run_control_round(
             i = int(u * len(slots))
             s = slots[i]
             c, k = s & 1, s >> 1
-            node = nodes[k]
             if fold[s] is None:
-                fold[s] = local_folds[c](node.params, node.z, node.uvals, node.dwin)
+                fold[s] = local_folds[c](params[k], z[k], uvals[k], dwin[k])
                 if inbox[s] is None:
                     del slots[i]
                 continue
-            sent[s] = value = combines[c](node.params, fold[s], inbox[s])
+            sent[s] = value = combines[c](params[k], fold[s], inbox[s])
             del slots[i]
             # A send logs the message and hands its value to the neighbor,
             # whose chain becomes ready if its local fold is done.  Sends go
@@ -195,8 +165,11 @@ def run_control_round(
     finally:
         network.round += 1
 
-    flows, prods = zip(*map(NodeUnit.outputs, nodes, inbox[::2], sent[1::2]))
-    return ControlDecision(u=np.array(flows[1:], dtype=float), v=np.array(prods)), log
+    delta, mu = inbox[::2], sent[1::2]  # node k+1 got delta_k and sent mu_{k+1}
+    flows = [local_flow(params[k], z[k], uvals[k][0], dwin[k][0], delta[k], mu[k], d[k])
+             for k in range(1, n)]  # node 1 releases no flow
+    v = np.array(list(map(local_production, params, delta, mu)))
+    return ControlDecision(u=np.array(flows, dtype=float), v=v), log
 
 
 @dataclass

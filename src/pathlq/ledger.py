@@ -28,7 +28,10 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import HorizonViolationError, LedgerRangeError, SpecError
-from .model import GraphSpec
+from .model import GraphSpec, read_number, read_whole
+
+RECORD_FIELDS = {"node": read_whole, "start_time": read_whole, "end_time": read_whole,
+                 "amount_per_step": read_number}
 
 
 @dataclass
@@ -39,12 +42,22 @@ class DisturbancePlan:
 
     @staticmethod
     def from_records(records: Iterable[Mapping]) -> "DisturbancePlan":
-        """Build a plan from {node, start_time, end_time, amount_per_step}."""
+        """Build a plan from records of the RECORD_FIELDS, each read by its
+        reader; SpecError names the first field that fails, or start > end."""
         plan = DisturbancePlan()
-        for rec in records:
-            node = int(rec["node"])
-            for t in range(int(rec["start_time"]), int(rec["end_time"]) + 1):
-                plan.entries[(node, t)] = plan.get(node, t) + float(rec["amount_per_step"])
+        for i, rec in enumerate(records):
+            node, start, end, amount = values = [
+                read(rec.get(name)) for name, read in RECORD_FIELDS.items()]
+            for name, x in zip(RECORD_FIELDS, values):
+                if x is None:
+                    what = "a number" if name == "amount_per_step" else "a whole number"
+                    raise SpecError(f"disturbance record {i}: {name} = "
+                                    f"{rec.get(name)!r} is not {what}")
+            if start > end:
+                raise SpecError(f"disturbance record {i}: start_time = {start} "
+                                f"is after end_time = {end}")
+            for t in range(start, end + 1):
+                plan.entries[(node, t)] = plan.get(node, t) + amount
         return plan
 
     def get(self, node: int, t: int) -> float:

@@ -26,10 +26,10 @@ def aggregate_delays(tau: Sequence[int]) -> list[int]:
     """
     sigma = [0]
     for k, t in enumerate(tau):
-        x = read_number(t)
-        if x is None or not x.is_integer() or x < 1:
+        x = read_whole(t)
+        if x is None or x < 1:
             raise SpecError(f"edge delay tau_{k + 1} = {t} must be an integer >= 1")
-        sigma.append(sigma[-1] + int(x))
+        sigma.append(sigma[-1] + x)
     return sigma
 
 
@@ -41,6 +41,12 @@ def read_number(x) -> float | None:
         return float(x)
     except (TypeError, ValueError, OverflowError):
         return None
+
+
+def read_whole(x) -> int | None:
+    """int(x), or None where x is not a whole number by read_number's rule."""
+    x = read_number(x)
+    return int(x) if x is not None and x.is_integer() else None
 
 
 def _read_numbers(x) -> np.ndarray:
@@ -84,10 +90,10 @@ class GraphSpec:
                 raise SpecError(f"{name} = {x!r} is not a sequence") from None
         for name in ("n", "horizon"):
             x = getattr(self, name)
-            whole = read_number(x)
-            if whole is None or not whole.is_integer():
+            whole = read_whole(x)
+            if whole is None:
                 raise SpecError(f"{name} = {x} must be a whole number")
-            object.__setattr__(self, name, int(whole))
+            object.__setattr__(self, name, whole)
         n, tau = self.n, self.tau
         if n < 1:
             raise SpecError(f"node count n = {n} must be >= 1")

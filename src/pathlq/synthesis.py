@@ -120,8 +120,8 @@ class ControllerParams:
             )
 
     def node_slice(self, k: int) -> NodeParams:
-        """Local parameters for node k+1 (everything its unit may hold), as
-        Python floats: a unit's kernels then never touch a numpy scalar."""
+        """Local parameters for node k+1, its only state between rounds, as
+        Python floats: its kernels then never touch a numpy scalar."""
         last = k == self.spec.n - 1
         phi, gprod = (self.coef_last if last else self.coef[:, k]).tolist()
         return NodeParams(

@@ -173,6 +173,17 @@ class TestConfig:
         ("sweep-horizon --horizon 2", {}, "sweep-horizon does not read --horizon"),
         ("synth --seed 1", {}, "synth does not read --seed"),
         ("sweep-horizon --seed 1", {}, "sweep-horizon does not read --seed"),
+        ("simulate", {"initial_Z": [1.0, 0.0, 0.0]}, "unknown field 'initial_Z'"),
+        ("simulate", {"run_lenght": 3}, "unknown field 'run_lenght'"),
+        ("verify", {"verify_instance": 3}, "unknown field 'verify_instance'"),
+        ("simulate", {"disturbances": [
+            {"node": 2, "start_time": 2, "end_time": 4, "amount_per_step": -0.3},
+            {"nod": 2, "node": 2, "start_time": 2, "end_time": 4, "amount_per_step": 1}
+        ]}, "disturbances[1]: unknown field 'nod'"),
+        ("simulate", {"disturbances": [
+            {"node": 2, "start_time": 2, "end_time": 4, "amount_per_step": -0.3,
+             "amount": -0.3}
+        ]}, "disturbances[0]: unknown field 'amount'"),
     ], ids=["start-after-end", "negative-start", "node-0", "node-past-n",
             "nan-amount", "past-horizon", "fractional-tau", "fractional-n",
             "fractional-horizon", "fractional-node", "fractional-start",
@@ -194,7 +205,9 @@ class TestConfig:
             "no-feedforward-on-distributed", "no-feedforward-on-compare-ff",
             "tee-summary-on-distributed", "tee-summary-on-synth",
             "horizon-on-verify", "zero-horizon-on-verify",
-            "horizon-on-sweep-horizon", "seed-on-synth", "seed-on-sweep-horizon"])
+            "horizon-on-sweep-horizon", "seed-on-synth", "seed-on-sweep-horizon",
+            "misspelt-initial-z", "misspelt-run-length", "misspelt-verify-instances",
+            "misspelt-disturbance-node", "extra-disturbance-field"])
     def test_malformed_input_rejected(self, command, change, message, tmp_path,
                                       capsys):
         path = tmp_path / "c.json"

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from pathlq import harness
-from pathlq.controller import combine_delta, combine_mu, local_phi, local_pi
+from pathlq.controller import (
+    combine_delta,
+    combine_mu,
+    local_flow,
+    local_phi,
+    local_pi,
+    local_production,
+)
 from pathlq.errors import RoundAbortError, SpecError
 from pathlq.harness import (
     Message,
@@ -271,7 +278,10 @@ def test_failed_link_aborts_the_round():
     )
 
 
-@pytest.mark.parametrize("a, b", [(1, 3), (2, 2), (0, 1), (3, 4), (2, 9), (-1, 0)])
+@pytest.mark.parametrize("a, b", [
+    (1, 3), (2, 2), (0, 1), (3, 4), (2, 9), (-1, 0), (1.5, 2.5), (True, 2),
+    (2, np.True_), ("1", "2"), (b"2", 3), (2.5, 1.5),
+])
 def test_fail_link_rejects_a_pair_that_is_not_an_edge(a, b):
     # A stored non-edge would never abort a round: the fault would vanish.
     spec = _spec(3, [2, 2], horizon=1)
@@ -280,6 +290,7 @@ def test_fail_link_rejects_a_pair_that_is_not_an_edge(a, b):
         network.fail_link(a, b)
     assert not network.failed_links
     network.fail_link(3, 2)
+    network.fail_link(np.int64(2), np.int64(3))
     assert network.failed_links == {frozenset((2, 3))}
 
 
@@ -346,6 +357,58 @@ def test_each_sweep_runs_in_its_own_direction(monkeypatch, kind, combine, k):
     if reach:
         nearest = k + 1 if kind == "delta" else k
         assert moved[nearest - 1][1] != base[nearest - 1][1]
+
+
+# Which of node i's measurements each kernel argument after the parameter
+# slice is, or None for a value the round computed.
+KERNEL_READS = {
+    "local_phi": ("z", "uvals", "dwin"),
+    "local_pi": ("z", "uvals", "dwin"),
+    "combine_delta": (None, None),
+    "combine_mu": (None, None),
+    "local_flow": ("z", "uvals[0]", "dwin[0]", None, None, "d"),
+    "local_production": (None, None),
+}
+
+
+def test_a_round_reads_each_nodes_inputs_only_in_its_own_tasks(monkeypatch):
+    # Node i's tasks get node i's parameter slice and node i's own
+    # measurement objects, never a neighbor's: the round shares nothing
+    # between nodes but the values they send.
+    n = 6
+    spec = _spec(n, [2, 1, 4, 1, 3], horizon=2)
+    params = synthesize(spec)
+    network, slices = Network(spec, params), [params.node_slice(k) for k in range(n)]
+    calls = []
+
+    def recording(name, fn):
+        def kernel(*args):
+            calls.append((name, args))
+            return fn(*args)
+        return kernel
+
+    for name in KERNEL_READS:
+        monkeypatch.setattr(harness, name, recording(name, getattr(harness, name)))
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        meas = [(rng.normal(), rng.normal(size=t).tolist(), rng.normal(size=t).tolist(),
+                 rng.normal()) for t in params.tau_eff]
+        calls.clear()
+        run_control_round(network, meas, rng=np.random.default_rng(10 + seed))
+        for name, (p, *args) in calls:
+            i = p.index
+            assert repr(p) == repr(slices[i - 1]), (name, i)  # NaN-padded rows
+            z, uvals, dwin, d = meas[i - 1]
+            own = {"z": z, "uvals": uvals, "dwin": dwin, "uvals[0]": uvals[0],
+                   "dwin[0]": dwin[0], "d": d}
+            assert len(args) == len(KERNEL_READS[name]), name
+            for arg, what in zip(args, KERNEL_READS[name]):
+                if what is not None:
+                    assert arg is own[what], (name, i, what)
+        # Every node ran each of its kernels once; node 1 releases no flow.
+        assert sorted((name, p.index) for name, (p, *_) in calls) == sorted(
+            (name, i) for name in KERNEL_READS for i in range(1, n + 1)
+            if (name, i) != ("local_flow", 1))
 
 
 def test_aborted_round_keeps_its_round_number():
@@ -450,9 +513,8 @@ def reference_round(network, measurements, log, rng):
     picks a task by one scalar rng.random() draw; an aborted round draws
     the rest of its 4N doubles on the way out.  It keeps each node's chain
     state in its own per-node lists."""
-    nodes, n, rnd = network.nodes, network.n, network.round
-    for node, (z, uvals, dwin, d) in zip(nodes, measurements):
-        node.reset(z, uvals, dwin, d)
+    params, n, rnd = network.params, network.n, network.round
+    z, uvals, dwin, d = zip(*measurements)
     phi, pi, delta, mu = [None] * n, [None] * n, [None] * n, [None] * n
     delta_prev, mu_next = [0.0] + [None] * (n - 1), [None] * (n - 1) + [0.0]
 
@@ -485,17 +547,16 @@ def reference_round(network, measurements, log, rng):
                 drawn += 1
             else:
                 kind, k = tasks[0]
-            node = nodes[k]
             if kind == "phi":
-                phi[k] = local_phi(node.params, node.z, node.uvals, node.dwin)
+                phi[k] = local_phi(params[k], z[k], uvals[k], dwin[k])
             elif kind == "pi":
-                pi[k] = local_pi(node.params, node.z, node.uvals, node.dwin)
+                pi[k] = local_pi(params[k], z[k], uvals[k], dwin[k])
             elif kind == "delta":
-                delta[k] = combine_delta(node.params, phi[k], delta_prev[k])
+                delta[k] = combine_delta(params[k], phi[k], delta_prev[k])
                 if k + 1 < n:
                     send(k + 1, k + 2, "delta", delta[k])
             else:
-                mu[k] = combine_mu(node.params, pi[k], mu_next[k])
+                mu[k] = combine_mu(params[k], pi[k], mu_next[k])
                 if k > 0:
                     send(k + 1, k, "mu", mu[k])
     finally:
@@ -503,10 +564,11 @@ def reference_round(network, measurements, log, rng):
             rng.random(4 * n - drawn)
     u = np.zeros(max(n - 1, 0))
     v = np.empty(n)
-    for k, node in enumerate(nodes):
-        flow, v[k] = node.outputs(delta_prev[k], mu[k])
-        if flow is not None:
-            u[k - 1] = flow
+    for k in range(n):
+        v[k] = local_production(params[k], delta_prev[k], mu[k])
+        if k > 0:
+            u[k - 1] = local_flow(params[k], z[k], uvals[k][0], dwin[k][0],
+                                  delta_prev[k], mu[k], d[k])
     network.round += 1
     return ControlDecision(u=u, v=v), log
 

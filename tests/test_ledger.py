@@ -24,6 +24,9 @@ from pathlq.synthesis import synthesize
 from diagnostics import per_hop_plan_updates
 
 
+MISSING = object()  # a record field left out
+
+
 def _spec(n, tau, horizon, q=None, r=None):
     q = tuple(q) if q is not None else (1.0,) * n
     r = tuple(r) if r is not None else (1.0,) * n
@@ -88,6 +91,45 @@ class TestPlan:
             ]
         )
         assert plan.get(1, 2) == 1.25
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("node", 1.7, "node = 1.7 is not a whole number"),
+        ("node", True, "node = True is not a whole number"),
+        ("node", "2", "node = '2' is not a whole number"),
+        ("start_time", "0", "start_time = '0' is not a whole number"),
+        ("start_time", np.bool_(False), "start_time = "),
+        ("end_time", 1.9, "end_time = 1.9 is not a whole number"),
+        ("amount_per_step", "0.5", "amount_per_step = '0.5' is not a number"),
+        ("amount_per_step", True, "amount_per_step = True is not a number"),
+        ("amount_per_step", b"1", "amount_per_step = b'1' is not a number"),
+        ("end_time", MISSING, "end_time = None is not a whole number"),
+    ])
+    def test_from_records_reads_each_field_by_the_number_rules(self, field, value,
+                                                               message):
+        # int() and float() would truncate 1.7 to node 1 and read "0.5" and
+        # True as numbers, planning disturbances nobody asked for.
+        good = {"node": 1, "start_time": 0, "end_time": 2, "amount_per_step": 1.0}
+        bad = {k: v for k, v in dict(good, **{field: value}).items() if v is not MISSING}
+        with pytest.raises(SpecError, match=re.escape(f"record 1: {message}")):
+            DisturbancePlan.from_records([good, bad])
+
+    def test_from_records_rejects_a_start_after_the_end(self):
+        # A record that ends before it starts was dropped without a word.
+        with pytest.raises(SpecError, match="record 0: start_time = 5 is after "
+                                            "end_time = 4"):
+            DisturbancePlan.from_records(
+                [{"node": 2, "start_time": 5, "end_time": 4, "amount_per_step": 1.0}]
+            )
+
+    def test_from_records_reads_whole_numbers_of_every_type(self):
+        plan = DisturbancePlan.from_records([
+            {"node": np.int64(2), "start_time": 3.0, "end_time": np.float32(4),
+             "amount_per_step": np.int32(2)},
+            {"node": 2, "start_time": 4, "end_time": 4, "amount_per_step": 0.5},
+        ])
+        assert plan.entries == {(2, 3): 2.0, (2, 4): 2.5}
+        assert all(type(x) is int for key in plan.entries for x in key)
+        assert all(type(x) is float for x in plan.entries.values())
 
     def test_d_now_vector(self):
         spec = _spec(3, [1, 1], horizon=2)
