@@ -43,9 +43,12 @@ class DisturbancePlan:
     @staticmethod
     def from_records(records: Iterable[Mapping]) -> "DisturbancePlan":
         """Build a plan from records of the RECORD_FIELDS, each read by its
-        reader; SpecError names the first field that fails, or start > end."""
+        reader; SpecError names the first record that is not a mapping, the
+        first field that fails, or start > end."""
         plan = DisturbancePlan()
         for i, rec in enumerate(records):
+            if not isinstance(rec, Mapping):
+                raise SpecError(f"disturbance record {i}: {rec!r} is not a mapping")
             node, start, end, amount = values = [
                 read(rec.get(name)) for name, read in RECORD_FIELDS.items()]
             for name, x in zip(RECORD_FIELDS, values):

@@ -5,15 +5,16 @@ coordinates, the levels and then PlantState.flows, of dimension
 dim = N + sigma_N.  The finite-horizon problem with known additive
 disturbances is solved by standard LQ theory, none of the paper's
 algebra: the stationary cost-to-go is the terminal weight, so the
-feedback gain is constant and only an affine term runs backward, at
-O(T * dim^2) after one stationary Riccati solve.  The truncation is
-exact whenever the disturbances have died out by the end of the
-horizon.  That solve is structure-preserving doubling on the Riccati
-equation for H = P - Q, whose input weight R + B'QB is positive
-definite although the flows are free (each flow alone moves its
-departure node's level, q > 0, and r > 0 on the productions);
-P = H + Q.  Each O(dim^3) step doubles value iteration's horizon: 4-8
-steps on the verify family.
+feedback gain is constant.  An affine term runs backward from the
+plan's last time, and the states forward in closed loop, one
+matrix-vector product a step: O(T * dim^2) after one stationary
+Riccati solve.  The truncation is exact whenever the disturbances have
+died out by the end of the horizon.  That solve is structure-preserving
+doubling on the Riccati equation for H = P - Q, whose input weight
+R + B'QB is positive definite although the flows are free (each flow
+alone moves its departure node's level, q > 0, and r > 0 on the
+productions); P = H + Q.  Each O(dim^3) step doubles value iteration's
+horizon: 4-8 steps on the verify family.
 """
 
 from __future__ import annotations
@@ -108,8 +109,9 @@ def stationary_riccati(system: AugmentedSystem) -> np.ndarray:
     H = A.T @ (Q @ A - QB @ F)
     eye = np.eye(system.dim)
     for _ in range(RICCATI_MAX_ITER):
-        # W^-1 A_k and W^-1 G_k from one solve.
-        WA, WG = np.hsplit(np.linalg.solve(eye + G @ H, np.hstack([A_k, G])), 2)
+        # W^-1 A_k and W^-1 G_k as the two halves of one solve.
+        WAG = np.linalg.solve(eye + G @ H, np.hstack([A_k, G]))
+        WA, WG = WAG[:, : system.dim], WAG[:, system.dim :]
         H_next = H + A_k.T @ H @ WA
         G = G + A_k @ WG @ A_k.T
         A_k = A_k @ WA
@@ -152,12 +154,16 @@ def solve_finite_horizon(
     the dynamics.  P_terminal must be the stationary solution (the
     default computes it; any other raises ValueError): the Riccati
     recursion then stays at P, so the gain K = M^-1 B'PA, M = R + B'PB,
-    is the same at every step and only the affine cost-to-go term s_t
-    runs backward, from s_T = 0:
-        g_t = P E d_t + s_{t+1},   s_t = (A - BK)' g_t,
-    and u_t = -K x_t - M^-1 B' g_t forward from x0.  Plan entries outside
-    0 <= t < T are left out; one at a node outside 1..n or with a
-    non-finite amount raises SpecError.
+    is the same at every step.  Only the affine cost-to-go term s_t runs
+    backward, and only from the plan's last time L inside 0 <= t < T, as
+    g_t = 0 for t > L:
+        g_t = P E d_t + s_{t+1},   s_t = A_cl' g_t,   A_cl = A - BK.
+    The states run forward from x0 in closed loop, one matrix-vector
+    product a step,
+        x_{t+1} = A_cl x_t + E d_t - B M^-1 B' g_t,
+    and the inputs u_t = -K x_t - M^-1 B' g_t come from them in one
+    product.  Plan entries outside 0 <= t < T are left out; one at a node
+    outside 1..n or with a non-finite amount raises SpecError.
     """
     spec = system.spec
     min_T = spec.sigma_total + spec.horizon + 1
@@ -176,23 +182,30 @@ def solve_finite_horizon(
         raise ValueError(
             f"P_terminal is not the stationary Riccati solution: residual {resid:.3e}"
         )
-    # d_t as row t: one scatter of the entries with 0 <= t < T.
+    # d_t as row t: one scatter of the entries with 0 <= t < T.  Past the
+    # last of them d_t = 0, and so are g_t, the feedforward and w_t.
     nodes, times, values, _ = validate_horizon(plan, spec, now=None)
     inside = (times >= 0) & (times < T)
-    d_mat = np.zeros((T, spec.n))
+    reach = int(times[inside].max()) + 1 if inside.any() else 0
+    d_mat = np.zeros((reach, spec.n))
     d_mat[times[inside], nodes[inside] - 1] = values[inside]
 
     g = d_mat @ (P @ E).T  # P E d_t; becomes g_t in place
-    for t in range(T - 2, -1, -1):
+    for t in range(reach - 2, -1, -1):
         g[t] += g[t + 1] @ A_cl  # s_{t+1} = A_cl' g_{t+1}
     feedforward = g @ Minv_Bt.T
 
-    U = np.zeros((T, system.n_inputs))
-    states = np.zeros((T + 1, system.dim))
+    # x_{t+1} = A_cl x_t + w_t, w_t = E d_t - B M^-1 B' g_t: one product a step.
+    w = d_mat @ E.T - feedforward @ B.T
+    A_cl_t = A_cl.T
+    states = np.empty((T + 1, system.dim))
     states[0] = x0
     for t in range(T):
-        U[t] = -(K @ states[t]) - feedforward[t]
-        states[t + 1] = A @ states[t] + B @ U[t] + E @ d_mat[t]
+        np.dot(states[t], A_cl_t, out=states[t + 1])
+        if t < reach:
+            states[t + 1] += w[t]
+    U = -(states[:T] @ K.T)
+    U[:reach] -= feedforward
     # Q and R are diagonal: the stage costs are weighted sums of squares.
     q, r = np.diag(system.Q), np.diag(system.R)
     stage = (states[:T] ** 2 @ q).sum() + (U**2 @ r).sum()

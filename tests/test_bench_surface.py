@@ -5,12 +5,13 @@ run then silently drops every per-layer metric that needs it.  These
 tests fail instead, when a name the hooks look up is removed or renamed.
 """
 
+import inspect
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pathlq import controller, harness, simulate, synthesis, verify
+from pathlq import controller, harness, oracle, simulate, synthesis, verify
 from pathlq.ledger import DisturbancePlan, init_shifted_sums
 from pathlq.model import GraphSpec, PlantState
 from pathlq.synthesis import synthesize
@@ -75,6 +76,15 @@ def test_step_probe_wraps_the_driver_hooks(tracing):
     finally:
         patches.restore()
     assert [getattr(owner, attr) for owner, attr in hooks] == originals
+
+
+def test_the_oracle_hooks_wrap_the_oracle_and_read_its_arguments():
+    # perfbench/tracing.py wraps the oracle as verify globals and reads the
+    # system and T of solve_finite_horizon as its arguments 0 and 3.
+    for name in ("build_augmented_system", "stationary_riccati", "solve_finite_horizon"):
+        assert getattr(verify, name) is getattr(oracle, name), name
+    params = list(inspect.signature(verify.solve_finite_horizon).parameters)
+    assert (params[0], params[3]) == ("system", "T")
 
 
 def test_the_round_calls_every_kernel_through_the_harness(tracing, monkeypatch):

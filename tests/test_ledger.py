@@ -113,6 +113,15 @@ class TestPlan:
         with pytest.raises(SpecError, match=re.escape(f"record 1: {message}")):
             DisturbancePlan.from_records([good, bad])
 
+    @pytest.mark.parametrize("record", [[1, 0, 1, 1.0], None, (("node", 1),), "node"],
+                             ids=["list", "None", "pairs", "text"])
+    def test_from_records_rejects_a_record_that_is_not_a_mapping(self, record):
+        # rec.get used to end in a bare AttributeError.
+        good = {"node": 1, "start_time": 0, "end_time": 2, "amount_per_step": 1.0}
+        with pytest.raises(SpecError, match=re.escape(
+                f"record 1: {record!r} is not a mapping")):
+            DisturbancePlan.from_records([good, record])
+
     def test_from_records_rejects_a_start_after_the_end(self):
         # A record that ends before it starts was dropped without a word.
         with pytest.raises(SpecError, match="record 0: start_time = 5 is after "

@@ -420,8 +420,8 @@ class TestShiftedDiagnostics:
 # --- reference implementations ------------------------------------------------
 # The dense QP that oracle.solve_finite_horizon's recursion replaced, the
 # block loop that the QP's array code replaced, and the recursion's former
-# per-step d_t stack and cost sum, each kept as it was so that the newer
-# code can be checked against it.
+# per-step d_t stack, open-loop forward pass and cost sum, each kept as it
+# was so that the newer code can be checked against it.
 
 def dense_solve_finite_horizon(system, x0, plan, T, P_terminal):
     """The finite-horizon problem as one strictly convex QP in the stacked
@@ -663,14 +663,50 @@ class TestAgainstReference:
             assert np.float64(sol.cost).tobytes() == np.float64(cost).tobytes()
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_recursion_is_bitwise_the_per_step_loops(self, seed):
-        # One scatter of the plan gives the stacked d_t rows bit for bit;
-        # the array cost sums the same squares in another order.
+    def test_recursion_matches_the_per_step_loops(self, seed):
+        # The closed-loop forward pass rounds x_{t+1} = A_cl x_t + w_t,
+        # not A x_t + B u_t + E d_t, so the inputs agree to rounding only.
         for problem in _finite_horizon_problems(seed):
             sol = solve_finite_horizon(*problem)
             U, cost = stacked_solve_finite_horizon(*problem)
-            assert sol.inputs.tobytes() == U.tobytes()
+            assert np.max(np.abs(sol.inputs - U)) <= 1e-13 * np.max(np.abs(U))
             assert abs(sol.cost - cost) <= 1e-13 * abs(cost)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_cost_is_the_cost_of_the_returned_inputs(self, seed):
+        # The states come from the closed loop, not from the inputs: running
+        # the inputs through the open-loop dynamics must give the same cost.
+        for system, x0, plan, T, P in _finite_horizon_problems(seed):
+            sol = solve_finite_horizon(system, x0, plan, T, P)
+            x, cost = x0, 0.0
+            for t in range(T):
+                u = sol.inputs[t]
+                cost += x @ system.Q @ x + u @ system.R @ u
+                x = system.A @ x + system.B @ u + system.E @ plan.d_now(system.spec, t)
+            cost += x @ P @ x
+            assert abs(sol.cost - cost) <= 1e-12 * abs(cost)
+
+    @pytest.mark.parametrize("times", [(), (-3, -1), (60, 75), (0,), (59,), (0, 59),
+                                       (-1, 17, 59, 60)],
+                             ids=["empty", "before", "after", "first", "last",
+                                  "first-and-last", "inside-and-out"])
+    def test_backward_pass_reaches_the_plan_s_last_time(self, times):
+        # The affine term runs backward only from the last planned time
+        # inside 0 <= t < T (here T = 60); a start a step off drops or
+        # shifts that time's feedforward.
+        rng = np.random.default_rng(11)
+        spec = _spec(4, [2, 3, 1], horizon=3, q=(1.0, 0.4, 2.5, 1.2),
+                     r=(0.8, 3.0, 1.0, 0.3))
+        system = build_augmented_system(spec)
+        P = stationary_riccati(system)
+        T = 60
+        plan = DisturbancePlan({(1 + k % spec.n, t): float(rng.normal())
+                                for k, t in enumerate(times)})
+        x0 = rng.normal(size=system.dim)
+        sol = solve_finite_horizon(system, x0, plan, T, P)
+        U, cost = stacked_solve_finite_horizon(system, x0, plan, T, P)
+        assert np.max(np.abs(sol.inputs - U)) <= 1e-13 * np.max(np.abs(U))
+        assert abs(sol.cost - cost) <= 1e-13 * abs(cost)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_recursion_matches_the_dense_qp(self, seed):
