@@ -1,12 +1,14 @@
 """Message-passing execution of the two-sweep control law.
 
-A node is its parameter slice, and its tasks read only its own entry of
-the round's measurements; the links between neighbors belong to the
-Network, which can take them down.  A control round runs the upstream
-(delta) and downstream (mu) chains concurrently under a randomized
-scheduler; decisions must be independent of the interleaving and
-bit-identical to the sequential controller, which applies the same
-formulas to all nodes at once over packed parameter tables.
+MessagePassing is the executor: it holds the nodes (each its parameter
+slice), the links between neighbors, which it can take down, the round
+counter, the message log and the scheduler's rng.  A control round reads
+the step's four per-node measurement columns, each node's tasks only its
+own entry, and runs the upstream (delta) and downstream (mu) chains
+concurrently under a randomized scheduler; decisions must be independent
+of the interleaving and bit-identical to the sequential controller, which
+applies the same formulas to all nodes at once over packed parameter
+tables.
 
 This is an in-process simulation with explicit queues, not network I/O:
 neighbor-only communication is enforced by construction and audited
@@ -18,7 +20,6 @@ from __future__ import annotations
 import csv
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -67,15 +68,26 @@ class MessageLog:
                 writer.writerow([m.round, m.src, m.dst, m.kind, repr(float(m.value))])
 
 
-class Network:
-    """A path of nodes, node k+1 being params[k], with failable neighbor links."""
+class MessagePassing:
+    """closed_loop executor: every step is one message-passing round on a
+    path of nodes, node k+1 being params[k], with failable neighbor links.
 
-    def __init__(self, spec: GraphSpec, params: ControllerParams):
+    Logs each round's sweep messages and the D-update messages the loop
+    hands over, each under the round it precedes.
+    """
+
+    def __init__(self, spec: GraphSpec, params: ControllerParams,
+                 rng: np.random.Generator | None = None):
         params.require_spec(spec)
+        if rng is not None and not isinstance(rng, np.random.Generator):
+            raise TypeError(f"rng must be a numpy Generator or None, "
+                            f"not {type(rng).__name__}")
         self.n = spec.n
         self.params = [params.node_slice(k) for k in range(spec.n)]
         self.failed_links: set[frozenset] = set()
         self.round = 0
+        self.log = MessageLog()
+        self.rng = rng
 
     def fail_link(self, a: int, b: int) -> None:
         """Take down the edge between nodes a and b; a round that sends
@@ -92,21 +104,28 @@ class Network:
         if frozenset((src, dst)) in self.failed_links:
             raise RoundAbortError(f"link {src} <-> {dst} is down; round aborted")
 
+    def decide(self, state, windows, d_now, params) -> ControlDecision:
+        flows, dwin, d_last = step_inputs(state, windows, params)
+        uvals, dwin = flows.tolist(), dwin.tolist()
+        # Node N has no incoming edge, and its window spans the horizon.
+        uvals[-1], dwin[-1] = [0.0] * params.tau_eff[-1], d_last.tolist()
+        return run_control_round(self, (state.z.tolist(), uvals, dwin, d_now.tolist()))
 
-def run_control_round(
-    network: Network,
-    measurements: Iterable[tuple[float, Sequence[float], Sequence[float], float]],
-    log: MessageLog | None = None,
-    rng: np.random.Generator | None = None,
-) -> tuple[ControlDecision, MessageLog]:
-    """One sample period: both sweeps, then local outputs.
+    def ledger(self, messages: list[tuple[int, int, int, float]]) -> None:
+        rnd, append = self.round, self.log.append
+        for src, dst, time, value in messages:
+            append(Message(rnd, src, dst, "D-update", value, time))
 
-    `measurements` holds one tuple per node, as Python floats and
-    sequences of them: (z_i, in-transit flows oldest first,
-    shifted-disturbance slice, current local disturbance); a list of
-    another length raises ValueError.  Rows start at delay slot 0; one
+
+def run_control_round(executor: MessagePassing, measurements) -> ControlDecision:
+    """One sample period of `executor`: both sweeps, then local outputs.
+
+    `measurements` is four per-node columns of Python floats and lists of
+    them: z, in-transit flows oldest first (uvals), shifted-disturbance
+    slices (dwin) and current local disturbances (d); a column without N
+    entries raises ValueError naming it.  Rows start at delay slot 0; one
     past tau_eff repeats its last slot and is never read.  Node k+1's
-    inputs are entry k of `params`, `z`, `uvals`, `dwin` and `d`.
+    tasks read entry k of `executor.params` and of each column.
     Decisions do not depend on the interleaving of the two chains.
 
     Chain c of node k+1 is slot 2k + c: chain 0 folds Phi and sends
@@ -118,25 +137,28 @@ def run_control_round(
     slot while its chain has a task whose inputs have all arrived.  Each
     task runs `slots[i]` and then removes and inserts at most one slot
     each, so a round is 4N tasks and O(N) work.  The schedule is one
-    float u in [0, 1) per task, from one `rng.random(4 * N)` batch drawn
-    at the start of the round: the task runs `slots[int(u * len(slots))]`.
-    Each round thus advances the rng by exactly 4N doubles, also when a
-    downed link aborts it, and one rng stream always gives the same
-    schedule and message log.  Without an rng every task runs `slots[0]`
-    and nothing is drawn.  A round aborted by a downed link still takes
-    its round number, so a retry logs under the next one.
+    float u in [0, 1) per task, from one `executor.rng.random(4 * N)`
+    batch drawn at the start of the round: the task runs
+    `slots[int(u * len(slots))]`.  Each round thus advances the rng by
+    exactly 4N doubles, also when a downed link aborts it, and one rng
+    stream always gives the same schedule and message log.  Without an
+    rng every task runs `slots[0]` and nothing is drawn.  Messages go to
+    `executor.log` under its round number, which an aborted round still
+    takes, so a retry logs under the next one.
     """
-    if log is None:
-        log = MessageLog()
-    params, n, rnd = network.params, network.n, network.round
-    meas = [m for _, m in zip(params, measurements, strict=True)]
-    z, uvals, dwin, d = zip(*meas, strict=True)
+    params, n, rnd, rng = executor.params, executor.n, executor.round, executor.rng
+    z, uvals, dwin, d = measurements
+    for name, column in zip(("z", "uvals", "dwin", "d"), measurements):
+        if len(column) != n:
+            side = "shorter" if len(column) < n else "longer"
+            raise ValueError(f"measurement column {name} is {side} than the path: "
+                             f"{len(column)} entries for {n} nodes")
     kinds, hops = ("delta", "mu"), (DIRECTION["delta"], DIRECTION["mu"])
     local_folds, combines = (local_phi, local_pi), (combine_delta, combine_mu)
     fold, inbox, sent = [None] * (2 * n), [None] * (2 * n), [None] * (2 * n)
     inbox[0] = inbox[-1] = 0.0
     slots = list(range(2 * n))
-    append, failed = log.records.append, network.failed_links
+    append, failed = executor.log.records.append, executor.failed_links
     draws = rng.random(4 * n).tolist() if rng is not None else [0.0] * (4 * n)
     try:
         for u in draws:
@@ -156,20 +178,20 @@ def run_control_round(
             dst = k + hops[c]
             if 0 <= dst < n:
                 if failed:
-                    network._check_link(k + 1, dst + 1)
+                    executor._check_link(k + 1, dst + 1)
                 append(Message(rnd, k + 1, dst + 1, kinds[c], value))
                 to = 2 * dst + c
                 inbox[to] = value
                 if fold[to] is not None:
                     insort(slots, to)
     finally:
-        network.round += 1
+        executor.round += 1
 
     delta, mu = inbox[::2], sent[1::2]  # node k+1 got delta_k and sent mu_{k+1}
     flows = [local_flow(params[k], z[k], uvals[k][0], dwin[k][0], delta[k], mu[k], d[k])
              for k in range(1, n)]  # node 1 releases no flow
     v = np.array(list(map(local_production, params, delta, mu)))
-    return ControlDecision(u=np.array(flows, dtype=float), v=v), log
+    return ControlDecision(u=np.array(flows, dtype=float), v=v)
 
 
 @dataclass
@@ -206,33 +228,6 @@ def audit_message_log(log: MessageLog, spec: GraphSpec) -> AuditReport:
     return AuditReport(ok=not violations, violations=violations)
 
 
-@dataclass
-class MessagePassing:
-    """closed_loop executor: every step is one message-passing round.
-
-    Logs the sweep messages of each round and the D-update messages the
-    loop hands over, each under the round it precedes.
-    """
-
-    network: Network
-    log: MessageLog = field(default_factory=MessageLog)
-    rng: np.random.Generator | None = None
-
-    def decide(self, state, windows, d_now, params) -> ControlDecision:
-        flows, dwin, d_last = step_inputs(state, windows, params)
-        uvals, dwin = flows.tolist(), dwin.tolist()
-        # Node N has no incoming edge, and its window spans the horizon.
-        uvals[-1], dwin[-1] = [0.0] * params.tau_eff[-1], d_last.tolist()
-        meas = zip(state.z.tolist(), uvals, dwin, d_now.tolist())
-        decision, _ = run_control_round(self.network, meas, log=self.log, rng=self.rng)
-        return decision
-
-    def ledger(self, messages: list[tuple[int, int, int, float]]) -> None:
-        rnd = self.network.round
-        for src, dst, time, value in messages:
-            self.log.append(Message(rnd, src, dst, "D-update", value, time))
-
-
 def run_closed_loop(
     spec: GraphSpec,
     params: ControllerParams,
@@ -246,6 +241,6 @@ def run_closed_loop(
 
     Other announcement modes: closed_loop(..., executor=MessagePassing(...)).
     """
-    executor = MessagePassing(Network(spec, params), rng=rng)
+    executor = MessagePassing(spec, params, rng=rng)
     res = closed_loop(spec, params, plan, steps, z0, pipelines0, executor=executor)
     return res.decisions, executor.log, res.total_cost

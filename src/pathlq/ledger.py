@@ -43,8 +43,11 @@ class DisturbancePlan:
     @staticmethod
     def from_records(records: Iterable[Mapping]) -> "DisturbancePlan":
         """Build a plan from records of the RECORD_FIELDS, each read by its
-        reader; SpecError names the first record that is not a mapping, the
-        first field that fails, or start > end."""
+        reader; SpecError names records that are not iterable, the first
+        record that is not a mapping, the first field that fails, or
+        start > end."""
+        if not isinstance(records, Iterable):
+            raise SpecError(f"disturbance records {records!r} are not iterable")
         plan = DisturbancePlan()
         for i, rec in enumerate(records):
             if not isinstance(rec, Mapping):

@@ -29,6 +29,7 @@ from .model import (
     PlantState,
     Trajectory,
     plant_step,
+    read_whole,
     stage_cost,
 )
 from .synthesis import ControllerParams
@@ -120,8 +121,8 @@ def closed_loop(
         raise ValueError(f"steps = {steps} must be >= 0")
     if blind and announce is not None:
         raise ValueError(f"announce = {announce} is ignored when blind=True")
-    # range() holds only what equals one of its ints: no text, list or NaN.
-    if announce is not None and announce not in range(spec.horizon + 1):
+    # read_whole refuses text, booleans, lists and fractions; range() the rest.
+    if announce is not None and read_whole(announce) not in range(spec.horizon + 1):
         raise ValueError(
             f"announcement horizon {announce!r} must be a whole number in "
             f"0..H = {spec.horizon}"

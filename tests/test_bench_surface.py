@@ -103,9 +103,10 @@ def test_the_round_calls_every_kernel_through_the_harness(tracing, monkeypatch):
     n = 5
     spec = GraphSpec(n=n, tau=(2, 3, 1, 2), q=(1.0,) * n, r=(1.0,) * n, horizon=2)
     params = synthesize(spec)
-    meas = [(1.0, [0.5] * t, [0.25] * t, 0.0) for t in params.tau_eff]
-    harness.run_control_round(harness.Network(spec, params), meas,
-                              rng=np.random.default_rng(0))
+    meas = ([1.0] * n, [[0.5] * t for t in params.tau_eff],
+            [[0.25] * t for t in params.tau_eff], [0.0] * n)
+    executor = harness.MessagePassing(spec, params, rng=np.random.default_rng(0))
+    harness.run_control_round(executor, meas)
     assert calls == {name: n - 1 if name == "local_flow" else n
                      for name in tracing.KERNELS}
 

@@ -23,7 +23,7 @@ from pathlq.controller import (
     upstream_sweep,
 )
 from pathlq.errors import LedgerRangeError, SpecError
-from pathlq.harness import MessagePassing, Network
+from pathlq.harness import MessagePassing
 from pathlq.ledger import DisturbancePlan, advance_time, init_shifted_sums
 from pathlq.model import GraphSpec, PlantState
 from pathlq.simulate import Sequential, closed_loop
@@ -180,8 +180,9 @@ def test_short_window_raises():
         control_step(state, windows, np.zeros(2), params)
 
 
-# 1.5 used to run as 2, [1] to end in a bare TypeError, "1" to read as 1.
-@pytest.mark.parametrize("announce", [-1, 3, 1.5, [1], "1"])
+# 1.5 used to run as 2, [1] to end in a bare TypeError, "1" to read as 1,
+# True and np.True_ to run as 1.
+@pytest.mark.parametrize("announce", [-1, 3, 1.5, [1], "1", True, np.True_])
 def test_announcement_horizon_outside_0_to_H_rejected(announce):
     spec = _spec(2, [1], horizon=2)
     params = synthesize(spec)
@@ -504,7 +505,7 @@ def _check_packed_step(data, n, tau, horizon):
     for name, g, w in zip(["u", "v", "Phi", "delta", "pi", "mu"], got, want):
         assert g.tobytes() == w.tobytes(), name
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    executor = MessagePassing(Network(spec, params), rng=rng)
+    executor = MessagePassing(spec, params, rng=rng)
     round_decision = executor.decide(state, windows, d_now, params)
     assert round_decision.u.tobytes() == decision.u.tobytes()
     assert round_decision.v.tobytes() == decision.v.tobytes()

@@ -20,7 +20,6 @@ from pathlq.harness import (
     Message,
     MessageLog,
     MessagePassing,
-    Network,
     audit_message_log,
     run_closed_loop,
     run_control_round,
@@ -40,20 +39,16 @@ def _spec(n, tau, horizon, q=None, r=None):
 
 
 def _measurements(spec, params, state, windows, plan, t):
-    meas = []
-    for k in range(spec.n):
-        uvals = (
-            state.pipelines[k] if k < spec.n - 1 else np.zeros(params.tau_eff[k])
-        )
-        meas.append(
-            (
-                state.z[k],
-                uvals,
-                windows.slice(k + 1, params.tau_eff[k]),
-                plan.get(k + 1, t),
-            )
-        )
-    return meas
+    """The round's four per-node columns: z, uvals, dwin and d."""
+    nodes = range(spec.n)
+    uvals = [state.pipelines[k] for k in nodes[:-1]] + [np.zeros(params.tau_eff[-1])]
+    dwin = [windows.slice(k + 1, params.tau_eff[k]) for k in nodes]
+    return list(state.z), uvals, dwin, [plan.get(k + 1, t) for k in nodes]
+
+
+def _columns(rows):
+    """Per-node (z, uvals, dwin, d) rows as the round's four columns."""
+    return tuple(map(list, zip(*rows)))
 
 
 def _round_once(spec, seed=None, z0=None):
@@ -61,11 +56,10 @@ def _round_once(spec, seed=None, z0=None):
     plan = DisturbancePlan()
     windows = init_shifted_sums(plan, spec)
     state = PlantState.initial(spec, z0=z0)
-    network = Network(spec, params)
     rng = np.random.default_rng(seed) if seed is not None else None
-    return run_control_round(
-        network, _measurements(spec, params, state, windows, plan, 0), rng=rng
-    )
+    executor = MessagePassing(spec, params, rng=rng)
+    meas = _measurements(spec, params, state, windows, plan, 0)
+    return run_control_round(executor, meas), executor.log
 
 
 def test_sweep_message_count_and_payload():
@@ -128,7 +122,7 @@ def test_harness_matches_sequential_in_every_mode(mode):
     steps = 25
 
     seq = closed_loop(spec, params, plan, steps, z0, pipes, **mode)
-    executor = MessagePassing(Network(spec, params), rng=np.random.default_rng(99))
+    executor = MessagePassing(spec, params, rng=np.random.default_rng(99))
     dist = closed_loop(spec, params, plan, steps, z0, pipes, executor=executor, **mode)
     for a, b in zip(seq.decisions, dist.decisions):
         assert a.u.tobytes() == b.u.tobytes()
@@ -161,7 +155,7 @@ def test_decisions_are_views_of_the_trajectory(executor, n):
     params = synthesize(spec)
     plan = DisturbancePlan({(1, 1): -0.6, (n, 2): 0.9})
     inner = Sequential() if executor == "sequential" else MessagePassing(
-        Network(spec, params), rng=np.random.default_rng(5)
+        spec, params, rng=np.random.default_rng(5)
     )
     recorder = RecordingExecutor(inner)
     res = closed_loop(spec, params, plan, 12, np.linspace(-1.0, 1.0, n),
@@ -181,7 +175,7 @@ def test_announcements_are_logged_as_upstream_updates():
     params = synthesize(spec)
     # Announced two steps ahead, at t = 3 and t = 4.
     plan = DisturbancePlan({(1, 5): 0.4, (2, 6): -1.0})
-    executor = MessagePassing(Network(spec, params))
+    executor = MessagePassing(spec, params)
     closed_loop(spec, params, plan, 8, announce=2, executor=executor)
     updates = of_kind(executor.log, "D-update")
     assert [(m.round, m.src, m.dst) for m in updates] == [
@@ -196,7 +190,7 @@ def test_ledger_traffic_is_logged():
     # d_3[1] is known at t = 0 and enters the initial windows; d_1[5] is
     # announced at t = 4 and travels upstream, logged under round 4.
     plan = DisturbancePlan({(3, 1): -1.0, (1, 5): 0.5})
-    executor = MessagePassing(Network(spec, params))
+    executor = MessagePassing(spec, params)
     closed_loop(spec, params, plan, 6, announce=1, executor=executor)
     # Time advances send nothing: the ledger traffic is D-updates only.
     ledger = [m for m in executor.log.records if m.kind not in ("delta", "mu")]
@@ -263,18 +257,18 @@ def test_audit_flags_out_of_order_sweep():
 def test_failed_link_aborts_the_round():
     spec = _spec(3, [2, 2], horizon=1)
     params = synthesize(spec)
-    network = Network(spec, params)
-    network.fail_link(2, 3)
+    executor = MessagePassing(spec, params)
+    executor.fail_link(2, 3)
     plan = DisturbancePlan()
     windows = init_shifted_sums(plan, spec)
     state = PlantState.initial(spec, z0=[1.0, 0.0, -1.0])
     with pytest.raises(RoundAbortError):
         run_control_round(
-            network, _measurements(spec, params, state, windows, plan, 0)
+            executor, _measurements(spec, params, state, windows, plan, 0)
         )
-    network.restore_links()
+    executor.restore_links()
     run_control_round(
-        network, _measurements(spec, params, state, windows, plan, 0)
+        executor, _measurements(spec, params, state, windows, plan, 0)
     )
 
 
@@ -285,13 +279,13 @@ def test_failed_link_aborts_the_round():
 def test_fail_link_rejects_a_pair_that_is_not_an_edge(a, b):
     # A stored non-edge would never abort a round: the fault would vanish.
     spec = _spec(3, [2, 2], horizon=1)
-    network = Network(spec, synthesize(spec))
+    executor = MessagePassing(spec, synthesize(spec))
     with pytest.raises(ValueError, match="not an edge"):
-        network.fail_link(a, b)
-    assert not network.failed_links
-    network.fail_link(3, 2)
-    network.fail_link(np.int64(2), np.int64(3))
-    assert network.failed_links == {frozenset((2, 3))}
+        executor.fail_link(a, b)
+    assert not executor.failed_links
+    executor.fail_link(3, 2)
+    executor.fail_link(np.int64(2), np.int64(3))
+    assert executor.failed_links == {frozenset((2, 3))}
 
 
 @pytest.mark.parametrize("other", [
@@ -305,7 +299,7 @@ def test_network_rejects_params_for_another_spec(other):
     spec = _spec(3, [2, 1], horizon=2)
     params = synthesize(spec)
     with pytest.raises(SpecError, match="controller parameters synthesized for"):
-        Network(replace(spec, **other), params)
+        MessagePassing(replace(spec, **other), params)
 
 
 def _node_decisions(decision):
@@ -327,15 +321,14 @@ def test_each_sweep_runs_in_its_own_direction(monkeypatch, kind, combine, k):
                  r=(0.5, 1.0, 2.5, 0.8, 1.3, 0.2))
     params = synthesize(spec)
     rng = np.random.default_rng(5)
-    meas = [(rng.normal(), rng.normal(size=t).tolist(), rng.normal(size=t).tolist(),
-             rng.normal()) for t in params.tau_eff]
+    meas = _columns([(rng.normal(), rng.normal(size=t).tolist(),
+                      rng.normal(size=t).tolist(), rng.normal()) for t in params.tau_eff])
 
     def run():
-        log = MessageLog()
-        decision, _ = run_control_round(Network(spec, params), meas, log,
-                                        np.random.default_rng(9))
+        executor = MessagePassing(spec, params, rng=np.random.default_rng(9))
+        decision = run_control_round(executor, meas)
         return _node_decisions(decision), {(m.kind, m.src): m.value
-                                           for m in log.records}
+                                           for m in executor.log.records}
 
     base, base_sent = run()
     plain = getattr(harness, combine)
@@ -378,7 +371,7 @@ def test_a_round_reads_each_nodes_inputs_only_in_its_own_tasks(monkeypatch):
     n = 6
     spec = _spec(n, [2, 1, 4, 1, 3], horizon=2)
     params = synthesize(spec)
-    network, slices = Network(spec, params), [params.node_slice(k) for k in range(n)]
+    slices = [params.node_slice(k) for k in range(n)]
     calls = []
 
     def recording(name, fn):
@@ -391,14 +384,16 @@ def test_a_round_reads_each_nodes_inputs_only_in_its_own_tasks(monkeypatch):
         monkeypatch.setattr(harness, name, recording(name, getattr(harness, name)))
     for seed in range(3):
         rng = np.random.default_rng(seed)
-        meas = [(rng.normal(), rng.normal(size=t).tolist(), rng.normal(size=t).tolist(),
-                 rng.normal()) for t in params.tau_eff]
+        meas = _columns([(rng.normal(), rng.normal(size=t).tolist(),
+                          rng.normal(size=t).tolist(), rng.normal())
+                         for t in params.tau_eff])
         calls.clear()
-        run_control_round(network, meas, rng=np.random.default_rng(10 + seed))
+        executor = MessagePassing(spec, params, rng=np.random.default_rng(10 + seed))
+        run_control_round(executor, meas)
         for name, (p, *args) in calls:
             i = p.index
             assert repr(p) == repr(slices[i - 1]), (name, i)  # NaN-padded rows
-            z, uvals, dwin, d = meas[i - 1]
+            z, uvals, dwin, d = (column[i - 1] for column in meas)
             own = {"z": z, "uvals": uvals, "dwin": dwin, "uvals[0]": uvals[0],
                    "dwin[0]": dwin[0], "d": d}
             assert len(args) == len(KERNEL_READS[name]), name
@@ -415,14 +410,15 @@ def test_aborted_round_keeps_its_round_number():
     # A retry after restore_links logs under a new round, so the audit does
     # not mix its chains with the aborted attempt's.
     spec, params, meas = _random_round_inputs(4, seed=4)
-    network, log = Network(spec, params), MessageLog()
-    network.fail_link(3, 4)
+    executor = MessagePassing(spec, params)
+    log = executor.log
+    executor.fail_link(3, 4)
     with pytest.raises(RoundAbortError, match="link 3 <-> 4 is down"):
-        run_control_round(network, meas, log)
-    network.restore_links()
-    run_control_round(network, meas, log)
+        run_control_round(executor, meas)
+    executor.restore_links()
+    run_control_round(executor, meas)
     assert [m.round for m in log.records] == [0, 0] + [1] * 6
-    assert network.round == 2
+    assert executor.round == 2
     report = audit_message_log(log, spec)
     assert report.ok, report.violations
 
@@ -444,7 +440,7 @@ def test_round_runs_on_python_floats(monkeypatch):
     spec = _spec(5, [2, 3, 1, 4], horizon=3, q=(1.0, 0.4, 2.0, 1.1, 0.7))
     params = synthesize(spec)
     plan = DisturbancePlan({(2, 4): -0.6, (5, 3): 0.9, (1, 5): 0.2})
-    executor = MessagePassing(Network(spec, params), rng=np.random.default_rng(3))
+    executor = MessagePassing(spec, params, rng=np.random.default_rng(3))
     steps = 4
     closed_loop(spec, params, plan, steps, [1.0, -0.5, 2.0, 0.1, -1.2], announce=2,
                 executor=executor)
@@ -462,17 +458,23 @@ def test_round_runs_on_python_floats(monkeypatch):
 
 
 def test_measurements_must_cover_every_node():
-    # A short list must not leave a used network's other nodes on last
-    # round's inputs, nor a fresh network's on none.
+    # A short column must not leave a used executor's other nodes on last
+    # round's inputs, nor a fresh executor's on none; a long one must not
+    # pass for a longer path.  The error names the column.
     spec, params, meas = _random_round_inputs(3, seed=3)
-    network = Network(spec, params)
-    run_control_round(network, meas)
-    extra = meas + [meas[-1]]
-    for net, bad, message in [(network, meas[:2], "shorter"),
-                              (Network(spec, params), meas[:2], "shorter"),
-                              (network, extra, "longer")]:
-        with pytest.raises(ValueError, match=message):
-            run_control_round(net, bad)
+    used = MessagePassing(spec, params)
+    run_control_round(used, meas)
+    for c, name in enumerate(["z", "uvals", "dwin", "d"]):
+        short, long = list(meas), list(meas)
+        short[c], long[c] = meas[c][:2], [*meas[c], meas[c][-1]]
+        for executor, bad, message in [(used, short, "shorter"),
+                                       (MessagePassing(spec, params), short, "shorter"),
+                                       (used, long, "longer")]:
+            rounds, records = executor.round, len(executor.log.records)
+            with pytest.raises(ValueError, match=f"column {name} is {message}"):
+                run_control_round(executor, bad)
+            # Nothing ran: no round number taken, no message logged.
+            assert (executor.round, len(executor.log.records)) == (rounds, records)
 
 
 def test_log_csv_round_trip(tmp_path):
@@ -489,7 +491,7 @@ def test_log_csv_values_are_plain_floats(tmp_path):
     spec = _spec(4, [2, 3, 1], horizon=2)
     params = synthesize(spec)
     plan = DisturbancePlan({(1, 4): 0.4, (3, 5): -1.7, (4, 2): 0.3})
-    executor = MessagePassing(Network(spec, params), rng=np.random.default_rng(2))
+    executor = MessagePassing(spec, params, rng=np.random.default_rng(2))
     closed_loop(spec, params, plan, 6, [1.0, -0.5, 2.0, 0.1], announce=2,
                 executor=executor)
     log = executor.log
@@ -507,20 +509,20 @@ def test_log_csv_values_are_plain_floats(tmp_path):
 
 # --- the scheduler's draw sequence ---------------------------------------------
 
-def reference_round(network, measurements, log, rng):
+def reference_round(executor, measurements):
     """A control round whose scheduler rebuilds the whole ready list with an
     O(N) scan before every task, in node-major, phi/delta-first order, and
-    picks a task by one scalar rng.random() draw; an aborted round draws
-    the rest of its 4N doubles on the way out.  It keeps each node's chain
-    state in its own per-node lists."""
-    params, n, rnd = network.params, network.n, network.round
-    z, uvals, dwin, d = zip(*measurements)
+    picks a task by one scalar executor.rng.random() draw; an aborted round
+    draws the rest of its 4N doubles on the way out.  It keeps each node's
+    chain state in its own per-node lists."""
+    params, n, rnd, rng = executor.params, executor.n, executor.round, executor.rng
+    z, uvals, dwin, d = measurements
     phi, pi, delta, mu = [None] * n, [None] * n, [None] * n, [None] * n
     delta_prev, mu_next = [0.0] + [None] * (n - 1), [None] * (n - 1) + [0.0]
 
     def send(src, dst, kind, value):
-        network._check_link(src, dst)
-        log.append(Message(round=rnd, src=src, dst=dst, kind=kind, value=value))
+        executor._check_link(src, dst)
+        executor.log.append(Message(round=rnd, src=src, dst=dst, kind=kind, value=value))
         if kind == "delta":
             delta_prev[dst - 1] = value
         else:
@@ -569,8 +571,8 @@ def reference_round(network, measurements, log, rng):
         if k > 0:
             u[k - 1] = local_flow(params[k], z[k], uvals[k][0], dwin[k][0],
                                   delta_prev[k], mu[k], d[k])
-    network.round += 1
-    return ControlDecision(u=u, v=v), log
+    executor.round += 1
+    return ControlDecision(u=u, v=v)
 
 
 def _random_round_inputs(n, seed):
@@ -579,10 +581,10 @@ def _random_round_inputs(n, seed):
     spec = _spec(n, rng.integers(1, 5, n - 1), horizon=int(rng.integers(0, 4)),
                  q=rng.uniform(0.2, 5.0, n), r=rng.uniform(0.2, 5.0, n))
     params = synthesize(spec)
-    meas = [
+    meas = _columns([
         (rng.normal(), rng.normal(size=t), rng.normal(size=t), rng.normal())
         for t in params.tau_eff
-    ]
+    ])
     return spec, params, meas
 
 
@@ -600,10 +602,11 @@ def test_ready_list_replays_the_reference_scheduler(n):
         runs = []
         for round_fn in (run_control_round, reference_round):
             rng = np.random.default_rng(seed) if seed is not None else None
-            network, log = Network(spec, params), MessageLog()
+            executor = MessagePassing(spec, params, rng=rng)
             # Three rounds: the rng stream and the round counter carry over.
-            decisions = [round_fn(network, meas, log, rng)[0] for _ in range(3)]
-            runs.append((decisions, _records(log), rng and rng.bit_generator.state))
+            decisions = [round_fn(executor, meas) for _ in range(3)]
+            runs.append((decisions, _records(executor.log),
+                         rng and rng.bit_generator.state))
         (new, new_log, new_state), (ref, ref_log, ref_state) = runs
         for a, b in zip(new, ref, strict=True):
             assert a.u.tobytes() == b.u.tobytes()
@@ -617,14 +620,13 @@ def test_downed_link_aborts_after_the_same_records():
     for seed in [None, *range(6)]:
         outcomes = []
         for round_fn in (run_control_round, reference_round):
-            network = Network(spec, params)
-            network.fail_link(4, 5)
             rng = np.random.default_rng(seed) if seed is not None else None
-            log = MessageLog()
+            executor = MessagePassing(spec, params, rng=rng)
+            executor.fail_link(4, 5)
             with pytest.raises(RoundAbortError, match="is down") as exc:
-                round_fn(network, meas, log, rng)
+                round_fn(executor, meas)
             outcomes.append(
-                (str(exc.value), _records(log), rng and rng.bit_generator.state)
+                (str(exc.value), _records(executor.log), rng and rng.bit_generator.state)
             )
         assert outcomes[0] == outcomes[1]
 
@@ -632,12 +634,11 @@ def test_downed_link_aborts_after_the_same_records():
 def test_unseeded_round_runs_the_first_ready_task():
     # slots[0] every time: node 1's delta chain climbs until the downed link.
     spec, params, meas = _random_round_inputs(7, seed=7)
-    network = Network(spec, params)
-    network.fail_link(4, 5)
-    log = MessageLog()
+    executor = MessagePassing(spec, params)
+    executor.fail_link(4, 5)
     with pytest.raises(RoundAbortError, match="link 4 <-> 5 is down"):
-        run_control_round(network, meas, log)
-    assert [(m.round, m.src, m.dst, m.kind) for m in log.records] == [
+        run_control_round(executor, meas)
+    assert [(m.round, m.src, m.dst, m.kind) for m in executor.log.records] == [
         (0, 1, 2, "delta"), (0, 2, 3, "delta"), (0, 3, 4, "delta"),
     ]
 
@@ -647,14 +648,14 @@ def test_a_round_advances_the_rng_by_4n_doubles(n):
     # Completed or aborted, a round leaves the rng where random(4 * n) would.
     spec, params, meas = _random_round_inputs(n, seed=20 + n)
     rng, twin = np.random.default_rng(11), np.random.default_rng(11)
-    network = Network(spec, params)
-    run_control_round(network, meas, rng=rng)
+    executor = MessagePassing(spec, params, rng=rng)
+    run_control_round(executor, meas)
     twin.random(4 * n)
     assert rng.bit_generator.state == twin.bit_generator.state
     if n > 1:
-        network.fail_link(3, 4)
+        executor.fail_link(3, 4)
         with pytest.raises(RoundAbortError, match="is down"):
-            run_control_round(network, meas, rng=rng)
+            run_control_round(executor, meas)
         twin.random(4 * n)
         assert rng.bit_generator.state == twin.bit_generator.state
 
@@ -672,12 +673,12 @@ def test_bounded_draws_match_numpy(bit_generator, seed):
     runs = []
     for round_fn in (run_control_round, reference_round):
         rng = np.random.Generator(bit_generator(seed))
-        network, log = Network(spec, params), MessageLog()
-        decisions = [round_fn(network, meas, log, rng)[0] for _ in range(2)]
-        network.fail_link(2, 3)
+        executor = MessagePassing(spec, params, rng=rng)
+        decisions = [round_fn(executor, meas) for _ in range(2)]
+        executor.fail_link(2, 3)
         with pytest.raises(RoundAbortError, match="is down") as exc:
-            round_fn(network, meas, log, rng)
-        runs.append((decisions, _records(log), str(exc.value), rng))
+            round_fn(executor, meas)
+        runs.append((decisions, _records(executor.log), str(exc.value), rng))
     (new, new_log, new_abort, batched), (ref, ref_log, ref_abort, scalar) = runs
     for a, b in zip(new, ref, strict=True):
         assert a.u.tobytes() == b.u.tobytes()
@@ -715,7 +716,7 @@ def test_the_schedule_only_orders_each_round(mode, seed):
     pipes = [rng.normal(size=t) for t in spec.tau]
     logs = []
     for scheduler in (None, np.random.default_rng(seed)):
-        executor = MessagePassing(Network(spec, params), rng=scheduler)
+        executor = MessagePassing(spec, params, rng=scheduler)
         closed_loop(spec, params, plan, 12, z0, pipes, executor=executor, **mode)
         logs.append(sorted(
             (m.round, m.src, m.dst, m.kind, m.time, repr(m.value))
@@ -723,3 +724,36 @@ def test_the_schedule_only_orders_each_round(mode, seed):
         ))
     unseeded, seeded = logs
     assert seeded == unseeded and len(seeded) >= 12 * 2 * (n - 1)
+
+
+def test_one_executor_serves_two_runs():
+    # Rounds number on across runs, so one log holds both; each run still
+    # decides as the sequential controller does.
+    spec = _spec(4, [2, 3, 1], horizon=3, q=(1.0, 0.4, 2.0, 1.1))
+    params = synthesize(spec)
+    plan = DisturbancePlan({(2, 1): -0.6, (2, 6): 0.9, (1, 3): 0.2, (3, 4): 0.5})
+    executor = MessagePassing(spec, params, rng=np.random.default_rng(8))
+    z0 = [1.0, -0.5, 2.0, 0.1]
+    for first_round, mode in [(0, {}), (7, {"announce": 2})]:
+        seq = closed_loop(spec, params, plan, 7, z0, **mode)
+        dist = closed_loop(spec, params, plan, 7, z0, executor=executor, **mode)
+        for a, b in zip(seq.decisions, dist.decisions, strict=True):
+            assert a.u.tobytes() == b.u.tobytes()
+            assert a.v.tobytes() == b.v.tobytes()
+        rounds = {m.round for m in executor.log.records if m.round >= first_round}
+        assert rounds == set(range(first_round, first_round + 7))
+    assert executor.round == 14
+    assert of_kind(executor.log, "D-update")
+    report = audit_message_log(executor.log, spec)
+    assert report.ok, report.violations
+
+
+@pytest.mark.parametrize("rng, name", [
+    (3, "int"), (np.random.RandomState(0), "RandomState"), (np.random.PCG64(0), "PCG64"),
+    ("seed", "str"),
+])
+def test_scheduler_rng_must_be_a_generator(rng, name):
+    # It used to pass set-up and fail inside the first round.
+    spec = _spec(3, [1, 2], horizon=1)
+    with pytest.raises(TypeError, match=f"rng must be a numpy Generator or None, not {name}$"):
+        MessagePassing(spec, synthesize(spec), rng=rng)

@@ -122,6 +122,13 @@ class TestPlan:
                 f"record 1: {record!r} is not a mapping")):
             DisturbancePlan.from_records([good, record])
 
+    @pytest.mark.parametrize("records", [None, 5, 2.5])
+    def test_from_records_rejects_records_it_cannot_iterate(self, records):
+        # They used to end in a bare TypeError that named no value.
+        with pytest.raises(SpecError, match=re.escape(
+                f"disturbance records {records!r} are not iterable")):
+            DisturbancePlan.from_records(records)
+
     def test_from_records_rejects_a_start_after_the_end(self):
         # A record that ends before it starts was dropped without a word.
         with pytest.raises(SpecError, match="record 0: start_time = 5 is after "

@@ -6,7 +6,8 @@ from pathlib import Path
 from pathlq.cli import CONFIG_FIELDS
 from pathlq.ledger import RECORD_FIELDS
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text()
 
 
 def test_the_python_examples_run_in_order():
@@ -26,3 +27,11 @@ def test_the_config_schema_lists_exactly_the_accepted_fields():
                if line.startswith("    {")]
     assert sorted(top) == sorted(CONFIG_FIELDS)
     assert records and all(sorted(r) == sorted(RECORD_FIELDS) for r in records)
+
+
+def test_the_layout_table_has_one_row_per_module():
+    table = re.search(r"## Layout\n(.*?)\n## ", README, re.DOTALL).group(1)
+    rows = re.findall(r"^\| `pathlq\.(\w+)` \|", table, re.MULTILINE)
+    modules = [p.stem for p in (ROOT / "src" / "pathlq").glob("*.py")
+               if p.stem != "__init__"]
+    assert sorted(rows) == sorted(modules)
