@@ -9,6 +9,9 @@ The per-node kernels below are what each unit of the distributed harness
 runs.  The sequential sweeps apply the same formulas to all nodes at once
 over the packed parameter tables, in the same order of operations, so
 sequential and message-passing execution produce bit-equal decisions.
+The local folds are max(tau) in-place adds of whole (2, N) slabs, one per
+term, over one product block laid out term by term at synthesis; the
+terms past a node's delay are -0.0, the addend that changes no sum.
 Both read a step's node inputs through one gather, step_inputs.  The
 sweeps' coefficients are fixed at synthesis: each step reads the Python
 lists ControllerParams.one_minus_p_tau_1 and b and re-derives none.
@@ -96,17 +99,26 @@ def _local_folds(
     params: ControllerParams, z: np.ndarray, inflow: np.ndarray, d_last: np.ndarray
 ) -> np.ndarray:
     """(Phi, pi) of every node, as rows of one (2, N) array, from
-    step_inputs' flows + dwin (inflow) and d_last.  Accumulating along the
-    delay axis adds strictly left to right, the scalar kernels' order;
-    entries past a node's end are never read.
+    step_inputs' flows + dwin (inflow) and d_last.
+
+    Term j of every node's two folds is one (2, N) slab of the product
+    block, and the slabs are added in place from j = 0 up: strictly left to
+    right, the scalar kernels' order.  Terms past a node's tau_eff are
+    -0.0, which leaves every sum bitwise as it is.
     """
-    x = np.concatenate((z[:, None], inflow), axis=1)
-    folds = np.add.accumulate(params.coef * x, axis=2)
-    folds = folds.reshape(2, -1).take(params.fold_end, axis=1)
-    # Node N has no incoming edge: its flow terms are the kernels' 0.0, which
-    # also turns a -0.0 window entry into 0.0 as they do.
-    x_last = np.concatenate(([z[-1]], 0.0 + d_last))
-    folds[:, -1] = np.add.accumulate(params.coef_last * x_last, axis=1)[:, -1]
+    terms = params.coef[1:] * inflow.T[:, None, :]
+    terms.put(params.fold_pad, -0.0)
+    folds = params.coef[0] * z
+    for term in terms:
+        folds += term
+    # Node N's terms past the block continue its packed sum, which takes the
+    # place of the tail's first term, the block's last.  It has no incoming
+    # edge: its flow terms are the kernels' 0.0, which also turns a -0.0
+    # window entry into 0.0 as they do.
+    start = params.tail_start
+    tail = params.coef_last[:, start:] * (0.0 + d_last[start - 1 :])
+    tail[:, 0] = folds[:, -1]
+    folds[:, -1] = np.add.accumulate(tail, axis=1)[:, -1]
     return folds
 
 
@@ -144,7 +156,9 @@ def compute_actions(
     u_oldest and d_head are every node's delay slot 0 (column 0 of
     delay_cols): u_i[t-tau_i] and D_i[t+sigma_i].
     """
-    delta_prev = np.concatenate(([0.0], delta[:-1]))
+    delta_prev = np.empty_like(delta)
+    delta_prev[0] = 0.0
+    delta_prev[1:] = delta[:-1]
     u = local_flow(params, z, u_oldest, d_head, delta_prev, mu, d_now)[1:]
     v = local_production(params, delta_prev, mu)
     return ControlDecision(u=u, v=v)

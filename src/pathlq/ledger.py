@@ -174,11 +174,14 @@ class ShiftedWindows:
         self.now = now
         width = spec.sigma_total + spec.horizon + 1
         self._buf, self._off = np.zeros((spec.n + 1, 2 * width)), 0
-        # Summed in place under the D_0 = 0.0 row: a lone -0.0 sums to 0.0.
+        # Summed in place, one contiguous row add per node, under the
+        # D_0 = 0.0 row: a lone -0.0 sums to 0.0.
         front = self._buf[:, :width]
         held = (times >= now) & (cols < width)
         front[nodes[held], cols[held]] = values[held]
-        self._D = np.add.accumulate(front, axis=0, out=front)
+        for below, row in zip(front, front[1:]):
+            row += below
+        self._D = front
         self._rows = np.arange(1, spec.n + 1)[:, None]
 
     def slice(self, node: int, length: int) -> np.ndarray:

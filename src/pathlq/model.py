@@ -139,8 +139,10 @@ class PlantState:
         self.t = t
         self.z = z
         self.flows = flows
-        self._first = first  # each pipeline's first (oldest) slot in flows
-        self._last = last  # and its last (newest) one
+        # Each pipeline's first (oldest) slot in flows, then node N's closing
+        # 0.0: every node's arrival, in node order.
+        self._first = first
+        self._last = last  # each pipeline's last (newest) slot
 
     def successor(self, z: np.ndarray, flows: np.ndarray) -> "PlantState":
         """The state one step later, with these levels and flows, same edges."""
@@ -170,9 +172,10 @@ class PlantState:
             flows = np.concatenate([*pipes, [0.0]])
             if not np.isfinite(flows).all():
                 raise SpecError("initial pipelines have a non-finite entry")
-        # Edge e+1's pipeline is flows[sigma_{e+1} : sigma_{e+2}].
+        # Edge e+1's pipeline is flows[sigma_{e+1} : sigma_{e+2}]; the closing
+        # 0.0 is flows[sigma_N].
         sigma = np.array(spec.sigma)
-        return PlantState(0, z, flows, sigma[:-1], sigma[1:] - 1)
+        return PlantState(0, z, flows, sigma, sigma[1:] - 1)
 
 
 @dataclass(frozen=True)
@@ -190,23 +193,27 @@ def plant_step(
 
     z_i[t+1] = z_i[t] - u_{i-1}[t] + u_i[t - tau_i] + v_i[t] + d_i[t],
     with the boundary conventions u_0 = u_N = 0.  Each pipeline shifts by
-    one slot and admits the newly sent flow.
+    one slot and admits the newly sent flow.  u, v and d are read by
+    read_number's rule: text or booleans raise SpecError, and float
+    arrays are taken as they are.
     """
     n = spec.n
-    u = np.asarray(action.u, dtype=float)
-    v = np.asarray(action.v, dtype=float)
-    d = np.asarray(d, dtype=float)
+    try:
+        u, v, d = _read_numbers(action.u), _read_numbers(action.v), _read_numbers(d)
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"action or disturbance is not numeric: {exc}") from None
     if u.shape != (n - 1,) or v.shape != (n,) or d.shape != (n,):
         raise SpecError(
             f"action/disturbance shapes {u.shape}, {v.shape}, {d.shape} do not "
             f"match n = {n}"
         )
     old = state.flows
-    arrivals = np.zeros(n)
-    arrivals[:-1] = old[state._first]  # u_{e+1}[t - tau_{e+1}]
-    departures = np.zeros(n)
-    departures[1:] = u  # node i loses u_{i-1}[t]
-    z_next = state.z + arrivals - departures + v + d
+    # u_{e+1}[t - tau_{e+1}] arrives at node e+1; node N's arrival is the
+    # closing 0.0.  Node 1 sends nothing downstream: x - 0.0 is x, bitwise.
+    z_next = state.z + old.take(state._first)
+    z_next[1:] -= u
+    z_next += v
+    z_next += d
     flows = np.empty_like(old)
     flows[:-1] = old[1:]  # every pipeline one slot older; newest slots set next
     flows[state._last] = u

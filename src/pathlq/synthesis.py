@@ -54,13 +54,17 @@ class ControllerParams:
     A node's phi and gprod rows are the coefficients of its two local
     folds: Phi_i = sum_j phi_i[j] x_i[j] and pi_i = sum_j gprod_i[j] x_i[j],
     with x_i[0] = z_i and x_i[D+1] the node's inflow in delay slot D, so
-    index 0 holds the coefficient of z (phi_i(1) and 1.0).  The rows of
-    nodes 1..N-1 are packed into coef, (2, N, W) with W = max(tau) + 1:
-    coef[0, k] is node k+1's phi row and coef[1, k] its gprod row, NaN past
-    tau_eff.  Node N's rows span the horizon, H + 2 entries, so they are
-    kept apart in coef_last and its packed rows are NaN.  Every per-node
-    scalar of the local outputs is one length-N array, so the sequential
-    controller reads all nodes at once.  The two sweeps' coefficients,
+    index 0 holds the coefficient of z (phi_i(1) and 1.0).  The rows are
+    packed term by term into coef, (W, 2, N) with W = max(tau) + 1:
+    coef[j, 0, k] is node k+1's phi_i[j] and coef[j, 1, k] its gprod_i[j],
+    NaN past tau_eff, so that the folds are W - 1 adds of whole (2, N)
+    slabs.  fold_pad lists the terms past each node's tau_eff, as flat
+    indices into coef[1:]; the fold sets them to -0.0.  Node N's rows span
+    the horizon, H + 2 entries: coef holds its first min(W, H + 2), and
+    coef_last the whole rows, whose terms past tail_start the fold adds
+    after the packed ones.  Every per-node scalar of the local outputs is
+    one length-N array, so the sequential controller reads all nodes at
+    once.  The two sweeps' coefficients,
     one_minus_p_tau_1 and b, are lists of Python floats, which the Python
     sweeps read directly.  No run reads the X, g and P tables, so they are
     kept as the sweeps' rows of Python floats, and their per-node arrays,
@@ -77,7 +81,7 @@ class ControllerParams:
     b: list[float]  # b_i for i = 1..N-1, then node N's 0.0
     P_rows: list[list[float]]  # P_rows[k][(l-1) * tau_eff + m-1] = P_i(l, m)
     h: np.ndarray  # h[i] = h_i for i = 0..N-1, h[0] = 0
-    coef: np.ndarray  # (2, N, W): phi and gprod rows of nodes 1..N-1
+    coef: np.ndarray  # (W, 2, N): term j of every node's phi and gprod rows
     coef_last: np.ndarray  # (2, H+2): node N's phi and gprod rows
     a: np.ndarray
     c: np.ndarray
@@ -90,7 +94,8 @@ class ControllerParams:
     # repeating the node's last slot past its tau_eff.  Node N's row holds
     # only its first W-1 slots; its column 0 is the head that its outputs read.
     delay_cols: np.ndarray  # (N, W-1)
-    fold_end: np.ndarray  # k * W + min(tau_eff[k], W-1): where node k's fold ends
+    fold_pad: np.ndarray  # flat indices of the terms j > tau_eff in coef[1:]
+    tail_start: int  # min(W, H+2) - 1: node N's last term in coef
 
     @functools.cached_property
     def X(self) -> tuple[np.ndarray, ...]:
@@ -123,7 +128,7 @@ class ControllerParams:
         """Local parameters for node k+1, its only state between rounds, as
         Python floats: its kernels then never touch a numpy scalar."""
         last = k == self.spec.n - 1
-        phi, gprod = (self.coef_last if last else self.coef[:, k]).tolist()
+        phi, gprod = (self.coef_last if last else self.coef[:, :, k].T).tolist()
         return NodeParams(
             index=k + 1,
             tau_eff=self.tau_eff[k],
@@ -262,23 +267,26 @@ def _views(rows: list[list[float]]) -> tuple[np.ndarray, ...]:
 
 
 def _delay_layout(tau_eff: tuple[int, ...], phi, gprod):
-    """coef, coef_last, delay_cols and fold_end of ControllerParams for
-    these delays and these phi and gprod rows."""
+    """The fields coef, coef_last, delay_cols, fold_pad and tail_start of
+    ControllerParams for these delays and these phi and gprod rows."""
     te = np.array(tau_eff)
-    width = int(te[:-1].max(initial=1)) + 1  # max tau + 1, at least 2
-    sigma = np.concatenate(([0], np.cumsum(te[:-1])))
-    delay_cols = sigma[:, None] + np.minimum(np.arange(width - 1), te[:, None] - 1)
-    fold_end = np.arange(len(te)) * width + np.minimum(te, width - 1)
-    # Node k+1's rows, NaN past its tau_eff; node N's packed rows are NaN.
+    width = max(tau_eff[:-1], default=1) + 1  # max tau + 1, at least 2
+    slots = np.arange(width)
+    sigma = np.cumsum(te) - te
+    delay_cols = sigma[:, None] + np.minimum(slots[:-1], te[:, None] - 1)
+    # Node k+1's rows, NaN past its tau_eff; node N's are cut at the width.
     nan = [math.nan] * width
     flat = []
     for rows in (phi, gprod):
-        for row in rows[:-1]:
+        for row in (*rows[:-1], rows[-1][:width]):
             flat += row
             flat += nan[len(row) :]
-        flat += nan
-    coef = np.array(flat).reshape(2, len(te), width)
-    return coef, np.array([phi[-1], gprod[-1]]), delay_cols, fold_end
+    coef = np.array(flat).reshape(2, len(te), width).transpose(2, 0, 1).copy()
+    # The padded terms j >= 1 of both rows of every node, as coef[1:] holds them.
+    fold_pad = np.flatnonzero((slots[1:, None] > te).repeat(2, axis=0))
+    tail_start = min(width, tau_eff[-1] + 1) - 1
+    return dict(coef=coef, coef_last=np.array([phi[-1], gprod[-1]]),
+                delay_cols=delay_cols, fold_pad=fold_pad, tail_start=tail_start)
 
 
 def synthesize(spec: GraphSpec) -> ControllerParams:
@@ -294,7 +302,6 @@ def synthesize(spec: GraphSpec) -> ControllerParams:
             spec, tau_eff, gamma, rho, X, g_cross, gprod, b, P, one_minus_p_tau_1
         )
     )
-    coef, coef_last, delay_cols, fold_end = _delay_layout(tau_eff, phi, gprod)
     return ControllerParams(
         spec=spec,
         tau_eff=tau_eff,
@@ -306,16 +313,13 @@ def synthesize(spec: GraphSpec) -> ControllerParams:
         b=b,
         P_rows=P,
         h=h,
-        coef=coef,
-        coef_last=coef_last,
         a=a,
         c=c,
         one_minus_p_tau_1=one_minus_p_tau_1,
         one_minus_gamma_q=one_minus_gamma_q,
         x1_over_r=x1_over_r,
         one_minus_h_prev=one_minus_h_prev,
-        delay_cols=delay_cols,
-        fold_end=fold_end,
+        **_delay_layout(tau_eff, phi, gprod),
     )
 
 

@@ -408,24 +408,30 @@ def reference_sweep_h_and_finalize(
 
 
 def reference_delay_layout(tau_eff: tuple[int, ...]):
-    """coef and coef_last, all NaN, delay_cols and fold_end of
+    """coef and coef_last, all NaN, delay_cols, fold_pad and tail_start of
     ControllerParams for these delays."""
     te = np.array(tau_eff)
-    width = int(te[:-1].max(initial=1)) + 1  # max tau + 1, at least 2
+    n, width = len(te), int(te[:-1].max(initial=1)) + 1  # max tau + 1, at least 2
     sigma = np.concatenate(([0], np.cumsum(te[:-1])))
     delay_cols = sigma[:, None] + np.minimum(np.arange(width - 1), te[:, None] - 1)
-    fold_end = np.arange(len(te)) * width + np.minimum(te, width - 1)
-    coef = np.full((2, len(te), width), np.nan)
-    return coef, np.full((2, tau_eff[-1] + 1), np.nan), delay_cols, fold_end
+    # Term j >= 1 of row c of node k+1 sits at (j - 1, c, k) of coef[1:].
+    fold_pad = np.array([
+        ((j - 1) * 2 + c) * n + k
+        for j in range(1, width) for c in range(2) for k in range(n)
+        if j > tau_eff[k]
+    ], dtype=np.intp)
+    coef = np.full((width, 2, n), np.nan)
+    coef_last = np.full((2, tau_eff[-1] + 1), np.nan)
+    return coef, coef_last, delay_cols, fold_pad, min(width, tau_eff[-1] + 1) - 1
 
 
 def reference_synthesize(spec: GraphSpec) -> ControllerParams:
     """synthesize's ControllerParams from the numpy-scalar sweeps."""
     tau_eff = (*spec.tau, spec.horizon + 1)
-    coef, coef_last, delay_cols, fold_end = reference_delay_layout(tau_eff)
+    coef, coef_last, delay_cols, fold_pad, tail_start = reference_delay_layout(tau_eff)
     # Node k+1's (phi, gprod) rows, views that the sweeps fill; node N's
-    # packed rows stay NaN.
-    rows = [*coef.swapaxes(0, 1)[:-1], coef_last]
+    # first terms are copied into coef afterwards.
+    rows = [*(coef[:, :, k].T for k in range(spec.n - 1)), coef_last]
     gamma, rho = reference_sweep_gamma_rho(spec.q, spec.r)
     x_term = terminal_riccati(gamma[-1], rho[-1])
     X, g, g_cross, b, P, one_minus_p_tau_1 = reference_sweep_X_g_b_P(
@@ -436,6 +442,7 @@ def reference_synthesize(spec: GraphSpec) -> ControllerParams:
             spec, tau_eff, gamma, rho, X, g_cross, rows, b, P, one_minus_p_tau_1
         )
     )
+    coef[: tail_start + 1, :, -1] = coef_last[:, : tail_start + 1].T
     params = ControllerParams(
         spec=spec,
         tau_eff=tau_eff,
@@ -456,7 +463,8 @@ def reference_synthesize(spec: GraphSpec) -> ControllerParams:
         x1_over_r=x1_over_r,
         one_minus_h_prev=one_minus_h_prev,
         delay_cols=delay_cols,
-        fold_end=fold_end,
+        fold_pad=fold_pad,
+        tail_start=tail_start,
     )
     # The reference's own per-node arrays, in place of those that
     # ControllerParams builds from the rows on first read.

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from pathlq import simulate
 from pathlq.controller import (
+    _local_folds,
     combine_delta,
     combine_mu,
     compute_actions,
@@ -535,6 +536,66 @@ def test_packed_step_is_bitwise_when_node_n_is_narrower_than_the_table(data):
 def test_packed_tables_are_as_wide_as_the_longest_edge_delay(horizon):
     spec = _spec(4, [2, 5, 3], horizon)
     params = synthesize(spec)
-    assert params.coef.shape == (2, 4, 5 + 1)
+    assert params.coef.shape == (5 + 1, 2, 4)
     assert params.delay_cols.shape == (4, 5)
     assert params.coef_last.shape == (2, horizon + 2)
+    # The padded terms are the NaN ones: past tau_eff, and past H + 1 at node N.
+    pad = np.flatnonzero(np.isnan(params.coef[1:]))
+    assert params.fold_pad.tolist() == pad.tolist()
+    assert params.tail_start == min(6, horizon + 2) - 1
+    last = params.coef[: params.tail_start + 1, :, -1]
+    assert last.tobytes() == params.coef_last[:, : params.tail_start + 1].T.tobytes()
+
+
+def _fold_inputs(spec, params, fill, rng):
+    """z, flows, dwin and d_last as step_inputs lays them out, each entry
+    drawn by `fill`: "-0.0", "+0.0", "zeros" (either sign) or "mixed"
+    (either zero or a generic value); the padded delay slots past a node's
+    tau_eff hold NaN and inf, which the folds must never read."""
+    n, cols = spec.n, params.delay_cols.shape[1]
+
+    def draw(*shape):
+        signed = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+        values = {"-0.0": np.full(shape, -0.0), "+0.0": np.zeros(shape),
+                  "zeros": signed, "mixed": signed}[fill]
+        if fill == "mixed":
+            generic = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+            values = np.where(rng.random(shape) < 0.6, generic, values)
+        return values
+
+    z, flows, dwin, d_last = draw(n), draw(n, cols), draw(n, cols), draw(spec.horizon + 1)
+    # Node N: no flows, and its window over the horizon, repeating its last
+    # entry past H as delay_cols does.
+    flows[-1] = 0.0
+    dwin[-1] = d_last[np.minimum(np.arange(cols), spec.horizon)]
+    padded = np.arange(cols) >= np.array(params.tau_eff)[:, None]
+    flows[padded[:-1].nonzero()] = np.nan
+    dwin[padded[:-1].nonzero()] = np.inf
+    return z, flows, dwin, d_last
+
+
+@pytest.mark.parametrize("fill", ["-0.0", "+0.0", "zeros", "mixed"])
+@pytest.mark.parametrize(
+    "tau, horizon",
+    [((1, 4, 2, 3), 0), ((1, 4, 2, 3), 3), ((1, 4, 2, 3), 10), ((), 0), ((), 5),
+     ((3, 3, 3), 1)],
+    ids=["mixed-tau-H+2-below-W", "mixed-tau-H+2-equals-W", "mixed-tau-H+2-above-W",
+         "n1-H0", "n1-H5", "uniform-tau"],
+)
+def test_local_folds_equal_the_per_node_kernels_bitwise(tau, horizon, fill):
+    n = len(tau) + 1
+    rng = np.random.default_rng(n * 100 + horizon)
+    weights = tuple(rng.uniform(0.1, 10.0, n))
+    spec = _spec(n, tau, horizon, q=weights, r=weights[::-1])
+    params = synthesize(spec)
+    for _ in range(4):
+        z, flows, dwin, d_last = _fold_inputs(spec, params, fill, rng)
+        Phi, pi = _local_folds(params, z, flows + dwin, d_last)
+        for k in range(n):
+            node, te = params.node_slice(k), params.tau_eff[k]
+            uvals, window = (flows[k, :te], dwin[k, :te]) if k < n - 1 else (
+                np.zeros(te), d_last)
+            want = local_phi(node, z[k], uvals, window), local_pi(node, z[k], uvals, window)
+            got = Phi[k : k + 1], pi[k : k + 1]
+            assert got[0].tobytes() == np.array(want[:1]).tobytes(), ("Phi", k)
+            assert got[1].tobytes() == np.array(want[1:]).tobytes(), ("pi", k)

@@ -177,7 +177,8 @@ class TestInitialState:
         z0 = rng.standard_normal(n)
         pipes = [rng.standard_normal(t) for t in tau]
         # The pipelines back to back, then the 0.0 in transit to node N;
-        # each one's first and last slot from the running sum of lengths.
+        # each one's first and last slot from the running sum of lengths,
+        # and the closing 0.0's slot after the first slots.
         lengths = np.array(tau, dtype=int)
         ends = np.cumsum(lengths)
         for given, flows in [
@@ -186,7 +187,8 @@ class TestInitialState:
         ]:
             got = PlantState.initial(spec, z0, given)
             assert got.t == 0 and got.z.tobytes() == z0.tobytes()
-            for name, want in [("flows", flows), ("_first", ends - lengths),
+            first = np.concatenate((ends - lengths, [ends[-1] if tau else 0]))
+            for name, want in [("flows", flows), ("_first", first),
                                ("_last", ends - 1)]:
                 a = getattr(got, name)
                 assert (a.dtype, a.shape) == (want.dtype, want.shape), name
@@ -227,6 +229,38 @@ class TestPlantStep:
         bad = ControlDecision(u=np.zeros(2), v=np.zeros(spec.n))
         with pytest.raises(SpecError):
             plant_step(state, bad, np.zeros(spec.n), spec)
+
+    @pytest.mark.parametrize(
+        "u, v, d",
+        [
+            (["0.5", "1"], [0.0] * 3, [0.0] * 3),
+            ([True, False], [0.0] * 3, [0.0] * 3),
+            (np.array([True, False]), [0.0] * 3, [0.0] * 3),
+            ([0.5, 1.0], [0.0, b"1", 0.0], [0.0] * 3),
+            ([0.5, 1.0], [0.0] * 3, ["1", "2", "3"]),
+            ([0.5, 1.0], [0.0] * 3, [1.0, np.True_, 0.0]),
+        ],
+        ids=["text-u", "bool-u", "bool-array-u", "bytes-v", "text-d", "numpy-bool-d"],
+    )
+    def test_text_and_booleans_rejected(self, u, v, d):
+        # np.asarray(..., dtype=float) reads "0.5" as 0.5 and True as 1.0.
+        spec = GraphSpec(n=3, tau=(1, 2), q=(1.0,) * 3, r=(1.0,) * 3, horizon=0)
+        state = PlantState.initial(spec)
+        with pytest.raises(SpecError, match="not numeric"):
+            plant_step(state, ControlDecision(u=u, v=v), d, spec)
+
+    def test_numbers_in_lists_run_as_their_float_array(self):
+        spec = GraphSpec(n=3, tau=(1, 2), q=(1.0,) * 3, r=(1.0,) * 3, horizon=0)
+        state = PlantState.initial(spec, z0=[1.0, -0.0, 2.0], pipelines0=[[0.5], [1, 2]])
+        listed = plant_step(state, ControlDecision(u=[1, 0.25], v=[0, -0.0, 3]),
+                            [np.float32(0.5), 0, -1], spec)
+        arrays = plant_step(
+            state,
+            ControlDecision(u=np.array([1.0, 0.25]), v=np.array([0.0, -0.0, 3.0])),
+            np.array([0.5, 0.0, -1.0]), spec,
+        )
+        assert listed.z.tobytes() == arrays.z.tobytes()
+        assert listed.flows.tobytes() == arrays.flows.tobytes()
 
     def test_pure_transport_conserves_quantity(self, rng):
         spec = GraphSpec(n=4, tau=(2, 3, 1), q=(1.0,) * 4, r=(1.0,) * 4, horizon=0)
