@@ -5,8 +5,9 @@ and a downstream sweep aggregates the mu values (node N to 1); the two
 sweeps are independent and may run in either order.  Afterwards every
 node computes its flow and production from purely local quantities.
 
-The per-node kernels below are what each unit of the distributed harness
-runs.  The sequential sweeps apply the same formulas to all nodes at once
+The per-node kernels below are what each node of the distributed harness
+runs: one fold and one combine serve both sweeps, each on its own row and
+weight.  The sequential sweeps apply the same formulas to all nodes at once
 over the packed parameter tables, in the same order of operations, so
 sequential and message-passing execution produce bit-equal decisions.
 The local folds are max(tau) in-place adds of whole (2, N) slabs, one per
@@ -43,28 +44,19 @@ class SweepState:
 
 # --- per-node kernels -------------------------------------------------------
 
-def local_phi(p: NodeParams, z_k: float, uvals: np.ndarray, dwin: np.ndarray) -> float:
-    """Phi_i = phi_i(1) z_i + sum_D phi_i(D+1) (u_i[t-(tau_i-D)] + D_i[t+sigma_i+D])."""
-    acc = p.phi[1] * z_k
-    for dlt in range(p.tau_eff):
-        acc += p.phi[dlt + 1] * (uvals[dlt] + dwin[dlt])
+def local_fold(row, z_k: float, uvals, dwin) -> float:
+    """row[0] z_i + sum_D row[D+1] (u_i[t-(tau_i-D)] + D_i[t+sigma_i+D]) over
+    the row's own terms, left to right: Phi_i on the phi row, pi_i on gprod's."""
+    acc = row[0] * z_k
+    for dlt in range(len(row) - 1):
+        acc += row[dlt + 1] * (uvals[dlt] + dwin[dlt])
     return acc
 
 
-def combine_delta(p: NodeParams, phi_val: float, delta_prev: float) -> float:
-    return phi_val + p.one_minus_p_tau_1 * delta_prev
-
-
-def local_pi(p: NodeParams, z_k: float, uvals: np.ndarray, dwin: np.ndarray) -> float:
-    """pi_i = z_i + sum_D (u_i[t-(tau_i-D)] + D_i[t+sigma_i+D]) prod_{j=2}^{D+1} g_i(j)."""
-    acc = z_k
-    for dlt in range(p.tau_eff):
-        acc += (uvals[dlt] + dwin[dlt]) * p.gprod[dlt + 1]
-    return acc
-
-
-def combine_mu(p: NodeParams, pi_val: float, mu_next: float) -> float:
-    return pi_val + p.b * mu_next
+def combine(weight: float, fold: float, received: float) -> float:
+    """What a node sends on: delta_i = Phi_i + (1 - P_i(tau_i, 1)) delta_{i-1}
+    upstream, mu_i = pi_i + b_i mu_{i+1} downstream."""
+    return fold + weight * received
 
 
 def local_flow(

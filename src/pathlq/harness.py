@@ -1,10 +1,11 @@
 """Message-passing execution of the two-sweep control law.
 
 MessagePassing is the executor: it holds the nodes (each its parameter
-slice), the links between neighbors, which it can take down, the round
-counter, the message log and the scheduler's rng.  A control round reads
-the step's four per-node measurement columns, each node's tasks only its
-own entry, and runs the upstream (delta) and downstream (mu) chains
+slice, whose two chains run the controller's one fold and one combine),
+the links between neighbors, which it can take down, the round counter,
+the message log and the scheduler's rng.  A control round reads the
+step's four per-node measurement columns, each node's tasks only its own
+entry, and runs the upstream (delta) and downstream (mu) chains
 concurrently under a randomized scheduler; decisions must be independent
 of the interleaving and bit-identical to the sequential controller, which
 applies the same formulas to all nodes at once over packed parameter
@@ -23,20 +24,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import (
-    combine_delta,
-    combine_mu,
-    local_flow,
-    local_phi,
-    local_pi,
-    local_production,
-    step_inputs,
-)
+from .controller import combine, local_flow, local_fold, local_production, step_inputs
 from .errors import RoundAbortError
 from .ledger import DisturbancePlan
 from .model import ControlDecision, GraphSpec, read_whole
 from .simulate import closed_loop
 from .synthesis import ControllerParams
+
+# perfbench/tracing.py times each chain's fold and combine as its own global.
+local_phi = local_pi = local_fold
+combine_delta = combine_mu = combine
 
 
 @dataclass(slots=True)
@@ -84,6 +81,8 @@ class MessagePassing:
                             f"not {type(rng).__name__}")
         self.n = spec.n
         self.params = [params.node_slice(k) for k in range(spec.n)]
+        self.rows = [row for p in self.params for row in p.rows]
+        self.weights = [w for p in self.params for w in p.weights]
         self.failed_links: set[frozenset] = set()
         self.round = 0
         self.log = MessageLog()
@@ -128,25 +127,27 @@ def run_control_round(executor: MessagePassing, measurements) -> ControlDecision
     tasks read entry k of `executor.params` and of each column.
     Decisions do not depend on the interleaving of the two chains.
 
-    Chain c of node k+1 is slot 2k + c: chain 0 folds Phi and sends
-    delta up the path, chain 1 folds pi and sends mu down it.  The round
-    keeps three lists indexed by slot: `fold` (the local fold), `inbox`
-    (the value received; node 1's delta_0 and node N's mu_{N+1} are 0.0)
-    and `sent` (the fold combined with the inbox, sent on to the slot two
-    places up or down).  The ready list `slots` is sorted and holds a
-    slot while its chain has a task whose inputs have all arrived.  Each
-    task runs `slots[i]` and then removes and inserts at most one slot
-    each, so a round is 4N tasks and O(N) work.  The schedule is one
-    float u in [0, 1) per task, from one `executor.rng.random(4 * N)`
-    batch drawn at the start of the round: the task runs
-    `slots[int(u * len(slots))]`.  Each round thus advances the rng by
-    exactly 4N doubles, also when a downed link aborts it, and one rng
-    stream always gives the same schedule and message log.  Without an
+    Chain c of node k+1 is slot 2k + c: chain 0 folds Phi and sends delta up
+    the path, chain 1 folds pi and sends mu down it.  Slot s folds on the
+    row `executor.rows[s]` and combines with the weight
+    `executor.weights[s]`.  The round keeps three lists indexed by slot:
+    `fold` (the local fold), `inbox` (the value received; node 1's delta_0
+    and node N's mu_{N+1} are 0.0) and `sent` (the fold combined with the
+    inbox, sent on to the slot two places up or down).  The ready list
+    `slots` is sorted and holds a slot while its chain has a task whose
+    inputs have all arrived.  Each task runs `slots[i]` and then removes and
+    inserts at most one slot each, so a round is 4N tasks and O(N) work.
+    The schedule is one float u in [0, 1) per task, from one
+    `executor.rng.random(4 * N)` batch drawn at the start of the round: the
+    task runs `slots[int(u * len(slots))]`.  Each round thus advances the
+    rng by exactly 4N doubles, also when a downed link aborts it, and one
+    rng stream always gives the same schedule and message log.  Without an
     rng every task runs `slots[0]` and nothing is drawn.  Messages go to
     `executor.log` under its round number, which an aborted round still
     takes, so a retry logs under the next one.
     """
     params, n, rnd, rng = executor.params, executor.n, executor.round, executor.rng
+    rows, weights = executor.rows, executor.weights
     z, uvals, dwin, d = measurements
     for name, column in zip(("z", "uvals", "dwin", "d"), measurements):
         if len(column) != n:
@@ -166,11 +167,11 @@ def run_control_round(executor: MessagePassing, measurements) -> ControlDecision
             s = slots[i]
             c, k = s & 1, s >> 1
             if fold[s] is None:
-                fold[s] = local_folds[c](params[k], z[k], uvals[k], dwin[k])
+                fold[s] = local_folds[c](rows[s], z[k], uvals[k], dwin[k])
                 if inbox[s] is None:
                     del slots[i]
                 continue
-            sent[s] = value = combines[c](params[k], fold[s], inbox[s])
+            sent[s] = value = combines[c](weights[s], fold[s], inbox[s])
             del slots[i]
             # A send logs the message and hands its value to the neighbor,
             # whose chain becomes ready if its local fold is done.  Sends go

@@ -11,11 +11,13 @@ ledger incrementally.  An executor computes each step's decision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .controller import control_step
+from .errors import SpecError
 from .ledger import (
     DisturbancePlan,
     advance_time,
@@ -111,7 +113,8 @@ def closed_loop(
     satisfy the horizon bound outright).  With announce=h, entry d_i[s]
     becomes known at time s - h and enters the ledger incrementally.
     With blind=True the controller never learns the plan.  `executor`
-    (default Sequential()) computes each step's decision.  `params` must
+    (default Sequential()) computes each step's decision; one that holds
+    a NaN or an infinity raises SpecError naming the step.  `params` must
     be synthesized for `spec`; a mismatch raises SpecError.
     """
     params.require_spec(spec)
@@ -152,9 +155,16 @@ def closed_loop(
         # the controller knows the plant's whole row d[t].
         d_known = d_blind if blind else d_hist[t]
         decision = executor.decide(state, windows, d_known, params)
-        costs[t] = stage_cost(spec, state.z, decision.v)
+        costs[t] = cost = stage_cost(spec, state.z, decision.v)
         u_hist[t] = decision.u
         v_hist[t] = decision.v
+        # The cost is NaN or infinite wherever v is, so only u needs a scan.
+        if not math.isfinite(cost) or np.count_nonzero(np.isfinite(u_hist[t])) < n - 1:
+            for name, x in (("u", u_hist[t]), ("v", v_hist[t])):
+                bad = np.flatnonzero(~np.isfinite(x))
+                if bad.size:
+                    raise SpecError(f"step {t}: the executor decided {name}[{bad[0]}] "
+                                    f"= {x[bad[0]]}, not a finite number")
 
         state = plant_step(state, decision, d_hist[t], spec)
         z_hist[t + 1] = state.z

@@ -35,16 +35,15 @@ class NodeParams:
     """The slice of the controller parameters one node needs locally."""
 
     index: int  # 1-based node index
-    tau_eff: int
-    one_minus_p_tau_1: float  # 1 - P_i(tau_i, 1)
-    b: float  # 0.0 for the last node (never used there)
+    # Chain 0's row and weight (phi, 1 - P_i(tau_i, 1)), then chain 1's (gprod,
+    # b_i, 0.0 at node N); each row is tau_eff + 1 terms, z's coefficient first.
+    rows: tuple[tuple[float, ...], tuple[float, ...]]
+    weights: tuple[float, float]
     a: float
     c: float
     one_minus_gamma_q: float  # 1 - gamma_i / q_i
     x1_over_r: float  # X_i(1) / r_i
     one_minus_h_prev: float  # 1 - h_{i-1}
-    phi: tuple[float, ...]  # phi[Delta] for Delta = 1..tau_eff; phi[0] = phi[1]
-    gprod: tuple[float, ...]  # gprod[m] = prod_{j=2}^{m} g_i(j) for m >= 1; gprod[0] = 1
 
 
 @dataclass(frozen=True)
@@ -128,19 +127,16 @@ class ControllerParams:
         """Local parameters for node k+1, its only state between rounds, as
         Python floats: its kernels then never touch a numpy scalar."""
         last = k == self.spec.n - 1
-        phi, gprod = (self.coef_last if last else self.coef[:, :, k].T).tolist()
+        rows = self.coef_last if last else self.coef[: self.tau_eff[k] + 1, :, k].T
         return NodeParams(
             index=k + 1,
-            tau_eff=self.tau_eff[k],
-            one_minus_p_tau_1=self.one_minus_p_tau_1[k],
-            b=self.b[k],
+            rows=tuple(map(tuple, rows.tolist())),
+            weights=(self.one_minus_p_tau_1[k], self.b[k]),
             a=float(self.a[k]),
             c=float(self.c[k]),
             one_minus_gamma_q=float(self.one_minus_gamma_q[k]),
             x1_over_r=float(self.x1_over_r[k]),
             one_minus_h_prev=float(self.one_minus_h_prev[k]),
-            phi=tuple(phi),
-            gprod=tuple(gprod),
         )
 
 
@@ -333,7 +329,7 @@ def params_to_document(params: ControllerParams) -> str:
     }
     for k in range(n):
         te = params.tau_eff[k]
-        phi = params.node_slice(k).phi
+        phi = params.node_slice(k).rows[0]
         node = {
             "node": k + 1,
             "tau_eff": te,

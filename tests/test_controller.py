@@ -12,14 +12,12 @@ from hypothesis import strategies as st
 from pathlq import simulate
 from pathlq.controller import (
     _local_folds,
-    combine_delta,
-    combine_mu,
+    combine,
     compute_actions,
     control_step,
     downstream_sweep,
     local_flow,
-    local_phi,
-    local_pi,
+    local_fold,
     local_production,
     upstream_sweep,
 )
@@ -81,15 +79,16 @@ def test_single_node_matches_stationary_scalar_gain():
 
 
 def test_pi_unit_delay_example():
-    # For tau_i = 1 the pi kernel reduces to z + g(2) * (u_in + D).
+    # For tau_i = 1 the fold of the gprod row reduces to z + gprod(1) * (u_in + D).
     spec = _spec(2, [1], horizon=2)
     params, _plan, windows = _zero_setup(spec)
     p = params.node_slice(0)
     dwin = np.array([0.5])
-    got = local_pi(p, 2.0, np.array([0.25]), dwin)
-    assert np.isclose(got, 2.0 + p.gprod[1] * 0.75)
-    # mu combine is affine in the upstream value with slope b.
-    assert combine_mu(p, 1.0, 2.0) == 1.0 + 2.0 * p.b
+    gprod = p.rows[1]
+    got = local_fold(gprod, 2.0, np.array([0.25]), dwin)
+    assert np.isclose(got, 2.0 + gprod[1] * 0.75)
+    # The mu combine is affine in the upstream value with slope b.
+    assert combine(p.weights[1], 1.0, 2.0) == 1.0 + 2.0 * params.b[0]
 
 
 def test_controller_is_linear_in_state_and_plan():
@@ -358,6 +357,41 @@ def test_known_disturbance_is_the_plan_row_bitwise(mode):
 
 
 
+class _Spoiling(Sequential):
+    """The default executor, but step `at`'s decision holds `value` as entry
+    1 of its u or v (`name`)."""
+
+    def __init__(self, at, name, value):
+        self.at, self.name, self.value, self.t = at, name, value, 0
+
+    def decide(self, state, windows, d_now, params):
+        decision = super().decide(state, windows, d_now, params)
+        if self.t == self.at:
+            getattr(decision, self.name)[1] = self.value
+        self.t += 1
+        return decision
+
+
+@pytest.mark.parametrize("name, value", [("v", np.nan), ("u", np.inf), ("u", -np.inf),
+                                         ("u", np.nan), ("v", np.inf)])
+@pytest.mark.parametrize("at", [0, 5])
+@pytest.mark.parametrize("mode", [{}, {"announce": 2}, {"blind": True}],
+                         ids=["full-plan", "announce", "blind"])
+def test_a_decision_that_is_not_finite_is_rejected_at_its_step(name, value, at, mode):
+    # The run stops at the step whose decision holds a NaN or an infinity,
+    # the last step's included, before the plant or the next decision
+    # computes with it (a RuntimeWarning there would be an error here).
+    spec = _spec(3, [1, 2], horizon=2)
+    params = synthesize(spec)
+    plan = DisturbancePlan({(1, 0): 0.3, (3, 2): -1.5, (2, 4): 0.8})
+    executor = _Spoiling(at, name, value)
+    message = rf"^step {at}: the executor decided {name}\[1\] = {value}, not a finite"
+    with pytest.raises(SpecError, match=message):
+        closed_loop(spec, params, plan, 6, z0=[1.0, -0.5, 2.0], executor=executor,
+                    **mode)
+    assert executor.t == at + 1
+
+
 def _rebuilt_final_state(traj):
     """The end-of-run state rebuilt from the trajectory: flow u_e[s] is
     traj.u for s >= 0 and the initial pipeline before."""
@@ -449,15 +483,15 @@ def _per_node_step(state, windows, d_now, params):
     ]
     dwin = [windows.slice(k + 1, params.tau_eff[k]) for k in range(n)]
     z = [float(x) for x in state.z]
-    Phi = [local_phi(p, z[k], uvals[k], dwin[k]) for k, p in enumerate(nodes)]
-    pi = [local_pi(p, z[k], uvals[k], dwin[k]) for k, p in enumerate(nodes)]
+    Phi, pi = ([local_fold(p.rows[c], z[k], uvals[k], dwin[k])
+                for k, p in enumerate(nodes)] for c in (0, 1))
     delta, prev = [], 0.0
     for k in range(n):
-        prev = combine_delta(nodes[k], Phi[k], prev)
+        prev = combine(nodes[k].weights[0], Phi[k], prev)
         delta.append(prev)
     mu, nxt = [0.0] * n, 0.0
     for k in range(n - 1, -1, -1):
-        nxt = mu[k] = combine_mu(nodes[k], pi[k], nxt)
+        nxt = mu[k] = combine(nodes[k].weights[1], pi[k], nxt)
     delta_prev = [0.0] + delta[:-1]
     u = [
         local_flow(
@@ -595,7 +629,7 @@ def test_local_folds_equal_the_per_node_kernels_bitwise(tau, horizon, fill):
             node, te = params.node_slice(k), params.tau_eff[k]
             uvals, window = (flows[k, :te], dwin[k, :te]) if k < n - 1 else (
                 np.zeros(te), d_last)
-            want = local_phi(node, z[k], uvals, window), local_pi(node, z[k], uvals, window)
+            want = [local_fold(row, z[k], uvals, window) for row in node.rows]
             got = Phi[k : k + 1], pi[k : k + 1]
             assert got[0].tobytes() == np.array(want[:1]).tobytes(), ("Phi", k)
             assert got[1].tobytes() == np.array(want[1:]).tobytes(), ("pi", k)

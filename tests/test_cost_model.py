@@ -2,16 +2,20 @@
 
 A full-plan step of the sequential controller is O(N) array work in a
 fixed number of calls: the Python work per step must not grow with N.
-Calls are counted with sys.setprofile, and a step's count is the
-difference between a 30-step and a 10-step run, so set-up drops out.
-Counts are compared across N, not with a fixed number, so that another
-Python or numpy version does not break the test.
+A message-passing round is 4N tasks of a fixed number of calls each:
+its calls grow linearly in N.  Calls are counted with sys.setprofile.
+A full-plan step's count is the difference between a 30-step and a
+10-step run, so set-up drops out; a round is counted on its own, its
+executor built beforehand.  Counts are compared across N, not with a
+fixed number, so that another Python or numpy version does not break
+the test.
 """
 
 import sys
 
 import numpy as np
 
+from pathlq.harness import MessagePassing, run_control_round
 from pathlq.ledger import DisturbancePlan
 from pathlq.model import GraphSpec
 from pathlq.simulate import closed_loop
@@ -31,8 +35,8 @@ def _full_plan_instance(n: int, density: float = 0.05):
     return spec, synthesize(spec), DisturbancePlan(entries)
 
 
-def _calls(spec, params, plan, steps: int) -> int:
-    """Python and C function calls that closed_loop makes over `steps` steps."""
+def _calls(fn, *args) -> int:
+    """Python and C function calls that fn(*args) makes."""
     calls = 0
 
     def profile(frame, event, arg):
@@ -42,7 +46,7 @@ def _calls(spec, params, plan, steps: int) -> int:
 
     sys.setprofile(profile)
     try:
-        closed_loop(spec, params, plan, steps)
+        fn(*args)
     finally:
         sys.setprofile(None)
     return calls
@@ -52,5 +56,26 @@ def test_calls_per_full_plan_step_do_not_depend_on_n():
     per_step = {}
     for n in (50, 200, 1000):
         instance = _full_plan_instance(n)
-        per_step[n] = _calls(*instance, 30) - _calls(*instance, 10)
+        per_step[n] = (_calls(closed_loop, *instance, 30)
+                       - _calls(closed_loop, *instance, 10))
     assert len(set(per_step.values())) == 1, per_step
+
+
+def _round_instance(n: int):
+    """An executor without an rng, so a fixed schedule, and one round's
+    measurement columns at N = n (tau = 3 on every edge, H = 20)."""
+    rng = np.random.default_rng(n)
+    spec = GraphSpec(n=n, tau=(3,) * (n - 1), q=(1.0,) * n, r=(1.0,) * n, horizon=20)
+    params = synthesize(spec)
+    uvals, dwin = ([rng.standard_normal(t).tolist() for t in params.tau_eff]
+                   for _ in range(2))
+    measurements = (rng.standard_normal(n).tolist(), uvals, dwin,
+                    rng.standard_normal(n).tolist())
+    return MessagePassing(spec, params, rng=None), measurements
+
+
+def test_calls_per_harness_round_grow_linearly_in_n():
+    # calls(N) = a + b N exactly: doubling N from 50 adds twice the calls
+    # that doubling it from 25 adds.
+    calls = {n: _calls(run_control_round, *_round_instance(n)) for n in (25, 50, 100)}
+    assert calls[100] - calls[50] == 2 * (calls[50] - calls[25]), calls

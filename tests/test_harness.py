@@ -6,15 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pathlq import harness
-from pathlq.controller import (
-    combine_delta,
-    combine_mu,
-    local_flow,
-    local_phi,
-    local_pi,
-    local_production,
-)
+from pathlq import controller, harness
+from pathlq.controller import combine, local_flow, local_fold, local_production
 from pathlq.errors import RoundAbortError, SpecError
 from pathlq.harness import (
     Message,
@@ -310,9 +303,9 @@ def _node_decisions(decision):
 
 
 @pytest.mark.parametrize("k", range(1, 7))
-@pytest.mark.parametrize("kind, combine", [("delta", "combine_delta"),
-                                           ("mu", "combine_mu")])
-def test_each_sweep_runs_in_its_own_direction(monkeypatch, kind, combine, k):
+@pytest.mark.parametrize("kind, name", [("delta", "combine_delta"),
+                                        ("mu", "combine_mu")])
+def test_each_sweep_runs_in_its_own_direction(monkeypatch, kind, name, k):
     # Node k's delta reaches only nodes k+1..N and its mu only nodes 1..k:
     # a bump of 1.0 to one of them is what node k sends, and every
     # decision outside its reach keeps its bits.
@@ -323,6 +316,8 @@ def test_each_sweep_runs_in_its_own_direction(monkeypatch, kind, combine, k):
     rng = np.random.default_rng(5)
     meas = _columns([(rng.normal(), rng.normal(size=t).tolist(),
                       rng.normal(size=t).tolist(), rng.normal()) for t in params.tau_eff])
+    # Node k's weight on this chain, the object every executor's slot holds.
+    own = params.node_slice(k - 1).weights[("delta", "mu").index(kind)]
 
     def run():
         executor = MessagePassing(spec, params, rng=np.random.default_rng(9))
@@ -331,13 +326,13 @@ def test_each_sweep_runs_in_its_own_direction(monkeypatch, kind, combine, k):
                                            for m in executor.log.records}
 
     base, base_sent = run()
-    plain = getattr(harness, combine)
+    plain = getattr(harness, name)
 
-    def bumped(p, fold, received):
-        out = plain(p, fold, received)
-        return out + 1.0 if p.index == k else out
+    def bumped(weight, fold, received):
+        out = plain(weight, fold, received)
+        return out + 1.0 if weight is own else out
 
-    monkeypatch.setattr(harness, combine, bumped)
+    monkeypatch.setattr(harness, name, bumped)
     moved, moved_sent = run()
     if (kind, k) in base_sent:
         assert moved_sent[kind, k] == base_sent[kind, k] + 1.0
@@ -352,20 +347,28 @@ def test_each_sweep_runs_in_its_own_direction(monkeypatch, kind, combine, k):
         assert moved[nearest - 1][1] != base[nearest - 1][1]
 
 
-# Which of node i's measurements each kernel argument after the parameter
-# slice is, or None for a value the round computed.
+def test_both_chains_run_one_fold_and_one_combine():
+    # The delta and mu chains differ only in the row and the weight they
+    # are given: each chain's kernel names are the controller's two kernels.
+    assert harness.local_phi is harness.local_pi is controller.local_fold
+    assert harness.combine_delta is harness.combine_mu is controller.combine
+
+
+# Which of node i's own objects each kernel argument is, or None for a
+# value the round computed: first its parameters (its slice, or the row or
+# weight of the chain the task runs), then its measurements.
 KERNEL_READS = {
-    "local_phi": ("z", "uvals", "dwin"),
-    "local_pi": ("z", "uvals", "dwin"),
-    "combine_delta": (None, None),
-    "combine_mu": (None, None),
-    "local_flow": ("z", "uvals[0]", "dwin[0]", None, None, "d"),
-    "local_production": (None, None),
+    "local_phi": ("rows[0]", "z", "uvals", "dwin"),
+    "local_pi": ("rows[1]", "z", "uvals", "dwin"),
+    "combine_delta": ("weights[0]", None, None),
+    "combine_mu": ("weights[1]", None, None),
+    "local_flow": ("slice", "z", "uvals[0]", "dwin[0]", None, None, "d"),
+    "local_production": ("slice", None, None),
 }
 
 
 def test_a_round_reads_each_nodes_inputs_only_in_its_own_tasks(monkeypatch):
-    # Node i's tasks get node i's parameter slice and node i's own
+    # Node i's tasks get node i's own parameter objects and node i's own
     # measurement objects, never a neighbor's: the round shares nothing
     # between nodes but the values they send.
     n = 6
@@ -390,18 +393,30 @@ def test_a_round_reads_each_nodes_inputs_only_in_its_own_tasks(monkeypatch):
         calls.clear()
         executor = MessagePassing(spec, params, rng=np.random.default_rng(10 + seed))
         run_control_round(executor, meas)
-        for name, (p, *args) in calls:
-            i = p.index
-            assert repr(p) == repr(slices[i - 1]), (name, i)  # NaN-padded rows
+        assert [repr(p) for p in executor.params] == [repr(p) for p in slices]
+
+        def own(i):
+            p = executor.params[i - 1]
             z, uvals, dwin, d = (column[i - 1] for column in meas)
-            own = {"z": z, "uvals": uvals, "dwin": dwin, "uvals[0]": uvals[0],
-                   "dwin[0]": dwin[0], "d": d}
-            assert len(args) == len(KERNEL_READS[name]), name
-            for arg, what in zip(args, KERNEL_READS[name]):
+            return {"slice": p, "rows[0]": p.rows[0], "rows[1]": p.rows[1],
+                    "weights[0]": p.weights[0], "weights[1]": p.weights[1],
+                    "z": z, "uvals": uvals, "dwin": dwin, "uvals[0]": uvals[0],
+                    "dwin[0]": dwin[0], "d": d}
+
+        ran = []
+        for name, args in calls:
+            reads = KERNEL_READS[name]
+            assert len(args) == len(reads), name
+            # The task's node: the one whose parameter object it was given.
+            nodes = [i for i in range(1, n + 1) if args[0] is own(i)[reads[0]]]
+            assert len(nodes) == 1, (name, nodes)
+            i = nodes[0]
+            for arg, what in zip(args, reads):
                 if what is not None:
-                    assert arg is own[what], (name, i, what)
+                    assert arg is own(i)[what], (name, i, what)
+            ran.append((name, i))
         # Every node ran each of its kernels once; node 1 releases no flow.
-        assert sorted((name, p.index) for name, (p, *_) in calls) == sorted(
+        assert sorted(ran) == sorted(
             (name, i) for name in KERNEL_READS for i in range(1, n + 1)
             if (name, i) != ("local_flow", 1))
 
@@ -453,8 +468,9 @@ def test_round_runs_on_python_floats(monkeypatch):
         assert all(type(x) is float for x in values), name
     for k in range(spec.n):
         node = params.node_slice(k)
-        for row in (node.phi, node.gprod):
+        for row in node.rows:
             assert type(row) is tuple and all(type(x) is float for x in row)
+        assert all(type(x) is float for x in node.weights)
 
 
 def test_measurements_must_cover_every_node():
@@ -550,15 +566,15 @@ def reference_round(executor, measurements):
             else:
                 kind, k = tasks[0]
             if kind == "phi":
-                phi[k] = local_phi(params[k], z[k], uvals[k], dwin[k])
+                phi[k] = local_fold(params[k].rows[0], z[k], uvals[k], dwin[k])
             elif kind == "pi":
-                pi[k] = local_pi(params[k], z[k], uvals[k], dwin[k])
+                pi[k] = local_fold(params[k].rows[1], z[k], uvals[k], dwin[k])
             elif kind == "delta":
-                delta[k] = combine_delta(params[k], phi[k], delta_prev[k])
+                delta[k] = combine(params[k].weights[0], phi[k], delta_prev[k])
                 if k + 1 < n:
                     send(k + 1, k + 2, "delta", delta[k])
             else:
-                mu[k] = combine_mu(params[k], pi[k], mu_next[k])
+                mu[k] = combine(params[k].weights[1], pi[k], mu_next[k])
                 if k > 0:
                     send(k + 1, k, "mu", mu[k])
     finally:

@@ -195,12 +195,32 @@ def test_node_slice_rows_match_a_scalar_reference(tau, horizon, rng):
                      r=tuple(rng.uniform(0.1, 10, n)), horizon=horizon)
     params = synthesize(spec)
     for k in range(n):
-        node = params.node_slice(k)
-        te = node.tau_eff
+        phi_row, gprod_row = params.node_slice(k).rows
         gprod, phi = _reference_rows(params, k)
         # The rows are tuples of Python floats; through an array, still bitwise.
-        assert np.array(node.gprod[1 : te + 1]).tobytes() == gprod.tobytes(), k
-        assert np.array(node.phi[1 : te + 1]).tobytes() == phi.tobytes(), k
+        assert np.array(gprod_row[1:]).tobytes() == gprod.tobytes(), k
+        assert np.array(phi_row[1:]).tobytes() == phi.tobytes(), k
+        # The coefficients of z: phi_i(1) and the empty product.
+        assert (phi_row[0], gprod_row[0]) == (phi_row[1], 1.0), k
+
+
+@pytest.mark.parametrize("tau, horizon", [
+    ((3, 2, 5, 4), 6), ((5,), 0), ((1, 1, 1), 30), ((1, 6, 2), 2), ((), 0), ((), 7),
+], ids=["demo", "H0-tau5", "H30-tau1", "mixed-H2", "single-node-H0", "single-node"])
+def test_node_slice_rows_are_the_packed_terms_cut_at_tau_eff(tau, horizon, rng):
+    # Each chain's row holds tau_eff + 1 Python floats: the packed layout's
+    # NaN padding past a node's delay stays out of its slice.
+    n = len(tau) + 1
+    spec = GraphSpec(n=n, tau=tau, q=tuple(rng.uniform(0.1, 10, n)),
+                     r=tuple(rng.uniform(0.1, 10, n)), horizon=horizon)
+    params = synthesize(spec)
+    for k in range(n):
+        te = params.tau_eff[k]
+        packed = params.coef_last if k == n - 1 else params.coef[:, :, k].T
+        for c, row in enumerate(params.node_slice(k).rows):
+            assert type(row) is tuple and len(row) == te + 1, (k, c)
+            assert all(type(x) is float and not math.isnan(x) for x in row), (k, c)
+            assert np.array(row).tobytes() == packed[c, : te + 1].tobytes(), (k, c)
 
 
 @pytest.mark.parametrize(
@@ -216,9 +236,9 @@ def test_sweep_lists_are_the_coefficient_arrays(tau, rng):
     assert len(params.one_minus_p_tau_1) == len(params.b) == n
     assert all(type(x) is float for x in params.one_minus_p_tau_1 + params.b)
     for k in range(n):
-        node = params.node_slice(k)
-        assert params.one_minus_p_tau_1[k] == node.one_minus_p_tau_1
-        assert params.b[k] == node.b
+        weights = params.node_slice(k).weights
+        assert weights == (params.one_minus_p_tau_1[k], params.b[k])
+        assert all(type(x) is float for x in weights)
     assert params.b[-1] == 0.0
 
 
