@@ -8,9 +8,12 @@ A full-plan step's count is the difference between a 30-step and a
 10-step run, so set-up drops out; a round is counted on its own, its
 executor built beforehand.  Counts are compared across N, not with a
 fixed number, so that another Python or numpy version does not break
-the test.
+the test.  The garbage collector is off while counting: a collection
+runs gc.callbacks (hypothesis installs one) and finalizers, whose calls
+depend on the allocation history of the whole test session.
 """
 
+import gc
 import sys
 
 import numpy as np
@@ -44,11 +47,15 @@ def _calls(fn, *args) -> int:
         if event in ("call", "c_call"):
             calls += 1
 
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     sys.setprofile(profile)
     try:
         fn(*args)
     finally:
         sys.setprofile(None)
+        if gc_was_enabled:
+            gc.enable()
     return calls
 
 
