@@ -186,6 +186,18 @@ class ControlDecision:
     v: np.ndarray
 
 
+def read_plant_inputs(u, v, d, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """u, v and d as (n-1,), (n,) and (n,) float arrays by read_number's rule."""
+    try:
+        u, v, d = _read_numbers(u), _read_numbers(v), _read_numbers(d)
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"action or disturbance is not numeric: {exc}") from None
+    if u.shape != (n - 1,) or v.shape != (n,) or d.shape != (n,):
+        raise SpecError(f"action/disturbance shapes {u.shape}, {v.shape}, {d.shape} "
+                        f"do not match n = {n}")
+    return u, v, d
+
+
 def plant_step(
     state: PlantState, action: ControlDecision, d: np.ndarray, spec: GraphSpec
 ) -> PlantState:
@@ -194,19 +206,10 @@ def plant_step(
     z_i[t+1] = z_i[t] - u_{i-1}[t] + u_i[t - tau_i] + v_i[t] + d_i[t],
     with the boundary conventions u_0 = u_N = 0.  Each pipeline shifts by
     one slot and admits the newly sent flow.  u, v and d are read by
-    read_number's rule: text or booleans raise SpecError, and float
-    arrays are taken as they are.
+    read_plant_inputs: text, booleans or a wrong shape raise SpecError,
+    and float arrays are taken as they are.
     """
-    n = spec.n
-    try:
-        u, v, d = _read_numbers(action.u), _read_numbers(action.v), _read_numbers(d)
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"action or disturbance is not numeric: {exc}") from None
-    if u.shape != (n - 1,) or v.shape != (n,) or d.shape != (n,):
-        raise SpecError(
-            f"action/disturbance shapes {u.shape}, {v.shape}, {d.shape} do not "
-            f"match n = {n}"
-        )
+    u, v, d = read_plant_inputs(action.u, action.v, d, spec.n)
     old = state.flows
     # u_{e+1}[t - tau_{e+1}] arrives at node e+1; node N's arrival is the
     # closing 0.0.  Node 1 sends nothing downstream: x - 0.0 is x, bitwise.

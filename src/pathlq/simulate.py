@@ -31,6 +31,7 @@ from .model import (
     PlantState,
     Trajectory,
     plant_step,
+    read_plant_inputs,
     read_whole,
     stage_cost,
 )
@@ -113,9 +114,9 @@ def closed_loop(
     satisfy the horizon bound outright).  With announce=h, entry d_i[s]
     becomes known at time s - h and enters the ledger incrementally.
     With blind=True the controller never learns the plan.  `executor`
-    (default Sequential()) computes each step's decision; one that holds
-    a NaN or an infinity raises SpecError naming the step.  `params` must
-    be synthesized for `spec`; a mismatch raises SpecError.
+    (default Sequential()) computes each step's decision; one that
+    plant_step refuses or that is not finite raises SpecError naming its
+    step.  `params` must be synthesized for `spec`, or SpecError is raised.
     """
     params.require_spec(spec)
     if not (type(steps) is int or isinstance(steps, np.integer)):
@@ -143,6 +144,7 @@ def closed_loop(
     u_hist = np.zeros((steps, max(n - 1, 0)))
     v_hist = np.zeros((steps, n))
     costs = np.zeros(steps)
+    f64, u_shape, v_shape = u_hist.dtype, u_hist.shape[1:], v_hist.shape[1:]
     z_hist[0] = state.z
     # One copy of the pre-run flows, cut into the edges' pipelines.
     flows0, sigma = state.flows.copy(), spec.sigma
@@ -155,12 +157,20 @@ def closed_loop(
         # the controller knows the plant's whole row d[t].
         d_known = d_blind if blind else d_hist[t]
         decision = executor.decide(state, windows, d_known, params)
-        costs[t] = cost = stage_cost(spec, state.z, decision.v)
-        u_hist[t] = decision.u
-        v_hist[t] = decision.v
-        # The cost is NaN or infinite wherever v is, so only u needs a scan.
-        if not math.isfinite(cost) or np.count_nonzero(np.isfinite(u_hist[t])) < n - 1:
-            for name, x in (("u", u_hist[t]), ("v", v_hist[t])):
+        u, v = decision.u, decision.v
+        # Anything but float arrays of the plant's shapes is read first.
+        if not (type(u) is type(v) is np.ndarray and u.dtype is v.dtype is f64
+                and u.shape == u_shape and v.shape == v_shape):
+            try:
+                u, v, _ = read_plant_inputs(u, v, d_hist[t], n)
+            except SpecError as exc:
+                raise SpecError(f"step {t}: the executor's decision: {exc}") from None
+        costs[t] = cost = stage_cost(spec, state.z, v)
+        u_hist[t] = u
+        v_hist[t] = v
+        # Not finite where v or u is not, or where u.u overflows (|u| > 1e154).
+        if not math.isfinite(cost + u.dot(u)):
+            for name, x in (("u", u), ("v", v)):
                 bad = np.flatnonzero(~np.isfinite(x))
                 if bad.size:
                     raise SpecError(f"step {t}: the executor decided {name}[{bad[0]}] "

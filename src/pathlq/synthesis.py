@@ -2,14 +2,14 @@
 
 The first sweep (downstream node 1 up to node N) computes the harmonic
 aggregates gamma_i and rho_i.  The second sweep (node N down to node 1)
-runs scalar cost-to-go recursions producing the X, g, b and P tables.
-The third sweep (node 1 up again) computes the h coefficients, after
-which each node finalizes its local phi, a and c parameters.
+runs scalar cost-to-go recursions producing the X, g and b tables and
+each P table's last row.  The third sweep (node 1 up again) computes the
+h coefficients, after which each node finalizes its local phi, a and c.
 
 The sweeps run on Python floats, with the IEEE operations of the scalar
-recursions in their order, in O(sum of tau_eff^2) time.  Each table that
-a run reads becomes one numpy array at the end of synthesize; the X, g and
-P tables stay rows of Python floats until they are first read.
+recursions in their order, in O(sum of tau_eff^2) time and O(tau_eff)
+memory per node.  Each table that a run reads becomes one numpy array at
+the end of synthesize; the others are built when they are first read.
 
 Index conventions: arrays are stored 0-based per node k = i - 1.  The
 last node has no incoming edge; it uses an effective delay of H + 1 so
@@ -19,7 +19,6 @@ that its tables cover the whole planning horizon.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -34,7 +33,6 @@ from .model import GraphSpec
 class NodeParams:
     """The slice of the controller parameters one node needs locally."""
 
-    index: int  # 1-based node index
     # Chain 0's row and weight (phi, 1 - P_i(tau_i, 1)), then chain 1's (gprod,
     # b_i, 0.0 at node N); each row is tau_eff + 1 terms, z's coefficient first.
     rows: tuple[tuple[float, ...], tuple[float, ...]]
@@ -63,11 +61,11 @@ class ControllerParams:
     coef_last the whole rows, whose terms past tail_start the fold adds
     after the packed ones.  Every per-node scalar of the local outputs is
     one length-N array, so the sequential controller reads all nodes at
-    once.  The two sweeps' coefficients,
-    one_minus_p_tau_1 and b, are lists of Python floats, which the Python
-    sweeps read directly.  No run reads the X, g and P tables, so they are
-    kept as the sweeps' rows of Python floats, and their per-node arrays,
-    consecutive views of one array per table, are built on first read.
+    once.  The two sweeps' coefficients, one_minus_p_tau_1 and b, are lists
+    of Python floats, which the Python sweeps read directly.  No run reads
+    the X, g and P tables: X and g stay the sweeps' rows of Python floats,
+    and the per-node arrays of all three are built on first read, P's by
+    p_rows.
     """
 
     spec: GraphSpec  # the instance these parameters were synthesized for
@@ -78,7 +76,6 @@ class ControllerParams:
     g_rows: list[list[float]]  # g_rows[k][j] = g_i(j) for j = 2..tau_eff, NaN at 0, 1
     g_cross: np.ndarray  # g_cross[k] = g_{i+1}(1) stored at node i = k+1 < N
     b: list[float]  # b_i for i = 1..N-1, then node N's 0.0
-    P_rows: list[list[float]]  # P_rows[k][(l-1) * tau_eff + m-1] = P_i(l, m)
     h: np.ndarray  # h[i] = h_i for i = 0..N-1, h[0] = 0
     coef: np.ndarray  # (W, 2, N): term j of every node's phi and gprod rows
     coef_last: np.ndarray  # (2, H+2): node N's phi and gprod rows
@@ -99,18 +96,21 @@ class ControllerParams:
     @functools.cached_property
     def X(self) -> tuple[np.ndarray, ...]:
         """X[k][j-1] = X_i(j), one array per node."""
-        return _views(self.X_rows)
+        return tuple(map(np.array, self.X_rows))
 
     @functools.cached_property
     def g(self) -> tuple[np.ndarray, ...]:
         """g[k][j] = g_i(j) for j = 2..tau_eff (indices 0, 1 unused)."""
-        return _views(self.g_rows)
+        return tuple(map(np.array, self.g_rows))
 
     @functools.cached_property
     def P(self) -> tuple[np.ndarray, ...]:
-        """P[k][l-1, m-1] = P_i(l, m), shape (tau_eff, tau_eff)."""
+        """P[k][l-1, m-1] = P_i(l, m), shape (tau_eff, tau_eff), rebuilt by
+        p_rows: row l's last value stands for every m >= l."""
+        tables = zip(self.X_rows, self.g_rows, self.rho.tolist(), self.tau_eff)
         return tuple(
-            pk.reshape(te, te) for pk, te in zip(_views(self.P_rows), self.tau_eff)
+            np.array([row + row[-1:] * (te - len(row)) for row in p_rows(xk, gk, rh)])
+            for xk, gk, rh, te in tables
         )
 
     def require_spec(self, spec: GraphSpec) -> None:
@@ -129,7 +129,6 @@ class ControllerParams:
         last = k == self.spec.n - 1
         rows = self.coef_last if last else self.coef[: self.tau_eff[k] + 1, :, k].T
         return NodeParams(
-            index=k + 1,
             rows=tuple(map(tuple, rows.tolist())),
             weights=(self.one_minus_p_tau_1[k], self.b[k]),
             a=float(self.a[k]),
@@ -161,12 +160,25 @@ def _riccati_step(x: float, gamma: float, rho: float) -> float:
     return rho * (x + gamma) / (x + gamma + rho)
 
 
+def p_rows(xk: list[float], gk: list[float], rh: float):
+    """Rows l = 1..tau_eff of a node's P table from its X and g rows and
+    rho_i, row l as its l distinct values P_i(l, m), m = 1..l: g_i(l)
+    enters every column m >= l alike, so those entries are one value."""
+    row = [xk[0] / rh]
+    yield row
+    for l in range(2, len(gk)):
+        wl = xk[l - 1] / rh
+        keep = 1.0 - wl
+        row = [keep * p + wl for p in row] + [keep * gk[l] * row[-1] + wl]
+        yield row
+
+
 def sweep_X_g_b_P(spec: GraphSpec, tau_eff, gamma, rho, x_terminal: float):
-    """Second sweep, node N down to node 1: X, g, b and P tables.
+    """Second sweep, node N down to node 1: X, g, b and P's last rows.
 
     Every table is per node, of Python floats: X[k][j-1] = X_i(j), g[k][j]
-    = g_i(j) (NaN at j = 0, 1), gprod[k][m] for m = 0..tau_eff and P[k]
-    row-major, P[k][(l-1) * tau_eff + m-1] = P_i(l, m).
+    = g_i(j) (NaN at j = 0, 1), gprod[k][m] for m = 0..tau_eff and
+    P[k][m-1] = P_i(tau_eff, m) for m = 1..tau_eff.
     """
     n = spec.n
     gamma, rho = gamma.tolist(), rho.tolist()
@@ -196,27 +208,16 @@ def sweep_X_g_b_P(spec: GraphSpec, tau_eff, gamma, rho, x_terminal: float):
             g_cross[k] = x_next / (x_next + gam)
             b[k] = g_cross[k] * gp[te]
 
-        # Row l of P from row l-1, which starts at pk[prev]; g_i(l) enters
-        # the columns m >= l.
-        pk = [xk[0] / rh] * te
-        prev = 0
-        for l in range(2, te + 1):
-            wl = xk[l - 1] / rh
-            keep = 1.0 - wl
-            keep_g = keep * gk[l]
-            for m in range(prev, prev + l - 1):
-                pk.append(keep * pk[m] + wl)
-            for m in range(prev + l - 1, prev + te):
-                pk.append(keep_g * pk[m] + wl)
-            prev += te
+        for pk in p_rows(xk, gk, rh):  # only the last row is kept
+            pass
         P[k] = pk
-        one_minus_p_tau_1[k] = 1.0 - pk[prev]
+        one_minus_p_tau_1[k] = 1.0 - pk[0]
 
     return X, g, g_cross, b, P, one_minus_p_tau_1, gprod
 
 
 def sweep_h_and_finalize(
-    spec: GraphSpec, tau_eff, gamma, rho, X, g_cross, gprod, b, P, one_minus_p_tau_1
+    spec: GraphSpec, gamma, rho, X, g_cross, gprod, b, P, one_minus_p_tau_1
 ):
     """Third sweep and the final per-node parameters h, phi, a, c and the
     coefficients of the local output formulas.
@@ -227,17 +228,13 @@ def sweep_h_and_finalize(
     n = spec.n
     h = [0.0] * n  # h[i] = h_i, i = 0..N-1; h_0 = 0
     phi = []
-    for k in range(n):
-        te, pk = tau_eff[k], P[k]
+    for k, pk in enumerate(P):
         # h[k] is h_{i-1} of node i = k+1.  The product inside phi_i(Delta)
         # runs over j = 2..Delta, which fits the table sizes and is the form
         # confirmed against the dense oracle.
         scale = one_minus_p_tau_1[k] * h[k]
-        row = [math.nan]
-        for p, gp in zip(pk[-te:], gprod[k][1:]):
-            row.append(1.0 - p - scale * gp)
-        row[0] = row[1]
-        phi.append(row)
+        row = [1.0 - p - scale * gp for p, gp in zip(pk, gprod[k][1:])]
+        phi.append([row[0], *row])  # z's coefficient is phi_i(1)
         if k < n - 1:
             h[k + 1] = one_minus_p_tau_1[k] * b[k] * h[k] + pk[-1] * g_cross[k]
 
@@ -253,13 +250,6 @@ def sweep_h_and_finalize(
     a = x1_over_r + gamma_q * (1.0 - x1 / rho)
     c = -(x1_over_r - gamma * x1 / (q * rho)) * one_minus_h_prev + gamma_q * h
     return h, phi, a, c, one_minus_gamma_q, x1_over_r, one_minus_h_prev
-
-
-def _views(rows: list[list[float]]) -> tuple[np.ndarray, ...]:
-    """The rows as consecutive views of one array."""
-    flat = np.array([x for row in rows for x in row])
-    ends = itertools.accumulate(map(len, rows))
-    return tuple(flat[end - len(row) : end] for row, end in zip(rows, ends))
 
 
 def _delay_layout(tau_eff: tuple[int, ...], phi, gprod):
@@ -295,7 +285,7 @@ def synthesize(spec: GraphSpec) -> ControllerParams:
     )
     h, phi, a, c, one_minus_gamma_q, x1_over_r, one_minus_h_prev = (
         sweep_h_and_finalize(
-            spec, tau_eff, gamma, rho, X, g_cross, gprod, b, P, one_minus_p_tau_1
+            spec, gamma, rho, X, g_cross, gprod, b, P, one_minus_p_tau_1
         )
     )
     return ControllerParams(
@@ -307,7 +297,6 @@ def synthesize(spec: GraphSpec) -> ControllerParams:
         g_rows=g,
         g_cross=np.array(g_cross),
         b=b,
-        P_rows=P,
         h=h,
         a=a,
         c=c,
@@ -335,13 +324,9 @@ def params_to_document(params: ControllerParams) -> str:
             "tau_eff": te,
             "gamma": params.gamma[k],
             "rho": params.rho[k],
-            "X": {str(j): params.X[k][j - 1] for j in range(1, len(params.X[k]) + 1)},
+            "X": {str(j): x for j, x in enumerate(params.X[k], 1)},
             "g": {str(j): params.g[k][j] for j in range(2, te + 1)},
-            "P": {
-                f"{l},{m}": params.P[k][l - 1, m - 1]
-                for l in range(1, te + 1)
-                for m in range(1, te + 1)
-            },
+            "P": {f"{l + 1},{m + 1}": p for (l, m), p in np.ndenumerate(params.P[k])},
             "phi": {str(d): phi[d] for d in range(1, te + 1)},
             "a": params.a[k],
             "c": params.c[k],

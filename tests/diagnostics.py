@@ -452,7 +452,6 @@ def reference_synthesize(spec: GraphSpec) -> ControllerParams:
         g_rows=[gk.tolist() for gk in g],
         g_cross=g_cross,
         b=b,
-        P_rows=[pk.ravel().tolist() for pk in P],
         h=h,
         coef=coef,
         coef_last=coef_last,
@@ -467,6 +466,7 @@ def reference_synthesize(spec: GraphSpec) -> ControllerParams:
         tail_start=tail_start,
     )
     # The reference's own per-node arrays, in place of those that
-    # ControllerParams builds from the rows on first read.
+    # ControllerParams builds on first read: P from p_rows, X and g from
+    # the rows.
     vars(params).update(X=X, g=g, P=P)
     return params

@@ -392,6 +392,56 @@ def test_a_decision_that_is_not_finite_is_rejected_at_its_step(name, value, at, 
     assert executor.t == at + 1
 
 
+class _Replacing(Sequential):
+    """The default executor, but step `at`'s decision has its u or v
+    (`name`) replaced by `value`, or made from both fields' tolist() when
+    `name` is None."""
+
+    def __init__(self, at, name, value):
+        self.at, self.name, self.value, self.t = at, name, value, 0
+
+    def decide(self, state, windows, d_now, params):
+        decision = super().decide(state, windows, d_now, params)
+        if self.t == self.at:
+            fields = {"u": decision.u.tolist(), "v": decision.v.tolist()}
+            if self.name is not None:
+                fields[self.name] = self.value
+            decision = type(decision)(**fields)
+        self.t += 1
+        return decision
+
+
+@pytest.mark.parametrize("name, value, reason", [
+    ("u", [0.5, -0.25, 1.0], r"shapes \(3,\), \(3,\), \(3,\) do not match n = 3"),
+    ("v", ["1", "2", "3"], r"not numeric: entry '1'"),
+    ("u", ["0.5", "nan"], r"not numeric: entry '0.5'"),
+    ("u", [0.5], r"shapes \(1,\), \(3,\), \(3,\) do not match n = 3"),
+    ("v", np.array([True, False, True]), r"not numeric: entry True"),
+], ids=["u-too-long", "v-text", "u-text-nan", "u-broadcast", "v-booleans"])
+@pytest.mark.parametrize("at", [0, 5])
+def test_a_decision_the_plant_refuses_is_rejected_at_its_step(name, value, reason, at):
+    # plant_step's own SpecError, named by the step, before closed_loop
+    # stores or costs the decision: not numpy's broadcast or ufunc error,
+    # and no text or boolean read as a number on the way.
+    spec = _spec(3, [1, 2], horizon=2)
+    executor = _Replacing(at, name, value)
+    with pytest.raises(SpecError, match=rf"^step {at}: the executor's decision: .*{reason}"):
+        closed_loop(spec, synthesize(spec), DisturbancePlan({(1, 0): 0.3}), 6,
+                    z0=[1.0, -0.5, 2.0], executor=executor)
+    assert executor.t == at + 1
+
+
+def test_a_decision_of_python_floats_runs_as_its_float_arrays():
+    spec = _spec(3, [1, 2], horizon=2)
+    params, plan = synthesize(spec), DisturbancePlan({(1, 0): 0.3, (3, 2): -1.5})
+    runs = [closed_loop(spec, params, plan, 6, z0=[1.0, -0.5, 2.0], executor=executor)
+            for executor in (Sequential(), _Replacing(3, None, None))]
+    assert runs[0].total_cost == runs[1].total_cost
+    for name in ("z", "u", "v"):
+        a, b = (getattr(run.trajectory, name) for run in runs)
+        assert a.tobytes() == b.tobytes(), name
+
+
 def _rebuilt_final_state(traj):
     """The end-of-run state rebuilt from the trajectory: flow u_e[s] is
     traj.u for s >= 0 and the initial pipeline before."""

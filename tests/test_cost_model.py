@@ -11,10 +11,17 @@ fixed number, so that another Python or numpy version does not break
 the test.  The garbage collector is off while counting: a collection
 runs gc.callbacks (hypothesis installs one) and finalizers, whose calls
 depend on the allocation history of the whole test session.
+
+Synthesis stores O(tau_i) floats per node, so its memory is O(H) in the
+horizon H, which only node N's tables span.  Its peak allocation is
+measured with tracemalloc, also with the garbage collector off, and
+compared across H.
 """
 
+import contextlib
 import gc
 import sys
+import tracemalloc
 
 import numpy as np
 
@@ -38,6 +45,17 @@ def _full_plan_instance(n: int, density: float = 0.05):
     return spec, synthesize(spec), DisturbancePlan(entries)
 
 
+@contextlib.contextmanager
+def _gc_off():
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
 def _calls(fn, *args) -> int:
     """Python and C function calls that fn(*args) makes."""
     calls = 0
@@ -47,16 +65,24 @@ def _calls(fn, *args) -> int:
         if event in ("call", "c_call"):
             calls += 1
 
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    sys.setprofile(profile)
-    try:
-        fn(*args)
-    finally:
-        sys.setprofile(None)
-        if gc_was_enabled:
-            gc.enable()
+    with _gc_off():
+        sys.setprofile(profile)
+        try:
+            fn(*args)
+        finally:
+            sys.setprofile(None)
     return calls
+
+
+def _peak_bytes(fn, *args) -> int:
+    """The tracemalloc peak of the allocations fn(*args) makes."""
+    with _gc_off():
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
 
 def test_calls_per_full_plan_step_do_not_depend_on_n():
@@ -86,3 +112,13 @@ def test_calls_per_harness_round_grow_linearly_in_n():
     # that doubling it from 25 adds.
     calls = {n: _calls(run_control_round, *_round_instance(n)) for n in (25, 50, 100)}
     assert calls[100] - calls[50] == 2 * (calls[50] - calls[25]), calls
+
+
+def test_synthesis_memory_grows_linearly_in_the_horizon():
+    # Node N's tables span H + 1 delay slots: O(H) rows at most double the
+    # peak when H doubles, a stored (H + 1)^2 P table about quadruples it.
+    peak = {}
+    for horizon in (200, 400, 800):
+        spec = GraphSpec(n=4, tau=(3,) * 3, q=(1.0,) * 4, r=(1.0,) * 4, horizon=horizon)
+        peak[horizon] = _peak_bytes(synthesize, spec)
+    assert peak[400] <= 3 * peak[200] and peak[800] <= 3 * peak[400], peak

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
@@ -314,14 +314,23 @@ WEIGHTS = st.one_of(
 )
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_synthesize_matches_the_numpy_scalar_sweeps_bitwise(data):
-    n = data.draw(st.integers(1, 40), label="n")
-    tau = data.draw(st.lists(st.integers(1, 8), min_size=n - 1, max_size=n - 1))
+@st.composite
+def _specs(draw):
+    """N up to 40, each tau in 1..8 and H up to 50: node N's P table, which
+    ControllerParams.P rebuilds through p_rows, is then up to 51 x 51."""
+    n = draw(st.integers(1, 40))
     weights = st.lists(WEIGHTS, min_size=n, max_size=n)
-    spec = GraphSpec(n=n, tau=tau, q=data.draw(weights), r=data.draw(weights),
-                     horizon=data.draw(st.integers(0, 12), label="H"))
+    return GraphSpec(n=n, tau=draw(st.lists(st.integers(1, 8), min_size=n - 1,
+                                            max_size=n - 1)),
+                     q=draw(weights), r=draw(weights), horizon=draw(st.integers(0, 50)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_specs())
+@example(GraphSpec(n=9, tau=(8, 1, 7, 2, 6, 3, 5, 4),
+                   q=(0.5, 2, 1e3, 1.0, 7, 1e-3, 4.0, 1, 2.5e5),
+                   r=(3, 1e-4, 1.0, 40, 2.0, 1, 1e5, 0.25, 6), horizon=50))
+def test_synthesize_matches_the_numpy_scalar_sweeps_bitwise(spec):
     _assert_same_bytes(synthesize(spec), reference_synthesize(spec))
 
 
