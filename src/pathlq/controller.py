@@ -106,11 +106,13 @@ def _local_folds(
     # Node N's terms past the block continue its packed sum, which takes the
     # place of the tail's first term, the block's last.  It has no incoming
     # edge: its flow terms are the kernels' 0.0, which also turns a -0.0
-    # window entry into 0.0 as they do.
+    # window entry into 0.0 as they do.  When its row fits in the block
+    # (H + 2 <= W), the tail is that one term and leaves the sum as it is.
     start = params.tail_start
-    tail = params.coef_last[:, start:] * (0.0 + d_last[start - 1 :])
-    tail[:, 0] = folds[:, -1]
-    folds[:, -1] = np.add.accumulate(tail, axis=1)[:, -1]
+    if start + 1 < params.coef_last.shape[1]:
+        tail = params.coef_last[:, start:] * (0.0 + d_last[start - 1 :])
+        tail[:, 0] = folds[:, -1]
+        folds[:, -1] = np.add.accumulate(tail, axis=1)[:, -1]
     return folds
 
 

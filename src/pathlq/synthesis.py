@@ -6,10 +6,18 @@ runs scalar cost-to-go recursions producing the X, g and b tables and
 each P table's last row.  The third sweep (node 1 up again) computes the
 h coefficients, after which each node finalizes its local phi, a and c.
 
-The sweeps run on Python floats, with the IEEE operations of the scalar
-recursions in their order, in O(sum of tau_eff^2) time and O(tau_eff)
-memory per node.  Each table that a run reads becomes one numpy array at
-the end of synthesize; the others are built when they are first read.
+Only three quantities are carried from node to node: gamma and rho, X
+and h.  Those chains run as Python loops over floats.  Every other table
+(g, gprod, the P rows, b, phi and the packed fold rows) is local to a
+node, and is array code over all nodes at once, term by term: nodes
+1..N-1 in one run of width max(tau), node N in a run of its own at H + 1
+terms, or with the others when that is cheaper (_batches).  Either way
+each entry is the IEEE operations of the scalar recursion in their
+order, so every table is bitwise what a node-by-node loop gives.  The
+array passes are a fixed number of numpy calls plus three per P row,
+whatever N: O(N max(tau)^2 + H^2) flops and O(N max(tau) + H) memory.
+The X and g tables stay rows of Python floats and P its last rows; their
+per-node arrays are built when they are first read.
 
 Index conventions: arrays are stored 0-based per node k = i - 1.  The
 last node has no incoming edge; it uses an effective delay of H + 1 so
@@ -63,9 +71,9 @@ class ControllerParams:
     one length-N array, so the sequential controller reads all nodes at
     once.  The two sweeps' coefficients, one_minus_p_tau_1 and b, are lists
     of Python floats, which the Python sweeps read directly.  No run reads
-    the X, g and P tables: X and g stay the sweeps' rows of Python floats,
-    and the per-node arrays of all three are built on first read, P's by
-    p_rows.
+    the X, g and P tables: X and g are kept as rows of Python floats, and
+    the per-node arrays of all three are built on first read, P's by
+    p_rows over the same runs of nodes as synthesize's.
     """
 
     spec: GraphSpec  # the instance these parameters were synthesized for
@@ -107,11 +115,17 @@ class ControllerParams:
     def P(self) -> tuple[np.ndarray, ...]:
         """P[k][l-1, m-1] = P_i(l, m), shape (tau_eff, tau_eff), rebuilt by
         p_rows: row l's last value stands for every m >= l."""
-        tables = zip(self.X_rows, self.g_rows, self.rho.tolist(), self.tau_eff)
-        return tuple(
-            np.array([row + row[-1:] * (te - len(row)) for row in p_rows(xk, gk, rh)])
-            for xk, gk, rh, te in tables
-        )
+        xs = np.array([x for row in self.X_rows for x in row] + [0.0])
+        sigma, te = _delays(self.tau_eff)
+        tables = []
+        for nodes, width in _batches(self.tau_eff):
+            x, g = _run_tables(xs, sigma[nodes], te[nodes], self.gamma[nodes], width)
+            full = np.empty((width, width, x.shape[1]))  # [l-1, m-1, k]
+            for l, row in enumerate(p_rows(x, g, self.rho[nodes]), 1):
+                full[l - 1, :l] = row
+                full[l - 1, l:] = row[-1]
+            tables += [full[:t, :t, k].copy() for k, t in enumerate(te[nodes])]
+        return tuple(tables)
 
     def require_spec(self, spec: GraphSpec) -> None:
         """Raise SpecError unless these parameters were synthesized for `spec`."""
@@ -141,14 +155,12 @@ class ControllerParams:
 
 def sweep_gamma_rho(q, r) -> tuple[np.ndarray, np.ndarray]:
     """First sweep: harmonic aggregates of the level and production weights."""
-    q = np.asarray(q, dtype=float).tolist()
-    r = np.asarray(r, dtype=float).tolist()
-    gamma, rho = q[:1], r[:1]
-    for qi, ri in zip(q[1:], r[1:]):
-        g, p = gamma[-1], rho[-1]
-        gamma.append(g * qi / (g + qi))
-        rho.append(p * ri / (p + ri))
-    return np.array(gamma), np.array(rho)
+
+    def aggregate(weights):
+        a, *rest = np.asarray(weights, dtype=float).tolist()
+        return np.array([a] + [a := a * w / (a + w) for w in rest])
+
+    return aggregate(q), aggregate(r)
 
 
 def terminal_riccati(gamma_n: float, rho_n: float) -> float:
@@ -156,137 +168,190 @@ def terminal_riccati(gamma_n: float, rho_n: float) -> float:
     return -gamma_n / 2.0 + math.sqrt(gamma_n * rho_n + gamma_n**2 / 4.0)
 
 
-def _riccati_step(x: float, gamma: float, rho: float) -> float:
-    return rho * (x + gamma) / (x + gamma + rho)
+# Below this many P updates, N (H + 1)^2, node N's padded run costs less
+# than a run of its own.
+_JOIN_LIMIT = 2**14
 
 
-def p_rows(xk: list[float], gk: list[float], rh: float):
-    """Rows l = 1..tau_eff of a node's P table from its X and g rows and
-    rho_i, row l as its l distinct values P_i(l, m), m = 1..l: g_i(l)
-    enters every column m >= l alike, so those entries are one value."""
-    row = [xk[0] / rh]
-    yield row
-    for l in range(2, len(gk)):
-        wl = xk[l - 1] / rh
-        keep = 1.0 - wl
-        row = [keep * p + wl for p in row] + [keep * gk[l] * row[-1] + wl]
-        yield row
+def _batches(tau_eff: tuple[int, ...]) -> list[tuple[slice, int]]:
+    """The runs of nodes whose local tables are array code together, each
+    with its width in terms.  Nodes 1..N-1 run at max(tau).  Node N joins
+    them when its H + 1 terms fit, or when N (H + 1)^2 <= _JOIN_LIMIT, and
+    otherwise runs alone at H + 1: memory stays O(N max(tau) + H)."""
+    n, width = len(tau_eff), max(tau_eff[:-1], default=0)
+    if tau_eff[-1] <= width or n * tau_eff[-1] ** 2 <= _JOIN_LIMIT:
+        return [(slice(0, n), max(width, tau_eff[-1]))]
+    return [(slice(0, n - 1), width), (slice(n - 1, n), tau_eff[-1])]
 
 
-def sweep_X_g_b_P(spec: GraphSpec, tau_eff, gamma, rho, x_terminal: float):
-    """Second sweep, node N down to node 1: X, g, b and P's last rows.
+def _delays(tau_eff: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """sigma and tau_eff as arrays: node k+1's first delay slot and its
+    count of slots."""
+    te = np.fromiter(tau_eff, int, len(tau_eff))
+    return te.cumsum() - te, te
 
-    Every table is per node, of Python floats: X[k][j-1] = X_i(j), g[k][j]
-    = g_i(j) (NaN at j = 0, 1), gprod[k][m] for m = 0..tau_eff and
-    P[k][m-1] = P_i(tau_eff, m) for m = 1..tau_eff.
+
+def _run_tables(xs: np.ndarray, sigma, te, gamma, width: int):
+    """x (width, B) and g (width+1, B) of one run of nodes, term by term,
+    x[j-1, k] = X_i(j) and g[j, k] = g_i(j), from xs, every node's X row
+    back to back from its sigma and then a closing 0.0.  Past a node's
+    tau_eff, x holds that 0.0 and g 1.0; g's rows 0 and 1 hold 1.0."""
+    slots = np.arange(width)[:, None]
+    within = slots < te
+    x = xs.take(np.where(within, sigma + slots, -1))
+    g = np.empty((width + 1, len(te)))
+    g.fill(1.0)  # np.ones, without its Python-level wrapper
+    x_2 = x[1:]
+    np.divide(x_2, x_2 + gamma, out=g[2:], where=within[1:])
+    return x, g
+
+
+def p_rows(x: np.ndarray, g: np.ndarray, rho: np.ndarray):
+    """Rows l = 1..T of the P tables of a batch of B nodes, from their X
+    and g tables term by term, x[j-1, k] = X_i(j) (T, B) and g[j, k] =
+    g_i(j) (T+1, B, rows 0 and 1 unused), and their rho_i.
+
+    Row l is an (l, B) view, P_i(l, m) for m = 1..l, which the next row
+    overwrites: g_i(l) enters every column m >= l alike, so those entries
+    are one value.  Past a node's tau_eff, pad its X with 0.0 and its g
+    with 1.0: then w = 0 and keep = keep g = 1, so that, as every P entry
+    lies in (0, 1), each later row leaves the node's entries bitwise as
+    they are and carries its last one on.
     """
-    n = spec.n
-    gamma, rho = gamma.tolist(), rho.tolist()
-    X, g, gprod, P = [None] * n, [None] * n, [None] * n, [None] * n
-    g_cross = [0.0] * (n - 1)
-    b = [0.0] * n  # node N's stays 0.0
-    one_minus_p_tau_1 = [0.0] * n
+    w = x / rho
+    keep = 1.0 - w
+    keep_g = keep * g[1:]
+    row = w.copy()  # row[l] is written before it is read, from row[l-1]
+    yield row[:1]
+    for l in range(1, len(w)):
+        np.multiply(keep_g[l], row[l - 1], row[l])  # column m = l, from row l-1
+        old = row[:l]
+        np.multiply(old, keep[l], old)
+        new = row[: l + 1]
+        np.add(new, w[l], new)
+        yield new
 
-    x = float(x_terminal)  # then X_{i+1}(1) when node i's sweep starts
-    for k in range(n - 1, -1, -1):
-        te, gam, rh = tau_eff[k], gamma[k], rho[k]
-        xk = [x] if k == n - 1 else []  # X_N(1..H+2) ends with the seed
-        for _ in range(te):
-            x = _riccati_step(x, gam, rh)
-            xk.append(x)
-        xk.reverse()
-        X[k] = xk
 
-        gk, gp = [math.nan, math.nan], [1.0, 1.0]
-        for xj in xk[1:te]:
-            gj = xj / (xj + gam)
-            gk.append(gj)
-            gp.append(gp[-1] * gj)
-        g[k], gprod[k] = gk, gp
-        if k < n - 1:
-            x_next = X[k + 1][0]
-            g_cross[k] = x_next / (x_next + gam)
-            b[k] = g_cross[k] * gp[te]
+def sweep_X_g_b_P(spec: GraphSpec, tau_eff, sigma, te, gamma, rho, x_terminal):
+    """Second sweep, node N down to node 1: X, then g, gprod, b and P's
+    last rows.  sigma and te are _delays(tau_eff).
 
-        for pk in p_rows(xk, gk, rh):  # only the last row is kept
+    X is a chain, a Python loop over floats: X[k][j-1] = X_i(j).  The other
+    tables are array code over each run of nodes of _batches, term by
+    term, and g[k][j] = g_i(j) for j = 2..tau_eff is returned as rows of
+    Python floats, NaN at j = 0, 1.  A run gives (nodes, p, block):
+    p[m-1, k] = P_i(tau_eff, m), P's last row, and block, whose [m, 1, k]
+    is gprod_i(m) for m = 0..tau_eff and whose [:, 0] sweep_h_and_finalize
+    fills with phi.  Past a node's tau_eff, gprod and p repeat their last
+    term.  Also returned: X_i(1) and g_{i+1}(1) as arrays, and b_i,
+    1 - P_i(tau_i, 1) and P_i(tau_i, tau_i) for the h chain.
+    """
+    # One flat list, node N's terms first, reversed at the end: node by
+    # node from sigma_i, X_i(1..tau_eff), then X_N(H+2), the seed, and a
+    # closing 0.0 for the padded terms.
+    xs = [0.0, float(x_terminal)]
+    x = xs[-1]  # then X_{i+1}(1) when node i's sweep starts
+    for g_k, r_k, t in zip(gamma.tolist()[::-1], rho.tolist()[::-1], tau_eff[::-1]):
+        for _ in range(t):
+            s = x + g_k
+            x = r_k * s / (s + r_k)  # the Riccati step
+            xs.append(x)
+    xs.reverse()
+    X = [xs[a:b] for a, b in zip(spec.sigma, (*spec.sigma[1:], len(xs) - 1))]
+    xs = np.array(xs)
+    x1 = xs.take(sigma)
+
+    g_rows, tables = [], []
+    for nodes, width in _batches(tau_eff):
+        x, g = _run_tables(xs, sigma[nodes], te[nodes], gamma[nodes], width)
+        block = np.empty((width + 1, 2, g.shape[1]))
+        np.multiply.accumulate(g, out=block[:, 1])
+        g[:2] = math.nan
+        g_rows += [row[: t + 1] for row, t in zip(g.T.tolist(), tau_eff[nodes])]
+        for p in p_rows(x, g, rho[nodes]):  # only the last row is kept
             pass
-        P[k] = pk
-        one_minus_p_tau_1[k] = 1.0 - pk[0]
-
-    return X, g, g_cross, b, P, one_minus_p_tau_1, gprod
+        tables.append((nodes, p, block))
+    # Term tau_eff of every node's gprod and P rows, carried to the last.
+    ends = [(block[-1, 1], p[0], p[-1]) for _, p, block in tables]
+    gprod_tau, p_tau_1, p_tau_tau = (
+        ends[0] if len(ends) == 1 else map(np.concatenate, zip(*ends))
+    )
+    g_cross = x1[1:] / (x1[1:] + gamma[:-1])
+    b = (g_cross * gprod_tau[:-1]).tolist() + [0.0]  # node N's b is 0.0
+    return X, g_rows, x1, g_cross, b, 1.0 - p_tau_1, p_tau_tau.tolist(), tables
 
 
 def sweep_h_and_finalize(
-    spec: GraphSpec, gamma, rho, X, g_cross, gprod, b, P, one_minus_p_tau_1
+    spec: GraphSpec, gamma, rho, x1, g_cross, b, omp, p_tau_tau, tables, fold_pad
 ):
     """Third sweep and the final per-node parameters h, phi, a, c and the
     coefficients of the local output formulas.
 
-    Reads the tables of sweep_X_g_b_P; the phi rows, like gprod, are lists
-    of Python floats, phi[k][Delta] for Delta = 0..tau_eff.
+    h is a chain, on Python floats.  phi is array code over each run of
+    nodes of sweep_X_g_b_P's tables, phi[Delta, k] for Delta = 0..tau_eff,
+    and fills its blocks, which become coef and coef_last.
     """
-    n = spec.n
-    h = [0.0] * n  # h[i] = h_i, i = 0..N-1; h_0 = 0
-    phi = []
-    for k, pk in enumerate(P):
-        # h[k] is h_{i-1} of node i = k+1.  The product inside phi_i(Delta)
-        # runs over j = 2..Delta, which fits the table sizes and is the form
-        # confirmed against the dense oracle.
-        scale = one_minus_p_tau_1[k] * h[k]
-        row = [1.0 - p - scale * gp for p, gp in zip(pk, gprod[k][1:])]
-        phi.append([row[0], *row])  # z's coefficient is phi_i(1)
-        if k < n - 1:
-            h[k + 1] = one_minus_p_tau_1[k] * b[k] * h[k] + pk[-1] * g_cross[k]
+    one_minus_p_tau_1 = omp.tolist()
+    h_k = 0.0  # h[i] = h_i, i = 0..N-1; h_0 = 0
+    h = np.array([h_k] + [
+        h_k := w * b_k * h_k + p * g_k
+        for w, b_k, p, g_k in zip(one_minus_p_tau_1, b, p_tau_tau, g_cross.tolist())
+    ])
+
+    # h[k] is h_{i-1} of node i = k+1.  The product inside phi_i(Delta)
+    # runs over j = 2..Delta, which fits the table sizes and is the form
+    # confirmed against the dense oracle.
+    scale = omp * h
+    for nodes, p, block in tables:
+        phi, gprod = block[1:, 0], block[1:, 1]
+        np.subtract(1.0, p, out=phi)
+        phi -= scale[nodes] * gprod
+        block[0, 0] = phi[0]  # z's coefficient is phi_i(1)
+    # coef holds node N's first W terms, NaN past every node's tau_eff.
+    width = max(spec.tau, default=1) + 1
+    blocks = [block[:width] for *_, block in tables]
+    coef = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=2)
+    coef[1:].put(fold_pad, math.nan)
+    coef_last = tables[-1][-1][: spec.horizon + 2, :, -1].T.copy()
 
     # The output coefficients of all nodes at once.  Elementwise, each entry
     # is rounded as one scalar would be.
     q, r = spec.weights
-    x1 = np.array([xk[0] for xk in X])
-    h = np.array(h)
     gamma_q = gamma / q
     one_minus_gamma_q = 1.0 - gamma_q
     x1_over_r = x1 / r
     one_minus_h_prev = 1.0 - h
     a = x1_over_r + gamma_q * (1.0 - x1 / rho)
     c = -(x1_over_r - gamma * x1 / (q * rho)) * one_minus_h_prev + gamma_q * h
-    return h, phi, a, c, one_minus_gamma_q, x1_over_r, one_minus_h_prev
+    return (h, coef, coef_last, a, c, one_minus_p_tau_1, one_minus_gamma_q,
+            x1_over_r, one_minus_h_prev)
 
 
-def _delay_layout(tau_eff: tuple[int, ...], phi, gprod):
-    """The fields coef, coef_last, delay_cols, fold_pad and tail_start of
-    ControllerParams for these delays and these phi and gprod rows."""
-    te = np.array(tau_eff)
+def _delay_layout(tau_eff: tuple[int, ...], sigma, te):
+    """The fields delay_cols, fold_pad and tail_start of ControllerParams
+    for these delays; sigma and te are _delays(tau_eff)."""
     width = max(tau_eff[:-1], default=1) + 1  # max tau + 1, at least 2
     slots = np.arange(width)
-    sigma = np.cumsum(te) - te
     delay_cols = sigma[:, None] + np.minimum(slots[:-1], te[:, None] - 1)
-    # Node k+1's rows, NaN past its tau_eff; node N's are cut at the width.
-    nan = [math.nan] * width
-    flat = []
-    for rows in (phi, gprod):
-        for row in (*rows[:-1], rows[-1][:width]):
-            flat += row
-            flat += nan[len(row) :]
-    coef = np.array(flat).reshape(2, len(te), width).transpose(2, 0, 1).copy()
     # The padded terms j >= 1 of both rows of every node, as coef[1:] holds them.
-    fold_pad = np.flatnonzero((slots[1:, None] > te).repeat(2, axis=0))
+    fold_pad = (slots[1:, None] > te).repeat(2, axis=0).ravel().nonzero()[0]
     tail_start = min(width, tau_eff[-1] + 1) - 1
-    return dict(coef=coef, coef_last=np.array([phi[-1], gprod[-1]]),
-                delay_cols=delay_cols, fold_pad=fold_pad, tail_start=tail_start)
+    return dict(delay_cols=delay_cols, fold_pad=fold_pad, tail_start=tail_start)
 
 
 def synthesize(spec: GraphSpec) -> ControllerParams:
     """Run all three sweeps and finalize every controller parameter."""
     tau_eff = (*spec.tau, spec.horizon + 1)
+    sigma, te = _delays(tau_eff)
+    layout = _delay_layout(tau_eff, sigma, te)
     gamma, rho = sweep_gamma_rho(*spec.weights)
     x_term = terminal_riccati(gamma[-1], rho[-1])
-    X, g, g_cross, b, P, one_minus_p_tau_1, gprod = sweep_X_g_b_P(
-        spec, tau_eff, gamma, rho, x_term
+    X, g_rows, x1, g_cross, b, omp, p_tau_tau, tables = sweep_X_g_b_P(
+        spec, tau_eff, sigma, te, gamma, rho, x_term
     )
-    h, phi, a, c, one_minus_gamma_q, x1_over_r, one_minus_h_prev = (
-        sweep_h_and_finalize(
-            spec, gamma, rho, X, g_cross, gprod, b, P, one_minus_p_tau_1
-        )
+    (h, coef, coef_last, a, c, one_minus_p_tau_1, one_minus_gamma_q, x1_over_r,
+     one_minus_h_prev) = sweep_h_and_finalize(
+        spec, gamma, rho, x1, g_cross, b, omp, p_tau_tau, tables, layout["fold_pad"]
     )
     return ControllerParams(
         spec=spec,
@@ -294,17 +359,19 @@ def synthesize(spec: GraphSpec) -> ControllerParams:
         gamma=gamma,
         rho=rho,
         X_rows=X,
-        g_rows=g,
-        g_cross=np.array(g_cross),
+        g_rows=g_rows,
+        g_cross=g_cross,
         b=b,
         h=h,
+        coef=coef,
+        coef_last=coef_last,
         a=a,
         c=c,
         one_minus_p_tau_1=one_minus_p_tau_1,
         one_minus_gamma_q=one_minus_gamma_q,
         x1_over_r=x1_over_r,
         one_minus_h_prev=one_minus_h_prev,
-        **_delay_layout(tau_eff, phi, gprod),
+        **layout,
     )
 
 

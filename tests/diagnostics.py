@@ -20,7 +20,7 @@ from pathlq.harness import Message, MessageLog
 from pathlq.ledger import DisturbancePlan, ShiftedWindows
 from pathlq.model import GraphSpec, PlantState, Trajectory
 from pathlq.oracle import RICCATI_TOL, AugmentedSystem, stationary_riccati
-from pathlq.synthesis import ControllerParams, _riccati_step, terminal_riccati
+from pathlq.synthesis import ControllerParams, terminal_riccati
 
 
 @dataclass(frozen=True)
@@ -289,8 +289,14 @@ def per_hop_plan_updates(
 
 # --- scalar reference for synthesis -------------------------------------------
 # synthesize as it was when its sweeps read and wrote numpy scalars one
-# element at a time: the sweeps now run on Python floats and must give the
-# same bytes.
+# element at a time, one node after another: the sweeps now run their
+# chains on Python floats and the tables local to a node as array code
+# over many nodes, and must give the same bytes.
+
+
+def reference_riccati_step(x: float, gamma: float, rho: float) -> float:
+    """One step of the scalar cost-to-go recursion, X_i(j) from X_i(j+1)."""
+    return rho * (x + gamma) / (x + gamma + rho)
 
 
 def reference_sweep_gamma_rho(q, r) -> tuple[np.ndarray, np.ndarray]:
@@ -329,9 +335,9 @@ def reference_sweep_X_g_b_P(
             xk[te] = x_terminal
         else:
             xk = np.empty(te)
-            xk[te - 1] = _riccati_step(X[k + 1][0], gamma[k], rho[k])
+            xk[te - 1] = reference_riccati_step(X[k + 1][0], gamma[k], rho[k])
         for j in range(len(xk) - 1, 0, -1):
-            xk[j - 1] = _riccati_step(xk[j], gamma[k], rho[k])
+            xk[j - 1] = reference_riccati_step(xk[j], gamma[k], rho[k])
         X[k] = xk
 
         gk = np.full(te + 1, np.nan)

@@ -12,13 +12,20 @@ the test.  The garbage collector is off while counting: a collection
 runs gc.callbacks (hypothesis installs one) and finalizers, whose calls
 depend on the allocation history of the whole test session.
 
-Synthesis stores O(tau_i) floats per node, so its memory is O(H) in the
-horizon H, which only node N's tables span.  Its peak allocation is
-measured with tracemalloc, also with the garbage collector off, and
-compared across H.
+Synthesis runs its three chains as Python loops over floats, which make
+no calls, and its tables as array code over all nodes at once: its
+Python-level calls do not depend on N, and grow linearly in H, one per
+row of node N's P table.  It stores O(tau_i) floats per node, so its
+memory is O(H) in the horizon H, which only node N's tables span.
+
+Peak allocations are measured with tracemalloc, also with the garbage
+collector off.  Synthesis's is compared across H.  A full-plan run's is
+compared across N: it grows as N^2, which is the ledger's window buffer,
+2(N+1) rows of width sigma_N + H + 1.
 """
 
 import contextlib
+import functools
 import gc
 import sys
 import tracemalloc
@@ -32,11 +39,16 @@ from pathlq.simulate import closed_loop
 from pathlq.synthesis import synthesize
 
 
+def _uniform_spec(n: int, horizon: int) -> GraphSpec:
+    return GraphSpec(n=n, tau=(3,) * (n - 1), q=(1.0,) * n, r=(1.0,) * n,
+                     horizon=horizon)
+
+
 def _full_plan_instance(n: int, density: float = 0.05):
     """tau = 3 on every edge, H = 20, and a plan with about `density` of
     each node's admissible entries set."""
     rng = np.random.default_rng(n)
-    spec = GraphSpec(n=n, tau=(3,) * (n - 1), q=(1.0,) * n, r=(1.0,) * n, horizon=20)
+    spec = _uniform_spec(n, 20)
     entries = {}
     for i in range(1, n + 1):
         last = spec.sigma_total + spec.horizon - spec.sigma[i - 1]
@@ -56,13 +68,14 @@ def _gc_off():
             gc.enable()
 
 
-def _calls(fn, *args) -> int:
-    """Python and C function calls that fn(*args) makes."""
+def _calls(fn, *args, events=("call", "c_call")) -> int:
+    """Python and C function calls that fn(*args) makes, or only those of
+    the given profile events."""
     calls = 0
 
     def profile(frame, event, arg):
         nonlocal calls
-        if event in ("call", "c_call"):
+        if event in events:
             calls += 1
 
     with _gc_off():
@@ -98,7 +111,7 @@ def _round_instance(n: int):
     """An executor without an rng, so a fixed schedule, and one round's
     measurement columns at N = n (tau = 3 on every edge, H = 20)."""
     rng = np.random.default_rng(n)
-    spec = GraphSpec(n=n, tau=(3,) * (n - 1), q=(1.0,) * n, r=(1.0,) * n, horizon=20)
+    spec = _uniform_spec(n, 20)
     params = synthesize(spec)
     uvals, dwin = ([rng.standard_normal(t).tolist() for t in params.tau_eff]
                    for _ in range(2))
@@ -119,6 +132,28 @@ def test_synthesis_memory_grows_linearly_in_the_horizon():
     # peak when H doubles, a stored (H + 1)^2 P table about quadruples it.
     peak = {}
     for horizon in (200, 400, 800):
-        spec = GraphSpec(n=4, tau=(3,) * 3, q=(1.0,) * 4, r=(1.0,) * 4, horizon=horizon)
-        peak[horizon] = _peak_bytes(synthesize, spec)
+        peak[horizon] = _peak_bytes(synthesize, _uniform_spec(4, horizon))
     assert peak[400] <= 3 * peak[200] and peak[800] <= 3 * peak[400], peak
+
+
+def test_python_calls_in_synthesis_do_not_depend_on_n():
+    # Per node and delay slot, the chains make no Python-level call, and
+    # the tables are a fixed number of array calls.  Node N's P table adds
+    # one resumption of p_rows per row: calls(H) = a + b H, so doubling H
+    # from 200 adds twice what doubling it from 100 adds, not more.
+    python_calls = functools.partial(_calls, synthesize, events=("call",))
+    by_n = {n: python_calls(_uniform_spec(n, 20)) for n in (50, 200, 800)}
+    assert len(set(by_n.values())) == 1, by_n
+    by_h = {h: python_calls(_uniform_spec(4, h)) for h in (100, 200, 400)}
+    assert by_h[400] - by_h[200] <= 2 * (by_h[200] - by_h[100]), by_h
+
+
+def test_full_plan_memory_grows_as_n_squared():
+    # The peak of a 40-step full-plan run is the ledger's window buffer,
+    # about 48 N^2 bytes at tau = 3 (0.24, 0.71 and 2.4 MB at N = 50, 100
+    # and 200).  Growth in N^2 makes the second doubling add about four
+    # times what the first adds, growth in N twice: pin the N^2 form.
+    peak = {n: _peak_bytes(closed_loop, *_full_plan_instance(n), 40)
+            for n in (50, 100, 200)}
+    first, second = peak[100] - peak[50], peak[200] - peak[100]
+    assert 3 * first < second <= 4 * first, peak

@@ -16,7 +16,7 @@ from pathlq.synthesis import (
 )
 from pathlq.verify import make_random_instance
 
-from diagnostics import reference_synthesize
+from diagnostics import reference_riccati_step, reference_synthesize
 
 
 class TestGammaRhoSweep:
@@ -72,9 +72,7 @@ class TestTables:
     def test_simple_substitution(self):
         # One scalar recursion step with X = gamma = rho = 1 gives 2/3, and
         # the corresponding gain value X/(X+gamma) = 1/2.
-        from pathlq.synthesis import _riccati_step
-
-        assert _riccati_step(1.0, 1.0, 1.0) == pytest.approx(2.0 / 3.0)
+        assert reference_riccati_step(1.0, 1.0, 1.0) == pytest.approx(2.0 / 3.0)
         assert 1.0 / (1.0 + 1.0) == 0.5
 
     def test_monotone_riccati_convergence(self, rng):
@@ -325,11 +323,26 @@ def _specs(draw):
                      q=draw(weights), r=draw(weights), horizon=draw(st.integers(0, 50)))
 
 
+def _spread_spec(n: int, tau, horizon: int) -> GraphSpec:
+    """q from 1e-3 to 1e3 and r from 0.03 to 40, in patterns out of step."""
+    return GraphSpec(n=n, tau=tuple(tau), horizon=horizon,
+                     q=tuple(10.0 ** (k % 7 - 3) for k in range(n)),
+                     r=tuple(2.5 ** (4 - k % 9) for k in range(n)))
+
+
 @settings(max_examples=80, deadline=None)
 @given(_specs())
 @example(GraphSpec(n=9, tau=(8, 1, 7, 2, 6, 3, 5, 4),
                    q=(0.5, 2, 1e3, 1.0, 7, 1e-3, 4.0, 1, 2.5e5),
                    r=(3, 1e-4, 1.0, 40, 2.0, 1, 1e5, 0.25, 6), horizon=50))
+# The benchmark's shapes: node N's tables then run apart from the others'.
+@example(_spread_spec(200, (3,) * 199, 20))
+@example(_spread_spec(100, (k % 8 + 1 for k in range(99)), 30))
+# One node, and node N's H + 1 terms below, at and above max(tau) = 5.
+@example(_spread_spec(1, (), 7))
+@example(_spread_spec(4, (5, 2, 4), 3))
+@example(_spread_spec(4, (5, 2, 4), 4))
+@example(_spread_spec(4, (5, 2, 4), 5))
 def test_synthesize_matches_the_numpy_scalar_sweeps_bitwise(spec):
     _assert_same_bytes(synthesize(spec), reference_synthesize(spec))
 
