@@ -49,9 +49,6 @@ def read_whole(x) -> int | None:
     return int(x) if x is not None and x.is_integer() else None
 
 
-_F64 = np.dtype(float)
-
-
 def _read_numbers(x) -> np.ndarray:
     """np.asarray(x, dtype=float), refusing by read_number's rule any entry
     that is text or a boolean (ValueError).  A float array is taken as it
@@ -190,12 +187,7 @@ class ControlDecision:
 
 
 def read_plant_inputs(u, v, d, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """u, v and d as (n-1,), (n,) and (n,) float arrays by read_number's rule.
-    Float64 arrays of these shapes are returned as they are."""
-    if (type(u) is type(v) is type(d) is np.ndarray
-            and u.dtype is v.dtype is d.dtype is _F64
-            and u.shape == (n - 1,) and v.shape == d.shape == (n,)):
-        return u, v, d
+    """u, v and d as (n-1,), (n,) and (n,) float arrays by read_number's rule."""
     try:
         u, v, d = _read_numbers(u), _read_numbers(v), _read_numbers(d)
     except (TypeError, ValueError) as exc:

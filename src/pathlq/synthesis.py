@@ -9,13 +9,16 @@ h coefficients, after which each node finalizes its local phi, a and c.
 Only three quantities are carried from node to node: gamma and rho, X
 and h.  Those chains run as Python loops over floats.  Every other table
 (g, gprod, the P rows, b, phi and the packed fold rows) is local to a
-node, and is array code over all nodes at once, term by term: nodes
-1..N-1 in one run of width max(tau), node N in a run of its own at H + 1
-terms, or with the others when that is cheaper (_batches).  Either way
-each entry is the IEEE operations of the scalar recursion in their
-order, so every table is bitwise what a node-by-node loop gives.  The
-array passes are a fixed number of numpy calls plus three per P row,
-whatever N: O(N max(tau)^2 + H^2) flops and O(N max(tau) + H) memory.
+node, and is array code over many nodes at once, term by term, in runs
+of nodes padded to a common width (_batches).  A node runs at most twice
+as wide as its tau_eff, unless its class joins a wider run, which costs
+at most _JOIN_LIMIT P updates.  Each entry is the IEEE operations of the
+scalar recursion in their order, so every table is bitwise what a
+node-by-node loop gives.  The array passes are a fixed number of numpy
+calls per run and three per P row of each run, whatever N, with at most
+log2(max tau_eff) + 2 runs.  They take at most four times the P updates
+of a node-by-node loop, O(sum of tau_eff^2), plus _JOIN_LIMIT per joined
+class, and O(sum of tau_eff) working memory.
 The X and g tables stay rows of Python floats and P its last rows; their
 per-node arrays are built when they are first read.
 
@@ -117,14 +120,16 @@ class ControllerParams:
         p_rows: row l's last value stands for every m >= l."""
         xs = np.array([x for row in self.X_rows for x in row] + [0.0])
         sigma, te = _delays(self.tau_eff)
-        tables = []
-        for nodes, width in _batches(self.tau_eff):
+        tables = [None] * len(te)
+        for nodes, width in _batches(self.tau_eff, te):
             x, g = _run_tables(xs, sigma[nodes], te[nodes], self.gamma[nodes], width)
-            full = np.empty((width, width, x.shape[1]))  # [l-1, m-1, k]
+            full = np.empty((width, width, len(nodes)))  # [l-1, m-1, run index]
             for l, row in enumerate(p_rows(x, g, self.rho[nodes]), 1):
                 full[l - 1, :l] = row
                 full[l - 1, l:] = row[-1]
-            tables += [full[:t, :t, k].copy() for k, t in enumerate(te[nodes])]
+            for j, k in enumerate(nodes.tolist()):
+                t = self.tau_eff[k]
+                tables[k] = full[:t, :t, j].copy()
         return tuple(tables)
 
     def require_spec(self, spec: GraphSpec) -> None:
@@ -168,20 +173,39 @@ def terminal_riccati(gamma_n: float, rho_n: float) -> float:
     return -gamma_n / 2.0 + math.sqrt(gamma_n * rho_n + gamma_n**2 / 4.0)
 
 
-# Below this many P updates, N (H + 1)^2, node N's padded run costs less
-# than a run of its own.
+# A class of nodes joins the run of the next wider class when it pads to
+# at most this many P updates there: below it, a run of its own costs more
+# in fixed numpy calls than the padding does.
 _JOIN_LIMIT = 2**14
 
 
-def _batches(tau_eff: tuple[int, ...]) -> list[tuple[slice, int]]:
+def _batches(tau_eff: tuple[int, ...], te) -> list[tuple[np.ndarray, int]]:
     """The runs of nodes whose local tables are array code together, each
-    with its width in terms.  Nodes 1..N-1 run at max(tau).  Node N joins
-    them when its H + 1 terms fit, or when N (H + 1)^2 <= _JOIN_LIMIT, and
-    otherwise runs alone at H + 1: memory stays O(N max(tau) + H)."""
-    n, width = len(tau_eff), max(tau_eff[:-1], default=0)
-    if tau_eff[-1] <= width or n * tau_eff[-1] ** 2 <= _JOIN_LIMIT:
-        return [(slice(0, n), max(width, tau_eff[-1]))]
-    return [(slice(0, n - 1), width), (slice(n - 1, n), tau_eff[-1])]
+    an ascending array of node indices k with its width in terms, the
+    largest tau_eff among them; te is tau_eff as an array.  Nodes fall into
+    classes by tau_eff, those in (2^(c-1), 2^c] together, so that padding
+    at most quadruples a node's P updates.  From the widest, each class
+    runs apart, or joins the run before it when it pads to at most
+    _JOIN_LIMIT P updates at that width.  There are at most
+    log2(max tau_eff) + 2 runs, whatever N, and they hold O(sum of
+    tau_eff) terms.  When N max(tau_eff)^2 <= _JOIN_LIMIT, every class
+    joins the first, so there is one run, found at once."""
+    n, width = len(tau_eff), max(tau_eff)
+    if n * width**2 <= _JOIN_LIMIT:
+        return [(np.arange(n), width)]
+    widths = {}  # class c: its largest tau_eff
+    for t in set(tau_eff):
+        c = (t - 1).bit_length()
+        widths[c] = max(widths.get(c, 0), t)
+    runs = []
+    for c, width in sorted(widths.items(), reverse=True):
+        in_class = (te > 2**c // 2) & (te <= 2**c)
+        if runs and np.count_nonzero(in_class) * runs[-1][1] ** 2 <= _JOIN_LIMIT:
+            in_run, _ = runs[-1]
+            in_run |= in_class
+        else:
+            runs.append((in_class, width))
+    return [(np.flatnonzero(in_run), width) for in_run, width in runs]
 
 
 def _delays(tau_eff: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -239,12 +263,13 @@ def sweep_X_g_b_P(spec: GraphSpec, tau_eff, sigma, te, gamma, rho, x_terminal):
     X is a chain, a Python loop over floats: X[k][j-1] = X_i(j).  The other
     tables are array code over each run of nodes of _batches, term by
     term, and g[k][j] = g_i(j) for j = 2..tau_eff is returned as rows of
-    Python floats, NaN at j = 0, 1.  A run gives (nodes, p, block):
-    p[m-1, k] = P_i(tau_eff, m), P's last row, and block, whose [m, 1, k]
-    is gprod_i(m) for m = 0..tau_eff and whose [:, 0] sweep_h_and_finalize
-    fills with phi.  Past a node's tau_eff, gprod and p repeat their last
-    term.  Also returned: X_i(1) and g_{i+1}(1) as arrays, and b_i,
-    1 - P_i(tau_i, 1) and P_i(tau_i, tau_i) for the h chain.
+    Python floats, NaN at j = 0, 1.  A run gives (nodes, p, block), where
+    column c stands for node k = nodes[c]: p[m-1, c] = P_i(tau_eff, m),
+    P's last row, and block, whose [m, 1, c] is gprod_i(m) for m =
+    0..tau_eff and whose [:, 0] sweep_h_and_finalize fills with phi.  Past
+    a node's tau_eff, gprod and p repeat their last term.  Also returned:
+    X_i(1) and g_{i+1}(1) as arrays, and b_i, 1 - P_i(tau_i, 1) and
+    P_i(tau_i, tau_i) for the h chain.
     """
     # One flat list, node N's terms first, reversed at the end: node by
     # node from sigma_i, X_i(1..tau_eff), then X_N(H+2), the seed, and a
@@ -261,21 +286,21 @@ def sweep_X_g_b_P(spec: GraphSpec, tau_eff, sigma, te, gamma, rho, x_terminal):
     xs = np.array(xs)
     x1 = xs.take(sigma)
 
-    g_rows, tables = [], []
-    for nodes, width in _batches(tau_eff):
+    g_rows, tables = [None] * len(tau_eff), []
+    # Term tau_eff of every node's gprod and P rows: past it they repeat it.
+    gprod_tau, p_tau_1, p_tau_tau = ends = np.empty((3, len(tau_eff)))
+    for nodes, width in _batches(tau_eff, te):
         x, g = _run_tables(xs, sigma[nodes], te[nodes], gamma[nodes], width)
-        block = np.empty((width + 1, 2, g.shape[1]))
+        block = np.empty((width + 1, 2, len(nodes)))
         np.multiply.accumulate(g, out=block[:, 1])
         g[:2] = math.nan
-        g_rows += [row[: t + 1] for row, t in zip(g.T.tolist(), tau_eff[nodes])]
+        for k, row in zip(nodes.tolist(), g.T.tolist()):
+            g_rows[k] = row[: tau_eff[k] + 1]
         for p in p_rows(x, g, rho[nodes]):  # only the last row is kept
             pass
+        for end, row in zip(ends, (block[-1, 1], p[0], p[-1])):
+            end.put(nodes, row)
         tables.append((nodes, p, block))
-    # Term tau_eff of every node's gprod and P rows, carried to the last.
-    ends = [(block[-1, 1], p[0], p[-1]) for _, p, block in tables]
-    gprod_tau, p_tau_1, p_tau_tau = (
-        ends[0] if len(ends) == 1 else map(np.concatenate, zip(*ends))
-    )
     g_cross = x1[1:] / (x1[1:] + gamma[:-1])
     b = (g_cross * gprod_tau[:-1]).tolist() + [0.0]  # node N's b is 0.0
     return X, g_rows, x1, g_cross, b, 1.0 - p_tau_1, p_tau_tau.tolist(), tables
@@ -288,8 +313,9 @@ def sweep_h_and_finalize(
     coefficients of the local output formulas.
 
     h is a chain, on Python floats.  phi is array code over each run of
-    nodes of sweep_X_g_b_P's tables, phi[Delta, k] for Delta = 0..tau_eff,
-    and fills its blocks, which become coef and coef_last.
+    nodes of sweep_X_g_b_P's tables, phi[Delta, c] for Delta = 0..tau_eff,
+    and fills its blocks, which are copied into coef, node by node, and
+    into coef_last.
     """
     one_minus_p_tau_1 = omp.tolist()
     h_k = 0.0  # h[i] = h_i, i = 0..N-1; h_0 = 0
@@ -302,17 +328,19 @@ def sweep_h_and_finalize(
     # runs over j = 2..Delta, which fits the table sizes and is the form
     # confirmed against the dense oracle.
     scale = omp * h
+    # coef holds node N's first W terms, and NaN past every node's tau_eff:
+    # each run writes its nodes' terms up to its width, fold_pad the rest.
+    n, width = spec.n, max(spec.tau, default=1) + 1
+    coef = np.empty((width, 2, n))
     for nodes, p, block in tables:
         phi, gprod = block[1:, 0], block[1:, 1]
         np.subtract(1.0, p, out=phi)
         phi -= scale[nodes] * gprod
         block[0, 0] = phi[0]  # z's coefficient is phi_i(1)
-    # coef holds node N's first W terms, NaN past every node's tau_eff.
-    width = max(spec.tau, default=1) + 1
-    blocks = [block[:width] for *_, block in tables]
-    coef = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=2)
+        coef[: len(block), :, nodes] = block[:width]
+        if nodes[-1] == n - 1:  # node N, the last of its run
+            coef_last = block[: spec.horizon + 2, :, -1].T.copy()
     coef[1:].put(fold_pad, math.nan)
-    coef_last = tables[-1][-1][: spec.horizon + 2, :, -1].T.copy()
 
     # The output coefficients of all nodes at once.  Elementwise, each entry
     # is rounded as one scalar would be.

@@ -13,10 +13,12 @@ runs gc.callbacks (hypothesis installs one) and finalizers, whose calls
 depend on the allocation history of the whole test session.
 
 Synthesis runs its three chains as Python loops over floats, which make
-no calls, and its tables as array code over all nodes at once: its
+no calls, and its tables as array code over runs of nodes: its
 Python-level calls do not depend on N, and grow linearly in H, one per
-row of node N's P table.  It stores O(tau_i) floats per node, so its
-memory is O(H) in the horizon H, which only node N's tables span.
+P row of each run.  The runs pad each node's P updates at most fourfold,
+or by a bounded amount, whatever the spread of the delays.  It stores
+O(tau_i) floats per node, so its memory is O(H) in the horizon H, which
+only node N's tables span.
 
 Peak allocations are measured with tracemalloc, also with the garbage
 collector off.  Synthesis's is compared across H.  A full-plan run's is
@@ -36,11 +38,15 @@ from pathlq.harness import MessagePassing, run_control_round
 from pathlq.ledger import DisturbancePlan
 from pathlq.model import GraphSpec
 from pathlq.simulate import closed_loop
-from pathlq.synthesis import synthesize
+from pathlq.synthesis import _JOIN_LIMIT, _batches, synthesize
 
 
-def _uniform_spec(n: int, horizon: int) -> GraphSpec:
-    return GraphSpec(n=n, tau=(3,) * (n - 1), q=(1.0,) * n, r=(1.0,) * n,
+def _uniform_spec(n: int, horizon: int, long_edge: int = 3) -> GraphSpec:
+    """tau = 3 on every edge but the middle one, which has long_edge."""
+    tau = [3] * (n - 1)
+    if n > 1:
+        tau[(n - 1) // 2] = long_edge
+    return GraphSpec(n=n, tau=tuple(tau), q=(1.0,) * n, r=(1.0,) * n,
                      horizon=horizon)
 
 
@@ -138,14 +144,39 @@ def test_synthesis_memory_grows_linearly_in_the_horizon():
 
 def test_python_calls_in_synthesis_do_not_depend_on_n():
     # Per node and delay slot, the chains make no Python-level call, and
-    # the tables are a fixed number of array calls.  Node N's P table adds
-    # one resumption of p_rows per row: calls(H) = a + b H, so doubling H
-    # from 200 adds twice what doubling it from 100 adds, not more.
+    # each run's tables are a fixed number of array calls.  Each P row of
+    # a run adds one resumption of p_rows: calls(H) = a + b H, so doubling
+    # H from 200 adds twice what doubling it from 100 adds, not more.  One
+    # long edge adds a run, whatever N.
     python_calls = functools.partial(_calls, synthesize, events=("call",))
-    by_n = {n: python_calls(_uniform_spec(n, 20)) for n in (50, 200, 800)}
-    assert len(set(by_n.values())) == 1, by_n
+    for long_edge in (3, 40):
+        by_n = {n: python_calls(_uniform_spec(n, 20, long_edge))
+                for n in (50, 200, 800)}
+        assert len(set(by_n.values())) == 1, (long_edge, by_n)
     by_h = {h: python_calls(_uniform_spec(4, h)) for h in (100, 200, 400)}
     assert by_h[400] - by_h[200] <= 2 * (by_h[200] - by_h[100]), by_h
+
+
+def test_synthesis_runs_pad_at_most_four_times_the_p_updates():
+    # A node-by-node loop makes tau_eff^2 P updates at a node, give or take
+    # a factor of two; a run of B nodes at width T makes B T^2.  Within a
+    # class of delays in (T/2, T], padding at most quadruples them, and a
+    # class that joins a wider run adds at most _JOIN_LIMIT.  One long edge
+    # among many short ones thus keeps its own run.
+    specs = [_uniform_spec(1000, 20, 1000), _uniform_spec(1000, 3000),
+             _uniform_spec(300, 30, 250), _uniform_spec(1, 200),
+             GraphSpec(n=100, tau=tuple(k % 8 + 1 for k in range(99)),
+                       q=(1.0,) * 100, r=(1.0,) * 100, horizon=30)]
+    for spec in specs:
+        tau_eff = (*spec.tau, spec.horizon + 1)
+        runs = _batches(tau_eff, np.array(tau_eff))
+        classes = max(tau_eff).bit_length() + 1
+        members = sorted(k for nodes, _ in runs for k in nodes.tolist())
+        assert members == list(range(spec.n))
+        assert 0 < len(runs) <= classes
+        padded = sum(len(nodes) * width**2 for nodes, width in runs)
+        own = sum(t * t for t in tau_eff)
+        assert padded <= 4 * own + _JOIN_LIMIT * (classes - len(runs)), spec
 
 
 def test_full_plan_memory_grows_as_n_squared():

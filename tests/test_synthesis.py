@@ -340,9 +340,12 @@ def _spread_spec(n: int, tau, horizon: int) -> GraphSpec:
 @example(_spread_spec(100, (k % 8 + 1 for k in range(99)), 30))
 # One node, and node N's H + 1 terms below, at and above max(tau) = 5.
 @example(_spread_spec(1, (), 7))
+@example(_spread_spec(1, (), 200))
 @example(_spread_spec(4, (5, 2, 4), 3))
 @example(_spread_spec(4, (5, 2, 4), 4))
 @example(_spread_spec(4, (5, 2, 4), 5))
+# One long edge among short ones: its node runs apart, node N with it.
+@example(_spread_spec(60, (3,) * 30 + (40,) + (3,) * 28, 20))
 def test_synthesize_matches_the_numpy_scalar_sweeps_bitwise(spec):
     _assert_same_bytes(synthesize(spec), reference_synthesize(spec))
 
