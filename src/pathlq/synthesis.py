@@ -19,8 +19,8 @@ calls per run and three per P row of each run, whatever N, with at most
 log2(max tau_eff) + 2 runs.  They take at most four times the P updates
 of a node-by-node loop, O(sum of tau_eff^2), plus _JOIN_LIMIT per joined
 class, and O(sum of tau_eff) working memory.
-The X and g tables stay rows of Python floats and P its last rows; their
-per-node arrays are built when they are first read.
+The X chain is kept whole, as one array, and P its last rows; the
+per-node X, g and P tables are built from the chain when first read.
 
 Index conventions: arrays are stored 0-based per node k = i - 1.  The
 last node has no incoming edge; it uses an effective delay of H + 1 so
@@ -74,17 +74,17 @@ class ControllerParams:
     one length-N array, so the sequential controller reads all nodes at
     once.  The two sweeps' coefficients, one_minus_p_tau_1 and b, are lists
     of Python floats, which the Python sweeps read directly.  No run reads
-    the X, g and P tables: X and g are kept as rows of Python floats, and
-    the per-node arrays of all three are built on first read, P's by
-    p_rows over the same runs of nodes as synthesize's.
+    the X, g and P tables: only the X chain is kept, as x_chain, and the
+    per-node arrays are built from it on first read, X's by a split at
+    sigma, g's and P's by one pass of _run_tables and p_rows over the runs
+    of nodes of synthesize.
     """
 
     spec: GraphSpec  # the instance these parameters were synthesized for
     tau_eff: tuple[int, ...]
     gamma: np.ndarray
     rho: np.ndarray
-    X_rows: list[list[float]]  # X_rows[k][j-1] = X_i(j); last node has H+2
-    g_rows: list[list[float]]  # g_rows[k][j] = g_i(j) for j = 2..tau_eff, NaN at 0, 1
+    x_chain: np.ndarray  # X_i(1..tau_eff) from sigma_i, node by node; X_N(H+2); 0.0
     g_cross: np.ndarray  # g_cross[k] = g_{i+1}(1) stored at node i = k+1 < N
     b: list[float]  # b_i for i = 1..N-1, then node N's 0.0
     h: np.ndarray  # h[i] = h_i for i = 0..N-1, h[0] = 0
@@ -106,31 +106,38 @@ class ControllerParams:
 
     @functools.cached_property
     def X(self) -> tuple[np.ndarray, ...]:
-        """X[k][j-1] = X_i(j), one array per node."""
-        return tuple(map(np.array, self.X_rows))
+        """X[k][j-1] = X_i(j), one view of x_chain per node; node N's has H+2."""
+        return tuple(np.split(self.x_chain[:-1], self.spec.sigma[1:]))
 
     @functools.cached_property
     def g(self) -> tuple[np.ndarray, ...]:
-        """g[k][j] = g_i(j) for j = 2..tau_eff (indices 0, 1 unused)."""
-        return tuple(map(np.array, self.g_rows))
+        """g[k][j] = g_i(j) for j = 2..tau_eff, NaN at indices 0 and 1."""
+        return self._g_and_P[0]
 
     @functools.cached_property
     def P(self) -> tuple[np.ndarray, ...]:
-        """P[k][l-1, m-1] = P_i(l, m), shape (tau_eff, tau_eff), rebuilt by
-        p_rows: row l's last value stands for every m >= l."""
-        xs = np.array([x for row in self.X_rows for x in row] + [0.0])
+        """P[k][l-1, m-1] = P_i(l, m), shape (tau_eff, tau_eff)."""
+        return self._g_and_P[1]
+
+    @functools.cached_property
+    def _g_and_P(self):
+        """The g rows and P tables of every node, from x_chain, rebuilt over
+        the runs of nodes of synthesize: row l of P's last value, which
+        p_rows yields once, stands for every m >= l."""
         sigma, te = _delays(self.tau_eff)
-        tables = [None] * len(te)
+        g_rows, tables = [None] * len(te), [None] * len(te)
         for nodes, width in _batches(self.tau_eff, te):
-            x, g = _run_tables(xs, sigma[nodes], te[nodes], self.gamma[nodes], width)
+            x, g = _run_tables(self.x_chain, sigma[nodes], te[nodes],
+                               self.gamma[nodes], width)
             full = np.empty((width, width, len(nodes)))  # [l-1, m-1, run index]
             for l, row in enumerate(p_rows(x, g, self.rho[nodes]), 1):
                 full[l - 1, :l] = row
                 full[l - 1, l:] = row[-1]
+            g[:2] = math.nan
             for j, k in enumerate(nodes.tolist()):
                 t = self.tau_eff[k]
-                tables[k] = full[:t, :t, j].copy()
-        return tuple(tables)
+                g_rows[k], tables[k] = g[: t + 1, j].copy(), full[:t, :t, j].copy()
+        return tuple(g_rows), tuple(tables)
 
     def require_spec(self, spec: GraphSpec) -> None:
         """Raise SpecError unless these parameters were synthesized for `spec`."""
@@ -256,24 +263,22 @@ def p_rows(x: np.ndarray, g: np.ndarray, rho: np.ndarray):
         yield new
 
 
-def sweep_X_g_b_P(spec: GraphSpec, tau_eff, sigma, te, gamma, rho, x_terminal):
+def sweep_X_g_b_P(tau_eff, sigma, te, gamma, rho, x_terminal):
     """Second sweep, node N down to node 1: X, then g, gprod, b and P's
     last rows.  sigma and te are _delays(tau_eff).
 
-    X is a chain, a Python loop over floats: X[k][j-1] = X_i(j).  The other
-    tables are array code over each run of nodes of _batches, term by
-    term, and g[k][j] = g_i(j) for j = 2..tau_eff is returned as rows of
-    Python floats, NaN at j = 0, 1.  A run gives (nodes, p, block), where
-    column c stands for node k = nodes[c]: p[m-1, c] = P_i(tau_eff, m),
-    P's last row, and block, whose [m, 1, c] is gprod_i(m) for m =
-    0..tau_eff and whose [:, 0] sweep_h_and_finalize fills with phi.  Past
-    a node's tau_eff, gprod and p repeat their last term.  Also returned:
-    X_i(1) and g_{i+1}(1) as arrays, and b_i, 1 - P_i(tau_i, 1) and
-    P_i(tau_i, tau_i) for the h chain.
+    X is a chain, a Python loop over floats, returned whole as x_chain:
+    node by node from sigma_i, X_i(1..tau_eff), then X_N(H+2) and a
+    closing 0.0 for the padded terms.  The other tables are array code
+    over each run of nodes of _batches, term by term; g is not kept.  A run
+    gives (nodes, p, block), where column c stands for node k = nodes[c]:
+    p[m-1, c] = P_i(tau_eff, m), P's last row, and block, whose [m, 1, c]
+    is gprod_i(m) for m = 0..tau_eff and whose [:, 0] sweep_h_and_finalize
+    fills with phi.  Past a node's tau_eff, gprod and p repeat their last
+    term.  Also returned: X_i(1) and g_{i+1}(1) as arrays, and b_i,
+    1 - P_i(tau_i, 1) and P_i(tau_i, tau_i) for the h chain.
     """
-    # One flat list, node N's terms first, reversed at the end: node by
-    # node from sigma_i, X_i(1..tau_eff), then X_N(H+2), the seed, and a
-    # closing 0.0 for the padded terms.
+    # Node N's terms first, reversed at the end; X_N(H+2) is the seed.
     xs = [0.0, float(x_terminal)]
     x = xs[-1]  # then X_{i+1}(1) when node i's sweep starts
     for g_k, r_k, t in zip(gamma.tolist()[::-1], rho.tolist()[::-1], tau_eff[::-1]):
@@ -282,20 +287,16 @@ def sweep_X_g_b_P(spec: GraphSpec, tau_eff, sigma, te, gamma, rho, x_terminal):
             x = r_k * s / (s + r_k)  # the Riccati step
             xs.append(x)
     xs.reverse()
-    X = [xs[a:b] for a, b in zip(spec.sigma, (*spec.sigma[1:], len(xs) - 1))]
     xs = np.array(xs)
     x1 = xs.take(sigma)
 
-    g_rows, tables = [None] * len(tau_eff), []
+    tables = []
     # Term tau_eff of every node's gprod and P rows: past it they repeat it.
     gprod_tau, p_tau_1, p_tau_tau = ends = np.empty((3, len(tau_eff)))
     for nodes, width in _batches(tau_eff, te):
         x, g = _run_tables(xs, sigma[nodes], te[nodes], gamma[nodes], width)
         block = np.empty((width + 1, 2, len(nodes)))
         np.multiply.accumulate(g, out=block[:, 1])
-        g[:2] = math.nan
-        for k, row in zip(nodes.tolist(), g.T.tolist()):
-            g_rows[k] = row[: tau_eff[k] + 1]
         for p in p_rows(x, g, rho[nodes]):  # only the last row is kept
             pass
         for end, row in zip(ends, (block[-1, 1], p[0], p[-1])):
@@ -303,19 +304,20 @@ def sweep_X_g_b_P(spec: GraphSpec, tau_eff, sigma, te, gamma, rho, x_terminal):
         tables.append((nodes, p, block))
     g_cross = x1[1:] / (x1[1:] + gamma[:-1])
     b = (g_cross * gprod_tau[:-1]).tolist() + [0.0]  # node N's b is 0.0
-    return X, g_rows, x1, g_cross, b, 1.0 - p_tau_1, p_tau_tau.tolist(), tables
+    return xs, x1, g_cross, b, 1.0 - p_tau_1, p_tau_tau.tolist(), tables
 
 
 def sweep_h_and_finalize(
-    spec: GraphSpec, gamma, rho, x1, g_cross, b, omp, p_tau_tau, tables, fold_pad
+    spec: GraphSpec, gamma, rho, x1, g_cross, b, omp, p_tau_tau, tables, coef, fold_pad
 ):
     """Third sweep and the final per-node parameters h, phi, a, c and the
-    coefficients of the local output formulas.
+    coefficients of the local output formulas, as ControllerParams fields
+    by name.
 
     h is a chain, on Python floats.  phi is array code over each run of
     nodes of sweep_X_g_b_P's tables, phi[Delta, c] for Delta = 0..tau_eff,
-    and fills its blocks, which are copied into coef, node by node, and
-    into coef_last.
+    and fills its blocks, which are copied into _delay_layout's coef, node
+    by node, and into coef_last.
     """
     one_minus_p_tau_1 = omp.tolist()
     h_k = 0.0  # h[i] = h_i, i = 0..N-1; h_0 = 0
@@ -330,15 +332,13 @@ def sweep_h_and_finalize(
     scale = omp * h
     # coef holds node N's first W terms, and NaN past every node's tau_eff:
     # each run writes its nodes' terms up to its width, fold_pad the rest.
-    n, width = spec.n, max(spec.tau, default=1) + 1
-    coef = np.empty((width, 2, n))
     for nodes, p, block in tables:
         phi, gprod = block[1:, 0], block[1:, 1]
         np.subtract(1.0, p, out=phi)
         phi -= scale[nodes] * gprod
         block[0, 0] = phi[0]  # z's coefficient is phi_i(1)
-        coef[: len(block), :, nodes] = block[:width]
-        if nodes[-1] == n - 1:  # node N, the last of its run
+        coef[: len(block), :, nodes] = block[: len(coef)]
+        if nodes[-1] == spec.n - 1:  # node N, the last of its run
             coef_last = block[: spec.horizon + 2, :, -1].T.copy()
     coef[1:].put(fold_pad, math.nan)
 
@@ -346,25 +346,27 @@ def sweep_h_and_finalize(
     # is rounded as one scalar would be.
     q, r = spec.weights
     gamma_q = gamma / q
-    one_minus_gamma_q = 1.0 - gamma_q
     x1_over_r = x1 / r
     one_minus_h_prev = 1.0 - h
     a = x1_over_r + gamma_q * (1.0 - x1 / rho)
     c = -(x1_over_r - gamma * x1 / (q * rho)) * one_minus_h_prev + gamma_q * h
-    return (h, coef, coef_last, a, c, one_minus_p_tau_1, one_minus_gamma_q,
-            x1_over_r, one_minus_h_prev)
+    return dict(h=h, coef_last=coef_last, a=a, c=c,
+                one_minus_p_tau_1=one_minus_p_tau_1, one_minus_gamma_q=1.0 - gamma_q,
+                x1_over_r=x1_over_r, one_minus_h_prev=one_minus_h_prev)
 
 
 def _delay_layout(tau_eff: tuple[int, ...], sigma, te):
-    """The fields delay_cols, fold_pad and tail_start of ControllerParams
-    for these delays; sigma and te are _delays(tau_eff)."""
-    width = max(tau_eff[:-1], default=1) + 1  # max tau + 1, at least 2
+    """The fields coef, left for sweep_h_and_finalize to fill, delay_cols,
+    fold_pad and tail_start of ControllerParams for these delays; sigma
+    and te are _delays(tau_eff)."""
+    width = max(tau_eff[:-1], default=1) + 1  # W = max tau + 1, at least 2
     slots = np.arange(width)
     delay_cols = sigma[:, None] + np.minimum(slots[:-1], te[:, None] - 1)
     # The padded terms j >= 1 of both rows of every node, as coef[1:] holds them.
     fold_pad = (slots[1:, None] > te).repeat(2, axis=0).ravel().nonzero()[0]
     tail_start = min(width, tau_eff[-1] + 1) - 1
-    return dict(delay_cols=delay_cols, fold_pad=fold_pad, tail_start=tail_start)
+    return dict(coef=np.empty((width, 2, len(te))), delay_cols=delay_cols,
+                fold_pad=fold_pad, tail_start=tail_start)
 
 
 def synthesize(spec: GraphSpec) -> ControllerParams:
@@ -374,33 +376,12 @@ def synthesize(spec: GraphSpec) -> ControllerParams:
     layout = _delay_layout(tau_eff, sigma, te)
     gamma, rho = sweep_gamma_rho(*spec.weights)
     x_term = terminal_riccati(gamma[-1], rho[-1])
-    X, g_rows, x1, g_cross, b, omp, p_tau_tau, tables = sweep_X_g_b_P(
-        spec, tau_eff, sigma, te, gamma, rho, x_term
-    )
-    (h, coef, coef_last, a, c, one_minus_p_tau_1, one_minus_gamma_q, x1_over_r,
-     one_minus_h_prev) = sweep_h_and_finalize(
-        spec, gamma, rho, x1, g_cross, b, omp, p_tau_tau, tables, layout["fold_pad"]
-    )
-    return ControllerParams(
-        spec=spec,
-        tau_eff=tau_eff,
-        gamma=gamma,
-        rho=rho,
-        X_rows=X,
-        g_rows=g_rows,
-        g_cross=g_cross,
-        b=b,
-        h=h,
-        coef=coef,
-        coef_last=coef_last,
-        a=a,
-        c=c,
-        one_minus_p_tau_1=one_minus_p_tau_1,
-        one_minus_gamma_q=one_minus_gamma_q,
-        x1_over_r=x1_over_r,
-        one_minus_h_prev=one_minus_h_prev,
-        **layout,
-    )
+    x_chain, x1, g_cross, b, omp, p_tau_tau, tables = sweep_X_g_b_P(
+        tau_eff, sigma, te, gamma, rho, x_term)
+    outputs = sweep_h_and_finalize(spec, gamma, rho, x1, g_cross, b, omp, p_tau_tau,
+                                   tables, layout["coef"], layout["fold_pad"])
+    return ControllerParams(spec=spec, tau_eff=tau_eff, gamma=gamma, rho=rho,
+                            x_chain=x_chain, g_cross=g_cross, b=b, **outputs, **layout)
 
 
 def params_to_document(params: ControllerParams) -> str:

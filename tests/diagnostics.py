@@ -454,8 +454,7 @@ def reference_synthesize(spec: GraphSpec) -> ControllerParams:
         tau_eff=tau_eff,
         gamma=gamma,
         rho=rho,
-        X_rows=[xk.tolist() for xk in X],
-        g_rows=[gk.tolist() for gk in g],
+        x_chain=np.concatenate((*X, [0.0])),
         g_cross=g_cross,
         b=b,
         h=h,
@@ -472,7 +471,6 @@ def reference_synthesize(spec: GraphSpec) -> ControllerParams:
         tail_start=tail_start,
     )
     # The reference's own per-node arrays, in place of those that
-    # ControllerParams builds on first read: P from p_rows, X and g from
-    # the rows.
+    # ControllerParams builds from x_chain on first read.
     vars(params).update(X=X, g=g, P=P)
     return params

@@ -198,9 +198,10 @@ def test_a_set_up_calls_each_sweep_and_the_window_init_once(monkeypatch):
 @pytest.mark.parametrize("announce", [None, 2], ids=["full-plan", "receding"])
 def test_no_run_builds_the_X_g_P_arrays(announce):
     # ControllerParams builds its per-node X, g and P arrays on first read,
-    # and nothing but params_to_document reads them: setup_s would grow by
-    # their build without any episode failing.
-    built_on_read = {"X", "g", "P"}
+    # g and P through one cached builder, and nothing but params_to_document
+    # reads them: setup_s would grow by their build without any episode
+    # failing.
+    built_on_read = {"X", "g", "P", "_g_and_P"}
     spec = GraphSpec(n=4, tau=(2, 1, 3), q=(1.0,) * 4, r=(1.0,) * 4, horizon=2)
     plan = DisturbancePlan({(2, 1): 0.5, (4, 2): -1.0, (1, 5): 0.25})
     params = synthesis.synthesize(spec)

@@ -23,7 +23,8 @@ only node N's tables span.
 Peak allocations are measured with tracemalloc, also with the garbage
 collector off.  Synthesis's is compared across H.  A full-plan run's is
 compared across N: it grows as N^2, which is the ledger's window buffer,
-2(N+1) rows of width sigma_N + H + 1.
+2(N+1) rows of width sigma_N + H + 1.  A ledger step between two
+compactions of that buffer allocates a few small objects, whatever N.
 """
 
 import contextlib
@@ -35,7 +36,7 @@ import tracemalloc
 import numpy as np
 
 from pathlq.harness import MessagePassing, run_control_round
-from pathlq.ledger import DisturbancePlan
+from pathlq.ledger import DisturbancePlan, advance_time, init_shifted_sums
 from pathlq.model import GraphSpec
 from pathlq.simulate import closed_loop
 from pathlq.synthesis import _JOIN_LIMIT, _batches, synthesize
@@ -188,3 +189,22 @@ def test_full_plan_memory_grows_as_n_squared():
             for n in (50, 100, 200)}
     first, second = peak[100] - peak[50], peak[200] - peak[100]
     assert 3 * first < second <= 4 * first, peak
+
+
+def _advance(windows, steps: int) -> None:
+    for _ in range(steps):
+        advance_time(windows)
+
+
+def test_ledger_steps_allocate_the_same_few_bytes_whatever_n():
+    # advance_time slides a view one column along the window buffer and
+    # copies it back once every sigma_N + H + 1 steps.  40 steps that cross
+    # no copy allocate a few hundred bytes; a copy of the (N+1)-row window
+    # in every step would peak at about 8 (N+1) (sigma_N + H + 1) bytes,
+    # 69 kB at N = 50.
+    peak = {}
+    for n in (50, 200):
+        spec, _, plan = _full_plan_instance(n)
+        assert spec.sigma_total + spec.horizon + 1 > 40
+        peak[n] = _peak_bytes(_advance, init_shifted_sums(plan, spec), 40)
+    assert max(peak.values()) <= 4096, peak
