@@ -18,11 +18,11 @@ import numpy as np
 
 from .errors import HorizonViolationError, SpecError
 from .harness import audit_message_log, run_closed_loop
-from .ledger import RECORD_FIELDS, DisturbancePlan
-from .model import GraphSpec, read_number, read_whole
+from .ledger import DisturbancePlan
+from .model import GraphSpec, read_whole
 from .simulate import closed_loop
 from .synthesis import params_to_document, synthesize
-from .verify import run_differential_suite
+from .verify import SETTLING_STEPS, run_differential_suite
 
 SCHEMA_VERSION = 1
 # Every field a config may hold; any other key is an error, so a typo is loud.
@@ -52,7 +52,8 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    _reject_unknown(cfg, CONFIG_FIELDS, path)
+    if unknown := [key for key in cfg if key not in CONFIG_FIELDS]:
+        raise ConfigError(f"{path}: unknown field {unknown[0]!r}")
     version = cfg.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(
@@ -62,62 +63,29 @@ def load_config(path: str) -> dict:
         if fld not in cfg:
             raise ConfigError(f"{path}: missing required field {fld!r}")
     if "seed" in cfg:
-        cfg["seed"] = _seed(cfg["seed"], f"{path}: seed")
+        cfg["seed"] = _whole(cfg["seed"], f"{path}: seed", 0)
     return cfg
 
 
-def _reject_unknown(obj: dict, fields, where: str) -> None:
-    unknown = [key for key in obj if key not in fields]
-    if unknown:
-        raise ConfigError(f"{where}: unknown field {unknown[0]!r}")
-
-
 def config_spec(cfg: dict) -> GraphSpec:
-    try:
-        return GraphSpec(**{f: cfg[f] for f in ("n", "tau", "q", "r", "horizon")})
-    except SpecError as exc:
-        raise ConfigError(f"invalid spec: {exc}") from exc
+    return GraphSpec(**{f: cfg[f] for f in ("n", "tau", "q", "r", "horizon")})
 
 
-def _whole(value, what: str) -> int:
-    """`value` as an int, if it is a whole number; ConfigError otherwise."""
+def _whole(value, what: str, least: int) -> int:
+    """`value` as an int, if it is a whole number >= least; ConfigError otherwise."""
     x = read_whole(value)
     if x is None:
         raise ConfigError(f"{what} = {value!r} must be a whole number")
+    if x < least:
+        raise ConfigError(f"{what} = {x} must be >= {least}")
     return x
 
 
-def _seed(value, what: str) -> int:
-    """`value` as a scheduler or suite seed: a whole number >= 0."""
-    seed = _whole(value, what)
-    if seed < 0:
-        raise ConfigError(f"{what} = {seed} must be >= 0")
-    return seed
-
-
 def config_plan(cfg: dict) -> DisturbancePlan:
+    """The config's forecast; DisturbancePlan.from_records reads each record."""
     disturbances = cfg.get("disturbances", [])
     if not isinstance(disturbances, list):
         raise ConfigError(f"disturbances must be a list, got {disturbances!r}")
-    for i, rec in enumerate(disturbances):
-        if not isinstance(rec, dict):
-            raise ConfigError(f"disturbances[{i}] must be an object, got {rec!r}")
-        _reject_unknown(rec, RECORD_FIELDS, f"disturbances[{i}]")
-        for fld in RECORD_FIELDS:
-            if fld not in rec:
-                raise ConfigError(f"disturbances[{i}]: missing field {fld!r}")
-        _, start, end = (
-            _whole(rec[fld], f"disturbances[{i}]: {fld}")
-            for fld in ("node", "start_time", "end_time")
-        )
-        if not 0 <= start <= end:
-            raise ConfigError(
-                f"disturbances[{i}]: need 0 <= start_time <= end_time, got "
-                f"{start} and {end}"
-            )
-        if read_number(rec["amount_per_step"]) is None:
-            raise ConfigError(f"disturbances[{i}]: amount_per_step = "
-                              f"{rec['amount_per_step']!r} is not a number")
     return DisturbancePlan.from_records(disturbances)
 
 
@@ -125,10 +93,8 @@ def load_run(cfg: dict):
     """(spec, plan, steps, params, z0, pipelines0) of a closed-loop config."""
     spec = config_spec(cfg)
     plan = config_plan(cfg)
-    steps = _whole(cfg.get("run_length", spec.sigma_total + spec.horizon + 60),
-                   "run_length")
-    if steps < 0:
-        raise ConfigError(f"run_length = {steps} must be >= 0")
+    settled = spec.sigma_total + spec.horizon + SETTLING_STEPS
+    steps = _whole(cfg.get("run_length", settled), "run_length", 0)
     params = synthesize(spec)
     return spec, plan, steps, params, cfg.get("initial_z"), cfg.get("initial_pipelines")
 
@@ -177,28 +143,31 @@ def cmd_simulate(args, cfg: dict, out: Path) -> int:
     return 0
 
 
+def _cost_at_horizon(spec, plan, steps, z0, pipes0, h: int) -> float:
+    """Total cost of the closed loop synthesized for horizon h, with every
+    entry announced h steps ahead."""
+    spec_h = replace(spec, horizon=h)
+    return closed_loop(
+        spec_h, synthesize(spec_h), plan, steps, z0, pipes0, announce=h
+    ).total_cost
+
+
 def cmd_compare_ff(args, cfg: dict, out: Path) -> int:
     spec, plan, steps, params, z0, pipes0 = load_run(cfg)
-    with_ff = closed_loop(spec, params, plan, steps, z0, pipes0)
+    with_ff = closed_loop(spec, params, plan, steps, z0, pipes0).total_cost
     # Baseline: a zero-length announcement horizon (only the current step's
     # disturbance is ever known).
-    spec0 = replace(spec, horizon=0)
-    without = closed_loop(
-        spec0, synthesize(spec0), plan, steps, z0, pipes0, announce=0
-    )
+    without = _cost_at_horizon(spec, plan, steps, z0, pipes0, 0)
     summary = {
         "seed": cfg.get("seed"),
         "steps": steps,
-        "cost_feedforward": with_ff.total_cost,
-        "cost_no_feedforward": without.total_cost,
+        "cost_feedforward": with_ff,
+        "cost_no_feedforward": without,
     }
     (out / "compare_ff.json").write_text(json.dumps(summary, indent=2))
     if args.tee_summary:
         print(json.dumps(summary))
-    print(
-        f"feed-forward: {with_ff.total_cost:.6f}   "
-        f"H=0 baseline: {without.total_cost:.6f}"
-    )
+    print(f"feed-forward: {with_ff:.6f}   H=0 baseline: {without:.6f}")
     return 0
 
 
@@ -209,17 +178,9 @@ def cmd_sweep_horizon(args, cfg: dict, out: Path) -> int:
         grid = list(range(0, spec.sigma_total + 1))
     if not isinstance(grid, list):
         raise ConfigError(f"horizon_grid = {grid!r} must be a list")
-    grid = [_whole(h, f"horizon_grid[{i}]") for i, h in enumerate(grid)]
-    if any(h < 0 for h in grid):
-        raise ConfigError(f"horizon_grid = {grid} must hold horizons >= 0")
-    grid = sorted(set(grid) | {0, spec.sigma_total})
-    rows = []
-    for h in grid:
-        spec_h = replace(spec, horizon=h)
-        res = closed_loop(
-            spec_h, synthesize(spec_h), plan, steps, z0, pipes0, announce=h
-        )
-        rows.append((h, res.total_cost))
+    grid = {_whole(h, f"horizon_grid[{i}]", 0) for i, h in enumerate(grid)}
+    rows = [(h, _cost_at_horizon(spec, plan, steps, z0, pipes0, h))
+            for h in sorted(grid | {0, spec.sigma_total})]
     with open(out / "horizon_sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["horizon", "total_cost"])
@@ -232,9 +193,7 @@ def cmd_sweep_horizon(args, cfg: dict, out: Path) -> int:
 
 def cmd_verify(args, cfg: dict | None, out: Path) -> int:
     seed = (cfg or {}).get("seed", args.seed or 0)  # main puts --seed in cfg
-    count = _whole(cfg.get("verify_instances", 100), "verify_instances") if cfg else 100
-    if count < 1:
-        raise ConfigError(f"verify_instances = {count} must be >= 1")
+    count = _whole((cfg or {}).get("verify_instances", 100), "verify_instances", 1)
     report = run_differential_suite(n_instances=count, seed=seed)
     with open(out / "verify.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -315,7 +274,7 @@ def main(argv=None) -> int:
                 flag = "--" + dest.replace("_", "-")
                 raise ConfigError(f"{args.command} does not read {flag}")
         if args.seed is not None:
-            _seed(args.seed, "--seed")
+            _whole(args.seed, "--seed", 0)
         cfg = None
         if args.config:
             cfg = load_config(args.config)

@@ -42,16 +42,18 @@ class DisturbancePlan:
 
     @staticmethod
     def from_records(records: Iterable[Mapping]) -> "DisturbancePlan":
-        """Build a plan from records of the RECORD_FIELDS, each read by its
-        reader; SpecError names records that are not iterable, the first
-        record that is not a mapping, the first field that fails, or
-        start > end."""
+        """Build a plan from records of exactly the RECORD_FIELDS, each read
+        by its reader; SpecError names records that are not iterable, the
+        first record that is not a mapping, its first unknown field or first
+        field that fails, or a start_time below 0 or after end_time."""
         if not isinstance(records, Iterable):
             raise SpecError(f"disturbance records {records!r} are not iterable")
         plan = DisturbancePlan()
         for i, rec in enumerate(records):
             if not isinstance(rec, Mapping):
                 raise SpecError(f"disturbance record {i}: {rec!r} is not a mapping")
+            if unknown := [name for name in rec if name not in RECORD_FIELDS]:
+                raise SpecError(f"disturbance record {i}: unknown field {unknown[0]!r}")
             node, start, end, amount = values = [
                 read(rec.get(name)) for name, read in RECORD_FIELDS.items()]
             for name, x in zip(RECORD_FIELDS, values):
@@ -59,9 +61,10 @@ class DisturbancePlan:
                     what = "a number" if name == "amount_per_step" else "a whole number"
                     raise SpecError(f"disturbance record {i}: {name} = "
                                     f"{rec.get(name)!r} is not {what}")
-            if start > end:
+            if not 0 <= start <= end:
+                bound = "below 0" if start < 0 else f"after end_time = {end}"
                 raise SpecError(f"disturbance record {i}: start_time = {start} "
-                                f"is after end_time = {end}")
+                                f"is {bound}")
             for t in range(start, end + 1):
                 plan.entries[(node, t)] = plan.get(node, t) + amount
         return plan

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from pathlq.cli import ConfigError, load_config, main
+from pathlq.errors import SpecError
 from pathlq.ledger import DisturbancePlan
 from pathlq.model import GraphSpec
 from pathlq.verify import Instance, certify_instance
@@ -32,6 +33,161 @@ BASE_CONFIG = {
         {"node": 2, "start_time": 2, "end_time": 4, "amount_per_step": -0.3}
     ],
 }
+
+# (command, config change, expected error text) of configs the CLI must refuse.
+MALFORMED_INPUT = [
+    ("simulate", {"disturbances": [
+        {"node": 2, "start_time": 5, "end_time": 4, "amount_per_step": -0.3}
+    ]}, "disturbance record 0: start_time = 5 is after end_time = 4"),
+    ("simulate", {"disturbances": [
+        {"node": 2, "start_time": -1, "end_time": 4, "amount_per_step": -0.3}
+    ]}, "disturbance record 0: start_time = -1 is below 0"),
+    ("simulate", {"disturbances": [
+        {"node": 0, "start_time": 2, "end_time": 4, "amount_per_step": -0.3}
+    ]}, "node 0"),
+    ("simulate", {"disturbances": [
+        {"node": 4, "start_time": 2, "end_time": 4, "amount_per_step": -0.3}
+    ]}, "node 4"),
+    ("simulate", {"disturbances": [
+        {"node": 2, "start_time": 2, "end_time": 4, "amount_per_step": float("nan")}
+    ]}, "nan"),
+    ("simulate", {"disturbances": [
+        {"node": 1, "start_time": 40, "end_time": 40, "amount_per_step": 1.0}
+    ]}, "horizon bound"),
+    ("simulate", {"tau": [2.7, 1]}, "tau_1 = 2.7"),
+    ("simulate", {"n": 5.5}, "n = 5.5"),
+    ("simulate", {"horizon": 15.7}, "horizon = 15.7"),
+    ("simulate", {"disturbances": [
+        {"node": 2.5, "start_time": 2, "end_time": 4, "amount_per_step": -0.3}
+    ]}, "node = 2.5"),
+    ("simulate", {"disturbances": [
+        {"node": 2, "start_time": 2.5, "end_time": 4, "amount_per_step": -0.3}
+    ]}, "start_time = 2.5"),
+    ("simulate", {"disturbances": [
+        {"node": 2, "start_time": 2, "end_time": 4.9, "amount_per_step": -0.3}
+    ]}, "end_time = 4.9"),
+    ("simulate", {"disturbances": [
+        {"node": 2, "start_time": 2, "end_time": 4, "amount_per_step": "abc"}
+    ]}, "amount_per_step = 'abc'"),
+    ("simulate", {"n": "5", "tau": "3254"}, "tau = '3254' is not a sequence"),
+    ("simulate", {"tau": "21"}, "tau = '21' is not a sequence"),
+    ("simulate", {"horizon": True}, "horizon = True must be a whole number"),
+    ("simulate", {"disturbances": [
+        {"node": "2", "start_time": 2, "end_time": 4, "amount_per_step": -0.3}
+    ]}, "disturbance record 0: node = '2' is not a whole number"),
+    ("simulate", {"disturbances": [
+        {"node": 2, "start_time": True, "end_time": 4, "amount_per_step": -0.3}
+    ]}, "disturbance record 0: start_time = True is not a whole number"),
+    ("simulate", {"disturbances": [
+        {"node": 2, "start_time": 2, "end_time": "4", "amount_per_step": -0.3}
+    ]}, "disturbance record 0: end_time = '4' is not a whole number"),
+    ("simulate", {"disturbances": [
+        {"node": 2, "start_time": 2, "end_time": 4, "amount_per_step": "0.5"}
+    ]}, "amount_per_step = '0.5' is not a number"),
+    ("simulate", {"disturbances": [
+        {"node": 2, "start_time": 2, "end_time": 4, "amount_per_step": False}
+    ]}, "amount_per_step = False is not a number"),
+    ("simulate", {"run_length": "10"}, "run_length = '10' must be a whole number"),
+    ("simulate", {"run_length": True}, "run_length = True must be a whole number"),
+    ("simulate", {"run_length": 10.7}, "run_length = 10.7"),
+    ("simulate", {"run_length": -3}, "run_length = -3"),
+    ("simulate", {"initial_z": [1.0, float("nan"), 0.25]},
+     "initial z has a non-finite"),
+    ("simulate", {"initial_pipelines": [[0.0, float("nan")], [0.0]]},
+     "initial pipelines have a non-finite"),
+    ("simulate", {"initial_z": ["abc", 0, 0.25]}, "initial state is not numeric"),
+    ("simulate", {"initial_pipelines": [["x", 0.0], [0.0]]},
+     "initial state is not numeric"),
+    ("simulate", {"initial_z": ["0.5", 0, 0.25]}, "initial state is not numeric"),
+    ("simulate", {"initial_z": [True, 0, 0.25]}, "initial state is not numeric"),
+    ("simulate", {"initial_z": [0.5, True, 0.25]}, "initial state is not numeric"),
+    ("simulate", {"initial_pipelines": [["0.1", 0.0], [0.0]]},
+     "initial state is not numeric"),
+    ("simulate", {"initial_pipelines": [[0.0, True], [0.0]]},
+     "initial state is not numeric"),
+    ("simulate", {"disturbances": 5}, "disturbances must be a list"),
+    ("simulate", {"disturbances": None}, "disturbances must be a list"),
+    ("simulate", {"disturbances": "abc"}, "disturbances must be a list"),
+    ("simulate", {"disturbances": {
+        "node": 2, "start_time": 2, "end_time": 4, "amount_per_step": -0.3
+    }}, "disturbances must be a list"),
+    ("simulate", {"disturbances": [5]}, "disturbance record 0: 5 is not a mapping"),
+    ("simulate", {"disturbances": [
+        {"node": 2, "start_time": 2, "end_time": 4, "amount_per_step": -0.3}, None
+    ]}, "disturbance record 1: None is not a mapping"),
+    ("sweep-horizon", {"horizon_grid": [2.5, 7.9]}, "horizon_grid[0] = 2.5"),
+    ("sweep-horizon", {"horizon_grid": [-3]}, "horizon_grid[0] = -3 must be >= 0"),
+    ("sweep-horizon", {"horizon_grid": [1, "2"]},
+     "horizon_grid[1] = '2' must be a whole number"),
+    ("verify", {"verify_instances": "3"}, "verify_instances = '3' must be a whole"),
+    ("verify", {"verify_instances": True},
+     "verify_instances = True must be a whole number"),
+    ("verify", {"verify_instances": 3.7}, "verify_instances = 3.7"),
+    ("verify", {"verify_instances": -2}, "verify_instances = -2"),
+    ("distributed", {"seed": -1}, "seed = -1"),
+    ("distributed", {"seed": 2.5}, "seed = 2.5"),
+    ("distributed", {"seed": "abc"}, "seed = 'abc'"),
+    ("distributed", {"seed": "1"}, "seed = '1' must be a whole number"),
+    ("distributed", {"seed": False}, "seed = False must be a whole number"),
+    ("distributed --no-feedforward", {},
+     "distributed does not read --no-feedforward"),
+    ("compare-ff --no-feedforward", {},
+     "compare-ff does not read --no-feedforward"),
+    ("distributed --tee-summary", {},
+     "distributed does not read --tee-summary"),
+    ("synth --tee-summary", {}, "synth does not read --tee-summary"),
+    ("verify --horizon 2", {}, "verify does not read --horizon"),
+    ("verify --horizon 0", {}, "verify does not read --horizon"),
+    ("sweep-horizon --horizon 2", {}, "sweep-horizon does not read --horizon"),
+    ("synth --seed 1", {}, "synth does not read --seed"),
+    ("sweep-horizon --seed 1", {}, "sweep-horizon does not read --seed"),
+    ("simulate", {"initial_Z": [1.0, 0.0, 0.0]}, "unknown field 'initial_Z'"),
+    ("simulate", {"run_lenght": 3}, "unknown field 'run_lenght'"),
+    ("verify", {"verify_instance": 3}, "unknown field 'verify_instance'"),
+    ("simulate", {"disturbances": [
+        {"node": 2, "start_time": 2, "end_time": 4, "amount_per_step": -0.3},
+        {"nod": 2, "node": 2, "start_time": 2, "end_time": 4, "amount_per_step": 1}
+    ]}, "disturbance record 1: unknown field 'nod'"),
+    ("simulate", {"disturbances": [
+        {"node": 2, "start_time": 2, "end_time": 4, "amount_per_step": -0.3,
+         "amount": -0.3}
+    ]}, "disturbance record 0: unknown field 'amount'"),
+    ("simulate", {"disturbances": [{"node": 2, "start_time": 2, "end_time": 4}]},
+     "disturbance record 0: amount_per_step = None is not a number"),
+]
+MALFORMED_IDS = [
+    "start-after-end", "negative-start", "node-0", "node-past-n",
+    "nan-amount", "past-horizon", "fractional-tau", "fractional-n",
+    "fractional-horizon", "fractional-node", "fractional-start",
+    "fractional-end", "non-numeric-amount", "text-n-and-tau", "text-tau",
+    "bool-horizon", "text-node", "bool-start", "text-end", "text-amount",
+    "bool-amount", "text-run-length", "bool-run-length",
+    "fractional-run-length",
+    "negative-run-length", "nan-initial-z", "nan-initial-pipelines",
+    "non-numeric-initial-z", "non-numeric-initial-pipelines",
+    "text-initial-z", "bool-initial-z", "mixed-bool-initial-z",
+    "text-initial-pipelines", "bool-initial-pipelines",
+    "number-disturbances", "null-disturbances", "text-disturbances",
+    "object-disturbances", "number-disturbance", "null-disturbance",
+    "fractional-horizon-grid", "negative-horizon-grid", "text-horizon-grid",
+    "text-verify-instances", "bool-verify-instances",
+    "fractional-verify-instances", "negative-verify-instances",
+    "negative-seed", "fractional-seed", "non-numeric-seed", "text-seed",
+    "bool-seed",
+    "no-feedforward-on-distributed", "no-feedforward-on-compare-ff",
+    "tee-summary-on-distributed", "tee-summary-on-synth",
+    "horizon-on-verify", "zero-horizon-on-verify",
+    "horizon-on-sweep-horizon", "seed-on-synth", "seed-on-sweep-horizon",
+    "misspelt-initial-z", "misspelt-run-length", "misspelt-verify-instances",
+    "misspelt-disturbance-node", "extra-disturbance-field", "missing-disturbance-field",
+]
+# The cases whose records DisturbancePlan.from_records itself refuses.
+BAD_RECORD_CASES = ("start-after-end", "negative-start", "fractional-node",
+                    "fractional-start", "fractional-end", "non-numeric-amount",
+                    "text-node", "bool-start", "text-end", "text-amount",
+                    "bool-amount", "number-disturbance", "null-disturbance",
+                    "misspelt-disturbance-node", "extra-disturbance-field",
+                    "missing-disturbance-field")
 
 
 @pytest.fixture
@@ -67,147 +223,8 @@ class TestConfig:
         with pytest.raises(ConfigError, match="schema_version"):
             load_config(str(path))
 
-    @pytest.mark.parametrize("command, change, message", [
-        ("simulate", {"disturbances": [
-            {"node": 2, "start_time": 5, "end_time": 4, "amount_per_step": -0.3}
-        ]}, "start_time <= end_time"),
-        ("simulate", {"disturbances": [
-            {"node": 2, "start_time": -1, "end_time": 4, "amount_per_step": -0.3}
-        ]}, "0 <= start_time"),
-        ("simulate", {"disturbances": [
-            {"node": 0, "start_time": 2, "end_time": 4, "amount_per_step": -0.3}
-        ]}, "node 0"),
-        ("simulate", {"disturbances": [
-            {"node": 4, "start_time": 2, "end_time": 4, "amount_per_step": -0.3}
-        ]}, "node 4"),
-        ("simulate", {"disturbances": [
-            {"node": 2, "start_time": 2, "end_time": 4, "amount_per_step": float("nan")}
-        ]}, "nan"),
-        ("simulate", {"disturbances": [
-            {"node": 1, "start_time": 40, "end_time": 40, "amount_per_step": 1.0}
-        ]}, "horizon bound"),
-        ("simulate", {"tau": [2.7, 1]}, "tau_1 = 2.7"),
-        ("simulate", {"n": 5.5}, "n = 5.5"),
-        ("simulate", {"horizon": 15.7}, "horizon = 15.7"),
-        ("simulate", {"disturbances": [
-            {"node": 2.5, "start_time": 2, "end_time": 4, "amount_per_step": -0.3}
-        ]}, "node = 2.5"),
-        ("simulate", {"disturbances": [
-            {"node": 2, "start_time": 2.5, "end_time": 4, "amount_per_step": -0.3}
-        ]}, "start_time = 2.5"),
-        ("simulate", {"disturbances": [
-            {"node": 2, "start_time": 2, "end_time": 4.9, "amount_per_step": -0.3}
-        ]}, "end_time = 4.9"),
-        ("simulate", {"disturbances": [
-            {"node": 2, "start_time": 2, "end_time": 4, "amount_per_step": "abc"}
-        ]}, "amount_per_step = 'abc'"),
-        ("simulate", {"n": "5", "tau": "3254"}, "tau = '3254' is not a sequence"),
-        ("simulate", {"tau": "21"}, "tau = '21' is not a sequence"),
-        ("simulate", {"horizon": True}, "horizon = True must be a whole number"),
-        ("simulate", {"disturbances": [
-            {"node": "2", "start_time": 2, "end_time": 4, "amount_per_step": -0.3}
-        ]}, "node = '2' must be a whole number"),
-        ("simulate", {"disturbances": [
-            {"node": 2, "start_time": True, "end_time": 4, "amount_per_step": -0.3}
-        ]}, "start_time = True must be a whole number"),
-        ("simulate", {"disturbances": [
-            {"node": 2, "start_time": 2, "end_time": "4", "amount_per_step": -0.3}
-        ]}, "end_time = '4' must be a whole number"),
-        ("simulate", {"disturbances": [
-            {"node": 2, "start_time": 2, "end_time": 4, "amount_per_step": "0.5"}
-        ]}, "amount_per_step = '0.5' is not a number"),
-        ("simulate", {"disturbances": [
-            {"node": 2, "start_time": 2, "end_time": 4, "amount_per_step": False}
-        ]}, "amount_per_step = False is not a number"),
-        ("simulate", {"run_length": "10"}, "run_length = '10' must be a whole number"),
-        ("simulate", {"run_length": True}, "run_length = True must be a whole number"),
-        ("simulate", {"run_length": 10.7}, "run_length = 10.7"),
-        ("simulate", {"run_length": -3}, "run_length = -3"),
-        ("simulate", {"initial_z": [1.0, float("nan"), 0.25]},
-         "initial z has a non-finite"),
-        ("simulate", {"initial_pipelines": [[0.0, float("nan")], [0.0]]},
-         "initial pipelines have a non-finite"),
-        ("simulate", {"initial_z": ["abc", 0, 0.25]}, "initial state is not numeric"),
-        ("simulate", {"initial_pipelines": [["x", 0.0], [0.0]]},
-         "initial state is not numeric"),
-        ("simulate", {"initial_z": ["0.5", 0, 0.25]}, "initial state is not numeric"),
-        ("simulate", {"initial_z": [True, 0, 0.25]}, "initial state is not numeric"),
-        ("simulate", {"initial_z": [0.5, True, 0.25]}, "initial state is not numeric"),
-        ("simulate", {"initial_pipelines": [["0.1", 0.0], [0.0]]},
-         "initial state is not numeric"),
-        ("simulate", {"initial_pipelines": [[0.0, True], [0.0]]},
-         "initial state is not numeric"),
-        ("simulate", {"disturbances": 5}, "disturbances must be a list"),
-        ("simulate", {"disturbances": None}, "disturbances must be a list"),
-        ("simulate", {"disturbances": "abc"}, "disturbances must be a list"),
-        ("simulate", {"disturbances": {
-            "node": 2, "start_time": 2, "end_time": 4, "amount_per_step": -0.3
-        }}, "disturbances must be a list"),
-        ("simulate", {"disturbances": [5]}, "disturbances[0] must be an object"),
-        ("simulate", {"disturbances": [
-            {"node": 2, "start_time": 2, "end_time": 4, "amount_per_step": -0.3}, None
-        ]}, "disturbances[1] must be an object"),
-        ("sweep-horizon", {"horizon_grid": [2.5, 7.9]}, "horizon_grid[0] = 2.5"),
-        ("sweep-horizon", {"horizon_grid": [-3]}, "horizon_grid = [-3]"),
-        ("sweep-horizon", {"horizon_grid": [1, "2"]},
-         "horizon_grid[1] = '2' must be a whole number"),
-        ("verify", {"verify_instances": "3"}, "verify_instances = '3' must be a whole"),
-        ("verify", {"verify_instances": True},
-         "verify_instances = True must be a whole number"),
-        ("verify", {"verify_instances": 3.7}, "verify_instances = 3.7"),
-        ("verify", {"verify_instances": -2}, "verify_instances = -2"),
-        ("distributed", {"seed": -1}, "seed = -1"),
-        ("distributed", {"seed": 2.5}, "seed = 2.5"),
-        ("distributed", {"seed": "abc"}, "seed = 'abc'"),
-        ("distributed", {"seed": "1"}, "seed = '1' must be a whole number"),
-        ("distributed", {"seed": False}, "seed = False must be a whole number"),
-        ("distributed --no-feedforward", {},
-         "distributed does not read --no-feedforward"),
-        ("compare-ff --no-feedforward", {},
-         "compare-ff does not read --no-feedforward"),
-        ("distributed --tee-summary", {},
-         "distributed does not read --tee-summary"),
-        ("synth --tee-summary", {}, "synth does not read --tee-summary"),
-        ("verify --horizon 2", {}, "verify does not read --horizon"),
-        ("verify --horizon 0", {}, "verify does not read --horizon"),
-        ("sweep-horizon --horizon 2", {}, "sweep-horizon does not read --horizon"),
-        ("synth --seed 1", {}, "synth does not read --seed"),
-        ("sweep-horizon --seed 1", {}, "sweep-horizon does not read --seed"),
-        ("simulate", {"initial_Z": [1.0, 0.0, 0.0]}, "unknown field 'initial_Z'"),
-        ("simulate", {"run_lenght": 3}, "unknown field 'run_lenght'"),
-        ("verify", {"verify_instance": 3}, "unknown field 'verify_instance'"),
-        ("simulate", {"disturbances": [
-            {"node": 2, "start_time": 2, "end_time": 4, "amount_per_step": -0.3},
-            {"nod": 2, "node": 2, "start_time": 2, "end_time": 4, "amount_per_step": 1}
-        ]}, "disturbances[1]: unknown field 'nod'"),
-        ("simulate", {"disturbances": [
-            {"node": 2, "start_time": 2, "end_time": 4, "amount_per_step": -0.3,
-             "amount": -0.3}
-        ]}, "disturbances[0]: unknown field 'amount'"),
-    ], ids=["start-after-end", "negative-start", "node-0", "node-past-n",
-            "nan-amount", "past-horizon", "fractional-tau", "fractional-n",
-            "fractional-horizon", "fractional-node", "fractional-start",
-            "fractional-end", "non-numeric-amount", "text-n-and-tau", "text-tau",
-            "bool-horizon", "text-node", "bool-start", "text-end", "text-amount",
-            "bool-amount", "text-run-length", "bool-run-length",
-            "fractional-run-length",
-            "negative-run-length", "nan-initial-z", "nan-initial-pipelines",
-            "non-numeric-initial-z", "non-numeric-initial-pipelines",
-            "text-initial-z", "bool-initial-z", "mixed-bool-initial-z",
-            "text-initial-pipelines", "bool-initial-pipelines",
-            "number-disturbances", "null-disturbances", "text-disturbances",
-            "object-disturbances", "number-disturbance", "null-disturbance",
-            "fractional-horizon-grid", "negative-horizon-grid", "text-horizon-grid",
-            "text-verify-instances", "bool-verify-instances",
-            "fractional-verify-instances", "negative-verify-instances",
-            "negative-seed", "fractional-seed", "non-numeric-seed", "text-seed",
-            "bool-seed",
-            "no-feedforward-on-distributed", "no-feedforward-on-compare-ff",
-            "tee-summary-on-distributed", "tee-summary-on-synth",
-            "horizon-on-verify", "zero-horizon-on-verify",
-            "horizon-on-sweep-horizon", "seed-on-synth", "seed-on-sweep-horizon",
-            "misspelt-initial-z", "misspelt-run-length", "misspelt-verify-instances",
-            "misspelt-disturbance-node", "extra-disturbance-field"])
+    @pytest.mark.parametrize("command, change, message", MALFORMED_INPUT,
+                             ids=MALFORMED_IDS)
     def test_malformed_input_rejected(self, command, change, message, tmp_path,
                                       capsys):
         path = tmp_path / "c.json"
@@ -216,6 +233,18 @@ class TestConfig:
         assert rc == 2
         err = capsys.readouterr().err
         assert "config error" in err and message in err
+
+    @pytest.mark.parametrize("case", BAD_RECORD_CASES)
+    def test_bad_records_are_refused_by_the_package_reader(self, case, tmp_path,
+                                                            capsys):
+        # One reader: the CLI reports the very refusal from_records raises.
+        command, change, _ = MALFORMED_INPUT[MALFORMED_IDS.index(case)]
+        with pytest.raises(SpecError) as refusal:
+            DisturbancePlan.from_records(change["disturbances"])
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(dict(BASE_CONFIG, **change)))
+        assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: {refusal.value}\n"
 
     @pytest.mark.parametrize("command, with_config", [
         ("verify", False), ("verify", True), ("distributed", True),

@@ -103,11 +103,14 @@ class TestPlan:
         ("amount_per_step", True, "amount_per_step = True is not a number"),
         ("amount_per_step", b"1", "amount_per_step = b'1' is not a number"),
         ("end_time", MISSING, "end_time = None is not a whole number"),
+        ("start_time", -3, "start_time = -3 is below 0"),
+        ("amont", 5, "unknown field 'amont'"),
     ])
     def test_from_records_reads_each_field_by_the_number_rules(self, field, value,
                                                                message):
         # int() and float() would truncate 1.7 to node 1 and read "0.5" and
-        # True as numbers, planning disturbances nobody asked for.
+        # True as numbers, planning disturbances nobody asked for.  An unknown
+        # field was dropped and a negative start planned, without a word.
         good = {"node": 1, "start_time": 0, "end_time": 2, "amount_per_step": 1.0}
         bad = {k: v for k, v in dict(good, **{field: value}).items() if v is not MISSING}
         with pytest.raises(SpecError, match=re.escape(f"record 1: {message}")):
