@@ -81,20 +81,24 @@ def _whole(value, what: str, least: int) -> int:
     return x
 
 
-def config_plan(cfg: dict) -> DisturbancePlan:
-    """The config's forecast; DisturbancePlan.from_records reads each record."""
+def config_plan(cfg: dict, last_time: int) -> DisturbancePlan:
+    """The config's forecast up to last_time; DisturbancePlan.from_records
+    reads each record."""
     disturbances = cfg.get("disturbances", [])
     if not isinstance(disturbances, list):
         raise ConfigError(f"disturbances must be a list, got {disturbances!r}")
-    return DisturbancePlan.from_records(disturbances)
+    return DisturbancePlan.from_records(disturbances, last_time)
 
 
-def load_run(cfg: dict):
-    """(spec, plan, steps, params, z0, pipelines0) of a closed-loop config."""
+def load_run(cfg: dict, horizons=None):
+    """(spec, plan, steps, params, z0, pipelines0) of a closed-loop config.
+    The plan may reach the last time that a run at the largest of
+    `horizons`, by default the config's horizon, can use."""
     spec = config_spec(cfg)
-    plan = config_plan(cfg)
     settled = spec.sigma_total + spec.horizon + SETTLING_STEPS
     steps = _whole(cfg.get("run_length", settled), "run_length", 0)
+    top = spec.horizon if horizons is None else max(horizons)
+    plan = config_plan(cfg, steps - 1 + spec.sigma_total + top)
     params = synthesize(spec)
     return spec, plan, steps, params, cfg.get("initial_z"), cfg.get("initial_pipelines")
 
@@ -172,15 +176,17 @@ def cmd_compare_ff(args, cfg: dict, out: Path) -> int:
 
 
 def cmd_sweep_horizon(args, cfg: dict, out: Path) -> int:
-    spec, plan, steps, _params, z0, pipes0 = load_run(cfg)
+    sigma_total = config_spec(cfg).sigma_total
     grid = cfg.get("horizon_grid")
     if grid is None:
-        grid = list(range(0, spec.sigma_total + 1))
+        grid = list(range(0, sigma_total + 1))
     if not isinstance(grid, list):
         raise ConfigError(f"horizon_grid = {grid!r} must be a list")
     grid = {_whole(h, f"horizon_grid[{i}]", 0) for i, h in enumerate(grid)}
+    grid |= {0, sigma_total}
+    spec, plan, steps, _params, z0, pipes0 = load_run(cfg, grid)
     rows = [(h, _cost_at_horizon(spec, plan, steps, z0, pipes0, h))
-            for h in sorted(grid | {0, spec.sigma_total})]
+            for h in sorted(grid)]
     with open(out / "horizon_sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["horizon", "total_cost"])

@@ -41,14 +41,16 @@ class DisturbancePlan:
     entries: dict[tuple[int, int], float] = field(default_factory=dict)
 
     @staticmethod
-    def from_records(records: Iterable[Mapping]) -> "DisturbancePlan":
+    def from_records(records: Iterable[Mapping], last_time: int) -> "DisturbancePlan":
         """Build a plan from records of exactly the RECORD_FIELDS, each read
-        by its reader; SpecError names records that are not iterable, the
-        first record that is not a mapping, its first unknown field or first
-        field that fails, or a start_time below 0 or after end_time."""
+        by its reader, up to last_time, the last time a run can use.
+        SpecError names records that are not iterable, the first record that
+        is not a mapping, its first unknown field or first field that fails,
+        a start_time below 0 or after end_time, or an end_time past
+        last_time; every record is checked before any is expanded."""
         if not isinstance(records, Iterable):
             raise SpecError(f"disturbance records {records!r} are not iterable")
-        plan = DisturbancePlan()
+        ranges = []
         for i, rec in enumerate(records):
             if not isinstance(rec, Mapping):
                 raise SpecError(f"disturbance record {i}: {rec!r} is not a mapping")
@@ -65,6 +67,12 @@ class DisturbancePlan:
                 bound = "below 0" if start < 0 else f"after end_time = {end}"
                 raise SpecError(f"disturbance record {i}: start_time = {start} "
                                 f"is {bound}")
+            if end > last_time:
+                raise SpecError(f"disturbance record {i}: end_time = {end} is past "
+                                f"{last_time}, the last time the run can use")
+            ranges.append(values)
+        plan = DisturbancePlan()
+        for node, start, end, amount in ranges:
             for t in range(start, end + 1):
                 plan.entries[(node, t)] = plan.get(node, t) + amount
         return plan

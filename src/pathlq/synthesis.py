@@ -18,9 +18,8 @@ node-by-node loop gives.  The array passes are a fixed number of numpy
 calls per run and three per P row of each run, whatever N, with at most
 log2(max tau_eff) + 2 runs.  They take at most four times the P updates
 of a node-by-node loop, O(sum of tau_eff^2), plus _JOIN_LIMIT per joined
-class, and O(sum of tau_eff) working memory.
-The X chain is kept whole, as one array, and P its last rows; the
-per-node X, g and P tables are built from the chain when first read.
+class, and O(sum of tau_eff) working memory.  Only what the nodes read
+is kept: the X, g and P tables and the chains end with synthesis.
 
 Index conventions: arrays are stored 0-based per node k = i - 1.  The
 last node has no incoming edge; it uses an effective delay of H + 1 so
@@ -29,7 +28,6 @@ that its tables cover the whole planning horizon.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -57,7 +55,7 @@ class NodeParams:
 
 @dataclass(frozen=True)
 class ControllerParams:
-    """All synthesized parameters, indexed per node.
+    """The synthesized parameters that a run reads, indexed per node.
 
     A node's phi and gprod rows are the coefficients of its two local
     folds: Phi_i = sum_j phi_i[j] x_i[j] and pi_i = sum_j gprod_i[j] x_i[j],
@@ -73,21 +71,12 @@ class ControllerParams:
     after the packed ones.  Every per-node scalar of the local outputs is
     one length-N array, so the sequential controller reads all nodes at
     once.  The two sweeps' coefficients, one_minus_p_tau_1 and b, are lists
-    of Python floats, which the Python sweeps read directly.  No run reads
-    the X, g and P tables: only the X chain is kept, as x_chain, and the
-    per-node arrays are built from it on first read, X's by a split at
-    sigma, g's and P's by one pass of _run_tables and p_rows over the runs
-    of nodes of synthesize.
+    of Python floats, which the Python sweeps read directly.
     """
 
     spec: GraphSpec  # the instance these parameters were synthesized for
     tau_eff: tuple[int, ...]
-    gamma: np.ndarray
-    rho: np.ndarray
-    x_chain: np.ndarray  # X_i(1..tau_eff) from sigma_i, node by node; X_N(H+2); 0.0
-    g_cross: np.ndarray  # g_cross[k] = g_{i+1}(1) stored at node i = k+1 < N
     b: list[float]  # b_i for i = 1..N-1, then node N's 0.0
-    h: np.ndarray  # h[i] = h_i for i = 0..N-1, h[0] = 0
     coef: np.ndarray  # (W, 2, N): term j of every node's phi and gprod rows
     coef_last: np.ndarray  # (2, H+2): node N's phi and gprod rows
     a: np.ndarray
@@ -103,41 +92,6 @@ class ControllerParams:
     delay_cols: np.ndarray  # (N, W-1)
     fold_pad: np.ndarray  # flat indices of the terms j > tau_eff in coef[1:]
     tail_start: int  # min(W, H+2) - 1: node N's last term in coef
-
-    @functools.cached_property
-    def X(self) -> tuple[np.ndarray, ...]:
-        """X[k][j-1] = X_i(j), one view of x_chain per node; node N's has H+2."""
-        return tuple(np.split(self.x_chain[:-1], self.spec.sigma[1:]))
-
-    @functools.cached_property
-    def g(self) -> tuple[np.ndarray, ...]:
-        """g[k][j] = g_i(j) for j = 2..tau_eff, NaN at indices 0 and 1."""
-        return self._g_and_P[0]
-
-    @functools.cached_property
-    def P(self) -> tuple[np.ndarray, ...]:
-        """P[k][l-1, m-1] = P_i(l, m), shape (tau_eff, tau_eff)."""
-        return self._g_and_P[1]
-
-    @functools.cached_property
-    def _g_and_P(self):
-        """The g rows and P tables of every node, from x_chain, rebuilt over
-        the runs of nodes of synthesize: row l of P's last value, which
-        p_rows yields once, stands for every m >= l."""
-        sigma, te = _delays(self.tau_eff)
-        g_rows, tables = [None] * len(te), [None] * len(te)
-        for nodes, width in _batches(self.tau_eff, te):
-            x, g = _run_tables(self.x_chain, sigma[nodes], te[nodes],
-                               self.gamma[nodes], width)
-            full = np.empty((width, width, len(nodes)))  # [l-1, m-1, run index]
-            for l, row in enumerate(p_rows(x, g, self.rho[nodes]), 1):
-                full[l - 1, :l] = row
-                full[l - 1, l:] = row[-1]
-            g[:2] = math.nan
-            for j, k in enumerate(nodes.tolist()):
-                t = self.tau_eff[k]
-                g_rows[k], tables[k] = g[: t + 1, j].copy(), full[:t, :t, j].copy()
-        return tuple(g_rows), tuple(tables)
 
     def require_spec(self, spec: GraphSpec) -> None:
         """Raise SpecError unless these parameters were synthesized for `spec`."""
@@ -267,8 +221,8 @@ def sweep_X_g_b_P(tau_eff, sigma, te, gamma, rho, x_terminal):
     """Second sweep, node N down to node 1: X, then g, gprod, b and P's
     last rows.  sigma and te are _delays(tau_eff).
 
-    X is a chain, a Python loop over floats, returned whole as x_chain:
-    node by node from sigma_i, X_i(1..tau_eff), then X_N(H+2) and a
+    X is a chain, a Python loop over floats, kept whole while the sweep
+    runs: node by node from sigma_i, X_i(1..tau_eff), then X_N(H+2) and a
     closing 0.0 for the padded terms.  The other tables are array code
     over each run of nodes of _batches, term by term; g is not kept.  A run
     gives (nodes, p, block), where column c stands for node k = nodes[c]:
@@ -304,13 +258,13 @@ def sweep_X_g_b_P(tau_eff, sigma, te, gamma, rho, x_terminal):
         tables.append((nodes, p, block))
     g_cross = x1[1:] / (x1[1:] + gamma[:-1])
     b = (g_cross * gprod_tau[:-1]).tolist() + [0.0]  # node N's b is 0.0
-    return xs, x1, g_cross, b, 1.0 - p_tau_1, p_tau_tau.tolist(), tables
+    return x1, g_cross, b, 1.0 - p_tau_1, p_tau_tau.tolist(), tables
 
 
 def sweep_h_and_finalize(
     spec: GraphSpec, gamma, rho, x1, g_cross, b, omp, p_tau_tau, tables, coef, fold_pad
 ):
-    """Third sweep and the final per-node parameters h, phi, a, c and the
+    """Third sweep, h, and the final per-node parameters phi, a, c and the
     coefficients of the local output formulas, as ControllerParams fields
     by name.
 
@@ -350,7 +304,7 @@ def sweep_h_and_finalize(
     one_minus_h_prev = 1.0 - h
     a = x1_over_r + gamma_q * (1.0 - x1 / rho)
     c = -(x1_over_r - gamma * x1 / (q * rho)) * one_minus_h_prev + gamma_q * h
-    return dict(h=h, coef_last=coef_last, a=a, c=c,
+    return dict(coef_last=coef_last, a=a, c=c,
                 one_minus_p_tau_1=one_minus_p_tau_1, one_minus_gamma_q=1.0 - gamma_q,
                 x1_over_r=x1_over_r, one_minus_h_prev=one_minus_h_prev)
 
@@ -376,40 +330,17 @@ def synthesize(spec: GraphSpec) -> ControllerParams:
     layout = _delay_layout(tau_eff, sigma, te)
     gamma, rho = sweep_gamma_rho(*spec.weights)
     x_term = terminal_riccati(gamma[-1], rho[-1])
-    x_chain, x1, g_cross, b, omp, p_tau_tau, tables = sweep_X_g_b_P(
+    x1, g_cross, b, omp, p_tau_tau, tables = sweep_X_g_b_P(
         tau_eff, sigma, te, gamma, rho, x_term)
     outputs = sweep_h_and_finalize(spec, gamma, rho, x1, g_cross, b, omp, p_tau_tau,
                                    tables, layout["coef"], layout["fold_pad"])
-    return ControllerParams(spec=spec, tau_eff=tau_eff, gamma=gamma, rho=rho,
-                            x_chain=x_chain, g_cross=g_cross, b=b, **outputs, **layout)
+    return ControllerParams(spec=spec, tau_eff=tau_eff, b=b, **outputs, **layout)
 
 
 def params_to_document(params: ControllerParams) -> str:
-    """Serialize the parameters to a flat structured-text document."""
-    n = params.spec.n
-    doc = {
-        "n": n,
-        "horizon": params.spec.horizon,
-        "nodes": [],
-    }
-    for k in range(n):
-        te = params.tau_eff[k]
-        phi = params.node_slice(k).rows[0]
-        node = {
-            "node": k + 1,
-            "tau_eff": te,
-            "gamma": params.gamma[k],
-            "rho": params.rho[k],
-            "X": {str(j): x for j, x in enumerate(params.X[k], 1)},
-            "g": {str(j): params.g[k][j] for j in range(2, te + 1)},
-            "P": {f"{l + 1},{m + 1}": p for (l, m), p in np.ndenumerate(params.P[k])},
-            "phi": {str(d): phi[d] for d in range(1, te + 1)},
-            "a": params.a[k],
-            "c": params.c[k],
-            "h_prev": params.h[k],
-        }
-        if k < n - 1:
-            node["g_next_1"] = params.g_cross[k]
-            node["b"] = params.b[k]
-        doc["nodes"].append(node)
-    return json.dumps(doc, indent=2)
+    """The parameters as JSON: per node, its tau_eff and the fields of its
+    node_slice by name, what a deployed node is given."""
+    nodes = [{"node": k + 1, "tau_eff": params.tau_eff[k], **vars(params.node_slice(k))}
+             for k in range(params.spec.n)]
+    return json.dumps({"n": params.spec.n, "horizon": params.spec.horizon,
+                       "nodes": nodes}, indent=2)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -431,8 +432,25 @@ def reference_delay_layout(tau_eff: tuple[int, ...]):
     return coef, coef_last, delay_cols, fold_pad, min(width, tau_eff[-1] + 1) - 1
 
 
-def reference_synthesize(spec: GraphSpec) -> ControllerParams:
-    """synthesize's ControllerParams from the numpy-scalar sweeps."""
+class ReferenceTables(NamedTuple):
+    """The paper's tables, which synthesize keeps none of: per node k, X[k]
+    holds X_i(1..tau_eff) (node N's also X_N(H+2)), g[k][j] = g_i(j) for
+    j = 2..tau_eff (NaN at 0 and 1) and P[k][l-1, m-1] = P_i(l, m); gamma,
+    rho and h are per-node arrays, h[k] = h_{i-1}, and g_cross[k] =
+    g_{i+1}(1) at node i = k+1 < N."""
+
+    X: tuple[np.ndarray, ...]
+    g: tuple[np.ndarray, ...]
+    P: tuple[np.ndarray, ...]
+    gamma: np.ndarray
+    rho: np.ndarray
+    g_cross: np.ndarray
+    h: np.ndarray
+
+
+def reference_synthesize(spec: GraphSpec) -> tuple[ControllerParams, ReferenceTables]:
+    """synthesize's ControllerParams from the numpy-scalar sweeps, with the
+    tables those sweeps built them from."""
     tau_eff = (*spec.tau, spec.horizon + 1)
     coef, coef_last, delay_cols, fold_pad, tail_start = reference_delay_layout(tau_eff)
     # Node k+1's (phi, gprod) rows, views that the sweeps fill; node N's
@@ -452,12 +470,7 @@ def reference_synthesize(spec: GraphSpec) -> ControllerParams:
     params = ControllerParams(
         spec=spec,
         tau_eff=tau_eff,
-        gamma=gamma,
-        rho=rho,
-        x_chain=np.concatenate((*X, [0.0])),
-        g_cross=g_cross,
         b=b,
-        h=h,
         coef=coef,
         coef_last=coef_last,
         a=a,
@@ -470,7 +483,4 @@ def reference_synthesize(spec: GraphSpec) -> ControllerParams:
         fold_pad=fold_pad,
         tail_start=tail_start,
     )
-    # The reference's own per-node arrays, in place of those that
-    # ControllerParams builds from x_chain on first read.
-    vars(params).update(X=X, g=g, P=P)
-    return params
+    return params, ReferenceTables(X, g, P, gamma, rho, g_cross, h)

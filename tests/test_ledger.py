@@ -1,6 +1,7 @@
 """Tests for the disturbance plan and the shifted-sum window maintenance."""
 
 import re
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -76,7 +77,7 @@ def _assert_definition(windows, plan):
 class TestPlan:
     def test_from_records_expands_ranges(self):
         plan = DisturbancePlan.from_records(
-            [{"node": 2, "start_time": 3, "end_time": 5, "amount_per_step": -0.5}]
+            [{"node": 2, "start_time": 3, "end_time": 5, "amount_per_step": -0.5}], 5
         )
         assert plan.get(2, 3) == -0.5
         assert plan.get(2, 5) == -0.5
@@ -88,7 +89,8 @@ class TestPlan:
             [
                 {"node": 1, "start_time": 0, "end_time": 2, "amount_per_step": 1.0},
                 {"node": 1, "start_time": 2, "end_time": 4, "amount_per_step": 0.25},
-            ]
+            ],
+            4,
         )
         assert plan.get(1, 2) == 1.25
 
@@ -114,7 +116,7 @@ class TestPlan:
         good = {"node": 1, "start_time": 0, "end_time": 2, "amount_per_step": 1.0}
         bad = {k: v for k, v in dict(good, **{field: value}).items() if v is not MISSING}
         with pytest.raises(SpecError, match=re.escape(f"record 1: {message}")):
-            DisturbancePlan.from_records([good, bad])
+            DisturbancePlan.from_records([good, bad], 10)
 
     @pytest.mark.parametrize("record", [[1, 0, 1, 1.0], None, (("node", 1),), "node"],
                              ids=["list", "None", "pairs", "text"])
@@ -123,29 +125,46 @@ class TestPlan:
         good = {"node": 1, "start_time": 0, "end_time": 2, "amount_per_step": 1.0}
         with pytest.raises(SpecError, match=re.escape(
                 f"record 1: {record!r} is not a mapping")):
-            DisturbancePlan.from_records([good, record])
+            DisturbancePlan.from_records([good, record], 10)
 
     @pytest.mark.parametrize("records", [None, 5, 2.5])
     def test_from_records_rejects_records_it_cannot_iterate(self, records):
         # They used to end in a bare TypeError that named no value.
         with pytest.raises(SpecError, match=re.escape(
                 f"disturbance records {records!r} are not iterable")):
-            DisturbancePlan.from_records(records)
+            DisturbancePlan.from_records(records, 10)
 
     def test_from_records_rejects_a_start_after_the_end(self):
         # A record that ends before it starts was dropped without a word.
         with pytest.raises(SpecError, match="record 0: start_time = 5 is after "
                                             "end_time = 4"):
             DisturbancePlan.from_records(
-                [{"node": 2, "start_time": 5, "end_time": 4, "amount_per_step": 1.0}]
+                [{"node": 2, "start_time": 5, "end_time": 4, "amount_per_step": 1.0}], 10
             )
+
+    def test_from_records_refuses_a_record_past_the_last_time(self):
+        # A record past the last time a run can use was expanded, one entry
+        # per step, and never read.
+        good = {"node": 1, "start_time": 0, "end_time": 10, "amount_per_step": 1.0}
+        assert DisturbancePlan.from_records([good], 10).get(1, 10) == 1.0
+        with pytest.raises(SpecError, match=re.escape(
+                "record 1: end_time = 11 is past 10, the last time the run can use")):
+            DisturbancePlan.from_records([good, dict(good, end_time=11)], 10)
+
+    def test_from_records_refuses_a_huge_record_before_expanding_it(self):
+        # One dict entry per step, end_time 1e8 would take about 17 GB.
+        huge = {"node": 1, "start_time": 0, "end_time": 10**8, "amount_per_step": 1.0}
+        start = time.perf_counter()
+        with pytest.raises(SpecError, match="record 1: end_time = 100000000 is past 50"):
+            DisturbancePlan.from_records([dict(huge, end_time=50), huge], 50)
+        assert time.perf_counter() - start < 0.5
 
     def test_from_records_reads_whole_numbers_of_every_type(self):
         plan = DisturbancePlan.from_records([
             {"node": np.int64(2), "start_time": 3.0, "end_time": np.float32(4),
              "amount_per_step": np.int32(2)},
             {"node": 2, "start_time": 4, "end_time": 4, "amount_per_step": 0.5},
-        ])
+        ], 4)
         assert plan.entries == {(2, 3): 2.0, (2, 4): 2.5}
         assert all(type(x) is int for key in plan.entries for x in key)
         assert all(type(x) is float for x in plan.entries.values())
@@ -248,7 +267,8 @@ class TestAdvance:
             [
                 {"node": 2, "start_time": 0, "end_time": 3, "amount_per_step": -0.4},
                 {"node": 1, "start_time": 2, "end_time": 2, "amount_per_step": 1.1},
-            ]
+            ],
+            spec.sigma_total + spec.horizon,
         )
         # Nonzero entries at the bounds of t = 0, -0.0 one step past them.
         plan.entries.update({(1, 9): 0.1, (2, 7): 0.2, (3, 5): -0.7})

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +10,10 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from pathlq import GraphSpec, synthesize
+from pathlq.cli import config_spec, load_config
 from pathlq.synthesis import (
     ControllerParams,
+    NodeParams,
     params_to_document,
     sweep_gamma_rho,
     terminal_riccati,
@@ -62,12 +66,16 @@ class TestTerminalRiccati:
             assert x > 0
 
 
+# The paper's tables, which synthesize keeps none of, come from the scalar
+# reference; the bitwise test ties them to the fields that synthesize keeps.
+
+
 class TestTables:
     def test_tau_one_P_is_single_entry(self):
         spec = GraphSpec(n=2, tau=(1,), q=(1.0, 2.0), r=(3.0, 4.0), horizon=0)
-        params = synthesize(spec)
-        assert params.P[0].shape == (1, 1)
-        assert params.P[0][0, 0] == pytest.approx(params.X[0][0] / params.rho[0])
+        _, tables = reference_synthesize(spec)
+        assert tables.P[0].shape == (1, 1)
+        assert tables.P[0][0, 0] == pytest.approx(tables.X[0][0] / tables.rho[0])
 
     def test_simple_substitution(self):
         # One scalar recursion step with X = gamma = rho = 1 gives 2/3, and
@@ -80,21 +88,21 @@ class TestTables:
             n=3, tau=(2, 3), q=tuple(rng.uniform(0.1, 10, 3)),
             r=tuple(rng.uniform(0.1, 10, 3)), horizon=12,
         )
-        params = synthesize(spec)
-        xN = params.X[-1]
+        _, tables = reference_synthesize(spec)
+        xN = tables.X[-1]
         diffs = np.abs(np.diff(xN[::-1]))
         assert np.all(np.diff(diffs) <= 1e-15)  # shrinking updates
-        fixed = terminal_riccati(params.gamma[-1], params.rho[-1])
+        fixed = terminal_riccati(tables.gamma[-1], tables.rho[-1])
         assert abs(xN[0] - fixed) <= abs(xN[-1] - fixed) + 1e-15
 
     def test_X_and_g_match_scalar_numeric_dp(self, rng):
         """The X/g tables against stagewise numerical quadratic minimization."""
         for _ in range(5):
             inst = make_random_instance(rng, n_range=(4, 4))
-            params = synthesize(inst.spec)
+            _, tables = reference_synthesize(inst.spec)
             for k in range(inst.spec.n):
-                gamma, rho = params.gamma[k], params.rho[k]
-                xk = params.X[k]
+                gamma, rho = tables.gamma[k], tables.rho[k]
+                xk = tables.X[k]
                 for j in range(len(xk) - 1, 0, -1):
                     # min_x (X(j) + gamma)(a + x)^2 + rho x^2 evaluated at a=1
                     res = minimize_scalar(
@@ -102,83 +110,67 @@ class TestTables:
                         method="golden",
                     )
                     assert res.fun == pytest.approx(xk[j - 1], abs=1e-8)
-                for j in range(2, params.tau_eff[k] + 1):
-                    assert params.g[k][j] == pytest.approx(
+                for j in range(2, len(tables.g[k])):
+                    assert tables.g[k][j] == pytest.approx(
                         xk[j - 1] / (xk[j - 1] + gamma), abs=1e-14
                     )
 
     def test_g_and_P_in_unit_interval(self, rng):
         for _ in range(25):
             inst = make_random_instance(rng)
-            params = synthesize(inst.spec)
+            _, tables = reference_synthesize(inst.spec)
             for k in range(inst.spec.n):
-                te = params.tau_eff[k]
-                gvals = params.g[k][2 : te + 1]
+                gvals = tables.g[k][2:]
                 assert np.all((gvals > 0) & (gvals < 1))
-                assert np.all((params.P[k] > 0) & (params.P[k] < 1))
-                assert np.all(params.X[k] > 0)
-            assert np.all(params.gamma > 0) and np.all(params.rho > 0)
+                assert np.all((tables.P[k] > 0) & (tables.P[k] < 1))
+                assert np.all(tables.X[k] > 0)
+            assert np.all(tables.gamma > 0) and np.all(tables.rho > 0)
 
 
 class TestHSweep:
     def test_h0_is_zero(self, rng):
         inst = make_random_instance(rng)
-        params = synthesize(inst.spec)
-        assert params.h[0] == 0.0
+        _, tables = reference_synthesize(inst.spec)
+        assert tables.h[0] == 0.0
+        assert synthesize(inst.spec).one_minus_h_prev[0] == 1.0
 
     def test_single_edge_formula(self, rng):
         spec = GraphSpec(
             n=2, tau=(3,), q=tuple(rng.uniform(0.5, 2, 2)),
             r=tuple(rng.uniform(0.5, 2, 2)), horizon=2,
         )
-        params = synthesize(spec)
+        _, tables = reference_synthesize(spec)
         te = spec.tau[0]
-        expected = params.P[0][te - 1, te - 1] * params.g_cross[0]
-        assert params.h[1] == pytest.approx(expected, abs=1e-15)
+        expected = tables.P[0][te - 1, te - 1] * tables.g_cross[0]
+        assert tables.h[1] == pytest.approx(expected, abs=1e-15)
 
 
 class TestSynthesize:
     def test_single_node_degenerate(self):
         spec = GraphSpec(n=1, tau=(), q=(2.0,), r=(3.0,), horizon=4)
         params = synthesize(spec)
-        assert params.gamma[0] == 2.0 and params.rho[0] == 3.0
-        assert len(params.X[0]) == spec.horizon + 2
-        assert params.b == [0.0] and params.g_cross.size == 0
-        assert params.h == pytest.approx([0.0])
+        _, tables = reference_synthesize(spec)
+        assert tables.gamma[0] == 2.0 and tables.rho[0] == 3.0
+        assert len(tables.X[0]) == spec.horizon + 2
+        assert tables.g_cross.size == 0 and tables.h == pytest.approx([0.0])
+        assert params.b == [0.0] and params.one_minus_h_prev.tolist() == [1.0]
+        assert params.tau_eff == (spec.horizon + 1,)
 
     def test_deterministic(self, rng):
         inst = make_random_instance(rng)
-        p1 = synthesize(inst.spec)
-        p2 = synthesize(inst.spec)
-        assert np.array_equal(p1.gamma, p2.gamma)
-        assert all(np.array_equal(a, b) for a, b in zip(p1.X, p2.X))
-        for name in ("coef", "coef_last"):
-            assert np.array_equal(getattr(p1, name), getattr(p2, name), equal_nan=True)
-        assert np.array_equal(p1.h, p2.h)
-
-    def test_serialization_roundtrip_keys(self, five_node_spec):
-        import json
-
-        from pathlq.synthesis import params_to_document
-
-        doc = json.loads(params_to_document(synthesize(five_node_spec)))
-        assert doc["n"] == 5
-        assert len(doc["nodes"]) == 5
-        node1 = doc["nodes"][0]
-        assert node1["tau_eff"] == 3
-        assert "3" in node1["X"] and "2,1" in node1["P"]
+        _assert_same_bytes(synthesize(inst.spec), synthesize(inst.spec))
 
 
-def _reference_rows(params, k):
+def _reference_rows(params, tables, k):
     """Node k+1's gprod and phi entries 1..tau_eff, recomputed one scalar at
     a time from its g, P and h values in synthesis's order of operations."""
     te = params.tau_eff[k]
     gprod = [1.0]
     for m in range(2, te + 1):
-        gprod.append(gprod[-1] * params.g[k][m])
+        gprod.append(gprod[-1] * tables.g[k][m])
     phi = [
-        1.0 - params.P[k][te - 1, d - 1]
-        - (params.one_minus_p_tau_1[k] * params.h[k] * gprod[d - 1])
+        1.0 - tables.P[k][te - 1, d - 1]
+        - (params.one_minus_p_tau_1[k] * tables.h[k] * gprod[d - 1])
         for d in range(1, te + 1)
     ]
     return np.array(gprod), np.array(phi)
@@ -192,9 +184,10 @@ def test_node_slice_rows_match_a_scalar_reference(tau, horizon, rng):
     spec = GraphSpec(n=n, tau=tau, q=tuple(rng.uniform(0.1, 10, n)),
                      r=tuple(rng.uniform(0.1, 10, n)), horizon=horizon)
     params = synthesize(spec)
+    _, tables = reference_synthesize(spec)
     for k in range(n):
         phi_row, gprod_row = params.node_slice(k).rows
-        gprod, phi = _reference_rows(params, k)
+        gprod, phi = _reference_rows(params, tables, k)
         # The rows are tuples of Python floats; through an array, still bitwise.
         assert np.array(gprod_row[1:]).tobytes() == gprod.tobytes(), k
         assert np.array(phi_row[1:]).tobytes() == phi.tobytes(), k
@@ -243,15 +236,15 @@ def test_sweep_lists_are_the_coefficient_arrays(tau, rng):
 OUTPUTS = ("a", "c", "one_minus_gamma_q", "x1_over_r", "one_minus_h_prev")
 
 
-def _reference_outputs(spec, params):
+def _reference_outputs(spec, tables):
     """The output coefficients of OUTPUTS, one node at a time, in the scalar
     order of operations that synthesize applies over the node axis."""
     out = {name: np.empty(spec.n) for name in OUTPUTS}
     a, c, one_minus_gamma_q, x1_over_r, one_minus_h_prev = out.values()
-    gamma, rho = params.gamma, params.rho
+    gamma, rho = tables.gamma, tables.rho
     for k in range(spec.n):
-        h_prev = params.h[k]
-        x1 = params.X[k][0]
+        h_prev = tables.h[k]
+        x1 = tables.X[k][0]
         gamma_q = gamma[k] / spec.q[k]
         one_minus_gamma_q[k] = 1.0 - gamma_q
         x1_over_r[k] = x1 / spec.r[k]
@@ -274,34 +267,45 @@ def test_output_coefficients_match_the_scalar_loop(data):
     spec = GraphSpec(n=n, tau=tau, q=data.draw(weights), r=data.draw(weights),
                      horizon=data.draw(st.integers(0, 11)))
     params = synthesize(spec)
-    for name, want in _reference_outputs(spec, params).items():
+    _, tables = reference_synthesize(spec)
+    for name, want in _reference_outputs(spec, tables).items():
         assert getattr(params, name).tobytes() == want.tobytes(), name
 
 
-# Tables that are not dataclass fields: the per-node arrays that
-# ControllerParams builds on first read.
-BUILT_ON_READ = ("X", "g", "P")
-
-
 def _assert_same_bytes(got: ControllerParams, want: ControllerParams) -> None:
-    """Every field and every table of BUILT_ON_READ equal by type, shape,
-    dtype and bytes; lists must hold Python floats and are compared as
-    float arrays."""
-    names = [field.name for field in dataclasses.fields(ControllerParams)]
-    for name in names + list(BUILT_ON_READ):
-        a, b = getattr(got, name), getattr(want, name)
-        if name in ("spec", "tau_eff", "tail_start"):
-            assert a == b, name
+    """Every field equal by type, shape, dtype and bytes, and the documents
+    equal; lists must hold Python floats and are compared as float arrays."""
+    for field in dataclasses.fields(ControllerParams):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name in ("spec", "tau_eff", "tail_start"):
+            assert a == b, field.name
             continue
-        assert type(a) is type(b) and len(a) == len(b), name
+        assert type(a) is type(b) and len(a) == len(b), field.name
         if isinstance(b, list):
-            assert all(type(x) is float for x in a), name
+            assert all(type(x) is float for x in a), field.name
             a, b = np.array(a), np.array(b)
-        for x, y in zip(a, b) if isinstance(b, tuple) else [(a, b)]:
-            assert type(x) is np.ndarray, name
-            assert (x.shape, x.dtype) == (y.shape, y.dtype), name
-            assert x.tobytes() == y.tobytes(), name
+        assert type(a) is np.ndarray, field.name
+        assert (a.shape, a.dtype) == (b.shape, b.dtype), field.name
+        assert a.tobytes() == b.tobytes(), field.name
     assert params_to_document(got) == params_to_document(want)
+
+
+def _assert_built_from(params: ControllerParams, tables) -> None:
+    """The kept fields that the paper's tables give, bitwise: each node's
+    coef rows, 1 - P_i(tau_i, 1) and b_i, and the output coefficients."""
+    n = params.spec.n
+    for k in range(n):
+        te = params.tau_eff[k]
+        gprod, phi = _reference_rows(params, tables, k)
+        rows = params.coef_last if k == n - 1 else params.coef[: te + 1, :, k].T
+        assert rows[0, 1:].tobytes() == phi.tobytes(), k
+        assert rows[1, 1:].tobytes() == gprod.tobytes(), k
+        omp = 1.0 - tables.P[k][te - 1, 0]
+        b = tables.g_cross[k] * gprod[-1] if k < n - 1 else 0.0
+        assert np.array(params.one_minus_p_tau_1[k]).tobytes() == omp.tobytes(), k
+        assert np.array(params.b[k]).tobytes() == np.array(b).tobytes(), k
+    for name, want in _reference_outputs(params.spec, tables).items():
+        assert getattr(params, name).tobytes() == want.tobytes(), name
 
 
 WEIGHTS = st.one_of(
@@ -312,7 +316,7 @@ WEIGHTS = st.one_of(
 @st.composite
 def _specs(draw):
     """N up to 40, each tau in 1..8 and H up to 50: node N's P table, which
-    ControllerParams.P rebuilds through p_rows, is then up to 51 x 51."""
+    the reference builds, is then up to 51 x 51."""
     n = draw(st.integers(1, 40))
     weights = st.lists(WEIGHTS, min_size=n, max_size=n)
     return GraphSpec(n=n, tau=draw(st.lists(st.integers(1, 8), min_size=n - 1,
@@ -343,12 +347,15 @@ def _spread_spec(n: int, tau, horizon: int) -> GraphSpec:
 @example(_spread_spec(4, (5, 2, 4), 5))
 # One long edge among short ones: its node runs apart, node N with it.
 @example(_spread_spec(60, (3,) * 30 + (40,) + (3,) * 28, 20))
-# H = 0: node N's X row is two terms, X_N(1) and the seed, before the
-# closing 0.0 of x_chain, and its g row is NaN only.
+# H = 0: node N's X row is two terms, X_N(1) and the seed, and its g row
+# is NaN only.
 @example(_spread_spec(1, (), 0))
 @example(_spread_spec(5, (2, 1, 3, 1), 0))
 def test_synthesize_matches_the_numpy_scalar_sweeps_bitwise(spec):
-    _assert_same_bytes(synthesize(spec), reference_synthesize(spec))
+    params = synthesize(spec)
+    want, tables = reference_synthesize(spec)
+    _assert_same_bytes(params, want)
+    _assert_built_from(params, tables)
 
 
 def test_integer_weights_synthesize_as_their_float_twin():
@@ -359,3 +366,33 @@ def test_integer_weights_synthesize_as_their_float_twin():
                   r=np.array(r, dtype=float), horizon=5),
     ]
     _assert_same_bytes(*map(synthesize, twins))
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("spec", [
+    *(config_spec(load_config(str(CONFIG_DIR / f"{name}.json")))
+      for name in ("feedforward_demo", "horizon_sweep_demo")),
+    GraphSpec(n=1, tau=(), q=(2.0,), r=(3.0,), horizon=0),
+    _spread_spec(6, (4, 1, 3, 2, 5), 200),
+], ids=["feedforward_demo", "horizon_sweep_demo", "single-node-H0", "spread-H200"])
+def test_params_document_holds_each_node_slice(spec):
+    # params.json is what each node is given: a NodeParams rebuilt from a
+    # node's entry equals its node_slice, and the entry holds nothing else.
+    params = synthesize(spec)
+    doc = json.loads(params_to_document(params))
+    assert (doc["n"], doc["horizon"], len(doc["nodes"])) == (spec.n, spec.horizon, spec.n)
+    names = [field.name for field in dataclasses.fields(NodeParams)]
+    for k, entry in enumerate(doc["nodes"]):
+        assert list(entry) == ["node", "tau_eff", *names], k
+        assert (entry["node"], entry["tau_eff"]) == (k + 1, params.tau_eff[k])
+        fields = {name: entry[name] for name in names}
+        got = NodeParams(**fields | {"rows": tuple(map(tuple, fields["rows"])),
+                                     "weights": tuple(fields["weights"])})
+        want = params.node_slice(k)
+        for name in ("rows", "weights"):
+            assert (np.array(getattr(got, name)).tobytes()
+                    == np.array(getattr(want, name)).tobytes()), (k, name)
+        for name in names[2:]:
+            assert getattr(got, name) == getattr(want, name), (k, name)
