@@ -17,7 +17,7 @@ import numpy as np
 # init_shifted_sums is not called here: the benchmark's certify set-up
 # (perfbench/workloads.py) times it as `verify.init_shifted_sums`.
 from .ledger import DisturbancePlan, init_shifted_sums
-from .model import GraphSpec, PlantState
+from .model import GraphSpec, PlantState, read_number, read_whole
 from .oracle import (
     build_augmented_system,
     solve_finite_horizon,
@@ -125,9 +125,18 @@ def run_differential_suite(
     tolerance: float = DEFAULT_TOLERANCE,
     **instance_kwargs,
 ) -> SuiteReport:
+    """Certify n_instances random instances drawn from seed.  A suite that
+    certifies nothing is refused (ValueError): n_instances must be a whole
+    number >= 1 and tolerance a finite number > 0."""
+    count = read_whole(n_instances)
+    if count is None or count < 1:
+        raise ValueError(f"n_instances = {n_instances!r} must be a whole number >= 1")
+    tol = read_number(tolerance)
+    if tol is None or not 0.0 < tol < np.inf:
+        raise ValueError(f"tolerance = {tolerance!r} must be a finite number > 0")
     rng = np.random.default_rng(seed)
-    report = SuiteReport(seed=seed, tolerance=tolerance)
-    for idx in range(n_instances):
+    report = SuiteReport(seed=seed, tolerance=tol)
+    for idx in range(count):
         inst = make_random_instance(rng, **instance_kwargs)
         action_err, cost_err = certify_instance(inst)
         report.reports.append(InstanceReport(idx, action_err, cost_err, inst))

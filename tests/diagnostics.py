@@ -2,7 +2,9 @@
 
 A second augmented layout (in-transit slots newest first) as the
 reference for the oracle's build, value iteration as the reference for
-the stationary Riccati solution, the dense stationary gain and its
+the stationary Riccati solution, the verify suite's instance family and
+a count of the doubling steps the oracle's Riccati solve takes on a
+system, the dense stationary gain and its
 undisturbed closed loop, the shifted aggregates S_k, V_k, m_k as arrays
 indexed [k, t], the two shifted-sum cost decompositions, a filter over a
 harness message log, a per-hop reference for the ledger's announcement
@@ -17,11 +19,13 @@ from typing import NamedTuple
 
 import numpy as np
 
+from pathlq import oracle
 from pathlq.harness import Message, MessageLog
 from pathlq.ledger import DisturbancePlan, ShiftedWindows
 from pathlq.model import GraphSpec, PlantState, Trajectory
 from pathlq.oracle import RICCATI_TOL, AugmentedSystem, stationary_riccati
 from pathlq.synthesis import ControllerParams, terminal_riccati
+from pathlq.verify import make_random_instance
 
 
 @dataclass(frozen=True)
@@ -126,6 +130,28 @@ def reference_stationary_riccati(system: AugmentedSystem) -> np.ndarray:
     if resid > 1e-8 * max(1.0, np.max(np.abs(P))):
         warnings.warn(f"Riccati residual {resid:.3e} unexpectedly large")
     return P
+
+
+def certify_family(seed):
+    """Instances of the verify suite's family: n = 1..6, plus H = 0 draws."""
+    rng = np.random.default_rng(seed)
+    for n in range(1, 7):
+        yield make_random_instance(rng, n_range=(n, n))
+        yield make_random_instance(rng, n_range=(n, n), horizon_range=(0, 0))
+
+
+def doubling_steps(system: AugmentedSystem, monkeypatch) -> int:
+    """The doubling steps stationary_riccati(system) takes: the smallest
+    RICCATI_MAX_ITER, set on pathlq.oracle, at which the call does not raise."""
+    with monkeypatch.context() as patch:
+        for steps in range(1, oracle.RICCATI_MAX_ITER + 1):
+            patch.setattr(oracle, "RICCATI_MAX_ITER", steps)
+            try:
+                stationary_riccati(system)
+            except RuntimeError:
+                continue
+            return steps
+    raise RuntimeError("no convergence within RICCATI_MAX_ITER steps")
 
 
 def stationary_gain(system: AugmentedSystem, P: np.ndarray | None = None) -> np.ndarray:

@@ -25,6 +25,13 @@ collector off.  Synthesis's is compared across H.  A full-plan run's is
 compared across N: it grows as N^2, which is the ledger's window buffer,
 2(N+1) rows of width sigma_N + H + 1.  A ledger step between two
 compactions of that buffer allocates a few small objects, whatever N.
+
+The oracle's stationary Riccati solve is counted in doubling steps: the
+smallest RICCATI_MAX_ITER at which the call does not raise.  A step is
+one np.linalg.solve, and a call makes two more, one for F and
+(R + B'QB)^-1 B' before the loop and one for the residual check after
+it.  Its Python-level calls are a + b steps, with one a and one b
+whatever the system.
 """
 
 import contextlib
@@ -39,8 +46,11 @@ from pathlq import simulate
 from pathlq.harness import MessagePassing, run_control_round
 from pathlq.ledger import DisturbancePlan, advance_time, init_shifted_sums
 from pathlq.model import GraphSpec
+from pathlq.oracle import build_augmented_system, stationary_riccati
 from pathlq.simulate import closed_loop
 from pathlq.synthesis import _JOIN_LIMIT, _batches, params_to_document, synthesize
+
+from diagnostics import certify_family, doubling_steps
 
 
 def _uniform_spec(n: int, horizon: int, long_edge: int = 3) -> GraphSpec:
@@ -267,3 +277,43 @@ def test_calls_per_announcement_hop_are_fixed(monkeypatch):
     assert rem == 0 and b > 0, by_hops
     a = e0 - b * h0
     assert all(extra == {a + b * hops} for hops, extra in by_hops.items()), by_hops
+
+
+def _riccati_counts(system, monkeypatch) -> tuple[int, int, int]:
+    """(doubling steps, np.linalg.solve calls, Python-level calls) of
+    stationary_riccati(system)."""
+    steps = doubling_steps(system, monkeypatch)
+    solves = 0
+    solve = np.linalg.solve
+
+    def counting(*args):
+        nonlocal solves
+        solves += 1
+        return solve(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "solve", counting)
+        stationary_riccati(system)
+    return steps, solves, _calls(stationary_riccati, system, events=("call",))
+
+
+def test_riccati_makes_one_solve_a_step_and_fixed_calls(monkeypatch):
+    # An n = 1, H = 0 system and the first three of certify_family(0) with
+    # different step counts (4, 5 and 6).  Each call makes steps + 2
+    # solves; its Python-level calls are a + b steps, b those of one solve
+    # and the convergence test.
+    one_node = GraphSpec(n=1, tau=(), q=(1.0,), r=(1.0,), horizon=0)
+    by_steps = {}
+    for inst in certify_family(0):
+        system = build_augmented_system(inst.spec)
+        by_steps.setdefault(doubling_steps(system, monkeypatch), system)
+    systems = [build_augmented_system(one_node), *list(by_steps.values())[:3]]
+    counts = [_riccati_counts(system, monkeypatch) for system in systems]
+    assert len({steps for steps, _, _ in counts}) >= 3, counts
+    for steps, solves, _ in counts:
+        assert solves == steps + 2, counts
+    (s0, _, c0), *_, (s1, _, c1) = sorted(counts)
+    per_step, rest = divmod(c1 - c0, s1 - s0)
+    assert rest == 0, counts
+    a = c0 - per_step * s0
+    assert all(calls == a + per_step * steps for steps, _, calls in counts), counts

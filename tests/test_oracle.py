@@ -33,11 +33,13 @@ from pathlq.verify import (
     SETTLING_STEPS,
     Instance,
     certify_instance,
-    make_random_instance,
+    run_differential_suite,
 )
 
 from diagnostics import (
+    certify_family,
     check_cost_decomposition,
+    doubling_steps,
     gain_closed_loop,
     reference_build_augmented_system,
     reference_layout_permutation,
@@ -119,7 +121,7 @@ class TestStationary:
     @pytest.mark.parametrize("seed", range(5))
     def test_doubling_matches_value_iteration_on_the_certify_family(self, seed):
         # Five seeds of twelve instances: the verify suite's 60-instance family.
-        for inst in _certify_family(seed):
+        for inst in certify_family(seed):
             system = build_augmented_system(inst.spec)
             P_ref = reference_stationary_riccati(system)
             P = stationary_riccati(system)
@@ -147,13 +149,21 @@ class TestStationary:
         bound = 1e-11 + 1e-15 / (1.0 - rho) ** 2
         assert np.max(np.abs(P - P_ref)) <= bound * np.max(np.abs(P_ref))
 
+    def test_doubling_takes_four_to_eight_steps_on_the_certify_family(
+            self, monkeypatch):
+        # 3, 10, 37, 9 and 1 of the 60 systems take 4, 5, 6, 7 and 8 steps.
+        steps = [doubling_steps(build_augmented_system(inst.spec), monkeypatch)
+                 for seed in range(5) for inst in certify_family(seed)]
+        assert len(steps) == 60
+        assert 4 <= min(steps) and max(steps) <= 8, steps
+
     def test_doubling_converges_in_a_dozen_steps(self, monkeypatch):
         # A step count, not a time: doubling takes 4-8 steps on this family
-        # and 10 on the N = 100 system; value iteration takes 8-73 (median
-        # 24) on the family and so fails here.
+        # (the test above) and 10 on the N = 100 system; value iteration
+        # takes 8-73 (median 24) on the family and so fails here.
         monkeypatch.setattr(oracle, "RICCATI_MAX_ITER", 12)
         for seed in range(5):
-            for inst in _certify_family(seed):
+            for inst in certify_family(seed):
                 stationary_riccati(build_augmented_system(inst.spec))
         stationary_riccati(build_augmented_system(_hundred_node_instance().spec))
 
@@ -298,6 +308,33 @@ def _hundred_node_instance():
             plan.entries[(i, int(s))] = float(rng.standard_normal())
     return Instance(spec=spec, z0=rng.standard_normal(n),
                     pipelines0=tuple(rng.standard_normal(t) for t in tau), plan=plan)
+
+
+REFUSED_SUITES = {
+    "no-instances": {"n_instances": 0},
+    "negative-instances": {"n_instances": -3},
+    "boolean-instances": {"n_instances": True},
+    "fractional-instances": {"n_instances": 2.5},
+    "text-instances": {"n_instances": "3"},
+    "infinite-tolerance": {"tolerance": float("inf")},
+    "nan-tolerance": {"tolerance": float("nan")},
+    "zero-tolerance": {"tolerance": 0.0},
+    "negative-tolerance": {"tolerance": -1e-6},
+    "text-tolerance": {"tolerance": "1e-6"},
+}
+
+
+@pytest.mark.parametrize("kwargs", REFUSED_SUITES.values(), ids=REFUSED_SUITES)
+def test_a_suite_that_certifies_nothing_is_refused(kwargs):
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=f"^{name} = "):
+        run_differential_suite(**kwargs)
+
+
+def test_a_suite_reads_its_count_and_tolerance_as_numbers():
+    suite = run_differential_suite(n_instances=2.0, seed=0, tolerance=1)
+    assert [r.index for r in suite.reports] == [0, 1]
+    assert suite.tolerance == 1.0 and suite.passed
 
 
 def test_no_package_module_imports_scipy():
@@ -609,18 +646,10 @@ def reference_cost_decomposition(traj, spec, gamma, rho):
     return level_lhs, level_rhs, prod_lhs, prod_rhs
 
 
-def _certify_family(seed):
-    """Instances of the verify suite's family: n = 1..6, plus H = 0 draws."""
-    rng = np.random.default_rng(seed)
-    for n in range(1, 7):
-        yield make_random_instance(rng, n_range=(n, n))
-        yield make_random_instance(rng, n_range=(n, n), horizon_range=(0, 0))
-
-
 def _finite_horizon_problems(seed):
-    """(system, x0, plan, T, P) of each instance of _certify_family(seed),
+    """(system, x0, plan, T, P) of each instance of certify_family(seed),
     at the verify suite's horizon."""
-    for inst in _certify_family(seed):
+    for inst in certify_family(seed):
         spec = inst.spec
         system = build_augmented_system(spec)
         x0 = state_vector(system, PlantState.initial(spec, inst.z0, inst.pipelines0))
@@ -633,7 +662,7 @@ class TestAgainstReference:
     def test_system_is_the_former_layout_permuted(self, seed):
         # The plant's layout is the former one, newest slot first, with each
         # edge's slot block reversed: the same system, reordered.
-        for inst in _certify_family(seed):
+        for inst in certify_family(seed):
             spec = inst.spec
             system = build_augmented_system(spec)
             ref = reference_build_augmented_system(spec)
@@ -719,7 +748,7 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_aggregates_and_decomposition_match_the_dict_loops(self, seed):
-        for inst in _certify_family(seed):
+        for inst in certify_family(seed):
             spec = inst.spec
             params = synthesize(spec)
             settle = spec.sigma_total + spec.horizon
